@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net/http/httptest"
 	"slices"
@@ -10,63 +9,40 @@ import (
 	"time"
 
 	"nvdclean"
+	"nvdclean/internal/fsio"
 	"nvdclean/internal/gen"
-	"nvdclean/internal/predict"
-	"nvdclean/internal/store"
 )
 
 // The feed-latency benchmarks measure what a client waits on POST
 // /feed — the paper-facing cost the commit queue exists to bound. Each
-// iteration posts a one-entry modification; the three variants differ
+// iteration posts a one-entry modification; the two variants differ
 // only in what compaction does:
 //
 //	NoCompact          the log grows, no checkpoint is ever written —
 //	                   the floor an ingest can cost.
-//	CompactSync        every ingest trips compaction and pays the full
-//	                   checkpoint write inline (-compact-sync).
 //	CompactBackground  every ingest trips compaction but only seals
 //	                   and enqueues; the committer pays the write.
 //
 // Besides ns/op (which averages away the stalls), each benchmark
 // reports the p50 and p99 of the per-request wall time — the
 // acceptance criterion is CompactBackground's p99 staying within ~2x
-// of NoCompact's, where CompactSync sits at the full checkpoint cost.
+// of NoCompact's (BENCH_4.json also records the since-removed inline
+// commit at the full checkpoint cost).
 //
 // The benchmarks measure the latency of an *isolated* ingest — the
 // stall a feed client observes, which is what the commit queue exists
-// to remove — so the background variant drains the commit queue
-// between iterations, outside the timed window. Feed updates arrive
+// to remove — so each iteration waits for the commit queue to go idle
+// outside the timed window. Feed updates arrive
 // minutes apart in production; without the drain, a single-CPU host
 // measures the committer contending for the core inside the next
 // iteration (a throughput ceiling no queue can lift), not the request
 // stall. On multicore hosts the commit overlaps ingests as well.
-func benchFeedIngest(b *testing.B, compactEvery int, background bool) {
-	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
-	dir := b.TempDir()
-	str, _, _, _, err := store.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer str.Close()
+func benchFeedIngest(b *testing.B, compactEvery int) {
+	snap, opts := world(b, gen.TinyConfig())
 	srv := newServer(opts)
-	srv.persist = str
+	openTestStore(b, srv, b.TempDir(), fsio.OS{})
 	srv.compactEvery = compactEvery
-	if background {
-		srv.committer = store.NewCommitter(str)
-		defer srv.committer.Close()
-	}
-	if err := srv.load(context.Background(), snap); err != nil {
-		b.Fatal(err)
-	}
+	coldBoot(b, srv, snap)
 	handler := srv.handler()
 
 	// Each post toggles one entry's description, so every iteration
@@ -87,15 +63,6 @@ func benchFeedIngest(b *testing.B, compactEvery int, background bool) {
 		return bytes.NewReader(buf.Bytes())
 	}
 
-	drain := func() {
-		if srv.committer == nil {
-			return
-		}
-		for srv.committer.Stats().Pending || str.SealedSegments() > 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-
 	durs := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -109,7 +76,7 @@ func benchFeedIngest(b *testing.B, compactEvery int, background bool) {
 			b.Fatalf("POST /feed = %d: %s", w.Code, w.Body.String())
 		}
 		b.StopTimer()
-		drain()
+		commitIdle(b, srv)
 		b.StartTimer()
 	}
 	b.StopTimer()
@@ -125,18 +92,11 @@ func benchFeedIngest(b *testing.B, compactEvery int, background bool) {
 // BenchmarkFeedIngestNoCompact is the floor: ingest with the log
 // growing and no checkpoint ever written.
 func BenchmarkFeedIngestNoCompact(b *testing.B) {
-	benchFeedIngest(b, 0, false)
-}
-
-// BenchmarkFeedIngestCompactSync pays the full checkpoint write inside
-// every POST /feed (-compact-sync with compactEvery=1) — the stall the
-// commit queue removes.
-func BenchmarkFeedIngestCompactSync(b *testing.B) {
-	benchFeedIngest(b, 1, false)
+	benchFeedIngest(b, 0)
 }
 
 // BenchmarkFeedIngestCompactBackground seals and enqueues on every
 // POST /feed; the background committer pays the write.
 func BenchmarkFeedIngestCompactBackground(b *testing.B) {
-	benchFeedIngest(b, 1, true)
+	benchFeedIngest(b, 1)
 }

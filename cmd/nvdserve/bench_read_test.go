@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -10,9 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"nvdclean"
 	"nvdclean/internal/gen"
-	"nvdclean/internal/predict"
 )
 
 // The read-path benchmarks measure what a client waits on GET under
@@ -21,40 +18,23 @@ import (
 // goroutines sharing an atomic work counter, so the numbers include
 // the lock/CAS traffic a real fan-in pays, not just a single encode:
 //
-//	CVEBaseline       /cve/{id} with -read-cache=false: every request
-//	                  renders the view and marshals it — the old cost.
 //	CVECached         /cve/{id} from the per-generation byte cache: one
 //	                  encode at first hit, then copies.
 //	CVEConditional    /cve/{id} with If-None-Match matching the current
 //	                  generation — a 304, no body at all.
-//	QueryBaseline     a broad /query with -read-cache=false: index scan
-//	                  plus marshal per request.
-//	QueryCached       the same /query from the canonical-key LRU.
+//	QueryCached       a broad /query from the canonical-key LRU.
 //
-// Besides ns/op, each reports p50/p99 of per-request wall time. The
-// acceptance criterion (PERFORMANCE.md, BENCH_5.json) is cached p50 at
-// least 2x faster than baseline for both endpoints, conditional faster
-// still.
+// Besides ns/op, each reports p50/p99 of per-request wall time
+// (BENCH_5.json and BENCH_7.json; BENCH_5 also records the uncached
+// render-per-request baseline the caches replaced).
 const readClients = 8
 
 // benchReadServer builds a loaded in-memory server once per benchmark.
 // LR-only: read latency does not depend on which models trained.
-func benchReadServer(b *testing.B, readCache bool) (*server, http.Handler) {
-	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+func benchReadServer(b *testing.B) (*server, http.Handler) {
+	snap, opts := world(b, gen.TinyConfig())
 	srv := newServer(opts)
-	srv.readCache = readCache
-	if err := srv.load(context.Background(), snap); err != nil {
-		b.Fatal(err)
-	}
+	coldBoot(b, srv, snap)
 	return srv, srv.handler()
 }
 
@@ -116,21 +96,10 @@ func cveTargets(srv *server) []string {
 	return ids
 }
 
-// BenchmarkReadCVEBaseline renders and marshals the view on every
-// request (-read-cache=false) — the per-request-marshal floor the
-// cache is judged against.
-func BenchmarkReadCVEBaseline(b *testing.B) {
-	srv, handler := benchReadServer(b, false)
-	ids := cveTargets(srv)
-	benchServe(b, handler, func(i int) *http.Request {
-		return httptest.NewRequest("GET", "/cve/"+ids[i%len(ids)], nil)
-	}, http.StatusOK)
-}
-
-// BenchmarkReadCVECached serves the same requests from the
-// per-generation pre-encoded byte cache.
+// BenchmarkReadCVECached serves /cve requests from the per-generation
+// pre-encoded byte cache.
 func BenchmarkReadCVECached(b *testing.B) {
-	srv, handler := benchReadServer(b, true)
+	srv, handler := benchReadServer(b)
 	ids := cveTargets(srv)
 	benchServe(b, handler, func(i int) *http.Request {
 		return httptest.NewRequest("GET", "/cve/"+ids[i%len(ids)], nil)
@@ -140,7 +109,7 @@ func BenchmarkReadCVECached(b *testing.B) {
 // BenchmarkReadCVEConditional sends If-None-Match with the current
 // generation's validator: the whole response is a 304.
 func BenchmarkReadCVEConditional(b *testing.B) {
-	srv, handler := benchReadServer(b, true)
+	srv, handler := benchReadServer(b)
 	ids := cveTargets(srv)
 	etag := srv.cur.Load().etagFor(false)
 	benchServe(b, handler, func(i int) *http.Request {
@@ -154,19 +123,10 @@ func BenchmarkReadCVEConditional(b *testing.B) {
 // per-request marshal the cache removes is substantial.
 const readQueryPath = "/query?severity=High&limit=200"
 
-// BenchmarkReadQueryBaseline scans the index and marshals the response
-// on every request (-read-cache=false).
-func BenchmarkReadQueryBaseline(b *testing.B) {
-	_, handler := benchReadServer(b, false)
-	benchServe(b, handler, func(i int) *http.Request {
-		return httptest.NewRequest("GET", readQueryPath, nil)
-	}, http.StatusOK)
-}
-
-// BenchmarkReadQueryCached serves the same query from the
-// canonical-key LRU.
+// BenchmarkReadQueryCached serves a broad query from the canonical-key
+// LRU.
 func BenchmarkReadQueryCached(b *testing.B) {
-	_, handler := benchReadServer(b, true)
+	_, handler := benchReadServer(b)
 	benchServe(b, handler, func(i int) *http.Request {
 		return httptest.NewRequest("GET", readQueryPath, nil)
 	}, http.StatusOK)
@@ -178,7 +138,7 @@ func BenchmarkReadQueryCached(b *testing.B) {
 // Prometheus server imposes at its scrape interval — it should sit in
 // the tens of microseconds, invisible next to a 10s+ interval.
 func BenchmarkMetricsScrape(b *testing.B) {
-	srv, handler := benchReadServer(b, true)
+	srv, handler := benchReadServer(b)
 	// Populate labeled children the way a live server would have them:
 	// a few hits per route so the scrape renders realistic series.
 	for _, id := range cveTargets(srv) {
@@ -209,7 +169,7 @@ func benchBareHandler(srv *server) http.Handler {
 // middleware. The p50 gap between the two, taken from the same run, is
 // the per-request cost of instrumentation.
 func BenchmarkReadCVECachedBare(b *testing.B) {
-	srv, _ := benchReadServer(b, true)
+	srv, _ := benchReadServer(b)
 	ids := cveTargets(srv)
 	benchServe(b, benchBareHandler(srv), func(i int) *http.Request {
 		return httptest.NewRequest("GET", "/cve/"+ids[i%len(ids)], nil)
@@ -219,7 +179,7 @@ func BenchmarkReadCVECachedBare(b *testing.B) {
 // BenchmarkReadQueryCachedBare is BenchmarkReadQueryCached minus the
 // middleware.
 func BenchmarkReadQueryCachedBare(b *testing.B) {
-	srv, _ := benchReadServer(b, true)
+	srv, _ := benchReadServer(b)
 	benchServe(b, benchBareHandler(srv), func(i int) *http.Request {
 		return httptest.NewRequest("GET", readQueryPath, nil)
 	}, http.StatusOK)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nvdclean"
+	"nvdclean/internal/fsio"
 	"nvdclean/internal/store"
 )
 
@@ -34,16 +35,11 @@ import (
 // ingest (BenchmarkFollowerCatchUp below).
 func BenchmarkFollowerBootstrap(b *testing.B) {
 	restartFixture(b)
-	pStr, _, _, _, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pStr.Close()
+	psrv := newServer(restartWorld.opts)
+	pStr, _, _ := openTestStore(b, psrv, b.TempDir(), fsio.OS{})
 	if err := pStr.Commit(restartWorld.res.StoreCheckpoint()); err != nil {
 		b.Fatal(err)
 	}
-	psrv := newServer(restartWorld.opts)
-	psrv.persist = pStr
 	ts := httptest.NewServer(psrv.handler())
 	defer ts.Close()
 	ctx := context.Background()
@@ -55,7 +51,7 @@ func BenchmarkFollowerBootstrap(b *testing.B) {
 			b.Fatal(err)
 		}
 		fsrv := newServer(restartWorld.opts)
-		fsrv.persist = fStr
+		fsrv.attachStore(fStr)
 		fol := newFollower(fsrv, ts.URL, time.Millisecond, 0)
 		if err := fol.bootstrap(ctx); err != nil {
 			b.Fatal(err)
@@ -74,7 +70,7 @@ func BenchmarkFollowerBootstrap(b *testing.B) {
 			b.Fatalf("replica view incomplete: %v", st)
 		}
 		b.StopTimer()
-		fStr.Close()
+		fsrv.closeStore()
 		b.StartTimer()
 	}
 }
@@ -86,11 +82,8 @@ func BenchmarkFollowerBootstrap(b *testing.B) {
 // sealed-segment replay with its local checkpoint, and the live tail.
 func BenchmarkFollowerCatchUp(b *testing.B) {
 	restartFixture(b)
-	pStr, _, _, _, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pStr.Close()
+	psrv := newServer(restartWorld.opts)
+	pStr, _, _ := openTestStore(b, psrv, b.TempDir(), fsio.OS{})
 	if err := pStr.Commit(restartWorld.res.StoreCheckpoint()); err != nil {
 		b.Fatal(err)
 	}
@@ -114,8 +107,6 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 			}
 		}
 	}
-	psrv := newServer(restartWorld.opts)
-	psrv.persist = pStr
 	ts := httptest.NewServer(psrv.handler())
 	defer ts.Close()
 	ctx := context.Background()
@@ -126,14 +117,13 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fsrv := newServer(restartWorld.opts)
-		fsrv.persist = fStr
 		// Production shape: followers checkpoint their sealed segments
 		// through the background commit queue, so time-to-serving does
 		// not include the local commit. The queue drains between
 		// iterations, off the clock — same protocol as
 		// BenchmarkFeedIngestCompactBackground.
-		fsrv.committer = store.NewCommitter(fStr)
+		fsrv := newServer(restartWorld.opts)
+		fsrv.attachStore(fStr)
 		fol := newFollower(fsrv, ts.URL, time.Millisecond, 0)
 		if err := fol.bootstrap(ctx); err != nil {
 			b.Fatal(err)
@@ -155,8 +145,7 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 			b.Fatal("replica view missing the tail modifications")
 		}
 		b.StopTimer()
-		fsrv.committer.Close()
-		fStr.Close()
+		fsrv.closeStore()
 		b.StartTimer()
 	}
 }
@@ -173,35 +162,23 @@ func BenchmarkFollowerSteadyStateLag(b *testing.B) {
 	opts, snap := benchWorld.opts, benchWorld.snap
 	ctx := context.Background()
 
-	pStr, _, _, _, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pStr.Close()
+	// The primary boots from the shared fixture's checkpoint through the
+	// production warm boot instead of paying a second full Clean.
+	primary := newServer(opts)
+	pStr, _, _ := openTestStore(b, primary, b.TempDir(), fsio.OS{})
+	primary.compactEvery = 8
 	cp := benchWorld.st.res.StoreCheckpoint()
 	if err := pStr.Commit(cp); err != nil {
 		b.Fatal(err)
 	}
-	pRes, err := nvdclean.RestoreResult(cp, opts)
-	if err != nil {
+	if _, err := primary.advance(ctx, transition{cp: cp}); err != nil {
 		b.Fatal(err)
 	}
-	primary := newServer(opts)
-	primary.persist = pStr
-	primary.compactEvery = 8
-	primary.committer = store.NewCommitter(pStr)
-	defer primary.committer.Close()
-	primary.cur.Store(primary.newState(pRes, nil, nil, nil, 0, 1, false, true))
 	ts := httptest.NewServer(primary.handler())
 	defer ts.Close()
 
-	fStr, _, _, _, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fStr.Close()
 	fsrv := newServer(opts)
-	fsrv.persist = fStr
+	fStr, _, _ := openTestStore(b, fsrv, b.TempDir(), fsio.OS{})
 	fol := newFollower(fsrv, ts.URL, time.Millisecond, 0)
 	fsrv.follower = fol
 	fctx, fcancel := context.WithCancel(ctx)

@@ -39,7 +39,7 @@ func benchState(b *testing.B) *serveState {
 			Seed:        1,
 		}
 		srv := newServer(opts)
-		if err := srv.load(context.Background(), snap); err != nil {
+		if _, err := srv.advance(context.Background(), transition{snap: snap}); err != nil {
 			benchWorld.err = err
 			return
 		}

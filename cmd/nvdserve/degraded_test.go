@@ -12,6 +12,7 @@ import (
 
 	"nvdclean"
 	"nvdclean/internal/fsio"
+	"nvdclean/internal/gen"
 	"nvdclean/internal/store"
 )
 
@@ -31,24 +32,17 @@ func enospcDecider(op fsio.Op) fsio.Decision {
 // injector, with the recovery probe cadence shrunk to test speed.
 func degradedServer(t *testing.T) (*server, *nvdclean.Snapshot, *fsio.Injector, string) {
 	t.Helper()
-	srv, snap := demoServer(t)
+	snap, opts := world(t, gen.TinyConfig())
+	opts.Concurrency = 8
+	srv := newServer(opts)
 	inj := fsio.NewInjector(fsio.OS{})
 	dir := t.TempDir()
-	st, _, _, _, err := store.OpenFS(dir, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	srv.persist = st
-	srv.persist.SetCommitObserver(srv.observeCommit)
+	openTestStore(t, srv, dir, inj)
 	srv.health.probeInitial = 5 * time.Millisecond
 	srv.health.probeMax = 20 * time.Millisecond
-	t.Cleanup(srv.health.close)
-	// Record the boot checkpoint so the store mirrors the served view.
-	cp := srv.cur.Load().res.StoreCheckpoint()
-	if err := st.Commit(cp); err != nil {
-		t.Fatal(err)
-	}
+	// The cold boot commits its checkpoint, so the store mirrors the
+	// served view.
+	coldBoot(t, srv, snap)
 	return srv, snap, inj, dir
 }
 
@@ -220,7 +214,7 @@ func TestDegradedModeServing(t *testing.T) {
 
 	// The store really holds both accepted deltas: a clean reopen of
 	// the directory replays them.
-	if err := srv.persist.Close(); err != nil {
+	if err := srv.closeStore(); err != nil {
 		t.Fatal(err)
 	}
 	st2, _, deltas, _, err := store.Open(dir)

@@ -6,8 +6,8 @@ package main
 // it, and then tails the primary's segment bytes — appending them
 // verbatim to its local log (so stream positions, and therefore ETag
 // validators, align across the fleet) and folding the decoded deltas
-// into its serving view through the same CleanDelta+swap path POST
-// /feed uses on the primary.
+// into its serving view through the same generation transition
+// (advance) POST /feed uses on the primary.
 //
 // Convergence: followers never coordinate with the primary beyond
 // polling its stream. When a follower falls behind a compaction (its
@@ -159,34 +159,26 @@ func (f *follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	cp, err := f.srv.persist.InstallCheckpoint(rm, func(mf store.ManifestFile) (io.ReadCloser, error) {
 		return f.client.CheckpointFile(ctx, mf)
 	})
 	if err != nil {
 		return err
 	}
-	res, err := nvdclean.RestoreResult(cp, f.srv.opts)
-	if err != nil {
-		return fmt.Errorf("restoring shipped checkpoint: %w", err)
-	}
 	f.srv.feedMu.Lock()
-	gen := 1
-	if prev := f.srv.cur.Load(); prev != nil {
-		gen = prev.generation + 1
-	}
-	st := f.srv.newState(res, nil, nil, cp.Index, time.Since(start), gen, false, true)
-	st.restored = true
-	f.srv.cur.Store(st)
+	out, err := f.srv.advance(ctx, transition{cp: cp})
 	// Anything pending was folded into the shipped checkpoint (the
 	// install refuses a local log ahead of its watermark).
 	f.unapplied = nil
 	f.srv.feedMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("restoring shipped checkpoint: %w", err)
+	}
 	f.cursorSeq.Store(rm.CheckpointSeq + 1)
 	f.cursorOff.Store(0)
 	f.bootstraps.Add(1)
 	fmt.Printf("nvdserve: replica bootstrapped from %s: generation %d (%d entries), tailing from segment %d\n",
-		f.client.Base(), f.srv.persist.Generation(), res.Cleaned.Len(), rm.CheckpointSeq+1)
+		f.client.Base(), f.srv.persist.Generation(), out.st.res.Cleaned.Len(), rm.CheckpointSeq+1)
 	return nil
 }
 
@@ -241,11 +233,14 @@ func (f *follower) syncOnce(ctx context.Context) (time.Duration, error) {
 }
 
 // apply lands one fetched chunk: frames append verbatim to the local
-// log (advancing the shared stream position), the decoded deltas fold
-// into the serving view, and a sealed segment boundary triggers a
-// local seal — keeping segment seqs in lockstep with the primary —
-// plus a local checkpoint so this replica's restarts (and its own
-// followers, if chained) stay cheap.
+// log (advancing the shared stream position), then one transition
+// folds every unapplied delta into the serving view and, when the
+// chunk ends a sealed segment, mirrors the seal locally — keeping
+// segment seqs in lockstep with the primary — and checkpoints, so this
+// replica's restarts (and its own followers, if chained) stay cheap.
+// Folding N deltas in one CleanDelta is safe because CleanDelta is
+// bit-deterministic and composition-invariant: the follower's view
+// converges to the primary's however the stream was chunked.
 func (f *follower) apply(ctx context.Context, chunk *replica.LogChunk) error {
 	f.srv.feedMu.Lock()
 	defer f.srv.feedMu.Unlock()
@@ -257,68 +252,25 @@ func (f *follower) apply(ctx context.Context, chunk *replica.LogChunk) error {
 		f.cursorOff.Add(int64(len(chunk.Data)))
 		f.unapplied = append(f.unapplied, deltas...)
 	}
-	if err := f.fold(ctx); err != nil {
-		// The frames are durable and the cursor advanced; the fold
-		// retries on the next poll (or a restart replays the log).
-		return err
-	}
-	if chunk.Sealed {
-		sealedSeq, err := f.srv.persist.Seal()
-		if err != nil {
-			return err
-		}
-		f.cursorSeq.Store(sealedSeq + 1)
-		f.cursorOff.Store(0)
-		if st := f.srv.cur.Load(); st != nil {
-			cp := st.res.StoreCheckpoint()
-			cp.Index = st.idx
-			if f.srv.committer != nil {
-				f.srv.committer.Enqueue(cp, sealedSeq)
-			} else if err := f.srv.persist.CommitSealed(cp, sealedSeq); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// fold drains the unapplied deltas into one incremental re-clean and
-// swaps the resulting generation in. Batching is safe because
-// CleanDelta is bit-deterministic and composition-invariant: folding N
-// deltas in one step yields the same bytes as N single-step folds —
-// the follower's view converges to the primary's however the stream
-// was chunked.
-func (f *follower) fold(ctx context.Context) error {
-	if len(f.unapplied) == 0 {
-		return nil
-	}
 	st := f.srv.cur.Load()
 	if st == nil {
 		return fmt.Errorf("no serving generation to fold deltas into")
 	}
-	start := time.Now()
-	merged := st.res.Original
-	for _, d := range f.unapplied {
-		merged = merged.ApplyDelta(d)
-	}
-	total := nvdclean.Diff(st.res.Original, merged)
-	n := uint64(len(f.unapplied))
-	if total.Empty() {
-		f.unapplied = nil
-		f.deltasApplied.Add(n)
-		return nil
-	}
-	res, err := nvdclean.CleanDelta(ctx, st.res, total, f.srv.opts)
+	out, err := f.srv.advance(ctx, transition{delta: mergeDeltas(st.res.Original, f.unapplied), sealed: chunk.Sealed})
 	if err != nil {
+		// The frames are durable and the cursor advanced; the fold
+		// retries on the next poll (or a restart replays the log).
 		return err
 	}
-	warm := res.Engine != nil && res.Engine == st.res.Engine
-	next := f.srv.newState(res, st, total, nil, time.Since(start), st.generation+1, true, warm)
-	f.srv.cur.Store(next)
-	f.srv.obs.ingestDeltaEntries.Observe(float64(total.Size()))
-	f.srv.obs.ingestSwapSeconds.Observe(time.Since(start).Seconds())
+	f.deltasApplied.Add(uint64(len(f.unapplied)))
 	f.unapplied = nil
-	f.deltasApplied.Add(n)
+	if out.compactErr != nil {
+		return out.compactErr
+	}
+	if chunk.Sealed {
+		f.cursorSeq.Store(out.sealedSeq + 1)
+		f.cursorOff.Store(0)
+	}
 	return nil
 }
 

@@ -67,7 +67,7 @@ func (h *storeHealth) close() {
 // if one is not already running. Safe to call from any handler or the
 // commit observer; repeated failures only bump the counter.
 func (h *storeHealth) recordFailure(err error) {
-	if h == nil || err == nil {
+	if err == nil {
 		return
 	}
 	h.mu.Lock()
@@ -79,7 +79,7 @@ func (h *storeHealth) recordFailure(err error) {
 		h.degraded = true
 		h.since = time.Now()
 	}
-	if !h.probing && h.srv != nil && h.srv.persist != nil {
+	if !h.probing && h.srv.persist != nil {
 		h.probing = true
 		h.delay = h.probeInitial
 		go h.probeLoop()
@@ -90,9 +90,6 @@ func (h *storeHealth) recordFailure(err error) {
 // failure degrades, a success while degraded proves the disk writes
 // again and recovers immediately (no need to wait for the next probe).
 func (h *storeHealth) noteCommit(err error) {
-	if h == nil {
-		return
-	}
 	if err != nil {
 		h.recordFailure(err)
 		return
@@ -173,9 +170,6 @@ type healthStatus struct {
 }
 
 func (h *storeHealth) status() healthStatus {
-	if h == nil {
-		return healthStatus{}
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := healthStatus{
@@ -196,9 +190,6 @@ func (h *storeHealth) status() healthStatus {
 // isDegraded reports degraded mode and its cause without copying the
 // whole status block.
 func (h *storeHealth) isDegraded() (degraded bool, reason string, diskFull bool) {
-	if h == nil {
-		return false, "", false
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.degraded, h.reason, h.enospc

@@ -2,32 +2,40 @@
 // snapshot over HTTP. It loads a feed (or generates a synthetic demo
 // snapshot), runs the full cleaning pipeline once, and then serves:
 //
-//	GET  /healthz       liveness + current generation
-//	GET  /cve/{id}      one cleaned entry with every pipeline artifact
-//	GET  /query         filter by vendor/product/severity/year
-//	GET  /stats         snapshot-wide cleaning statistics
-//	POST /feed          ingest a feed update (NVD JSON 1.1 body)
+//	GET  /cve/{id}                     one cleaned entry with every pipeline artifact
+//	GET  /query                        filter by vendor/product/cwe/severity/year
+//	GET  /stats                        cleaning, cache, store and replication statistics
+//	GET  /metrics                      Prometheus text exposition
+//	GET  /livez                        liveness: the process answers at all
+//	GET  /readyz                       readiness: a generation serves, not draining or lagging
+//	GET  /healthz                      alias of /readyz
+//	GET  /replicate/manifest           committed checkpoint files and live log segments
+//	GET  /replicate/checkpoint/{file}  one checkpoint file, verbatim
+//	GET  /replicate/log?from={seq}     delta-log segment bytes from a cursor
+//	POST /feed                         ingest a feed update (NVD JSON 1.1 body)
 //
 // POST /feed is the incremental path: the posted entries diff against
 // the current snapshot and only the delta re-cleans (CleanDelta), with
 // the previous generation serving until the new one swaps in
 // atomically — reloads cause zero downtime and, when the update leaves
-// the training split untouched, reuse the trained model zoo.
+// the training split untouched, reuse the trained model zoo. Every
+// generation change — cold boot, warm boot, POST /feed, and a
+// follower's bootstrap and folds — runs the one transition in
+// server.go (advance).
 //
 // With -data-dir the daemon keeps a persistent generation store: every
 // ingested delta is logged durably before it serves, and checkpoints
-// fold the log back down (-compact-every). A restart with the same
-// -data-dir restores the last committed generation from checkpoint
-// plus log in ~O(delta) — no crawling, no training, no re-clean — and
-// the store becomes authoritative over the -feed/-demo input.
+// fold the log back down in the background (-compact-every). A restart
+// with the same -data-dir restores the last committed generation from
+// checkpoint plus log in ~O(delta) — no crawling, no training, no
+// re-clean — and the store becomes authoritative over the -feed/-demo
+// input.
 //
-// A store-backed daemon is also a replication primary: it serves its
-// checkpoint and delta log over /replicate/manifest,
-// /replicate/checkpoint/{file} and /replicate/log?from={seq}. A
-// second daemon started with -follow <primary-url> runs as a read
-// replica: it bootstraps from the shipped checkpoint, tails segment
-// bytes into its own store, folds the deltas into its serving view
-// through the same CleanDelta path, answers POST /feed with 403
+// A store-backed daemon is also a replication primary (the /replicate
+// routes). A second daemon started with -follow <primary-url> runs as a
+// read replica: it bootstraps from the shipped checkpoint, tails
+// segment bytes into its own store, folds the deltas into its serving
+// view through the same transition, answers POST /feed with 403
 // pointing at the primary, and gates /readyz on -max-replica-lag.
 //
 // Usage:
@@ -68,11 +76,8 @@ type serveConfig struct {
 	seed                      int64
 	dataDir                   string
 	compactEvery              int
-	compactSync               bool
 	maxFeedBytes              int64
 	queryCacheBytes           int
-	readCache                 bool
-	indexLoad                 string
 	pprofAddr                 string
 	drainWait                 time.Duration
 	follow                    string
@@ -93,11 +98,8 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "dataset split and weight-init seed")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "persistent generation store directory (empty: in-memory only)")
 	flag.IntVar(&cfg.compactEvery, "compact-every", 8, "fold the delta log into a fresh checkpoint after this many records (0: never)")
-	flag.BoolVar(&cfg.compactSync, "compact-sync", false, "write compaction checkpoints inside POST /feed instead of a background committer")
 	flag.Int64Var(&cfg.maxFeedBytes, "max-feed-bytes", defaultMaxFeedBytes, "largest POST /feed body accepted, in bytes (0: unbounded)")
 	flag.IntVar(&cfg.queryCacheBytes, "query-cache-bytes", defaultQueryCacheBytes, "per-generation /query response cache cap, in bytes (0: disabled)")
-	flag.BoolVar(&cfg.readCache, "read-cache", true, "serve reads from per-generation pre-encoded response caches")
-	flag.StringVar(&cfg.indexLoad, "index-load", "lazy", "checkpoint index loading: lazy (shards parse on first query) or eager (parse all at boot)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate listener (empty: disabled; profiling never shares the serving port)")
 	flag.DurationVar(&cfg.drainWait, "drain-wait", 500*time.Millisecond, "how long /readyz reports 503 before the listener closes on shutdown, so load balancers drain first (0: immediate)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read replica of the primary nvdserve at this base URL (requires -data-dir; POST /feed turns 403)")
@@ -114,23 +116,24 @@ func main() {
 func run(cfg serveConfig) error {
 	addr, feedPath, demoScale := cfg.addr, cfg.feedPath, cfg.demoScale
 	crawl, dataDir := cfg.crawl, cfg.dataDir
-	compactEvery, compactSync := cfg.compactEvery, cfg.compactSync
 	kinds, err := parseModels(cfg.models)
 	if err != nil {
 		return err
 	}
-	if cfg.indexLoad != "lazy" && cfg.indexLoad != "eager" {
-		return fmt.Errorf("bad -index-load %q (want lazy or eager)", cfg.indexLoad)
-	}
 	if cfg.follow != "" && dataDir == "" {
 		return fmt.Errorf("-follow requires -data-dir (the replica tails the primary's log into its own store)")
 	}
-	opts := nvdclean.Options{
+	// The server exists before the store opens so the store is attached
+	// (and closed on every return) from the moment it is open.
+	srv := newServer(nvdclean.Options{
 		Concurrency: cfg.concurrency,
 		Models:      kinds,
 		ModelConfig: predict.ModelConfig{Epochs: cfg.epochs, Compact: cfg.compact, Seed: cfg.seed},
 		Seed:        cfg.seed,
-	}
+	})
+	srv.compactEvery = cfg.compactEvery
+	srv.maxFeedBytes = cfg.maxFeedBytes
+	srv.queryCacheBytes = cfg.queryCacheBytes
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -149,7 +152,10 @@ func run(cfg serveConfig) error {
 		if err != nil {
 			return fmt.Errorf("opening store %s: %w", dataDir, err)
 		}
-		defer persist.Close()
+		// Closed — draining an in-flight background commit first — after
+		// the HTTP server and the follower's tail loop stop.
+		srv.attachStore(persist)
+		defer srv.closeStore()
 		for _, n := range notes {
 			fmt.Printf("nvdserve: store recovery: %s\n", n)
 		}
@@ -158,7 +164,7 @@ func run(cfg serveConfig) error {
 	var snap *nvdclean.Snapshot
 	if feedPath != "" {
 		if crawl {
-			opts.Transport = http.DefaultTransport
+			srv.opts.Transport = http.DefaultTransport
 		}
 		// On a warm restart the feed file is never cleaned (the store
 		// is authoritative), so don't pay to load it. A follower never
@@ -196,91 +202,40 @@ func run(cfg serveConfig) error {
 		if err != nil {
 			return err
 		}
-		opts.Transport = nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport()
+		srv.opts.Transport = nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport()
 		fmt.Printf("nvdserve: generated %s demo snapshot (%d CVEs)\n", demoScale, snap.Len())
 	}
 
-	srv := newServer(opts)
-	srv.persist = persist
-	srv.compactEvery = compactEvery
-	srv.maxFeedBytes = cfg.maxFeedBytes
-	srv.queryCacheBytes = cfg.queryCacheBytes
-	srv.readCache = cfg.readCache
-	if persist != nil {
-		// Every checkpoint commit — boot, -compact-sync inline, or
-		// background — reports its wall time into the scrape surface
-		// and its outcome into the degraded-mode health tracker.
-		persist.SetCommitObserver(srv.observeCommit)
-	}
-	// Stop the degraded-mode recovery probe (if one is running) before
-	// the store it probes closes.
-	defer srv.health.close()
-	if persist != nil && !compactSync {
-		// Background compaction: POST /feed seals the delta log and
-		// enqueues the checkpoint; the committer pays the write. Closed
-		// (draining any in-flight commit) before the store closes.
-		srv.committer = store.NewCommitter(persist)
-		defer srv.committer.Close()
-	}
-
-	if cp != nil && cfg.follow != "" {
-		fmt.Printf("nvdserve: replica warm start: serving local generation %d while resuming the tail from %s\n",
-			cp.Generation, cfg.follow)
-	}
-	if cp != nil {
-		start := time.Now()
-		res, err := nvdclean.RestoreResult(cp, opts)
+	switch {
+	case cp != nil:
+		if cfg.follow != "" {
+			fmt.Printf("nvdserve: replica warm start: serving local generation %d while resuming the tail from %s\n",
+				cp.Generation, cfg.follow)
+		}
+		out, err := srv.advance(ctx, transition{cp: cp, delta: mergeDeltas(cp.Original, logged)})
 		if err != nil {
-			return fmt.Errorf("restoring checkpoint: %w", err)
+			return fmt.Errorf("warm start: %w", err)
 		}
-		// Fold the logged deltas into one and re-clean just that.
-		merged := res.Original
-		for _, d := range logged {
-			merged = merged.ApplyDelta(d)
-		}
-		var st *serveState
-		if total := nvdclean.Diff(res.Original, merged); !total.Empty() {
-			// The checkpoint's own view — carrying its restored lazy
-			// index — becomes the base generation; the logged deltas
-			// then advance it incrementally, exactly as POST /feed
-			// would, re-ordinating only the shards they touch.
-			base := srv.newState(res, nil, nil, cp.Index, 0, 0, false, true)
-			if res, err = nvdclean.CleanDelta(ctx, res, total, opts); err != nil {
-				return fmt.Errorf("replaying delta log: %w", err)
-			}
-			st = srv.newState(res, base, total, nil, time.Since(start), 1, len(logged) > 0, true)
-		} else {
-			st = srv.newState(res, nil, nil, cp.Index, time.Since(start), 1, len(logged) > 0, true)
-		}
-		st.restored = true
-		if cfg.indexLoad == "eager" {
-			if err := st.idx.LoadAll(opts.Concurrency); err != nil {
-				fmt.Printf("nvdserve: eager index load failed (%v); rebuilding\n", err)
-				st.idx = store.BuildIndex(res.Cleaned, opts.Concurrency)
-			}
-		}
-		srv.cur.Store(st)
+		st := out.st
 		ixs := st.idx.Stats()
 		indexMode := fmt.Sprintf("restored (%d/%d shards lazy)", ixs.Shards-ixs.LoadedShards, ixs.Shards)
 		if cp.Index == nil {
 			indexMode = "rebuilt (checkpoint carried no index segments)"
 		}
 		fmt.Printf("nvdserve: warm start: restored store generation %d (%d entries, %d logged deltas) in %dms — no re-clean; index %s\n",
-			srv.persist.Generation(), res.Cleaned.Len(), len(logged), st.cleanDur.Milliseconds(), indexMode)
-		if feedPath != "" || snap != nil {
-			fmt.Println("nvdserve: store is authoritative; POST /feed to ingest feed updates")
-		}
-	} else if cfg.follow == "" {
+			srv.persist.Generation(), st.res.Cleaned.Len(), len(logged), st.cleanDur.Milliseconds(), indexMode)
+		fmt.Println("nvdserve: store is authoritative; POST /feed to ingest feed updates")
+	case cfg.follow == "":
 		fmt.Printf("nvdserve: cleaning %d entries...\n", snap.Len())
-		if err := srv.load(ctx, snap); err != nil {
+		out, err := srv.advance(ctx, transition{snap: snap})
+		if err != nil {
 			return err
 		}
-		st := srv.cur.Load()
-		fmt.Printf("nvdserve: pipeline done in %dms\n", st.cleanDur.Milliseconds())
+		fmt.Printf("nvdserve: pipeline done in %dms\n", out.st.cleanDur.Milliseconds())
 		if srv.persist != nil {
 			fmt.Printf("nvdserve: committed checkpoint generation %d to %s\n", srv.persist.Generation(), dataDir)
 		}
-	} else {
+	default:
 		// A cold follower never runs a local clean: its first
 		// generation ships from the primary. The bootstrap runs in the
 		// background so the listener (and /livez) come up immediately;

@@ -17,30 +17,84 @@ import (
 	"time"
 
 	"nvdclean"
+	"nvdclean/internal/fsio"
 	"nvdclean/internal/gen"
 	"nvdclean/internal/predict"
 	"nvdclean/internal/store"
 )
 
-// demoServer builds an in-process server over a tiny synthetic
-// snapshot with fast training settings.
-func demoServer(t *testing.T) (*server, *nvdclean.Snapshot) {
-	t.Helper()
-	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
+// world generates a synthetic snapshot from cfg with the fast LR-only
+// options the in-process tests clean it with, crawling its simulated
+// web.
+func world(tb testing.TB, cfg nvdclean.GenConfig) (*nvdclean.Snapshot, nvdclean.Options) {
+	tb.Helper()
+	snap, truth, err := nvdclean.GenerateSnapshot(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	opts := nvdclean.Options{
+	return snap, nvdclean.Options{
 		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Concurrency: 8,
 		Models:      []predict.ModelKind{predict.ModelLR},
 		ModelConfig: predict.ModelConfig{Seed: 1},
 		Seed:        1,
 	}
-	srv := newServer(opts)
-	if err := srv.load(context.Background(), snap); err != nil {
-		t.Fatal(err)
+}
+
+// raceWorld is the fixture of the race-stress tests, whose race
+// surfaces depend neither on snapshot size nor on which models train.
+func raceWorld(tb testing.TB) (*nvdclean.Snapshot, nvdclean.Options) {
+	cfg := nvdclean.SmallScale()
+	cfg.NumCVEs = 120
+	cfg.NumVendors = 30
+	return world(tb, cfg)
+}
+
+// openTestStore opens the store in dir through fs and attaches it to
+// srv the way run does; the test's cleanup closes it. It returns what
+// the store recovered.
+func openTestStore(tb testing.TB, srv *server, dir string, fs fsio.FS) (*store.Store, *store.Checkpoint, []*nvdclean.Delta) {
+	tb.Helper()
+	st, cp, logged, _, err := store.OpenFS(dir, fs)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	srv.attachStore(st)
+	tb.Cleanup(func() { srv.closeStore() })
+	return st, cp, logged
+}
+
+// coldBoot installs srv's first generation through the cold-boot
+// transition run uses: a full Clean, committed inline when a store is
+// attached.
+func coldBoot(tb testing.TB, srv *server, snap *nvdclean.Snapshot) {
+	tb.Helper()
+	if _, err := srv.advance(context.Background(), transition{snap: snap}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// commitIdle waits until srv's background committer has written every
+// queued checkpoint and retired the segments it folds in — the point
+// from which a test can read a compaction's result from the store.
+func commitIdle(tb testing.TB, srv *server) {
+	tb.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for srv.committer.Stats().Pending || srv.persist.SealedSegments() > 0 {
+		if time.Now().After(deadline) {
+			tb.Fatal("background commits still pending after a minute")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// demoServer builds an in-process server over a tiny synthetic
+// snapshot with fast training settings.
+func demoServer(t *testing.T) (*server, *nvdclean.Snapshot) {
+	t.Helper()
+	snap, opts := world(t, gen.TinyConfig())
+	opts.Concurrency = 8
+	srv := newServer(opts)
+	coldBoot(t, srv, snap)
 	return srv, snap
 }
 
@@ -321,27 +375,14 @@ func TestQueryPaginationBeyondTotal(t *testing.T) {
 }
 
 // TestLoadCommitFailure pins the boot ordering fix: when the initial
-// checkpoint commit fails, load must surface the error without
+// checkpoint commit fails, the cold boot must surface the error without
 // installing the generation — a server that reports a failed boot must
 // not quietly serve an uncheckpointed view.
 func TestLoadCommitFailure(t *testing.T) {
-	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := world(t, gen.TinyConfig())
 	dir := filepath.Join(t.TempDir(), "data")
-	str, _, _, _, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := newServer(opts)
-	srv.persist = str
+	openTestStore(t, srv, dir, fsio.OS{})
 	// Sabotage the store directory so the checkpoint write must fail.
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
@@ -349,7 +390,7 @@ func TestLoadCommitFailure(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.load(context.Background(), snap); err == nil {
+	if _, err := srv.advance(context.Background(), transition{snap: snap}); err == nil {
 		t.Fatal("load succeeded with an uncommittable store")
 	}
 	if srv.cur.Load() != nil {

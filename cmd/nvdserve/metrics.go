@@ -31,10 +31,10 @@ type serverMetrics struct {
 	reqBytes  *obs.CounterVec   // route
 	respBytes *obs.CounterVec   // route
 
-	// Ingest-path histograms observed by handleFeed, and the
-	// checkpoint-write histogram fed by the store's commit observer
-	// (both the background committer and -compact-sync inline commits
-	// funnel through it).
+	// Ingest-path histograms observed by every ingest transition (POST
+	// /feed and follower folds), and the checkpoint-write histogram fed
+	// by the store's commit observer (the cold boot's inline commit and
+	// the background committer both funnel through it).
 	ingestDeltaEntries *obs.Histogram
 	ingestSwapSeconds  *obs.Histogram
 	checkpointSeconds  *obs.Histogram
@@ -42,8 +42,8 @@ type serverMetrics struct {
 }
 
 // newServerMetrics builds the registry and registers every family. The
-// gauge closures read s dynamically (s.persist and s.committer are
-// assigned after newServer), and nil-guard so the scrape shape is
+// gauge closures read s dynamically (attachStore assigns s.persist and
+// s.committer after newServer), and nil-guard so the scrape shape is
 // stable across configurations: a daemon without a store still exports
 // the store families at zero rather than making dashboards conditional
 // on deployment flags.
@@ -178,34 +178,24 @@ func newServerMetrics(s *server) *serverMetrics {
 		return 0
 	})
 
-	// Degraded-mode families: the store write-health tracker. Alert on
-	// the gauge; the counters tell whether the daemon is flapping (many
-	// recoveries) or stuck (many probes, zero recoveries).
+	// Degraded-mode families: the store write-health tracker (newServer
+	// builds it before this registry). Alert on the gauge; the counters
+	// tell whether the daemon is flapping (many recoveries) or stuck
+	// (many probes, zero recoveries).
 	r.GaugeFunc("nvdserve_store_degraded", "1 while the store cannot accept writes and the daemon serves read-only (POST /feed returns 503/507).", func() float64 {
-		if h := s.health; h != nil {
-			if degraded, _, _ := h.isDegraded(); degraded {
-				return 1
-			}
+		if degraded, _, _ := s.health.isDegraded(); degraded {
+			return 1
 		}
 		return 0
 	})
 	r.CounterFunc("nvdserve_store_persist_failures_total", "Durability failures observed on the ingest path (append, seal, or checkpoint commit); each enters or extends degraded mode.", func() float64 {
-		if h := s.health; h != nil {
-			return float64(h.status().Failures)
-		}
-		return 0
+		return float64(s.health.status().Failures)
 	})
 	r.CounterFunc("nvdserve_store_degraded_recoveries_total", "Transitions out of degraded mode back to read-write (a probe or commit proved durable writes work again).", func() float64 {
-		if h := s.health; h != nil {
-			return float64(h.status().Recoveries)
-		}
-		return 0
+		return float64(s.health.status().Recoveries)
 	})
 	r.CounterFunc("nvdserve_store_probes_total", "Durable-write recovery probes attempted while degraded (jittered exponential backoff).", func() float64 {
-		if h := s.health; h != nil {
-			return float64(h.status().Probes)
-		}
-		return 0
+		return float64(s.health.status().Probes)
 	})
 
 	// Replication families (zero on a primary, so the scrape shape is
@@ -290,7 +280,7 @@ func newServerMetrics(s *server) *serverMetrics {
 // observeCheckpoint is the store commit observer: successful commit
 // wall times feed the checkpoint histogram, failures count — the
 // committer's own retry counter tracks re-enqueues, this one also sees
-// synchronous (-compact-sync and boot) commit errors.
+// the cold boot's inline commit errors.
 func (m *serverMetrics) observeCheckpoint(d time.Duration, err error) {
 	if err != nil {
 		m.checkpointFailures.Inc()

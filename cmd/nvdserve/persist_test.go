@@ -12,8 +12,8 @@ import (
 	"nvdclean"
 	"nvdclean/internal/cvss"
 	"nvdclean/internal/cwe"
+	"nvdclean/internal/fsio"
 	"nvdclean/internal/gen"
-	"nvdclean/internal/predict"
 	"nvdclean/internal/store"
 )
 
@@ -203,18 +203,8 @@ func feedUpdate(t *testing.T, snap *nvdclean.Snapshot) *nvdclean.Snapshot {
 // different concurrency) must serve a view bit-identical to a cold
 // full Clean of the merged feed.
 func TestWarmRestartEquivalence(t *testing.T) {
-	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	transport := nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport()
-	opts := nvdclean.Options{
-		Transport:   transport,
-		Concurrency: 8,
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := world(t, gen.TinyConfig())
+	opts.Concurrency = 8
 	ctx := context.Background()
 	dir := t.TempDir()
 
@@ -222,19 +212,13 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	// then three POSTed deltas spread across the segmented log — two
 	// segments sealed (as the compaction path would leave them with
 	// their background commits never run) and one active.
-	str1, cp0, _, _, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv1 := newServer(opts)
+	str1, cp0, _ := openTestStore(t, srv1, dir, fsio.OS{})
 	if cp0 != nil {
 		t.Fatal("fresh directory has a checkpoint")
 	}
-	srv1 := newServer(opts)
-	srv1.persist = str1
 	srv1.compactEvery = 1000 // keep the deltas in the log, not a checkpoint
-	if err := srv1.load(ctx, snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, srv1, snap)
 	ts := httptest.NewServer(srv1.handler())
 	update := feedUpdate(t, snap)
 	postFeed(t, ts, update)
@@ -256,7 +240,7 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	postFeed(t, ts, third)
 	ts.Close()
 	merged := srv1.cur.Load().res.Original
-	if err := str1.Close(); err != nil {
+	if err := srv1.closeStore(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -265,7 +249,6 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer str2.Close()
 	if cp == nil || len(logged) != 3 {
 		t.Fatalf("reopen: checkpoint=%v deltas=%d notes=%v", cp != nil, len(logged), notes)
 	}
@@ -274,31 +257,19 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	}
 	warmOpts := opts
 	warmOpts.Concurrency = 3 // concurrency is a wall-clock knob, never bits
-	res, err := nvdclean.RestoreResult(cp, warmOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cp.Index == nil {
 		t.Fatalf("restored checkpoint carried no index segments (note %q)", cp.IndexNote)
 	}
-	// Mirror the production warm boot: the checkpoint's restored lazy
-	// index anchors the base generation, and the logged deltas advance
-	// it incrementally.
+	// The production warm boot: the checkpoint's restored lazy index
+	// anchors the base generation, and the logged deltas advance it
+	// incrementally.
 	srvWarm := newServer(warmOpts)
-	base := srvWarm.newState(res, nil, nil, cp.Index, 0, 0, false, true)
-	cur := res.Original
-	for _, d := range logged {
-		cur = cur.ApplyDelta(d)
+	srvWarm.attachStore(str2)
+	defer srvWarm.closeStore()
+	if _, err := srvWarm.advance(ctx, transition{cp: cp, delta: mergeDeltas(cp.Original, logged)}); err != nil {
+		t.Fatal(err)
 	}
-	if total := nvdclean.Diff(res.Original, cur); !total.Empty() {
-		if res, err = nvdclean.CleanDelta(ctx, res, total, warmOpts); err != nil {
-			t.Fatal(err)
-		}
-		srvWarm.cur.Store(srvWarm.newState(res, base, total, nil, 0, 1, true, true))
-	} else {
-		srvWarm.cur.Store(base)
-	}
-	if res.Engine == nil || res.Engine != cp.Engine {
+	if res := srvWarm.cur.Load().res; res.Engine == nil || res.Engine != cp.Engine {
 		t.Error("warm restart should reuse the restored engine (v2-only delta)")
 	}
 
@@ -306,9 +277,7 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	coldOpts := opts
 	coldOpts.Concurrency = 2
 	srvCold := newServer(coldOpts)
-	if err := srvCold.load(ctx, merged); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, srvCold, merged)
 
 	stWarm := srvWarm.cur.Load()
 	stCold := srvCold.cur.Load()
@@ -374,34 +343,19 @@ func statsView(t *testing.T, srv *server) map[string]any {
 // past the compaction threshold and proves the log folds into a new
 // checkpoint that restores cleanly.
 func TestFeedPersistsAndCompacts(t *testing.T) {
-	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Concurrency: 4,
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := world(t, gen.TinyConfig())
+	opts.Concurrency = 4
 	dir := t.TempDir()
-	str, _, _, _, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := newServer(opts)
-	srv.persist = str
+	str, _, _ := openTestStore(t, srv, dir, fsio.OS{})
 	srv.compactEvery = 2
-	if err := srv.load(context.Background(), snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, srv, snap)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
 	base := feedUpdate(t, snap)
 	sum1 := postFeed(t, ts, base)
-	if sum1["compacted"] == true {
+	if sum1["compactionQueued"] == true {
 		t.Fatal("compacted after one delta with compactEvery=2")
 	}
 	if str.LogRecords() != 1 {
@@ -412,13 +366,14 @@ func TestFeedPersistsAndCompacts(t *testing.T) {
 	again.Descriptions[0].Value += " Patched."
 	second.Entries = []*nvdclean.Entry{again}
 	sum2 := postFeed(t, ts, second)
-	if sum2["compacted"] != true {
+	if sum2["compactionQueued"] != true {
 		t.Fatalf("second delta should compact: %v", sum2)
 	}
+	commitIdle(t, srv)
 	if str.LogRecords() != 0 || str.Generation() != 2 {
 		t.Fatalf("after compaction: gen=%d records=%d", str.Generation(), str.LogRecords())
 	}
-	str.Close()
+	srv.closeStore()
 
 	// The compacted store restores to exactly the serving state.
 	str2, cp, logged, _, err := store.Open(dir)

@@ -113,10 +113,10 @@ func serveRead(w http.ResponseWriter, etag string, body []byte) {
 // bypasses the cache: it is a debugging convenience, not the hot path,
 // and caching both representations would double the cache for no
 // reader benefit.
-func (s *server) cveBody(st *serveState, id string, pretty bool) []byte {
+func (st *serveState) cveBody(id string, pretty bool) []byte {
 	e := st.byID[id]
-	if pretty || !s.readCache {
-		return encodeJSON(st.view(e), pretty)
+	if pretty {
+		return encodeJSON(st.view(e), true)
 	}
 	return st.entries.Get(id, func() []byte {
 		return encodeJSON(st.view(e), false)
@@ -125,9 +125,9 @@ func (s *server) cveBody(st *serveState, id string, pretty bool) []byte {
 
 // queryBody returns the encoded /query response for p, consulting the
 // generation's canonical-key response cache on the compact path.
-func (s *server) queryBody(st *serveState, p queryParams) []byte {
-	if p.pretty || !s.readCache {
-		return encodeJSON(st.queryIndexed(p), p.pretty)
+func (st *serveState) queryBody(p queryParams) []byte {
+	if p.pretty {
+		return encodeJSON(st.queryIndexed(p), true)
 	}
 	key := p.cacheKey()
 	if b, ok := st.queries.Get(key); ok {

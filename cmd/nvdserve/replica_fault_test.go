@@ -9,11 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"nvdclean"
+	"nvdclean/internal/fsio"
 	"nvdclean/internal/gen"
-	"nvdclean/internal/predict"
 	"nvdclean/internal/replica"
-	"nvdclean/internal/store"
 )
 
 // TestFollowerSurvivesPrimaryOutage subjects the replication path to
@@ -22,41 +20,20 @@ import (
 // hard primary outage (5xx storm, then torn bodies), stays in the read
 // pool, and reconverges on its own once the primary returns.
 func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
-	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Concurrency: 8,
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := world(t, gen.TinyConfig())
+	opts.Concurrency = 8
 	ctx := context.Background()
 
-	pStr, _, _, _, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pStr.Close()
 	primary := newServer(opts)
-	primary.persist = pStr
+	pStr, _, _ := openTestStore(t, primary, t.TempDir(), fsio.OS{})
 	primary.compactEvery = 1000
-	if err := primary.load(ctx, snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, primary, snap)
 	ts := httptest.NewServer(primary.handler())
 	defer ts.Close()
 	postFeed(t, ts, feedUpdate(t, snap))
 
-	fStr, _, _, _, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fStr.Close()
 	fsrv := newServer(opts)
-	fsrv.persist = fStr
+	fStr, _, _ := openTestStore(t, fsrv, t.TempDir(), fsio.OS{})
 	fol := newFollower(fsrv, ts.URL, 10*time.Millisecond, 15*time.Second)
 	fsrv.follower = fol
 	ft := &replica.FaultTransport{}

@@ -15,9 +15,9 @@ import (
 	"nvdclean"
 	"nvdclean/internal/cpe"
 	"nvdclean/internal/cve"
+	"nvdclean/internal/fsio"
 	"nvdclean/internal/gen"
 	"nvdclean/internal/naming"
-	"nvdclean/internal/predict"
 	"nvdclean/internal/store"
 )
 
@@ -26,11 +26,8 @@ import (
 // touch the serving generation — without paying a pipeline run.
 func protoPrimary(t *testing.T) *server {
 	t.Helper()
-	str, _, _, _, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { str.Close() })
+	srv := newServer(nvdclean.Options{})
+	str, _, _ := openTestStore(t, srv, t.TempDir(), fsio.OS{})
 	e := &cve.Entry{
 		ID:           "CVE-2020-0001",
 		Published:    time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC),
@@ -55,8 +52,6 @@ func protoPrimary(t *testing.T) *server {
 	if err := str.AppendDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(nvdclean.Options{})
-	srv.persist = str
 	return srv
 }
 
@@ -193,9 +188,10 @@ func TestReplicateEndpoints(t *testing.T) {
 }
 
 // catchUp drives the follower's sync loop synchronously until one poll
-// confirms it holds every committed byte the primary has (the primary
-// is quiescent while this runs, so the first successful wait>0 outcome
-// means fully caught up).
+// confirms it holds every committed byte the primary has. Callers make
+// the primary quiescent first — no ingests, and no background commit
+// still writing (commitIdle) — so the first successful wait>0 outcome
+// means fully caught up.
 func catchUp(t *testing.T, ctx context.Context, f *follower) {
 	t.Helper()
 	for i := 0; ; i++ {
@@ -257,33 +253,16 @@ func assertConverged(t *testing.T, label string, p, f *server) {
 // byte-identical to the primary's, with equal ETag validators at the
 // same stream position.
 func TestFollowerEquivalence(t *testing.T) {
-	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	transport := nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport()
-	opts := nvdclean.Options{
-		Transport:   transport,
-		Concurrency: 8,
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := world(t, gen.TinyConfig())
+	opts.Concurrency = 8
 	ctx := context.Background()
 
 	// Primary: full clean + checkpoint, then three ingested deltas
 	// spread over two sealed segments plus the active tail.
-	pStr, _, _, _, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pStr.Close()
 	primary := newServer(opts)
-	primary.persist = pStr
+	pStr, _, _ := openTestStore(t, primary, t.TempDir(), fsio.OS{})
 	primary.compactEvery = 1000
-	if err := primary.load(ctx, snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, primary, snap)
 	ts := httptest.NewServer(primary.handler())
 	defer ts.Close()
 
@@ -313,13 +292,8 @@ func TestFollowerEquivalence(t *testing.T) {
 	// never bits), driven synchronously for determinism.
 	fOpts := opts
 	fOpts.Concurrency = 3
-	fStr, _, _, _, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fStr.Close()
 	fsrv := newServer(fOpts)
-	fsrv.persist = fStr
+	fStr, _, _ := openTestStore(t, fsrv, t.TempDir(), fsio.OS{})
 	fol := newFollower(fsrv, ts.URL, 50*time.Millisecond, 15*time.Second)
 	fsrv.follower = fol
 	fts := httptest.NewServer(fsrv.handler())
@@ -349,7 +323,9 @@ func TestFollowerEquivalence(t *testing.T) {
 		t.Fatalf("ETag validators diverge at the same position: primary %s follower %s", pe, fe)
 	}
 	// The follower sealed its copies in lockstep and checkpointed them
-	// locally (inline, no committer), so its own restarts stay cheap.
+	// locally through its background committer, so its own restarts
+	// stay cheap.
+	commitIdle(t, fsrv)
 	if fStr.Watermark() == 0 {
 		t.Error("follower never checkpointed its sealed segments")
 	}
@@ -418,9 +394,10 @@ func TestFollowerEquivalence(t *testing.T) {
 	more.Descriptions[0].Value += " Fix verified."
 	fourth.Entries = []*nvdclean.Entry{more}
 	sum := postFeed(t, ts, fourth)
-	if sum["compacted"] != true {
+	if sum["compactionQueued"] != true {
 		t.Fatalf("primary did not compact: %v", sum)
 	}
+	commitIdle(t, primary)
 	if pStr.Watermark() < 3 {
 		t.Fatalf("primary watermark = %d after compacting the tail", pStr.Watermark())
 	}

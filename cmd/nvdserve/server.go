@@ -57,27 +57,21 @@ type serveState struct {
 type server struct {
 	opts nvdclean.Options
 	cur  atomic.Pointer[serveState]
-	// feedMu serializes POST /feed pipelines; reads are lock-free.
+	// feedMu serializes generation transitions; reads are lock-free.
 	feedMu sync.Mutex
-	// persist is the generation store; nil runs in-memory only.
+	// persist is the generation store (nil runs in-memory only) and
+	// committer its background checkpoint writer; attachStore sets both.
 	// compactEvery seals the active delta-log segment after that many
 	// records and folds the sealed generation into a fresh checkpoint.
 	persist      *store.Store
+	committer    *store.Committer
 	compactEvery int
-	// committer runs compaction checkpoints off the ingest path; when
-	// nil (-compact-sync, or no store) the handler pays the checkpoint
-	// write inline, the pre-commit-queue behavior.
-	committer *store.Committer
 	// bootEpoch makes ETags unique across restarts: the in-memory
 	// generation counter restarts at 1 while the served content does
 	// not, so a validator must carry something boot-unique or a client
 	// could get a false 304 from a post-restart generation that reused
 	// a pre-restart counter value.
 	bootEpoch uint64
-	// readCache gates the pre-encoded response caches (-read-cache);
-	// off, every read renders per request — the pre-PR-5 behavior kept
-	// as an escape hatch and as the benchmark baseline.
-	readCache bool
 	// queryCacheBytes caps each generation's /query response cache
 	// (-query-cache-bytes; <= 0 disables it). The /cve cache needs no
 	// cap: it is bounded by the generation's entry count.
@@ -115,7 +109,6 @@ func newServer(opts nvdclean.Options) *server {
 	s := &server{
 		opts:            opts,
 		bootEpoch:       uint64(time.Now().UnixNano()),
-		readCache:       true,
 		queryCacheBytes: defaultQueryCacheBytes,
 		maxFeedBytes:    defaultMaxFeedBytes,
 		metrics:         &respcache.Metrics{},
@@ -128,45 +121,179 @@ func newServer(opts nvdclean.Options) *server {
 	return s
 }
 
-// load runs the full pipeline on snap and installs the result as the
-// current generation, committing a checkpoint when a store is
-// attached. The commit happens before the install: a boot whose
-// checkpoint fails must surface the error without leaving the server
-// serving a generation the store never recorded.
-func (s *server) load(ctx context.Context, snap *nvdclean.Snapshot) error {
-	start := time.Now()
-	res, err := nvdclean.Clean(ctx, snap, s.opts)
-	if err != nil {
-		return err
-	}
-	gen := 1
-	if prev := s.cur.Load(); prev != nil {
-		gen = prev.generation + 1
-	}
-	st := s.newState(res, nil, nil, nil, time.Since(start), gen, false, false)
-	if s.persist != nil {
-		cp := res.StoreCheckpoint()
-		cp.Index = st.idx
-		if err := s.persist.Commit(cp); err != nil {
-			return fmt.Errorf("committing checkpoint: %w", err)
-		}
-		// The commit opened the store's first log segment, giving the
-		// daemon its stream position; re-derive the validator from it
-		// (st is not published yet, so this is race-free).
-		st.etag = s.readValidator(gen)
-	}
-	s.cur.Store(st)
-	return nil
+// attachStore makes st the server's generation store — the one attach
+// step run and the tests share: a store-backed server always commits
+// through a background committer, and every commit outcome feeds
+// /metrics and the degraded-mode tracker.
+func (s *server) attachStore(st *store.Store) {
+	s.persist = st
+	st.SetCommitObserver(s.observeCommit)
+	s.committer = store.NewCommitter(st)
 }
 
-// newState builds one serving generation: backported scores are
+// closeStore drains the committer (an in-flight commit completes, a
+// queued one is dropped — its deltas are safe in live segments), stops
+// the recovery probe, and closes the store.
+func (s *server) closeStore() error {
+	s.committer.Close()
+	s.health.close()
+	return s.persist.Close()
+}
+
+// transition is one generation change. Cold boot, warm boot, POST
+// /feed, follower bootstrap and follower fold all run it through
+// advance; they differ only in what they set here.
+type transition struct {
+	// The Result comes from Clean(snap), RestoreResult(cp) or (neither
+	// set) the serving generation, then CleanDelta(delta) when non-empty.
+	// Given a store, a cold boot (snap) commits its checkpoint inline.
+	snap  *nvdclean.Snapshot
+	cp    *store.Checkpoint
+	delta *nvdclean.Delta
+	// Given a store, appendDelta logs delta before it serves (POST
+	// /feed); shipped frames, a shipped checkpoint and a replayed log
+	// are durable already.
+	appendDelta bool
+	// Compaction triggers when appendDelta fills the active segment to
+	// compactEvery records, or on a follower when sealed mirrors its
+	// primary's seal of the segment just applied.
+	sealed bool
+}
+
+// outcome reports the serving generation after a transition and, when
+// it compacted, the sealed segment — or the seal's failure, which
+// leaves the new generation serving regardless.
+type outcome struct {
+	st         *serveState
+	sealedSeq  uint64
+	compactErr error
+}
+
+// notDurable is a transition's failure to make its change durable: the
+// disk failed, not the daemon, so POST /feed answers 503/507, not 500.
+type notDurable struct{ error }
+
+// advance runs one transition; the caller holds s.feedMu, and a
+// transition with neither snap nor cp needs a serving generation. The
+// step order is load-bearing: clean; make durable (a crash after the
+// append replays the delta, one before it loses only an unacknowledged
+// update); build the serving state; commit inline on a cold boot (a
+// failed boot commit must not leave an unrecorded generation serving);
+// compact, building the checkpoint while no reader can hold the
+// generation it materializes backported scores into; derive the
+// validator from the settled store position; swap; observe.
+func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
+	start := time.Now()
+	prev := s.cur.Load()
+	base, res := prev, (*nvdclean.Result)(nil)
+	var restored *store.Index
+	var err error
+	switch {
+	case t.snap != nil:
+		base = nil
+		res, err = nvdclean.Clean(ctx, t.snap, s.opts)
+	case t.cp != nil:
+		base, restored = nil, t.cp.Index
+		res, err = nvdclean.RestoreResult(t.cp, s.opts)
+	default:
+		res = prev.res
+	}
+	if err != nil {
+		return outcome{}, err
+	}
+	warm := t.cp != nil
+	if t.delta != nil && !t.delta.Empty() {
+		if base == nil {
+			// The restored checkpoint's own view anchors the delta, so
+			// the replay re-ordinates only the lazy index shards it touches.
+			base, restored = s.newState(res, nil, nil, restored), nil
+		}
+		if res, err = nvdclean.CleanDelta(ctx, base.res, t.delta, s.opts); err != nil {
+			return outcome{}, err
+		}
+		warm = warm || (res.Engine != nil && res.Engine == base.res.Engine)
+	}
+	if prev != nil && res == prev.res {
+		// Nothing to clean (a follower's deltas cancel out, or a bare
+		// mirrored seal): the serving generation stays, and its
+		// checkpoint writes nothing a reader could race — newState
+		// already materialized its backported scores.
+		seq, err := s.compact(t, prev)
+		return outcome{st: prev, sealedSeq: seq, compactErr: err}, nil
+	}
+	dur := time.Since(start)
+	if t.appendDelta && s.persist != nil {
+		if err := s.persist.AppendDelta(t.delta); err != nil {
+			// Degraded mode: read-only serving plus a recovery probe.
+			s.health.recordFailure(err)
+			return outcome{}, notDurable{err}
+		}
+	}
+	next := s.newState(res, base, t.delta, restored)
+	next.cleanDur, next.incremental, next.warmStart, next.restored = dur, t.delta != nil, warm, t.cp != nil
+	next.generation = 1
+	if prev != nil {
+		next.generation = prev.generation + 1
+	}
+	if t.snap != nil && s.persist != nil {
+		cp := res.StoreCheckpoint()
+		cp.Index = next.idx
+		if err := s.persist.Commit(cp); err != nil {
+			return outcome{}, fmt.Errorf("committing checkpoint: %w", err)
+		}
+	}
+	out := outcome{st: next}
+	out.sealedSeq, out.compactErr = s.compact(t, next)
+	next.etag = s.readValidator(next.generation)
+	s.cur.Store(next)
+	if t.snap == nil && t.cp == nil {
+		s.obs.ingestDeltaEntries.Observe(float64(t.delta.Size()))
+		s.obs.ingestSwapSeconds.Observe(time.Since(start).Seconds())
+	}
+	return out, nil
+}
+
+// compact folds the delta log down when the transition calls for it:
+// it builds st's checkpoint document, seals the active segment (O(1))
+// and hands both to the background committer. A failed seal degrades
+// the daemon.
+func (s *server) compact(t transition, st *serveState) (uint64, error) {
+	if s.persist == nil || (!t.sealed && (!t.appendDelta || s.compactEvery <= 0 || s.persist.ActiveRecords() < s.compactEvery)) {
+		return 0, nil
+	}
+	cp := st.res.StoreCheckpoint()
+	cp.Index = st.idx
+	seq, err := s.persist.Seal()
+	if err != nil {
+		s.health.recordFailure(err)
+		return 0, err
+	}
+	s.committer.Enqueue(cp, seq)
+	return seq, nil
+}
+
+// mergeDeltas folds a warm boot's logged or a follower's unapplied
+// deltas over base into the one delta a single CleanDelta applies (nil
+// when there are none). POST /feed's single delta needs no merge.
+func mergeDeltas(base *nvdclean.Snapshot, deltas []*nvdclean.Delta) *nvdclean.Delta {
+	if len(deltas) == 0 {
+		return nil
+	}
+	merged := base
+	for _, d := range deltas {
+		merged = merged.ApplyDelta(d)
+	}
+	return nvdclean.Diff(base, merged)
+}
+
+// newState builds the serving state for res: backported scores are
 // materialized into the cleaned snapshot (so severity indexes and the
 // persisted cleaned feed are entry-local), and the query indexes are
-// either built in full or, given the previous generation, advanced
-// incrementally from the cleaned-view delta — the Diff of the two
-// cleaned snapshots, which also captures consolidation flips on
-// entries the feed delta never named. Untouched index shards are
-// shared between generations, and so are the previous generation's
+// restored from a checkpoint, built in full, or, given the previous
+// generation, advanced incrementally from the cleaned-view delta — the
+// Diff of the two cleaned snapshots, which also captures consolidation
+// flips on entries the feed delta never named. Untouched index shards
+// are shared between generations, and so are the previous generation's
 // pre-encoded /cve responses: an entry neither delta names serves the
 // exact bytes it served last generation, copied forward by reference.
 // The invalidation set is the union of both deltas because the /cve
@@ -174,16 +301,14 @@ func (s *server) load(ctx context.Context, snap *nvdclean.Snapshot) error {
 // Result-level annotation (say, a consolidation mark) while leaving
 // the cleaned entry bytes equal, so the feed delta's IDs are stale
 // even when the cleaned diff never names them.
-func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvdclean.Delta, restored *store.Index, dur time.Duration, gen int, incremental, warm bool) *serveState {
+func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvdclean.Delta, restored *store.Index) *serveState {
 	nvdclean.ApplyBackport(res.Cleaned, res.Backport)
 	byID := make(map[string]*nvdclean.Entry, res.Cleaned.Len())
 	for _, e := range res.Cleaned.Entries {
 		byID[e.ID] = e
 	}
 	st := &serveState{
-		res: res, byID: byID,
-		loadedAt: time.Now(), cleanDur: dur,
-		generation: gen, incremental: incremental, warmStart: warm,
+		res: res, byID: byID, loadedAt: time.Now(),
 		entries: respcache.NewEntryCache(s.metrics),
 		queries: respcache.NewQueryCache(s.queryCacheBytes, s.metrics),
 	}
@@ -213,7 +338,6 @@ func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvd
 	default:
 		st.idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
 	}
-	st.etag = s.readValidator(gen)
 	return st
 }
 
@@ -488,7 +612,7 @@ func (s *server) handleCVE(w http.ResponseWriter, r *http.Request) {
 		s.serveNotModified(w, etag, cached)
 		return
 	}
-	serveRead(w, etag, s.cveBody(st, id, pretty))
+	serveRead(w, etag, st.cveBody(id, pretty))
 }
 
 // queryParams is one parsed /query request.
@@ -716,7 +840,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.serveNotModified(w, etag, cached)
 		return
 	}
-	serveRead(w, etag, s.queryBody(st, p))
+	serveRead(w, etag, st.queryBody(p))
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -761,7 +885,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	m := s.metrics
 	stats["readCache"] = map[string]any{
-		"enabled": s.readCache,
 		"entry": map[string]any{
 			"hits":          m.EntryHits.Load(),
 			"misses":        m.EntryMisses.Load(),
@@ -782,17 +905,14 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if s.persist != nil {
-		storeStats := map[string]any{
+		stats["store"] = map[string]any{
 			"generation":     s.persist.Generation(),
 			"logRecords":     s.persist.LogRecords(),
 			"activeRecords":  s.persist.ActiveRecords(),
 			"sealedSegments": s.persist.SealedSegments(),
+			"commitQueue":    s.committer.Stats(),
+			"health":         s.health.status(),
 		}
-		if s.committer != nil {
-			storeStats["commitQueue"] = s.committer.Stats()
-		}
-		storeStats["health"] = s.health.status()
-		stats["store"] = storeStats
 	}
 	stats["replication"] = s.replicationStats()
 	if res.CrawlStats.URLs > 0 {
@@ -892,14 +1012,13 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	prev := st.res
 
 	var delta *nvdclean.Delta
 	switch mode := r.URL.Query().Get("mode"); mode {
 	case "", "upsert":
-		delta = upsertDelta(prev.Original, snap)
+		delta = upsertDelta(st.res.Original, snap)
 	case "replace":
-		delta = nvdclean.Diff(prev.Original, snap)
+		delta = nvdclean.Diff(st.res.Original, snap)
 	default:
 		writeError(w, http.StatusBadRequest, "bad mode %q (want upsert or replace)", mode)
 		return
@@ -917,83 +1036,30 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	start := time.Now()
-	res, err := nvdclean.CleanDelta(r.Context(), prev, delta, s.opts)
-	if err != nil {
+	out, err := s.advance(r.Context(), transition{delta: delta, appendDelta: true})
+	var nd notDurable
+	switch {
+	case errors.As(err, &nd):
+		// Not a 500: the daemon is healthy, the disk is not. Tell the
+		// client when to retry.
+		s.persistUnavailable(w, nd.Error(), errors.Is(nd.error, syscall.ENOSPC))
+		return
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, "incremental clean: %v", err)
 		return
 	}
-	dur := time.Since(start)
-	warm := res.Engine != nil && res.Engine == prev.Engine
-
-	// Make the delta durable before the new generation is built: a
-	// crash after the append replays it on restart, a crash before it
-	// loses only an update the client never saw acknowledged. The
-	// append also advances the store's replication position, which the
-	// new generation's ETag validator is derived from — so the order
-	// here is load-bearing, not just a durability nicety.
-	if s.persist != nil {
-		if err := s.persist.AppendDelta(delta); err != nil {
-			// Not a 500: the daemon is healthy, the disk is not. Enter
-			// degraded mode (read-only serving plus a recovery probe)
-			// and tell the client when to retry. The in-memory swap
-			// below never happens, so memory cannot run ahead of disk.
-			s.health.recordFailure(err)
-			s.persistUnavailable(w, err.Error(), errors.Is(err, syscall.ENOSPC))
-			return
-		}
-	}
-	next := s.newState(res, st, delta, nil, dur, st.generation+1, true, warm)
-	s.maybeCompact(res, next.idx, summary)
-	s.cur.Store(next)
-	// Observed after the swap so the histogram matches what a client
-	// actually waited for a visible generation change.
-	s.obs.ingestDeltaEntries.Observe(float64(delta.Size()))
-	s.obs.ingestSwapSeconds.Observe(time.Since(start).Seconds())
-
-	summary["changed"] = delta.Size()
-	summary["entries"] = res.Cleaned.Len()
-	summary["cleanMillis"] = dur.Milliseconds()
-	summary["engineWarmStart"] = warm
-	summary["generation"] = next.generation
-	writeJSON(w, http.StatusOK, summary)
-}
-
-// maybeCompact folds the delta log down once enough records accumulate
-// in the active segment: it seals the segment (O(1)) and hands a
-// checkpoint of the sealed generation to the background committer, so
-// the handler never pays the checkpoint write. The checkpoint document
-// is assembled here — before the generation swap, while no reader can
-// hold res — because StoreCheckpoint materializes backported scores
-// into the cleaned snapshot; only the disk write leaves the handler.
-// With -compact-sync (or no committer) the commit runs inline, the
-// pre-commit-queue behavior.
-func (s *server) maybeCompact(res *nvdclean.Result, idx *store.Index, summary map[string]any) {
-	if s.persist == nil || s.compactEvery <= 0 || s.persist.ActiveRecords() < s.compactEvery {
-		return
-	}
-	cp := res.StoreCheckpoint()
-	cp.Index = idx
-	seq, err := s.persist.Seal()
-	if err != nil {
-		summary["compactionError"] = err.Error()
-		s.health.recordFailure(err)
-		return
-	}
-	if s.committer != nil {
-		s.committer.Enqueue(cp, seq)
+	switch {
+	case out.compactErr != nil:
+		summary["compactionError"] = out.compactErr.Error()
+	case out.sealedSeq != 0:
 		summary["compactionQueued"] = true
-		return
 	}
-	// Inline commits report through the commit observer when one is
-	// installed; recordFailure here keeps the degraded transition even
-	// for a bare store with no observer wired.
-	if err := s.persist.CommitSealed(cp, seq); err != nil {
-		summary["compactionError"] = err.Error()
-		s.health.recordFailure(err)
-	} else {
-		summary["compacted"] = true
-	}
+	summary["changed"] = delta.Size()
+	summary["entries"] = out.st.res.Cleaned.Len()
+	summary["cleanMillis"] = out.st.cleanDur.Milliseconds()
+	summary["engineWarmStart"] = out.st.warmStart
+	summary["generation"] = out.st.generation
+	writeJSON(w, http.StatusOK, summary)
 }
 
 // upsertDelta builds the delta for a partial feed: posted entries are

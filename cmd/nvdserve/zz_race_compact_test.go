@@ -10,79 +10,9 @@ import (
 	"time"
 
 	"nvdclean"
-	"nvdclean/internal/predict"
+	"nvdclean/internal/fsio"
 	"nvdclean/internal/store"
 )
-
-// Exercises concurrent GET /query during a POST /feed that triggers
-// compaction (StoreCheckpoint -> ApplyBackport on the serving snapshot).
-func TestRaceCompactionVsQuery(t *testing.T) {
-	dir := t.TempDir()
-	cfg := nvdclean.SmallScale()
-	cfg.NumCVEs = 120
-	cfg.NumVendors = 30
-	snap, truth, err := nvdclean.GenerateSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LR-only: the race surface (compaction vs lock-free readers) does
-	// not depend on which models train, and the full zoo under the
-	// race detector is minutes of training on a small host.
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
-	srv := newServer(opts)
-	st, _, _, _, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.persist = st
-	srv.compactEvery = 1
-	if err := srv.load(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-
-	// Build a feed body that modifies one entry.
-	mod := snap.Clone()
-	mod.Entries[0].Descriptions[0].Value += " updated"
-	var buf bytes.Buffer
-	if err := nvdclean.WriteFeed(&buf, &nvdclean.Snapshot{CapturedAt: mod.CapturedAt, Entries: mod.Entries[:1]}); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := ts.Client().Get(ts.URL + "/query?severity=HIGH")
-				if err == nil {
-					resp.Body.Close()
-				}
-			}
-		}()
-	}
-	resp, err := ts.Client().Post(ts.URL+"/feed", "application/json", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println("feed status:", resp.StatusCode)
-	resp.Body.Close()
-	close(stop)
-	wg.Wait()
-}
 
 // TestRaceFeedDuringBackgroundCommit is the commit-queue stress test:
 // every POST /feed trips compaction (compactEvery=1), so each ingest
@@ -93,30 +23,11 @@ func TestRaceCompactionVsQuery(t *testing.T) {
 // segments the race left behind, no acknowledged delta is lost.
 func TestRaceFeedDuringBackgroundCommit(t *testing.T) {
 	dir := t.TempDir()
-	cfg := nvdclean.SmallScale()
-	cfg.NumCVEs = 120
-	cfg.NumVendors = 30
-	snap, truth, err := nvdclean.GenerateSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := raceWorld(t)
 	srv := newServer(opts)
-	st, _, _, _, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.persist = st
+	openTestStore(t, srv, dir, fsio.OS{})
 	srv.compactEvery = 1
-	srv.committer = store.NewCommitter(st)
-	if err := srv.load(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, srv, snap)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -164,39 +75,32 @@ func TestRaceFeedDuringBackgroundCommit(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Drain the queue (Close waits for an in-flight commit) and prove
-	// the store reopens to the serving view: restored checkpoint plus
-	// replayed segments == what the server was serving when it stopped.
-	srv.committer.Close()
+	// Drain the queue (closeStore waits for an in-flight commit) and
+	// prove the store reopens to the serving view: the production warm
+	// boot of the restored checkpoint plus replayed segments == what the
+	// server was serving when it stopped.
 	want := srv.cur.Load().res
-	if err := st.Close(); err != nil {
+	if err := srv.closeStore(); err != nil {
 		t.Fatal(err)
 	}
 	st2, cp, logged, notes, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
 	if cp == nil {
 		t.Fatalf("no checkpoint after %d compacting ingests (notes %v)", posts, notes)
 	}
-	res, err := nvdclean.RestoreResult(cp, opts)
+	warm := newServer(opts)
+	warm.attachStore(st2)
+	defer warm.closeStore()
+	restored, err := warm.advance(context.Background(), transition{cp: cp, delta: mergeDeltas(cp.Original, logged)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := res.Original
-	for _, d := range logged {
-		cur = cur.ApplyDelta(d)
-	}
-	if total := nvdclean.Diff(res.Original, cur); !total.Empty() {
-		if res, err = nvdclean.CleanDelta(context.Background(), res, total, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
+	res := restored.st.res
 	if res.Cleaned.Len() != want.Cleaned.Len() {
 		t.Fatalf("restored %d entries, want %d", res.Cleaned.Len(), want.Cleaned.Len())
 	}
-	nvdclean.ApplyBackport(res.Cleaned, res.Backport)
 	for i, e := range want.Cleaned.Entries {
 		if !e.Equal(res.Cleaned.Entries[i]) {
 			t.Fatalf("restored entry %d (%s) differs from the serving view", i, e.ID)

@@ -11,7 +11,6 @@ import (
 
 	"nvdclean"
 	"nvdclean/internal/fsio"
-	"nvdclean/internal/predict"
 	"nvdclean/internal/store"
 )
 
@@ -25,36 +24,15 @@ import (
 // be recovered, consistent, and cleanly reopenable.
 func TestRaceFeedDuringENOSPCFlaps(t *testing.T) {
 	dir := t.TempDir()
-	cfg := nvdclean.SmallScale()
-	cfg.NumCVEs = 120
-	cfg.NumVendors = 30
-	snap, truth, err := nvdclean.GenerateSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := raceWorld(t)
 	srv := newServer(opts)
 	inj := fsio.NewInjector(fsio.OS{})
-	st, _, _, _, err := store.OpenFS(dir, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.persist = st
+	openTestStore(t, srv, dir, inj)
 	srv.compactEvery = 2
-	srv.committer = store.NewCommitter(st)
 	srv.committer.SetBackoff(time.Millisecond, 10*time.Millisecond)
-	srv.persist.SetCommitObserver(srv.observeCommit)
 	srv.health.probeInitial = time.Millisecond
 	srv.health.probeMax = 5 * time.Millisecond
-	defer srv.health.close()
-	if err := srv.load(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, srv, snap)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -172,8 +150,7 @@ func TestRaceFeedDuringENOSPCFlaps(t *testing.T) {
 		t.Fatalf("post-recovery POST /feed = %d", resp.StatusCode)
 	}
 	accepted++
-	srv.committer.Close()
-	if err := st.Close(); err != nil {
+	if err := srv.closeStore(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,8 +10,7 @@ import (
 	"time"
 
 	"nvdclean"
-	"nvdclean/internal/predict"
-	"nvdclean/internal/store"
+	"nvdclean/internal/fsio"
 )
 
 // TestRaceMetricsScrapeDuringFeed hammers GET /metrics (which samples
@@ -22,34 +21,11 @@ import (
 // The scrape output itself must stay well-formed under the race — the
 // final body goes through the full format parser.
 func TestRaceMetricsScrapeDuringFeed(t *testing.T) {
-	dir := t.TempDir()
-	cfg := nvdclean.SmallScale()
-	cfg.NumCVEs = 120
-	cfg.NumVendors = 30
-	snap, truth, err := nvdclean.GenerateSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LR-only for the same reason as the other race harnesses: the
-	// contended surface is scrape-vs-swap, not model training.
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := raceWorld(t)
 	srv := newServer(opts)
-	st, _, _, _, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.persist = st
+	openTestStore(t, srv, t.TempDir(), fsio.OS{})
 	srv.compactEvery = 1
-	srv.committer = store.NewCommitter(st)
-	srv.persist.SetCommitObserver(srv.observeCommit)
-	if err := srv.load(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, srv, snap)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -95,7 +71,7 @@ func TestRaceMetricsScrapeDuringFeed(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	srv.committer.Close()
+	commitIdle(t, srv)
 
 	// After the dust settles the scrape must still be a valid
 	// exposition reflecting everything that happened: all swaps in the

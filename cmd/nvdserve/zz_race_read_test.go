@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nvdclean"
-	"nvdclean/internal/predict"
 )
 
 // TestRaceReadDuringFeedSwap hammers the cached read path — /cve/{id}
@@ -32,25 +31,9 @@ import (
 // Run under -race this also proves the cache fill (singleflight
 // encode, seeded map) and the LRU are sound against the swap.
 func TestRaceReadDuringFeedSwap(t *testing.T) {
-	cfg := nvdclean.SmallScale()
-	cfg.NumCVEs = 120
-	cfg.NumVendors = 30
-	snap, truth, err := nvdclean.GenerateSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LR-only: the race surface (cache fill vs generation swap) does
-	// not depend on which models train.
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	snap, opts := raceWorld(t)
 	srv := newServer(opts)
-	if err := srv.load(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, srv, snap)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 

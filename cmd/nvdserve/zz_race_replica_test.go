@@ -10,8 +10,7 @@ import (
 	"time"
 
 	"nvdclean"
-	"nvdclean/internal/predict"
-	"nvdclean/internal/store"
+	"nvdclean/internal/fsio"
 )
 
 // TestRaceReplicaTailDuringCompaction stresses the replication stream's
@@ -22,45 +21,16 @@ import (
 // swaps. Afterwards the follower, drained synchronously, must converge
 // to the primary's exact serving view.
 func TestRaceReplicaTailDuringCompaction(t *testing.T) {
-	cfg := nvdclean.SmallScale()
-	cfg.NumCVEs = 120
-	cfg.NumVendors = 30
-	snap, truth, err := nvdclean.GenerateSnapshot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LR-only for the same reason as the other race tests: the race
-	// surface does not depend on which models train.
-	opts := nvdclean.Options{
-		Transport:   nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport(),
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
-
-	pStr, _, _, _, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pStr.Close()
+	snap, opts := raceWorld(t)
 	primary := newServer(opts)
-	primary.persist = pStr
+	pStr, _, _ := openTestStore(t, primary, t.TempDir(), fsio.OS{})
 	primary.compactEvery = 1
-	primary.committer = store.NewCommitter(pStr)
-	if err := primary.load(t.Context(), snap); err != nil {
-		t.Fatal(err)
-	}
+	coldBoot(t, primary, snap)
 	ts := httptest.NewServer(primary.handler())
 	defer ts.Close()
 
-	fStr, _, _, _, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fStr.Close()
 	fsrv := newServer(opts)
-	fsrv.persist = fStr
-	fsrv.committer = store.NewCommitter(fStr)
+	fStr, _, _ := openTestStore(t, fsrv, t.TempDir(), fsio.OS{})
 	fol := newFollower(fsrv, ts.URL, 5*time.Millisecond, 0)
 	fsrv.follower = fol
 	fts := httptest.NewServer(fsrv.handler())
@@ -117,8 +87,13 @@ func TestRaceReplicaTailDuringCompaction(t *testing.T) {
 	fcancel()
 	<-fol.done
 
-	// The primary is quiescent now; drain the follower synchronously to
-	// whatever the stream's committed end is and compare views.
+	// The primary takes no more writes, but its committer may still be
+	// writing: a commit landing between a bootstrap's manifest fetch and
+	// its file fetches would ship one generation's bytes against the
+	// other's sums. Once it is idle the primary is quiescent; drain the
+	// follower synchronously to the stream's committed end and compare
+	// views.
+	commitIdle(t, primary)
 	ctx := context.Background()
 	for i := 0; fsrv.cur.Load() == nil; i++ {
 		if i > 20 {
@@ -139,8 +114,4 @@ func TestRaceReplicaTailDuringCompaction(t *testing.T) {
 			pSeq, pOff, pStr.Watermark(), fSeq, fOff)
 	}
 	assertConverged(t, "post-race", primary, fsrv)
-
-	// Both commit queues drain cleanly (Close waits for in-flight work).
-	fsrv.committer.Close()
-	primary.committer.Close()
 }

@@ -127,7 +127,7 @@ type Checkpoint struct {
 	// Index is the generation's query index. On commit, a non-nil
 	// Index persists as per-shard segment files; on load, it is
 	// assembled lazily from them (shards stay raw bytes until first
-	// queried). Nil on legacy checkpoints without index segments —
+	// queried). Nil on checkpoints committed without an index —
 	// callers fall back to one in-memory BuildIndex.
 	Index *Index
 	// IndexNote is filled on load when index segments were present but
@@ -227,7 +227,6 @@ func OpenFS(dir string, fs fsio.FS) (*Store, *Checkpoint, []*cve.Delta, []string
 		s.gen = cp.Generation
 		s.genSeq = cp.Seq
 	}
-	migrateLegacyWAL(fs, dir, s.gen, s.genSeq, &notes)
 	sweepStale(fs, dir, s.gen, s.genSeq, &notes)
 	if cp == nil {
 		return s, nil, nil, notes, nil
@@ -255,32 +254,6 @@ func OpenFS(dir string, fs fsio.FS) (*Store, *Checkpoint, []*cve.Delta, []string
 		}
 	}
 	return s, cp, deltas, notes, nil
-}
-
-// migrateLegacyWAL adopts a pre-segmentation wal-NNNNNN.log belonging
-// to the recovered generation as the first live segment: the frame
-// format is unchanged, so a rename is a complete migration. When the
-// file cannot be adopted (rename failure, or segments already exist —
-// an ambiguous mix no upgrade path produces), it is left in place and
-// noted; sweepStale preserves the current generation's legacy log, so
-// acknowledged records are never silently discarded.
-func migrateLegacyWAL(fs fsio.FS, dir string, gen, genSeq uint64, notes *[]string) {
-	if gen == 0 {
-		return
-	}
-	legacy := filepath.Join(dir, fmt.Sprintf("wal-%06d.log", gen))
-	if _, err := fs.Stat(legacy); err != nil {
-		return
-	}
-	if len(segmentSeqs(fs, dir)) > 0 {
-		*notes = append(*notes, fmt.Sprintf("ignoring legacy delta log wal-%06d.log (segments already present)", gen))
-		return
-	}
-	if err := fs.Rename(legacy, filepath.Join(dir, segmentName(genSeq+1))); err != nil {
-		*notes = append(*notes, fmt.Sprintf("legacy delta log not migrated: %v", err))
-		return
-	}
-	*notes = append(*notes, fmt.Sprintf("migrated legacy delta log to segment %s", segmentName(genSeq+1)))
 }
 
 // pickCheckpoint loads the generation CURRENT names, falling back to
@@ -318,20 +291,17 @@ func pickCheckpoint(fs fsio.FS, dir string, notes *[]string) (*Checkpoint, error
 }
 
 // sweepStale removes interrupted commits (gen-*.tmp), checkpoint
-// directories other than the recovered generation, legacy single-file
-// delta logs of retired generations (the current generation's, if one
-// somehow survived migration, still holds acknowledged records and is
-// preserved), segments the committed checkpoint already folds in
-// (walSeq and below — stragglers of a crash between the CURRENT swap
-// and retirement), and, on a cold recovery with no checkpoint at all,
-// every segment (deltas are unusable without their base generation).
+// directories other than the recovered generation, segments the
+// committed checkpoint already folds in (walSeq and below — stragglers
+// of a crash between the CURRENT swap and retirement), and, on a cold
+// recovery with no checkpoint at all, every segment (deltas are
+// unusable without their base generation).
 func sweepStale(fs fsio.FS, dir string, gen, genSeq uint64, notes *[]string) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	keepDir := genName(gen)
-	keepWAL := fmt.Sprintf("wal-%06d.log", gen)
 	for _, ent := range entries {
 		name := ent.Name()
 		var stale bool
@@ -339,8 +309,6 @@ func sweepStale(fs fsio.FS, dir string, gen, genSeq uint64, notes *[]string) {
 		case strings.HasSuffix(name, ".tmp"):
 			stale = true
 		case strings.HasPrefix(name, "gen-") && ent.IsDir() && name != keepDir:
-			stale = true
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log") && name != keepWAL:
 			stale = true
 		default:
 			if seq, ok := segmentSeq(name); ok && (gen == 0 || seq <= genSeq) {
@@ -516,9 +484,9 @@ func (s *Store) Seal() (uint64, error) {
 
 // Commit synchronously persists cp as the next generation, folding in
 // every delta logged so far: it seals the active segment (when one
-// exists) and runs CommitSealed inline. This is the boot path and the
-// -compact-sync escape hatch; the non-blocking ingest path calls Seal
-// and hands CommitSealed to a background Committer instead.
+// exists) and runs CommitSealed inline. This is the cold-boot path;
+// the non-blocking ingest path calls Seal and hands CommitSealed to a
+// background Committer instead.
 func (s *Store) Commit(cp *Checkpoint) error {
 	s.mu.Lock()
 	hasActive := s.active != nil
@@ -806,16 +774,24 @@ func readCurrent(fs fsio.FS, dir string) (string, error) {
 }
 
 // writeCurrent atomically repoints CURRENT — the commit point of the
-// whole store.
+// whole store. The new name is fsynced before the rename: a CURRENT
+// whose contents may not be on disk must never become the commit
+// point, so a failed open or fsync fails the commit, which retries.
 func writeCurrent(fs fsio.FS, dir, name string) error {
 	tmp := filepath.Join(dir, currentFile+".tmp")
 	if err := fs.WriteFile(tmp, []byte(name+"\n"), 0o644); err != nil {
 		return err
 	}
 	f, err := fs.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
 	}
 	if err := fs.Rename(tmp, filepath.Join(dir, currentFile)); err != nil {
 		return err
@@ -932,8 +908,8 @@ func isIndexSegName(name string) bool {
 
 // loadIndexSegments assembles the checkpoint's lazy index from its
 // segment files (already CRC-verified against the manifest). Index
-// trouble never fails the checkpoint: a legacy checkpoint with no
-// segments returns a silent nil, and a partial or mismatched segment
+// trouble never fails the checkpoint: a checkpoint committed without an
+// index returns a silent nil, and a partial or mismatched segment
 // set returns nil with a note — either way the caller rebuilds in
 // memory.
 func loadIndexSegments(files map[string][]byte, cleaned *cve.Snapshot) (*Index, string) {

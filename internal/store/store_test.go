@@ -3,7 +3,6 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -547,50 +546,44 @@ func TestRecoveryMissingCurrent(t *testing.T) {
 	}
 }
 
-// TestLegacyWALMigration proves a pre-segmentation store — one
-// wal-NNNNNN.log beside its generation — reopens with the log adopted
-// as the first segment and every record intact (the frame format never
-// changed, so the rename is the whole migration).
-func TestLegacyWALMigration(t *testing.T) {
+// TestCommitCurrentSyncFailure proves a failed fsync of CURRENT.tmp
+// fails the commit before the rename: a CURRENT whose contents may not
+// be on disk must never become the commit point. The store reopens at
+// the previous generation with every logged delta.
+func TestCommitCurrentSyncFailure(t *testing.T) {
 	dir := t.TempDir()
-	s, _, _, _ := mustOpen(t, dir)
+	inj := fsio.NewInjector(fsio.OS{})
+	s, _, _, _, err := OpenFS(dir, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	if err := s.Commit(testCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 2; i++ {
-		if err := s.AppendDelta(testDelta(i)); err != nil {
-			t.Fatal(err)
+	if err := s.AppendDelta(testDelta(1)); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := s.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.SetDecide(func(op fsio.Op) fsio.Decision {
+		if op.Kind == fsio.OpSync && filepath.Base(op.Path) == currentFile+".tmp" {
+			return fsio.Decision{Err: syscall.EIO}
 		}
+		return fsio.Decision{}
+	})
+	if err := s.CommitSealed(testCheckpoint(), seq); err == nil {
+		t.Fatal("CommitSealed succeeded through a failed CURRENT fsync")
+	}
+	if s.Generation() != 1 {
+		t.Fatalf("generation = %d after a failed commit, want 1", s.Generation())
 	}
 	s.Close()
-	// Reshape the directory as the old layout left it.
-	if err := os.Rename(filepath.Join(dir, "log-000001"), filepath.Join(dir, "wal-000001.log")); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, cp, deltas, notes := mustOpen(t, dir)
-	if cp == nil || len(deltas) != 2 {
-		t.Fatalf("migration recovered %d deltas (notes %v)", len(deltas), notes)
-	}
-	migrated := false
-	for _, n := range notes {
-		if strings.Contains(n, "migrated legacy delta log") {
-			migrated = true
-		}
-	}
-	if !migrated {
-		t.Errorf("no migration note: %v", notes)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "wal-000001.log")); !os.IsNotExist(err) {
-		t.Error("legacy log still present after migration")
-	}
-	if err := s2.AppendDelta(testDelta(3)); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	_, _, deltas, _ = mustOpen(t, dir)
-	if len(deltas) != 3 {
-		t.Fatalf("append after migration lost records: %d deltas", len(deltas))
+	_, cp, deltas, notes := mustOpen(t, dir)
+	if cp == nil || cp.Generation != 1 || len(deltas) != 1 {
+		t.Fatalf("reopen after a failed commit: checkpoint %v, %d deltas (notes %v)", cp != nil, len(deltas), notes)
 	}
 }
 

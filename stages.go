@@ -562,7 +562,10 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 // snapshot's PV3 extension field so they survive WriteFeed/LoadFeed
 // round trips, returning the number of entries annotated. Entries with
 // a real v3 vector are left alone, matching the paper's pv3 scoring
-// (real v3 when present, predicted otherwise).
+// (real v3 when present, predicted otherwise). A score already
+// materialized is not rewritten, so applying again to a snapshot that
+// is being served (StoreCheckpoint of a serving generation) writes
+// nothing a concurrent reader could race.
 func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 	if snap == nil || b == nil {
 		return 0
@@ -573,8 +576,10 @@ func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 			continue
 		}
 		if s, ok := b.Scores[e.ID]; ok {
-			v := s
-			e.PV3 = &v
+			if e.PV3 == nil || *e.PV3 != s {
+				v := s
+				e.PV3 = &v
+			}
 			n++
 		}
 	}
