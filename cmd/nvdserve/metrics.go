@@ -147,7 +147,8 @@ func newServerMetrics(s *server) *serverMetrics {
 	})
 	r.GaugeFunc("nvdserve_store_wal_seq", "Sequence number of the active delta-log segment (the replication cursor).", func() float64 {
 		if s.persist != nil {
-			return float64(s.persist.WALSeq())
+			seq, _ := s.persist.ActivePosition()
+			return float64(seq)
 		}
 		return 0
 	})

@@ -53,13 +53,10 @@ func parsePretty(values url.Values) (bool, error) {
 }
 
 // etagFor returns the strong ETag of this generation's representation
-// of any read resource. The tag is the generation sequence — the boot
-// epoch, the persistent store generation captured at the swap, and the
-// in-memory generation counter — so it changes exactly when a swap
-// changes the served bytes, and never aliases across restarts (the
-// boot epoch differs even though the in-memory counter restarts at 1).
-// The pretty and compact representations of one URL carry distinct
-// tags.
+// of any read resource: the validator readValidator captured at the
+// swap — "w<seq>-<off>", the store's stream position, with a store, or
+// "<bootEpoch>-<gen>" without one. The pretty and compact
+// representations of one URL carry distinct tags.
 func (st *serveState) etagFor(pretty bool) string {
 	if pretty {
 		return st.etag[:len(st.etag)-1] + `-p"`

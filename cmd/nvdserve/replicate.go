@@ -1,11 +1,12 @@
 package main
 
 // The primary side of the replication stream: three GET handlers that
-// expose the store's ReplicationSource surface over HTTP. The wire
-// format is the store's native artifacts — manifest JSON, verbatim
-// checkpoint file bytes, verbatim segment frame bytes — so the
-// follower re-verifies everything with the same CRCs the store itself
-// uses, and the handlers never re-encode anything on the hot path.
+// expose the store's manifest, checkpoint files and log segments over
+// HTTP. The wire format is the store's native artifacts — manifest
+// JSON, verbatim checkpoint file bytes, verbatim segment frame bytes —
+// so the follower re-verifies everything with the same CRCs the store
+// itself uses, and the handlers never re-encode anything on the hot
+// path.
 
 import (
 	"errors"
@@ -31,8 +32,9 @@ func (s *server) replicationSource(w http.ResponseWriter) *store.Store {
 }
 
 // handleReplicateManifest serves the point-in-time replication
-// manifest: the committed checkpoint's file list (with sums) and the
-// live segments. 503 until the first checkpoint commits.
+// manifest: the committed checkpoint's file list (with sums), its
+// watermark and the active segment seq. 503 until the first checkpoint
+// commits.
 func (s *server) handleReplicateManifest(w http.ResponseWriter, r *http.Request) {
 	src := s.replicationSource(w)
 	if src == nil {

@@ -62,8 +62,8 @@ func (OS) Create(name string) (File, error) { return os.Create(name) }
 func (OS) Rename(oldpath, newpath string) error {
 	return os.Rename(oldpath, newpath)
 }
-func (OS) Remove(name string) error        { return os.Remove(name) }
-func (OS) RemoveAll(path string) error     { return os.RemoveAll(path) }
+func (OS) Remove(name string) error    { return os.Remove(name) }
+func (OS) RemoveAll(path string) error { return os.RemoveAll(path) }
 func (OS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
 }

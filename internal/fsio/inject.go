@@ -296,9 +296,9 @@ func (f *injFile) Read(p []byte) (int, error) { return f.f.Read(p) }
 func (f *injFile) Seek(offset int64, whence int) (int64, error) {
 	return f.f.Seek(offset, whence)
 }
-func (f *injFile) Close() error                 { return f.f.Close() }
-func (f *injFile) Name() string                 { return f.f.Name() }
-func (f *injFile) Stat() (os.FileInfo, error)   { return f.f.Stat() }
+func (f *injFile) Close() error               { return f.f.Close() }
+func (f *injFile) Name() string               { return f.f.Name() }
+func (f *injFile) Stat() (os.FileInfo, error) { return f.f.Stat() }
 
 func (f *injFile) Write(p []byte) (int, error) {
 	var n int

@@ -1,6 +1,6 @@
 // Package replica is the follower side of nvdserve's replication
 // stream: an HTTP client for the /replicate surface a primary daemon
-// exposes from its internal/store ReplicationSource.
+// serves from its internal/store checkpoint and delta log.
 //
 // The wire protocol is deliberately dumb — three GET endpoints over
 // the store's native artifacts:
@@ -70,9 +70,6 @@ type LogChunk struct {
 	// primary's checkpoint. The follower must re-bootstrap from a fresh
 	// manifest.
 	Retired bool
-	// Watermark and WALSeq mirror the primary's stream headers.
-	Watermark uint64
-	WALSeq    uint64
 	// RetryAfter is the primary's suggested poll delay (zero when the
 	// response carried none).
 	RetryAfter time.Duration
@@ -270,11 +267,7 @@ func (c *Client) Log(ctx context.Context, seq uint64, off int64) (*LogChunk, err
 		return nil, err
 	}
 	defer resp.Body.Close()
-	chunk := &LogChunk{
-		Sealed:    resp.Header.Get(HeaderSealed) == "1",
-		Watermark: parseUint(resp.Header.Get(HeaderWatermark)),
-		WALSeq:    parseUint(resp.Header.Get(HeaderWALSeq)),
-	}
+	chunk := &LogChunk{Sealed: resp.Header.Get(HeaderSealed) == "1"}
 	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
 		chunk.RetryAfter = min(time.Duration(ra)*time.Second, maxRetryAfter)
 	}
@@ -296,9 +289,4 @@ func (c *Client) Log(ctx context.Context, seq uint64, off int64) (*LogChunk, err
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("replica: log segment %d: %s (%s)", seq, resp.Status, strings.TrimSpace(string(body)))
 	}
-}
-
-func parseUint(s string) uint64 {
-	v, _ := strconv.ParseUint(s, 10, 64)
-	return v
 }

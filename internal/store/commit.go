@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -21,7 +22,8 @@ import (
 // commit merely leaves the old checkpoint plus all segments intact.
 // Failed commits are re-enqueued and retried with exponential backoff
 // (unless a newer checkpoint superseded them) and surfaced in Stats
-// for /stats.
+// for /stats. A checkpoint whose seq the committed watermark has
+// already passed is dropped without a retry.
 type Committer struct {
 	s *Store
 
@@ -163,6 +165,12 @@ func (c *Committer) loop() {
 			err := c.s.CommitSealed(req.cp, req.seq)
 			c.mu.Lock()
 			c.inflight = false
+			if errors.Is(err, errSuperseded) {
+				// A newer checkpoint already covers this one: nothing
+				// failed and nothing is left to retry.
+				c.mu.Unlock()
+				continue
+			}
 			if err == nil {
 				c.committed++
 				c.lastErr = ""

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -330,6 +331,49 @@ func TestCommitterRetryAndSupersede(t *testing.T) {
 	}
 	if st := c.Stats(); st.LastErrorUnix != 0 {
 		t.Errorf("successful commit did not clear lastErrorUnix: %+v", st)
+	}
+}
+
+// TestCommitterDropsSuperseded proves a queued checkpoint that an
+// installed shipped checkpoint has overtaken — a replica re-bootstrap
+// racing its own compaction — is dropped: the committer goes idle
+// without a retry, an error, or a failure reported to the observer.
+func TestCommitterDropsSuperseded(t *testing.T) {
+	src, rm := foldedSource(t)
+	sink, _, _, _ := mustOpen(t, t.TempDir())
+	defer sink.Close()
+	var failures atomic.Int32
+	sink.SetCommitObserver(func(_ time.Duration, err error) {
+		if err != nil {
+			failures.Add(1)
+		}
+	})
+	if err := sink.Commit(testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.AppendDelta(testDelta(1)); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := sink.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.InstallCheckpoint(rm, sourceFetch(src)); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCommitter(sink)
+	c.SetBackoff(time.Millisecond, 5*time.Millisecond)
+	defer c.Close()
+	c.Enqueue(testCheckpoint(), seq)
+	waitFor(t, "committer idle", func() bool { return !c.Stats().Pending })
+	if st := c.Stats(); st.Retries != 0 || st.Committed != 0 || st.LastError != "" {
+		t.Errorf("stats after a superseded request: %+v", st)
+	}
+	if n := failures.Load(); n != 0 {
+		t.Errorf("observer saw %d failed commits", n)
+	}
+	if sink.Generation() != 2 || sink.Watermark() != 2 {
+		t.Errorf("sink gen=%d watermark=%d, want 2/2", sink.Generation(), sink.Watermark())
 	}
 }
 

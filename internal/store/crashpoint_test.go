@@ -323,6 +323,35 @@ func TestCrashPointsInstallCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCrashPointsInstallCheckpointWarmSink installs into a sink that
+// already serves: generation 1, a sealed log-1 and an active log-2 with
+// one record each. The shipped watermark 2 folds both segments, so the
+// publish step retires generation 1 and replaces the active segment.
+func TestCrashPointsInstallCheckpointWarmSink(t *testing.T) {
+	src, rm := foldedSource(t)
+	n := exploreCrashPath(t,
+		func(t *testing.T, dir string) {
+			setupCommitted(t, dir)
+			s, _, _, _ := mustOpen(t, dir)
+			if _, err := s.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AppendDelta(testDelta(2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(t *testing.T, s *Store) error {
+			_, err := s.InstallCheckpoint(rm, sourceFetch(src))
+			return err
+		})
+	if n == 0 {
+		t.Fatal("warm install path explored no crash points")
+	}
+}
+
 // TestCrashPointViewsDiffer sanity-checks the fingerprint: the
 // pre- and post-append views of a store must differ, or the
 // pre-or-post assertion above would be vacuous.

@@ -4,24 +4,19 @@
 // committed checkpoint is a CRC-manifested set of flat files, and the
 // delta log is a sequence of CRC-framed segments whose (seq, byte
 // offset) pairs name record boundaries identically on every replica —
-// because followers append the primary's frame bytes verbatim. This
-// file factors that observation into two symmetric surfaces:
+// because followers append the primary's frame bytes verbatim. A
+// primary describes its committed checkpoint (ReplicationManifest),
+// streams its files (CheckpointFile) and streams segment bytes from a
+// cursor (ReadSegment); a follower installs the shipped checkpoint as
+// its next local generation (InstallCheckpoint, through the same
+// publish protocol as a local commit) and appends tailed frames through
+// the validation path recovery uses (AppendFrames).
 //
-//   - ReplicationSource: enumerate the committed checkpoint's files
-//     and the live segments (ReplicationManifest), stream checkpoint
-//     file bytes (CheckpointFile), and stream segment bytes from a
-//     cursor (ReadSegment) — everything a remote follower needs to
-//     bootstrap and tail.
-//   - ReplicationSink: install a shipped checkpoint as the next local
-//     generation (InstallCheckpoint) and append tailed frames through
-//     the same validation path recovery uses (AppendFrames).
-//
-// *Store implements both. The convergence argument: a checkpoint ships
-// with per-file CRCs and is re-verified on install; frames ship
-// verbatim and are re-framed-checked on append; and CleanDelta is
-// bit-deterministic — so a follower at the same stream position as its
-// primary serves a byte-identical view (TestFollowerEquivalence in
-// cmd/nvdserve).
+// The convergence argument: a checkpoint ships with per-file CRCs and
+// is re-verified on install; frames ship verbatim and are re-framed-
+// checked on append; and CleanDelta is bit-deterministic — so a
+// follower at the same stream position as its primary serves a
+// byte-identical view (TestFollowerEquivalence in cmd/nvdserve).
 
 package store
 
@@ -29,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -37,7 +31,6 @@ import (
 	"strings"
 
 	"nvdclean/internal/cve"
-	"nvdclean/internal/parallel"
 )
 
 // installFanout bounds the concurrent file fetches of one
@@ -64,51 +57,16 @@ type ManifestFile struct {
 	CRC32C uint32 `json:"crc32c"`
 }
 
-// SegmentInfo describes one live delta-log segment at manifest time.
-// Size counts committed (fsynced-frame) bytes only.
-type SegmentInfo struct {
-	Seq     uint64 `json:"seq"`
-	Size    int64  `json:"size"`
-	Records int    `json:"records"`
-	Sealed  bool   `json:"sealed"`
-}
-
-// ReplicationManifest is a point-in-time description of everything a
-// follower needs: the committed checkpoint (generation, watermark, and
-// file list with sums) and the live segments above the watermark.
+// ReplicationManifest is a point-in-time description of the committed
+// checkpoint a follower bootstraps from: its generation, its walSeq
+// watermark, the primary's active segment seq, and the file list with
+// sums.
 type ReplicationManifest struct {
 	Generation    uint64         `json:"generation"`
 	CheckpointSeq uint64         `json:"checkpointSeq"`
 	WALSeq        uint64         `json:"walSeq"`
 	Files         []ManifestFile `json:"files"`
-	Segments      []SegmentInfo  `json:"segments,omitempty"`
 }
-
-// ReplicationSource is the read side of the stream: what a primary
-// exposes so followers can bootstrap from its checkpoint and tail its
-// segments.
-type ReplicationSource interface {
-	ReplicationManifest() (*ReplicationManifest, error)
-	CheckpointFile(name string) (io.ReadCloser, int64, error)
-	ReadSegment(seq uint64, off int64) (data []byte, sealed bool, err error)
-	Watermark() uint64
-}
-
-// ReplicationSink is the write side: what a follower's local store
-// accepts from the stream. Seal is part of the sink contract because
-// followers mirror the primary's segment boundaries — when the stream
-// says a segment is sealed, the sink seals its copy so seqs stay in
-// lockstep.
-type ReplicationSink interface {
-	InstallCheckpoint(rm *ReplicationManifest, fetch func(ManifestFile) (io.ReadCloser, error)) (*Checkpoint, error)
-	AppendFrames(raw []byte) ([]*cve.Delta, error)
-	Seal() (uint64, error)
-}
-
-var (
-	_ ReplicationSource = (*Store)(nil)
-	_ ReplicationSink   = (*Store)(nil)
-)
 
 // checkpointFileName rejects anything but a bare file name, so a
 // hostile manifest or URL cannot escape the checkpoint directory.
@@ -120,22 +78,17 @@ func checkpointFileName(name string) error {
 	return nil
 }
 
-// ReplicationManifest describes the committed checkpoint and the live
-// segments for a follower. It returns an error while the store has no
-// committed generation, and may return a transient error when a
-// concurrent commit retires the generation mid-read — callers just
-// retry and see the newer generation.
+// ReplicationManifest describes the committed checkpoint for a
+// follower. It returns an error while the store has no committed
+// generation, and may return a transient error when a concurrent commit
+// retires the generation mid-read — callers just retry and see the
+// newer generation.
 func (s *Store) ReplicationManifest() (*ReplicationManifest, error) {
 	s.mu.Lock()
 	gen, genSeq := s.gen, s.genSeq
-	var segs []SegmentInfo
-	for _, seg := range s.sealed {
-		segs = append(segs, SegmentInfo{Seq: seg.seq, Size: seg.end, Records: seg.records, Sealed: true})
-	}
 	var walSeq uint64
 	if s.active != nil {
 		walSeq = s.active.seq
-		segs = append(segs, SegmentInfo{Seq: s.active.seq, Size: s.active.off, Records: s.active.records})
 	}
 	s.mu.Unlock()
 	if gen == 0 {
@@ -152,7 +105,7 @@ func (s *Store) ReplicationManifest() (*ReplicationManifest, error) {
 	if m.Kind != manifestKind || m.Generation != gen {
 		return nil, fmt.Errorf("store: checkpoint manifest does not match generation %d", gen)
 	}
-	rm := &ReplicationManifest{Generation: gen, CheckpointSeq: genSeq, WALSeq: walSeq, Segments: segs}
+	rm := &ReplicationManifest{Generation: gen, CheckpointSeq: genSeq, WALSeq: walSeq}
 	for name, sum := range m.Files {
 		rm.Files = append(rm.Files, ManifestFile{Name: name, Size: sum.Size, CRC32C: sum.CRC32C})
 	}
@@ -238,18 +191,18 @@ func (s *Store) ReadSegment(seq uint64, off int64) (data []byte, sealed bool, er
 }
 
 // InstallCheckpoint makes a shipped checkpoint the store's next
-// committed generation: it streams every manifest-listed file through
-// fetch (invoked concurrently, up to installFanout calls in flight)
-// into a gen-N.tmp directory re-verifying size and CRC-32C,
-// writes a local manifest carrying the primary's walSeq watermark (the
-// generation number is local bookkeeping — replicas compact at their
-// own pace — but the watermark is the shared stream cursor and is
-// preserved), fully loads and verifies the result, and commits it with
-// the same rename + CURRENT-swap protocol as a local checkpoint. On
-// success the old generation and every segment at or below the
-// watermark are retired, a fresh active segment is open at watermark+1,
-// and the loaded Checkpoint is returned for the caller to restore a
-// serving view from. On error the store is unchanged.
+// committed generation through the same publish protocol as a local
+// commit. Files are streamed through fetch (invoked concurrently, up to
+// installFanout calls in flight), and each must match its shipped size
+// and CRC-32C. The local manifest carries the primary's walSeq
+// watermark: the generation number is local bookkeeping — replicas
+// compact at their own pace — but the watermark is the shared stream
+// cursor. The staged checkpoint must fully load before it may win
+// CURRENT. On success the old generation and every segment at or below
+// the watermark are retired, the active segment is watermark+1, the
+// stream position is that segment's start, and the loaded Checkpoint is
+// returned for the caller to restore a serving view from. On error the
+// store is unchanged.
 //
 // The local log must not be ahead of the shipped watermark: records
 // past it would be silently discarded. Followers only install when
@@ -259,166 +212,56 @@ func (s *Store) InstallCheckpoint(rm *ReplicationManifest, fetch func(ManifestFi
 	if rm == nil || rm.Generation == 0 || len(rm.Files) == 0 {
 		return nil, fmt.Errorf("store: empty replication manifest")
 	}
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	s.mu.Lock()
-	gen := s.gen + 1
-	keepActive := false
-	switch {
-	case s.active == nil:
-		// Cold store: nothing local to reconcile.
-	case s.active.seq <= rm.CheckpointSeq:
-		// Every local record is folded into the shipped checkpoint;
-		// the local segments retire below.
-	case s.active.seq == rm.CheckpointSeq+1 && s.active.off == 0:
-		// Already the empty successor (a reinstall after a crashed
-		// bootstrap): keep it.
-		keepActive = true
-	default:
-		seq := s.active.seq
-		s.mu.Unlock()
-		return nil, fmt.Errorf("store: local log at segment %d is ahead of shipped checkpoint watermark %d", seq, rm.CheckpointSeq)
-	}
-	s.mu.Unlock()
-
-	name := genName(gen)
-	tmp := filepath.Join(s.dir, name+".tmp")
-	if err := s.fs.RemoveAll(tmp); err != nil {
-		return nil, err
-	}
-	if err := s.fs.MkdirAll(tmp, 0o755); err != nil {
-		return nil, err
-	}
-	m := &manifest{Kind: manifestKind, Generation: gen, Seq: rm.CheckpointSeq, Files: make(map[string]fileSum)}
-	files := make([]ManifestFile, 0, len(rm.Files))
+	seq := rm.CheckpointSeq
+	shipped := make(map[string]fileSum, len(rm.Files))
+	var files []stagedFile
 	for _, mf := range rm.Files {
 		if err := checkpointFileName(mf.Name); err != nil {
 			return nil, err
 		}
 		if mf.Name == manifestFile {
-			continue // the local manifest is written below
+			continue // the local manifest is written last
 		}
-		files = append(files, mf)
-		m.Files[mf.Name] = fileSum{Size: mf.Size, CRC32C: mf.CRC32C}
+		shipped[mf.Name] = fileSum{Size: mf.Size, CRC32C: mf.CRC32C}
+		files = append(files, stagedFile{mf.Name, func(w io.Writer) error {
+			rc, err := fetch(mf)
+			if err != nil {
+				return fmt.Errorf("fetching: %w", err)
+			}
+			defer rc.Close()
+			_, err = io.Copy(w, rc)
+			return err
+		}})
 	}
-	// Files land in parallel: install cost is I/O waits (network reads,
-	// per-file fsyncs) that overlap across files even on one core. The
-	// fetch callback must tolerate concurrent calls; the files are
-	// independent, so worker count cannot change the installed bytes.
-	workers := installFanout
-	if len(files) < workers {
-		workers = len(files)
-	}
-	if err := parallel.ForErr(workers, len(files), func(i int) error {
-		return s.installFile(tmp, files[i], fetch)
-	}); err != nil {
-		return nil, err
-	}
-	f, err := s.fs.Create(filepath.Join(tmp, manifestFile))
-	if err != nil {
-		return nil, err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: writing local manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	// Fully verify and decode the shipped checkpoint before committing
-	// to it — a checkpoint that cannot serve must never win CURRENT.
-	cp, err := loadCheckpoint(s.fs, tmp)
-	if err != nil {
-		return nil, fmt.Errorf("store: shipped checkpoint unusable: %w", err)
-	}
-	final := filepath.Join(s.dir, name)
-	if err := s.fs.RemoveAll(final); err != nil {
-		return nil, err
-	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		return nil, err
-	}
-	if err := syncDir(s.fs, s.dir); err != nil {
-		return nil, err
-	}
-	// An active segment must exist before the commit point (same
-	// protocol as commitSealed).
-	var next *wal
-	if !keepActive {
-		next, _, _, err = openSegment(s.fs, filepath.Join(s.dir, segmentName(rm.CheckpointSeq+1)), rm.CheckpointSeq+1)
-		if err != nil {
-			return nil, err
-		}
-		if err := syncDir(s.fs, s.dir); err != nil {
-			next.close()
-			return nil, err
-		}
-	}
-	if err := writeCurrent(s.fs, s.dir, name); err != nil {
-		next.close()
-		return nil, err
-	}
-	// Committed. Swap bookkeeping and retire the old world.
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	// Only the empty successor of the watermark may already exist (a
+	// reinstall after a crashed bootstrap).
 	s.mu.Lock()
-	oldGen := s.gen
-	oldActive := s.active
-	s.gen = gen
-	s.genSeq = rm.CheckpointSeq
-	s.sealed = nil
-	if !keepActive {
-		s.active = next
-	}
-	s.lastSeq, s.lastOff = rm.CheckpointSeq+1, 0
+	active := s.active
+	ahead := active != nil && (active.seq > seq+1 || active.seq == seq+1 && active.off > 0)
 	s.mu.Unlock()
-	if !keepActive {
-		oldActive.close()
+	if ahead {
+		return nil, fmt.Errorf("store: local log at segment %d is ahead of shipped checkpoint watermark %d", active.seq, seq)
 	}
-	if oldGen != 0 && oldGen != gen {
-		s.fs.RemoveAll(filepath.Join(s.dir, genName(oldGen)))
-	}
-	for _, q := range segmentSeqs(s.fs, s.dir) {
-		if q <= rm.CheckpointSeq {
-			s.fs.Remove(filepath.Join(s.dir, segmentName(q)))
+	var cp *Checkpoint
+	err := s.publish(seq, files, installFanout, true, func(dir string, sums map[string]fileSum) error {
+		for name, want := range shipped {
+			if got := sums[name]; got != want {
+				return fmt.Errorf("store: shipped %s does not match its manifest sum (%d bytes, crc %08x; want %d, %08x)",
+					name, got.Size, got.CRC32C, want.Size, want.CRC32C)
+			}
 		}
+		var err error
+		if cp, err = loadCheckpoint(s.fs, dir); err != nil {
+			return fmt.Errorf("store: shipped checkpoint unusable: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cp, nil
-}
-
-// installFile streams one shipped checkpoint file to disk, verifying
-// its size and CRC-32C against the manifest entry as it lands.
-func (s *Store) installFile(tmp string, mf ManifestFile, fetch func(ManifestFile) (io.ReadCloser, error)) error {
-	rc, err := fetch(mf)
-	if err != nil {
-		return fmt.Errorf("store: fetching shipped %s: %w", mf.Name, err)
-	}
-	defer rc.Close()
-	f, err := s.fs.Create(filepath.Join(tmp, mf.Name))
-	if err != nil {
-		return err
-	}
-	cw := &crcWriter{crc: crc32.New(walTable)}
-	if _, err := io.Copy(io.MultiWriter(f, cw), rc); err != nil {
-		f.Close()
-		return fmt.Errorf("store: streaming shipped %s: %w", mf.Name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if cw.size != mf.Size || cw.crc.Sum32() != mf.CRC32C {
-		return fmt.Errorf("store: shipped %s does not match its manifest sum (%d bytes, crc %08x; want %d, %08x)",
-			mf.Name, cw.size, cw.crc.Sum32(), mf.Size, mf.CRC32C)
-	}
-	return nil
 }
 
 // AppendFrames validates and appends a batch of frames shipped

@@ -27,14 +27,16 @@
 // durability never weakens because every acknowledged delta is fsynced
 // in some live segment before CURRENT swaps.
 //
-// A commit writes the next checkpoint into a gen-NNNNNN.tmp directory,
-// fsyncs it, renames it into place, and only then swaps CURRENT (also
-// via rename) — the CURRENT swap is the commit point. Segments at or
-// below the checkpoint's walSeq are retired only after the swap. A
-// crash at any step leaves either the old generation fully intact (tmp
-// directories and orphaned gen directories are swept on open, and
-// every segment is still on disk) or the new one fully committed
-// (straggler segments at or below its walSeq are skipped and swept).
+// A commit — local (CommitSealed) or shipped from a primary
+// (InstallCheckpoint), both through publish — writes the next
+// checkpoint into a gen-NNNNNN.tmp directory, fsyncs it, renames it
+// into place, and only then swaps CURRENT (also via rename) — the
+// CURRENT swap is the commit point. Segments at or below the
+// checkpoint's walSeq are retired only after the swap. A crash at any
+// step leaves either the old generation fully intact (tmp directories
+// and orphaned gen directories are swept on open, and every segment is
+// still on disk) or the new one fully committed (straggler segments at
+// or below its walSeq are skipped and swept).
 // The delta log recovers independently by truncating the last
 // segment's torn tail, so the store always reopens at the last
 // committed generation plus every durable delta.
@@ -43,6 +45,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
@@ -192,8 +195,10 @@ type Store struct {
 
 // SetCommitObserver installs fn to be called after every CommitSealed
 // (the funnel both the synchronous Commit and the background committer
-// go through) with the commit's duration and outcome. fn must be safe
-// for concurrent use; set it before commits start.
+// go through) with the commit's duration and outcome — except one
+// dropped because a newer watermark superseded it, which is no outcome
+// at all. fn must be safe for concurrent use; set it before commits
+// start.
 func (s *Store) SetCommitObserver(fn func(time.Duration, error)) {
 	s.mu.Lock()
 	s.commitObs = fn
@@ -386,18 +391,6 @@ func (s *Store) SealedSegments() int {
 	return len(s.sealed)
 }
 
-// WALSeq returns the sequence number of the active delta-log segment —
-// the replication/observability cursor that advances with every seal —
-// or 0 when the store has no committed checkpoint yet.
-func (s *Store) WALSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.active == nil {
-		return 0
-	}
-	return s.active.seq
-}
-
 // LastPosition returns the replication stream position of the last
 // record applied to this store: the segment it landed in and the byte
 // offset just past its frame (segment start for a store that has not
@@ -510,36 +503,103 @@ func (s *Store) Commit(cp *Checkpoint) error {
 // the successor segments — the write path the background committer
 // uses — but at most one commit may be in flight at a time (enforced
 // by commitMu). On error the old checkpoint and every segment are left
-// intact, so the commit can simply be retried.
+// intact, so the commit can simply be retried — unless the committed
+// watermark is already past seq (a replica installed a newer shipped
+// checkpoint meanwhile): that request is superseded, and its error is
+// one the Committer drops rather than retries.
 func (s *Store) CommitSealed(cp *Checkpoint, seq uint64) error {
 	start := time.Now()
 	err := s.commitSealed(cp, seq)
 	s.mu.Lock()
 	obs := s.commitObs
 	s.mu.Unlock()
-	if obs != nil {
+	if obs != nil && !errors.Is(err, errSuperseded) {
 		obs(time.Since(start), err)
 	}
 	return err
 }
+
+// errSuperseded marks a CommitSealed whose seq is behind the committed
+// watermark. The check runs under commitMu, so an install landing
+// between an enqueue and the commit is always seen.
+var errSuperseded = errors.New("store: checkpoint superseded")
 
 func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 	if cp == nil || cp.Original == nil || cp.Cleaned == nil || cp.State == nil ||
 		cp.Vendors == nil || cp.Products == nil {
 		return fmt.Errorf("store: incomplete checkpoint")
 	}
+	if cp.Index != nil && cp.Index.Entries() != len(cp.Cleaned.Entries) {
+		return fmt.Errorf("store: index covers %d entries, cleaned snapshot has %d",
+			cp.Index.Entries(), len(cp.Cleaned.Entries))
+	}
+	files := []stagedFile{
+		{originalFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Original) }},
+		{cleanedFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Cleaned) }},
+		{vendorsFile, cp.Vendors.WriteJSON},
+		{productsFile, cp.Products.WriteJSON},
+		{stateFile, func(w io.Writer) error { return json.NewEncoder(w).Encode(cp.State) }},
+	}
+	if cp.Engine != nil {
+		files = append(files, stagedFile{engineFile, cp.Engine.WriteJSON})
+	}
+	for shard := 0; cp.Index != nil && shard < numShards; shard++ {
+		files = append(files, stagedFile{indexSegName(shard), func(w io.Writer) error {
+			wire, err := cp.Index.shardWire(shard)
+			if err != nil {
+				return fmt.Errorf("encoding index shard %d: %w", shard, err)
+			}
+			_, err = w.Write(wire)
+			return err
+		}})
+	}
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.mu.Lock()
+	var err error
+	switch {
+	case s.active != nil && seq >= s.active.seq:
+		err = fmt.Errorf("store: cannot commit through unsealed segment %d (active %d)", seq, s.active.seq)
+	case seq < s.genSeq:
+		err = fmt.Errorf("%w: walSeq %d behind committed watermark %d", errSuperseded, seq, s.genSeq)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	// Every document encodes concurrently.
+	return s.publish(seq, files, len(files), false, nil)
+}
+
+// stagedFile is one file of a checkpoint being staged: its name and
+// the function that writes its bytes.
+type stagedFile struct {
+	name  string
+	write func(io.Writer) error
+}
+
+// publish is the one commit protocol behind CommitSealed and
+// InstallCheckpoint; the caller holds commitMu. It stages the next
+// generation, with seq as its walSeq watermark, in gen-NNNNNN.tmp:
+// every file through writeFile, up to workers at once, then the
+// manifest of their sums last, since its presence certifies the rest.
+// verify, when set, vets the staged directory and those sums. Then it
+// publishes:
+//
+//   - the directory is renamed into place;
+//   - unless the active segment is already past seq, the first segment
+//     past it is opened and its directory entry synced, so a committed
+//     CURRENT always has a durable log to append to;
+//   - CURRENT swaps — the commit point;
+//   - the previous generation and every segment at or below seq retire.
+//
+// reset moves the stream position to the watermark's successor (an
+// install); otherwise only an empty store's first commit sets it there.
+// On error the committed generation and every segment are untouched,
+// so the caller can simply retry.
+func (s *Store) publish(seq uint64, files []stagedFile, workers int, reset bool, verify func(dir string, sums map[string]fileSum) error) error {
+	s.mu.Lock()
 	gen := s.gen + 1
-	if s.active != nil && seq >= s.active.seq {
-		s.mu.Unlock()
-		return fmt.Errorf("store: cannot commit through unsealed segment %d (active %d)", seq, s.active.seq)
-	}
-	if seq < s.genSeq {
-		s.mu.Unlock()
-		return fmt.Errorf("store: checkpoint walSeq %d behind committed watermark %d", seq, s.genSeq)
-	}
 	s.mu.Unlock()
 	name := genName(gen)
 	tmp := filepath.Join(s.dir, name+".tmp")
@@ -549,92 +609,33 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 	if err := s.fs.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
-	m := &manifest{Kind: manifestKind, Generation: gen, Seq: seq, Files: make(map[string]fileSum)}
+	m := &manifest{Kind: manifestKind, Generation: gen, Seq: seq, Files: make(map[string]fileSum, len(files))}
 	var mMu sync.Mutex
-	write := func(file string, encode func(io.Writer) error) error {
-		f, err := s.fs.Create(filepath.Join(tmp, file))
-		if err != nil {
-			return err
-		}
-		// Checksum while encoding, so the manifest sum costs no
-		// second read of the (potentially large) document.
-		cw := &crcWriter{crc: crc32.New(walTable)}
-		if err := encode(io.MultiWriter(f, cw)); err != nil {
-			f.Close()
-			return fmt.Errorf("store: writing %s: %w", file, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := parallel.ForErr(workers, len(files), func(i int) error {
+		sum, err := writeFile(s.fs, filepath.Join(tmp, files[i].name), files[i].write)
 		mMu.Lock()
-		m.Files[file] = fileSum{Size: cw.size, CRC32C: cw.crc.Sum32()}
+		m.Files[files[i].name] = sum
 		mMu.Unlock()
-		return nil
-	}
-
-	// Encode the checkpoint documents concurrently; the manifest is
-	// written strictly last, since its presence certifies the rest.
-	var g parallel.Group
-	g.Go(func() error {
-		return write(originalFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Original) })
-	})
-	g.Go(func() error {
-		return write(cleanedFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Cleaned) })
-	})
-	g.Go(func() error {
-		return write(vendorsFile, func(w io.Writer) error { return cp.Vendors.WriteJSON(w) })
-	})
-	g.Go(func() error {
-		return write(productsFile, func(w io.Writer) error { return cp.Products.WriteJSON(w) })
-	})
-	g.Go(func() error {
-		return write(stateFile, func(w io.Writer) error { return json.NewEncoder(w).Encode(cp.State) })
-	})
-	if cp.Engine != nil {
-		g.Go(func() error {
-			return write(engineFile, func(w io.Writer) error { return cp.Engine.WriteJSON(w) })
-		})
-	}
-	if cp.Index != nil {
-		if cp.Index.Entries() != len(cp.Cleaned.Entries) {
-			return fmt.Errorf("store: index covers %d entries, cleaned snapshot has %d",
-				cp.Index.Entries(), len(cp.Cleaned.Entries))
-		}
-		for s := 0; s < numShards; s++ {
-			s := s
-			g.Go(func() error {
-				wire, err := cp.Index.shardWire(s)
-				if err != nil {
-					return fmt.Errorf("store: encoding index shard %d: %w", s, err)
-				}
-				return write(indexSegName(s), func(w io.Writer) error {
-					_, err := w.Write(wire)
-					return err
-				})
-			})
-		}
-	}
-	if err := g.Wait(); err != nil {
+		return err
+	}); err != nil {
 		return err
 	}
-	if err := write(manifestFile, func(w io.Writer) error {
+	if _, err := writeFile(s.fs, filepath.Join(tmp, manifestFile), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(m)
 	}); err != nil {
 		return err
 	}
-	// The manifest records sums for every other file, not itself.
-	delete(m.Files, manifestFile)
+	if verify != nil {
+		if err := verify(tmp, m.Files); err != nil {
+			return err
+		}
+	}
 
-	// A prior Commit attempt for this generation may have renamed its
-	// directory into place and then failed (e.g. disk full writing
-	// CURRENT); clear the orphan or the rename below wedges every
-	// retry with ENOTEMPTY.
+	// A prior attempt for this generation may have renamed its directory
+	// into place and then failed (e.g. disk full writing CURRENT); clear
+	// the orphan or the rename below wedges every retry with ENOTEMPTY.
 	final := filepath.Join(s.dir, name)
 	if err := s.fs.RemoveAll(final); err != nil {
 		return err
@@ -645,52 +646,79 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 	if err := syncDir(s.fs, s.dir); err != nil {
 		return err
 	}
-	// An active segment must exist before the commit point, so a
-	// committed CURRENT always has a log to append to. The compaction
-	// path sealed one open already; the cold boot path creates the
-	// first segment here.
 	s.mu.Lock()
-	if s.active == nil {
-		next, _, _, err := openSegment(s.fs, filepath.Join(s.dir, segmentName(seq+1)), seq+1)
-		if err != nil {
-			s.mu.Unlock()
+	next := s.active
+	s.mu.Unlock()
+	fresh := next == nil || next.seq <= seq
+	if fresh {
+		var err error
+		if next, _, _, err = openSegment(s.fs, filepath.Join(s.dir, segmentName(seq+1)), seq+1); err != nil {
 			return err
 		}
-		s.active = next
-		// First segment of a cold boot: the replication position starts
-		// at its first byte.
-		if s.lastSeq == 0 {
-			s.lastSeq, s.lastOff = seq+1, 0
+		if err := syncDir(s.fs, s.dir); err != nil {
+			next.close()
+			return err
 		}
 	}
-	s.mu.Unlock()
 	if err := writeCurrent(s.fs, s.dir, name); err != nil {
+		if fresh {
+			next.close()
+		}
 		return err
 	}
-	// Committed. Retire the previous generation and every segment the
-	// new checkpoint folds in (seq and below).
+
 	s.mu.Lock()
-	oldGen := s.gen
-	s.gen = gen
-	s.genSeq = seq
-	var retire []uint64
+	oldGen, oldActive := s.gen, s.active
+	s.gen, s.genSeq = gen, seq
+	if fresh {
+		s.active = next
+	}
+	if reset || oldGen == 0 {
+		s.lastSeq, s.lastOff = seq+1, 0
+	}
 	live := s.sealed[:0]
 	for _, seg := range s.sealed {
-		if seg.seq <= seq {
-			retire = append(retire, seg.seq)
-		} else {
+		if seg.seq > seq {
 			live = append(live, seg)
 		}
 	}
 	s.sealed = live
 	s.mu.Unlock()
+	if fresh {
+		oldActive.close()
+	}
 	if oldGen != 0 {
 		s.fs.RemoveAll(filepath.Join(s.dir, genName(oldGen)))
 	}
-	for _, q := range retire {
-		s.fs.Remove(filepath.Join(s.dir, segmentName(q)))
+	for _, q := range segmentSeqs(s.fs, s.dir) {
+		if q <= seq {
+			s.fs.Remove(filepath.Join(s.dir, segmentName(q)))
+		}
 	}
 	return nil
+}
+
+// writeFile creates path, streams write's output into it, and fsyncs
+// and closes it. It returns the size and CRC-32C of the bytes written,
+// summed as they pass, so a manifest sum costs no second read.
+func writeFile(fs fsio.FS, path string, write func(io.Writer) error) (fileSum, error) {
+	f, err := fs.Create(path)
+	if err != nil {
+		return fileSum{}, err
+	}
+	cw := &crcWriter{crc: crc32.New(walTable)}
+	if err := write(io.MultiWriter(f, cw)); err != nil {
+		f.Close()
+		return fileSum{}, fmt.Errorf("store: writing %s: %w", filepath.Base(path), err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fileSum{}, err
+	}
+	if err := f.Close(); err != nil {
+		return fileSum{}, err
+	}
+	return fileSum{Size: cw.size, CRC32C: cw.crc.Sum32()}, nil
 }
 
 // Probe attempts one small durable write cycle — create, write, fsync,
@@ -704,21 +732,10 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 // store accepts appends again.
 func (s *Store) Probe() error {
 	path := filepath.Join(s.dir, "probe.tmp")
-	f, err := s.fs.Create(path)
-	if err != nil {
+	if _, err := writeFile(s.fs, path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "probe\n")
 		return err
-	}
-	if _, err := f.Write([]byte("probe\n")); err != nil {
-		f.Close()
-		s.fs.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		s.fs.Remove(path)
-		return err
-	}
-	if err := f.Close(); err != nil {
+	}); err != nil {
 		s.fs.Remove(path)
 		return err
 	}
@@ -779,18 +796,10 @@ func readCurrent(fs fsio.FS, dir string) (string, error) {
 // point, so a failed open or fsync fails the commit, which retries.
 func writeCurrent(fs fsio.FS, dir, name string) error {
 	tmp := filepath.Join(dir, currentFile+".tmp")
-	if err := fs.WriteFile(tmp, []byte(name+"\n"), 0o644); err != nil {
+	if _, err := writeFile(fs, tmp, func(w io.Writer) error {
+		_, err := io.WriteString(w, name+"\n")
 		return err
-	}
-	f, err := fs.Open(tmp)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	if err := fs.Rename(tmp, filepath.Join(dir, currentFile)); err != nil {

@@ -84,12 +84,14 @@ type incState struct {
 
 // reuseState tells a run which pieces of the previous Result still
 // apply: the per-entry artifact maps plus the set of entry IDs the
-// feed delta left untouched.
+// feed delta names. Every lookup asks about an entry of the merged
+// snapshot, so an ID absent from changed is one the delta left
+// untouched.
 type reuseState struct {
 	prev         *incState
 	prevEngine   *predict.Engine
 	prevBackport map[string]float64
-	unchanged    map[string]bool
+	changed      map[string]bool
 }
 
 // runClean executes the stage graph on snap. With ru == nil every
@@ -149,7 +151,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 				if ru != nil && ru.prev.crawl != nil {
 					toCrawl = nil
 					for _, e := range snap.Entries {
-						if ru.unchanged[e.ID] {
+						if !ru.changed[e.ID] {
 							if a, ok := ru.prev.crawl[e.ID]; ok {
 								st.crawl[e.ID] = a
 								continue
@@ -338,7 +340,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 // cachedCorrection looks up a reusable §4.4 outcome for an unchanged
 // entry.
 func cachedCorrection(ru *reuseState, id string) (predict.EntryCorrection, bool) {
-	if ru == nil || ru.prev.cweFix == nil || !ru.unchanged[id] {
+	if ru == nil || ru.prev.cweFix == nil || ru.changed[id] {
 		return predict.EntryCorrection{}, false
 	}
 	ec, ok := ru.prev.cweFix[id]
@@ -356,7 +358,7 @@ func backportDelta(res *Result, ru *reuseState, workers int) error {
 		if e.V2 == nil || e.V3 != nil {
 			continue
 		}
-		if ru.unchanged[e.ID] {
+		if !ru.changed[e.ID] {
 			if v, ok := ru.prevBackport[e.ID]; ok {
 				scores[e.ID] = v
 				continue
@@ -414,16 +416,10 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 	for _, id := range delta.ChangedIDs() {
 		changed[id] = true
 	}
-	unchanged := make(map[string]bool, merged.Len())
-	for _, e := range merged.Entries {
-		if !changed[e.ID] {
-			unchanged[e.ID] = true
-		}
-	}
 	ru := &reuseState{
 		prev:       prev.inc,
 		prevEngine: prev.Engine,
-		unchanged:  unchanged,
+		changed:    changed,
 	}
 	if prev.Backport != nil {
 		ru.prevBackport = prev.Backport.Scores
