@@ -42,10 +42,6 @@ type follower struct {
 	// Guarded by srv.feedMu.
 	unapplied []*nvdclean.Delta
 
-	// cursor is the next stream position to fetch: the segment seq and
-	// the byte offset of its first unconsumed byte.
-	cursorSeq atomic.Uint64
-	cursorOff atomic.Int64
 	// caughtUpAt is the unix-nano time of the last poll that confirmed
 	// the follower holds every committed byte the primary had; 0 until
 	// the first confirmation. Lag is measured from it.
@@ -63,20 +59,13 @@ type follower struct {
 }
 
 func newFollower(srv *server, primary string, poll, maxLag time.Duration) *follower {
-	f := &follower{
+	return &follower{
 		srv:    srv,
 		client: replica.NewClient(primary),
 		poll:   poll,
 		maxLag: maxLag,
 		done:   make(chan struct{}),
 	}
-	// A warm-booted follower resumes tailing from its recovered local
-	// log position; a cold one gets its cursor from bootstrap.
-	if seq, off := srv.persist.ActivePosition(); seq > 0 {
-		f.cursorSeq.Store(seq)
-		f.cursorOff.Store(off)
-	}
-	return f
 }
 
 // lag returns the time since the follower last confirmed it was caught
@@ -92,11 +81,12 @@ func (f *follower) lag() (time.Duration, bool) {
 
 // statsBlock is the follower's /stats replication block.
 func (f *follower) statsBlock() map[string]any {
+	seq, off := f.srv.persist.ActivePosition()
 	b := map[string]any{
 		"role":          "follower",
 		"primary":       f.client.Base(),
-		"cursorSegment": f.cursorSeq.Load(),
-		"cursorOffset":  f.cursorOff.Load(),
+		"cursorSegment": seq,
+		"cursorOffset":  off,
 		"watermark":     f.srv.persist.Watermark(),
 		"fetches":       f.fetches.Load(),
 		"fetchErrors":   f.fetchErrors.Load(),
@@ -151,9 +141,10 @@ func (f *follower) run(ctx context.Context) {
 }
 
 // bootstrap installs the primary's current checkpoint into the local
-// store (re-verified file by file), restores a serving generation from
-// it, and parks the cursor at the watermark's successor segment. It is
-// both the cold-start path and the catch-up path after a 410.
+// store (re-verified file by file), which parks the store's active
+// segment — the stream cursor — at the watermark's successor, and
+// restores a serving generation from it. It is both the cold-start
+// path and the catch-up path after a 410.
 func (f *follower) bootstrap(ctx context.Context) error {
 	rm, err := f.client.Manifest(ctx)
 	if err != nil {
@@ -174,8 +165,6 @@ func (f *follower) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("restoring shipped checkpoint: %w", err)
 	}
-	f.cursorSeq.Store(rm.CheckpointSeq + 1)
-	f.cursorOff.Store(0)
 	f.bootstraps.Add(1)
 	fmt.Printf("nvdserve: replica bootstrapped from %s: generation %d (%d entries), tailing from segment %d\n",
 		f.client.Base(), f.srv.persist.Generation(), out.st.res.Cleaned.Len(), rm.CheckpointSeq+1)
@@ -184,11 +173,14 @@ func (f *follower) bootstrap(ctx context.Context) error {
 
 // syncOnce runs one poll of the stream: fetch bytes at the cursor,
 // append them durably, fold the decoded deltas into the serving view,
-// and mirror the primary's seal boundaries. It returns how long the
-// caller should wait before the next poll — zero when the stream
-// yielded progress and more may be pending immediately.
+// and mirror the primary's seal boundaries. The cursor is the local
+// store's active position, so it moves only with what the store holds:
+// a failed append leaves it, and a seal that switched segments before
+// failing moves it. It returns how long the caller should wait before
+// the next poll — zero when the stream yielded progress and more may
+// be pending immediately.
 func (f *follower) syncOnce(ctx context.Context) (time.Duration, error) {
-	seq, off := f.cursorSeq.Load(), f.cursorOff.Load()
+	seq, off := f.srv.persist.ActivePosition()
 	chunk, err := f.client.Log(ctx, seq, off)
 	if err != nil {
 		f.fetchErrors.Add(1)
@@ -249,7 +241,6 @@ func (f *follower) apply(ctx context.Context, chunk *replica.LogChunk) error {
 		if err != nil {
 			return err
 		}
-		f.cursorOff.Add(int64(len(chunk.Data)))
 		f.unapplied = append(f.unapplied, deltas...)
 	}
 	st := f.srv.cur.Load()
@@ -264,14 +255,7 @@ func (f *follower) apply(ctx context.Context, chunk *replica.LogChunk) error {
 	}
 	f.deltasApplied.Add(uint64(len(f.unapplied)))
 	f.unapplied = nil
-	if out.compactErr != nil {
-		return out.compactErr
-	}
-	if chunk.Sealed {
-		f.cursorSeq.Store(out.sealedSeq + 1)
-		f.cursorOff.Store(0)
-	}
-	return nil
+	return out.compactErr
 }
 
 // sleepCtx sleeps d unless ctx ends first; it reports whether the

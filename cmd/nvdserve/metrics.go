@@ -201,9 +201,10 @@ func newServerMetrics(s *server) *serverMetrics {
 
 	// Replication families (zero on a primary, so the scrape shape is
 	// identical across roles and a dashboard can template over the
-	// fleet). Follower counters are the follower's own atomics; the
-	// lag gauge reports -1 until the first caught-up confirmation so
-	// "never synced" and "zero lag" cannot be confused.
+	// fleet). Follower counters are the follower's own atomics and its
+	// cursor is its store's active position; the lag gauge reports -1
+	// until the first caught-up confirmation so "never synced" and
+	// "zero lag" cannot be confused.
 	r.GaugeFunc("nvdserve_replica_follower", "1 when this daemon runs as a read replica (-follow), 0 on a primary.", func() float64 {
 		if s.follower != nil {
 			return 1
@@ -220,14 +221,16 @@ func newServerMetrics(s *server) *serverMetrics {
 		return 0
 	})
 	r.GaugeFunc("nvdserve_replica_cursor_segment", "Segment seq the follower will fetch next.", func() float64 {
-		if f := s.follower; f != nil {
-			return float64(f.cursorSeq.Load())
+		if s.follower != nil {
+			seq, _ := s.persist.ActivePosition()
+			return float64(seq)
 		}
 		return 0
 	})
 	r.GaugeFunc("nvdserve_replica_cursor_offset", "Byte offset of the follower's cursor within its segment.", func() float64 {
-		if f := s.follower; f != nil {
-			return float64(f.cursorOff.Load())
+		if s.follower != nil {
+			_, off := s.persist.ActivePosition()
+			return float64(off)
 		}
 		return 0
 	})

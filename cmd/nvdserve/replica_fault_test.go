@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -95,11 +98,11 @@ func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
 	// Torn transfers: responses cut off mid-body must surface as fetch
 	// errors, never as partially applied stream bytes.
 	ft.SetDecide(replica.FaultAll(replica.Fault{TruncateBody: 8}))
-	posBefore, offBefore := fol.cursorSeq.Load(), fol.cursorOff.Load()
+	posBefore, offBefore := fStr.ActivePosition()
 	if _, err := fol.syncOnce(ctx); err == nil {
 		t.Fatal("truncated log body did not error")
 	}
-	if fol.cursorSeq.Load() != posBefore || fol.cursorOff.Load() != offBefore {
+	if pos, off := fStr.ActivePosition(); pos != posBefore || off != offBefore {
 		t.Fatal("cursor moved on a truncated fetch")
 	}
 
@@ -113,4 +116,63 @@ func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
 	if pSeq != fSeq || pOff != fOff {
 		t.Fatalf("positions diverge after reconvergence: primary (%d,%d) follower (%d,%d)", pSeq, pOff, fSeq, fOff)
 	}
+}
+
+// TestFollowerResumesAfterFailedSeal fails a mirrored seal after the
+// follower's store has already switched to the successor segment: the
+// directory sync that follows the successor's creation errors once.
+// The follower's cursor is its store's position, so the next poll
+// tails the primary's successor segment from its start instead of
+// sealing its own empty successor and skipping a segment of deltas.
+func TestFollowerResumesAfterFailedSeal(t *testing.T) {
+	snap, opts := world(t, gen.TinyConfig())
+	opts.Concurrency = 8
+	ctx := context.Background()
+
+	primary := newServer(opts)
+	pStr, _, _ := openTestStore(t, primary, t.TempDir(), fsio.OS{})
+	primary.compactEvery = 1000
+	coldBoot(t, primary, snap)
+	ts := httptest.NewServer(primary.handler())
+	defer ts.Close()
+	postFeed(t, ts, namedUpdate(t, snap, "CVE-2018-6001"))
+
+	fsrv := newServer(opts)
+	inj := fsio.NewInjector(fsio.OS{})
+	fdir := t.TempDir()
+	fStr, _, _ := openTestStore(t, fsrv, fdir, inj)
+	fol := newFollower(fsrv, ts.URL, 10*time.Millisecond, 0)
+	fsrv.follower = fol
+	if err := fol.bootstrap(ctx); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	catchUp(t, ctx, fol)
+
+	seq, _ := fStr.ActivePosition()
+	successor := filepath.Join(fdir, fmt.Sprintf("log-%06d", seq+1))
+	var opened, failed atomic.Bool
+	inj.SetDecide(func(op fsio.Op) fsio.Decision {
+		switch {
+		case op.Kind == fsio.OpOpenFile && op.Path == successor:
+			opened.Store(true)
+		case op.Kind == fsio.OpSync && op.Path == fdir && opened.Load() && failed.CompareAndSwap(false, true):
+			return fsio.Decision{Err: syscall.EIO}
+		}
+		return fsio.Decision{}
+	})
+
+	// The primary seals without committing, so the sealed segment stays
+	// in its stream, and logs one more delta into the successor.
+	if _, err := pStr.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	postFeed(t, ts, namedUpdate(t, snap, "CVE-2018-6002"))
+	if _, err := fol.syncOnce(ctx); err == nil {
+		t.Fatal("poll through a failed mirrored seal did not error")
+	}
+	if !failed.Load() {
+		t.Fatal("the mirrored seal's directory sync was never reached")
+	}
+	catchUp(t, ctx, fol)
+	assertConverged(t, "after a failed mirrored seal", primary, fsrv)
 }

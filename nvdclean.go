@@ -150,14 +150,14 @@ type Result struct {
 // Clean runs the full pipeline on snap, returning the rectified
 // snapshot and all intermediate artifacts. snap itself is not modified.
 //
-// Internally Clean is a staged DAG over internal/pipeline: the §4.1
-// reference crawl reads only the original snapshot while the §4.2
-// naming consolidation and §4.4 CWE correction rewrite disjoint fields
-// of the clone, so all three overlap and join before the §4.3 severity
-// step (which needs the corrected clone). The scheduler splits
-// opts.Concurrency across the stages in flight, and every stage
-// observes ctx. The returned Result also carries the state CleanDelta
-// needs to reprocess a feed delta incrementally.
+// Internally Clean runs a fixed stage graph: the §4.1 reference crawl
+// reads only the original snapshot while the §4.2 naming consolidation
+// and §4.4 CWE correction rewrite disjoint fields of the clone, so all
+// three run in parallel and join before the §4.3 severity step (which
+// needs the corrected clone). opts.Concurrency is split across the
+// branches in flight, and every stage observes ctx. The returned
+// Result also carries the state CleanDelta needs to reprocess a feed
+// delta incrementally.
 func Clean(ctx context.Context, snap *Snapshot, opts Options) (*Result, error) {
 	return runClean(ctx, snap, opts, nil)
 }

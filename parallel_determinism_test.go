@@ -3,7 +3,10 @@ package nvdclean_test
 import (
 	"context"
 	"maps"
+	"net/http"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nvdclean"
 	"nvdclean/internal/experiments"
@@ -72,6 +75,46 @@ func TestCleanConcurrencyInvariant(t *testing.T) {
 			t.Errorf("concurrency %d: selected model %s != %s",
 				conc, got.Engine.Best(), base.Engine.Best())
 		}
+	}
+}
+
+// peakTransport wraps a RoundTripper and records the peak number of
+// requests in flight. Each request sleeps briefly so that requests
+// issued concurrently overlap.
+type peakTransport struct {
+	rt             http.RoundTripper
+	inFlight, peak atomic.Int32
+}
+
+func (p *peakTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	n := p.inFlight.Add(1)
+	defer p.inFlight.Add(-1)
+	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
+	}
+	time.Sleep(200 * time.Microsecond)
+	return p.rt.RoundTrip(req)
+}
+
+// TestCleanStageBudget pins Clean's worker split: the crawl, naming
+// and CWE branches start together, so the crawl runs on a third of the
+// budget rather than all of it.
+func TestCleanStageBudget(t *testing.T) {
+	snap, truth, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := &peakTransport{rt: nvdclean.NewWebCorpus(snap, truth.Disclosure).Transport()}
+	_, err = nvdclean.Clean(context.Background(), snap, nvdclean.Options{
+		Transport:    pt,
+		Concurrency:  6,
+		SkipSeverity: true,
+		Seed:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := pt.peak.Load(); p < 1 || p > 2 {
+		t.Fatalf("peak concurrent crawl requests = %d, want 1 or 2 (a budget of 6 over 3 branches)", p)
 	}
 }
 

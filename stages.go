@@ -5,40 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"nvdclean/internal/crawler"
 	"nvdclean/internal/cve"
 	"nvdclean/internal/cwe"
 	"nvdclean/internal/naming"
-	"nvdclean/internal/pipeline"
+	"nvdclean/internal/parallel"
 	"nvdclean/internal/predict"
 	"nvdclean/internal/store"
 )
-
-// Artifact keys of the cleaning pipeline's stage graph. The seeded
-// inputs are "original" (the untouched snapshot) and "cleaned" (the
-// clone the rewriting stages work on); each stage provides the typed
-// result named after it.
-const (
-	artOriginal = "original" // *Snapshot: the input, never modified
-	artCleaned  = "cleaned"  // *Snapshot: the clone the stages rewrite
-	artCrawl    = "crawl"    // crawler.Stats: §4.1 aggregate accounting
-	artVendors  = "vendors"  // *naming.Map: §4.2 vendor consolidation
-	artProducts = "products" // *naming.ProductMap: §4.2 product consolidation
-	artCWE      = "cwe"      // *predict.CWECorrection: §4.4 summary
-	artSeverity = "severity" // *predict.Engine: §4.3 trained zoo
-)
-
-// crawlArtifact is one entry's §4.1 outcome. Estimates, lags and stats
-// are pure per-entry functions of the entry's references (the crawler
-// memo changes scheduling, never accounting), so unchanged entries of
-// a feed delta replay their artifacts without touching the network.
-type crawlArtifact struct {
-	est time.Time
-	lag int
-	st  crawler.Stats
-}
 
 // trainSig captures everything besides the dataset that determines the
 // trained engine, for the warm-start equality check. Workers is
@@ -68,8 +45,12 @@ func trainSigOf(opts Options) trainSig {
 // deliberately unexported: callers hold it only through a Result.
 type incState struct {
 	// crawl maps CVE ID to its §4.1 artifact; nil when the run had no
-	// transport.
-	crawl map[string]crawlArtifact
+	// transport. Estimates, lags and stats are pure per-entry functions
+	// of the entry's references (the crawler memo changes scheduling,
+	// never accounting), so unchanged entries of a feed delta replay
+	// their artifacts without touching the network. Nothing writes to
+	// the map once its run has built it, so checkpoints share it.
+	crawl map[string]store.CrawlArtifact
 	// lcs and prods are pure-function memos shared across runs.
 	lcs   *naming.LCSCache
 	prods *naming.ProductCache
@@ -94,14 +75,20 @@ type reuseState struct {
 	changed      map[string]bool
 }
 
-// runClean executes the stage graph on snap. With ru == nil every
-// stage computes from scratch (a full Clean); with a reuse state the
-// stages replay per-entry artifacts for unchanged entries and only
-// process the delta. Both paths produce bit-identical Results for the
-// same merged snapshot — the invariant the equivalence tests enforce.
+// runClean executes the stage graph on snap: the §4.1 crawl (given a
+// transport), §4.2 vendors → products and §4.4 CWE correction run as
+// three branches of one parallel.Group, and §4.3 severity runs once
+// they have joined. With ru == nil every stage computes from scratch
+// (a full Clean); with a reuse state the stages replay per-entry
+// artifacts for unchanged entries and only process the delta. Both
+// paths produce bit-identical Results for the same merged snapshot —
+// the invariant the equivalence tests enforce.
 func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState) (*Result, error) {
 	if snap == nil || snap.Len() == 0 {
 		return nil, fmt.Errorf("nvdclean: empty snapshot")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Original:            snap,
@@ -125,216 +112,213 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	}
 	res.inc = st
 
-	eng := pipeline.New(opts.Concurrency)
-	store := pipeline.NewStore()
-	store.Put(artOriginal, snap)
-	store.Put(artCleaned, res.Cleaned)
-
 	// §4.1: disclosure dates via reference crawling. Reads only the
 	// untouched original snapshot.
-	if opts.Transport != nil {
-		eng.Add(pipeline.Stage{
-			Name:     "crawl",
-			Needs:    []string{artOriginal},
-			Provides: []string{artCrawl},
-			Run: func(ctx context.Context, w int, s *pipeline.Store) error {
-				c, err := crawler.New(crawler.Config{
-					Transport:   opts.Transport,
-					TopK:        opts.TopKDomains,
-					Concurrency: w,
-				})
-				if err != nil {
-					return fmt.Errorf("nvdclean: building crawler: %w", err)
-				}
-				st.crawl = make(map[string]crawlArtifact, snap.Len())
-				toCrawl := snap.Entries
-				if ru != nil && ru.prev.crawl != nil {
-					toCrawl = nil
-					for _, e := range snap.Entries {
-						if !ru.changed[e.ID] {
-							if a, ok := ru.prev.crawl[e.ID]; ok {
-								st.crawl[e.ID] = a
-								continue
-							}
-						}
-						toCrawl = append(toCrawl, e)
+	crawl := func(w int) error {
+		c, err := crawler.New(crawler.Config{
+			Transport:   opts.Transport,
+			TopK:        opts.TopKDomains,
+			Concurrency: w,
+		})
+		if err != nil {
+			return fmt.Errorf("nvdclean: building crawler: %w", err)
+		}
+		st.crawl = make(map[string]store.CrawlArtifact, snap.Len())
+		toCrawl := snap.Entries
+		if ru != nil && ru.prev.crawl != nil {
+			toCrawl = nil
+			for _, e := range snap.Entries {
+				if !ru.changed[e.ID] {
+					if a, ok := ru.prev.crawl[e.ID]; ok {
+						st.crawl[e.ID] = a
+						continue
 					}
 				}
-				results, perStats, err := c.EstimateEntries(ctx, toCrawl)
-				if err != nil {
-					return fmt.Errorf("nvdclean: crawling references: %w", err)
-				}
-				for i, r := range results {
-					st.crawl[r.ID] = crawlArtifact{est: r.Estimated, lag: r.LagDays, st: perStats[i]}
-				}
-				// Assemble in snapshot order so the stats fold matches
-				// a from-scratch crawl of the whole snapshot.
-				perEntry := make([]crawler.Stats, len(snap.Entries))
-				for i, e := range snap.Entries {
-					a := st.crawl[e.ID]
-					res.EstimatedDisclosure[e.ID] = a.est
-					res.LagDays[e.ID] = a.lag
-					perEntry[i] = a.st
-				}
-				res.CrawlStats = crawler.FoldStats(w, perEntry)
-				s.Put(artCrawl, res.CrawlStats)
-				return nil
-			},
-		})
+				toCrawl = append(toCrawl, e)
+			}
+		}
+		results, perStats, err := c.EstimateEntries(ctx, toCrawl)
+		if err != nil {
+			return fmt.Errorf("nvdclean: crawling references: %w", err)
+		}
+		for i, r := range results {
+			st.crawl[r.ID] = store.CrawlArtifact{Estimated: r.Estimated, LagDays: r.LagDays, Stats: perStats[i]}
+		}
+		foldCrawl(res, snap, st.crawl, w)
+		return nil
 	}
 
 	// §4.2, vendors first: consolidation rewrites only the clone, as
 	// the paper does before surveying products.
-	eng.Add(pipeline.Stage{
-		Name:     "vendors",
-		Needs:    []string{artCleaned},
-		Provides: []string{artVendors},
-		Run: func(ctx context.Context, w int, s *pipeline.Store) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			va := naming.AnalyzeVendorsCached(res.Cleaned, w, st.lcs)
-			// Bound the memo by the live name set: a long-running
-			// daemon otherwise accumulates scores for every name that
-			// ever passed through the feed.
-			st.lcs.Prune(func(name string) bool {
-				_, ok := va.CVECount[name]
-				return ok
-			})
-			res.VendorMap = va.Consolidate(naming.HeuristicJudge{})
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, e := range res.Cleaned.Entries {
-				for _, n := range e.CPEs {
-					if res.VendorMap.Mapped(n.Vendor) {
-						res.VendorChanged[e.ID] = true
-					}
+	vendors := func(w int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		va := naming.AnalyzeVendorsCached(res.Cleaned, w, st.lcs)
+		// Bound the memo by the live name set: a long-running
+		// daemon otherwise accumulates scores for every name that
+		// ever passed through the feed.
+		st.lcs.Prune(func(name string) bool {
+			_, ok := va.CVECount[name]
+			return ok
+		})
+		res.VendorMap = va.Consolidate(naming.HeuristicJudge{})
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, e := range res.Cleaned.Entries {
+			for _, n := range e.CPEs {
+				if res.VendorMap.Mapped(n.Vendor) {
+					res.VendorChanged[e.ID] = true
 				}
 			}
-			res.VendorMap.Apply(res.Cleaned)
-			s.Put(artVendors, res.VendorMap)
-			return nil
-		},
-	})
+		}
+		res.VendorMap.Apply(res.Cleaned)
+		return nil
+	}
 
 	// §4.2, products under the consolidated vendors.
-	eng.Add(pipeline.Stage{
-		Name:     "products",
-		Needs:    []string{artVendors},
-		Provides: []string{artProducts},
-		Run: func(ctx context.Context, w int, s *pipeline.Store) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			pa := naming.AnalyzeProductsCached(res.Cleaned, w, st.prods)
-			live := make(map[string]bool)
-			for k := range pa.CVECount {
-				live[k[0]] = true
-			}
-			st.prods.Prune(func(vendor string) bool { return live[vendor] })
-			res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			for _, e := range res.Cleaned.Entries {
-				for _, n := range e.CPEs {
-					if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
-						res.ProductChanged[e.ID] = true
-					}
+	products := func(w int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		pa := naming.AnalyzeProductsCached(res.Cleaned, w, st.prods)
+		live := make(map[string]bool)
+		for k := range pa.CVECount {
+			live[k[0]] = true
+		}
+		st.prods.Prune(func(vendor string) bool { return live[vendor] })
+		res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, e := range res.Cleaned.Entries {
+			for _, n := range e.CPEs {
+				if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
+					res.ProductChanged[e.ID] = true
 				}
 			}
-			res.ProductMap.Apply(res.Cleaned)
-			s.Put(artProducts, res.ProductMap)
-			return nil
-		},
-	})
+		}
+		res.ProductMap.Apply(res.Cleaned)
+		return nil
+	}
 
 	// §4.4: CWE field correction. Touches only the CWE field, so it
 	// overlaps the naming stages on the same clone.
-	eng.Add(pipeline.Stage{
-		Name:     "cwe",
-		Needs:    []string{artCleaned},
-		Provides: []string{artCWE},
-		Run: func(ctx context.Context, w int, s *pipeline.Store) error {
-			reg := cwe.NewRegistry()
-			cor := &predict.CWECorrection{}
-			for i, e := range res.Cleaned.Entries {
-				if i%1024 == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				var ec predict.EntryCorrection
-				if cached, ok := cachedCorrection(ru, e.ID); ok {
-					ec = cached
-				} else {
-					ec = predict.CorrectEntryCWEs(e, reg)
-				}
-				st.cweFix[e.ID] = ec
-				if ec.Changed {
-					e.CWEs = append([]cwe.ID(nil), ec.CWEs...)
-				}
-				cor.Record(ec)
-			}
-			res.CWECorrection = cor
-			s.Put(artCWE, cor)
-			return nil
-		},
-	})
-
-	// §4.3: CVSS v3 severity backporting, which needs the corrected
-	// clone (consolidated names and fixed CWE types).
-	if !opts.SkipSeverity {
-		eng.Add(pipeline.Stage{
-			Name:     "severity",
-			Needs:    []string{artProducts, artCWE},
-			Provides: []string{artSeverity},
-			Run: func(ctx context.Context, w int, s *pipeline.Store) error {
+	fixCWE := func() error {
+		reg := cwe.NewRegistry()
+		cor := &predict.CWECorrection{}
+		for i, e := range res.Cleaned.Entries {
+			if i%1024 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				st.fp = predict.DatasetFingerprint(res.Cleaned, opts.Seed)
-				st.sig = trainSigOf(opts)
-				if ru != nil && ru.prev.trained && ru.prevEngine != nil &&
-					ru.prev.fp == st.fp && ru.prev.sig == st.sig {
-					// Warm start: identical dataset and training
-					// config reproduce the engine bit for bit, so the
-					// previous one carries over and only entries the
-					// delta touched are re-scored.
-					res.Engine = ru.prevEngine
-					if err := backportDelta(res, ru, w); err != nil {
-						return err
-					}
-				} else {
-					ds, err := predict.BuildDataset(res.Cleaned, opts.Seed)
-					if err != nil {
-						return fmt.Errorf("nvdclean: building severity dataset: %w", err)
-					}
-					mc := opts.ModelConfig
-					if mc.Workers == 0 {
-						mc.Workers = w
-					}
-					res.Engine, err = predict.Train(ds, opts.Models, mc)
-					if err != nil {
-						return fmt.Errorf("nvdclean: training severity models: %w", err)
-					}
-					res.Backport, err = res.Engine.BackportAllN(res.Cleaned, w)
-					if err != nil {
-						return fmt.Errorf("nvdclean: backporting v3 scores: %w", err)
-					}
-				}
-				st.trained = true
-				s.Put(artSeverity, res.Engine)
-				return nil
-			},
-		})
+			}
+			var ec predict.EntryCorrection
+			if cached, ok := cachedCorrection(ru, e.ID); ok {
+				ec = cached
+			} else {
+				ec = predict.CorrectEntryCWEs(e, reg)
+			}
+			st.cweFix[e.ID] = ec
+			if ec.Changed {
+				e.CWEs = append([]cwe.ID(nil), ec.CWEs...)
+			}
+			cor.Record(ec)
+		}
+		res.CWECorrection = cor
+		return nil
 	}
 
-	if err := eng.Run(ctx, store); err != nil {
+	// §4.3: CVSS v3 severity backporting, which needs the corrected
+	// clone (consolidated names and fixed CWE types).
+	severity := func(w int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		st.fp = predict.DatasetFingerprint(res.Cleaned, opts.Seed)
+		st.sig = trainSigOf(opts)
+		if ru != nil && ru.prev.trained && ru.prevEngine != nil &&
+			ru.prev.fp == st.fp && ru.prev.sig == st.sig {
+			// Warm start: identical dataset and training
+			// config reproduce the engine bit for bit, so the
+			// previous one carries over and only entries the
+			// delta touched are re-scored.
+			res.Engine = ru.prevEngine
+			if err := backportDelta(res, ru, w); err != nil {
+				return err
+			}
+		} else {
+			ds, err := predict.BuildDataset(res.Cleaned, opts.Seed)
+			if err != nil {
+				return fmt.Errorf("nvdclean: building severity dataset: %w", err)
+			}
+			mc := opts.ModelConfig
+			if mc.Workers == 0 {
+				mc.Workers = w
+			}
+			res.Engine, err = predict.Train(ds, opts.Models, mc)
+			if err != nil {
+				return fmt.Errorf("nvdclean: training severity models: %w", err)
+			}
+			res.Backport, err = res.Engine.BackportAllN(res.Cleaned, w)
+			if err != nil {
+				return fmt.Errorf("nvdclean: backporting v3 scores: %w", err)
+			}
+		}
+		st.trained = true
+		return nil
+	}
+
+	// Each branch starts on an equal share of the worker budget among
+	// the branches still running, its own included (products takes its
+	// share when vendors returns), and severity runs alone on all of
+	// it. Stages are worker-invariant, so the split changes wall-clock
+	// time, never bits. Go order is stage order, so Wait returns the
+	// first error in crawl, vendors, products, cwe order.
+	budget := parallel.Workers(opts.Concurrency)
+	share := func(branches int32) int { return max(1, budget/int(branches)) }
+	var running atomic.Int32
+	running.Store(2)
+	if opts.Transport != nil {
+		running.Store(3)
+	}
+	w := share(running.Load())
+	var g parallel.Group
+	if opts.Transport != nil {
+		g.Go(func() error { defer running.Add(-1); return crawl(w) })
+	}
+	g.Go(func() error {
+		defer running.Add(-1)
+		if err := vendors(w); err != nil {
+			return err
+		}
+		return products(share(running.Load()))
+	})
+	g.Go(func() error { defer running.Add(-1); return fixCWE() })
+	if err := g.Wait(); err != nil {
 		return nil, err
 	}
+	if !opts.SkipSeverity {
+		if err := severity(budget); err != nil {
+			return nil, err
+		}
+	}
 	return res, nil
+}
+
+// foldCrawl replays per-entry §4.1 artifacts into res in snapshot
+// order, so the stats fold matches a from-scratch crawl of the whole
+// snapshot.
+func foldCrawl(res *Result, snap *Snapshot, arts map[string]store.CrawlArtifact, workers int) {
+	perEntry := make([]crawler.Stats, len(snap.Entries))
+	for i, e := range snap.Entries {
+		a := arts[e.ID]
+		res.EstimatedDisclosure[e.ID] = a.Estimated
+		res.LagDays[e.ID] = a.LagDays
+		perEntry[i] = a.Stats
+	}
+	res.CrawlStats = crawler.FoldStats(workers, perEntry)
 }
 
 // cachedCorrection looks up a reusable §4.4 outcome for an unchanged
@@ -443,14 +427,9 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 		Models:      r.inc.sig.models,
 		ModelConfig: r.inc.sig.cfg,
 		Seed:        r.inc.sig.seed,
+		Crawled:     r.inc.crawl != nil,
+		Crawl:       r.inc.crawl,
 		CWEFix:      r.inc.cweFix,
-	}
-	if r.inc.crawl != nil {
-		st.Crawled = true
-		st.Crawl = make(map[string]store.CrawlArtifact, len(r.inc.crawl))
-		for id, a := range r.inc.crawl {
-			st.Crawl[id] = store.CrawlArtifact{Estimated: a.est, LagDays: a.lag, Stats: a.st}
-		}
 	}
 	if r.Backport != nil {
 		st.HasBackport = true
@@ -509,18 +488,13 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 	res.inc = st
 
 	if cp.State.Crawled {
-		st.crawl = make(map[string]crawlArtifact, len(cp.State.Crawl))
-		for id, a := range cp.State.Crawl {
-			st.crawl[id] = crawlArtifact{est: a.Estimated, lag: a.LagDays, st: a.Stats}
+		// A nil map would tell the next CleanDelta the run never
+		// crawled.
+		st.crawl = cp.State.Crawl
+		if st.crawl == nil {
+			st.crawl = make(map[string]store.CrawlArtifact)
 		}
-		perEntry := make([]crawler.Stats, len(cp.Original.Entries))
-		for i, e := range cp.Original.Entries {
-			a := st.crawl[e.ID]
-			res.EstimatedDisclosure[e.ID] = a.est
-			res.LagDays[e.ID] = a.lag
-			perEntry[i] = a.st
-		}
-		res.CrawlStats = crawler.FoldStats(opts.Concurrency, perEntry)
+		foldCrawl(res, cp.Original, st.crawl, opts.Concurrency)
 	}
 	if cp.State.HasBackport {
 		scores := cp.State.Backport
