@@ -1,6 +1,7 @@
 // Incremental-cleaning benchmarks: full Clean of a merged snapshot vs
 // CleanDelta of the 5% feed delta that produced it, per the
-// PERFORMANCE.md recipe (recorded in BENCH_2.json).
+// PERFORMANCE.md recipe (recorded in BENCH_2.json), plus the
+// allocation bound on a one-entry CleanDelta.
 package nvdclean_test
 
 import (
@@ -89,5 +90,60 @@ func BenchmarkCleanDelta(b *testing.B) {
 		if _, err := nvdclean.CleanDelta(context.Background(), f.prev, f.delta, f.opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCleanDeltaAllocGuard is the ingest-allocation regression bound:
+// a one-entry edit through CleanDelta must allocate within a recorded
+// budget of heap objects per snapshot entry. What a one-entry delta
+// still pays per entry is the snapshot-wide work it cannot yet skip:
+// vendor blocking, the per-entry replays, the result maps. Raising this
+// bound is an ingest regression — justify it in the commit that does.
+func TestCleanDeltaAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
+	}
+	const maxAllocsPerEntry = 10.0 // measured 6.9 at 3K entries; 15.2 with the deep copy
+	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nvdclean.Options{
+		Concurrency: 4,
+		Models:      []predict.ModelKind{predict.ModelLR},
+		ModelConfig: predict.ModelConfig{Seed: 1},
+		Seed:        1,
+	}
+	prev, err := nvdclean.Clean(context.Background(), snap, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target *nvdclean.Entry
+	for _, e := range snap.Entries {
+		if e.V2 != nil && e.V3 == nil {
+			target = e
+			break
+		}
+	}
+	if target == nil {
+		t.Fatal("no v2-only entry to edit")
+	}
+	mod := target.Clone()
+	mod.Descriptions[0].Value += " Exploited in the wild."
+	delta := &nvdclean.Delta{CapturedAt: snap.CapturedAt, Modified: []*nvdclean.Entry{mod}}
+
+	var runErr error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := nvdclean.CleanDelta(context.Background(), prev, delta, opts); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	perEntry := allocs / float64(snap.Len())
+	t.Logf("CleanDelta of one entry: %.0f allocations over %d entries = %.2f per entry", allocs, snap.Len(), perEntry)
+	if perEntry > maxAllocsPerEntry {
+		t.Fatalf("CleanDelta of one entry costs %.2f allocations per entry, budget %.1f", perEntry, maxAllocsPerEntry)
 	}
 }

@@ -343,6 +343,50 @@ func TestServerFeedUpdate(t *testing.T) {
 	}
 }
 
+// TestFeedRejectsDuplicateIDs posts bodies that name one new CVE ID
+// twice, in both modes: each must be answered 400 naming the ID and
+// leave the serving generation as it was, rather than serve two
+// entries under one ID.
+func TestFeedRejectsDuplicateIDs(t *testing.T) {
+	srv, snap := demoServer(t)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	before := srv.cur.Load()
+
+	dup := snap.Entries[0].Clone()
+	dup.ID = "CVE-2018-9999"
+	for _, tc := range []struct {
+		mode    string
+		entries []*nvdclean.Entry
+	}{
+		{"upsert", []*nvdclean.Entry{dup, dup}},
+		{"replace", append(append([]*nvdclean.Entry(nil), snap.Entries...), dup, dup)},
+	} {
+		var body bytes.Buffer
+		if err := nvdclean.WriteFeed(&body, &nvdclean.Snapshot{CapturedAt: snap.CapturedAt, Entries: tc.entries}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/feed?mode="+tc.mode, "application/json", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: POST /feed with a repeated ID = %d, want 400: %v", tc.mode, resp.StatusCode, msg)
+		}
+		if e, _ := msg["error"].(string); !strings.Contains(e, dup.ID) {
+			t.Errorf("%s: 400 does not name the repeated ID: %v", tc.mode, msg)
+		}
+		if cur := srv.cur.Load(); cur != before || cur.res.Cleaned.Len() != snap.Len() {
+			t.Fatalf("%s: rejected feed changed the serving generation", tc.mode)
+		}
+	}
+}
+
 // TestQueryPaginationBeyondTotal pins the offset >= total edge: the
 // window is empty, the metadata intact, and the status 200 — paging
 // one past the last page is not an error.

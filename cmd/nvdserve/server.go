@@ -1006,6 +1006,10 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing feed: %v", err)
 		return
 	}
+	if id, ok := duplicateID(snap); ok {
+		writeError(w, http.StatusBadRequest, "feed names %s more than once", id)
+		return
+	}
 	s.feedMu.Lock()
 	defer s.feedMu.Unlock()
 	st := s.state(w)
@@ -1060,6 +1064,20 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	summary["engineWarmStart"] = out.st.warmStart
 	summary["generation"] = out.st.generation
 	writeJSON(w, http.StatusOK, summary)
+}
+
+// duplicateID returns the first CVE ID that names two entries of snap.
+// Either mode's delta would carry both, and the swap would then serve
+// two entries under one ID.
+func duplicateID(snap *nvdclean.Snapshot) (string, bool) {
+	seen := make(map[string]bool, snap.Len())
+	for _, e := range snap.Entries {
+		if seen[e.ID] {
+			return e.ID, true
+		}
+		seen[e.ID] = true
+	}
+	return "", false
 }
 
 // upsertDelta builds the delta for a partial feed: posted entries are

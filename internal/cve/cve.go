@@ -179,9 +179,8 @@ func (e *Entry) Typed() bool {
 	return false
 }
 
-// Clone returns a deep copy of the entry. The cleaning pipeline works on
-// clones so the original snapshot stays available for before/after
-// comparisons.
+// Clone returns a deep copy of the entry, which the caller may then
+// edit freely (a feed update built from a served entry, for instance).
 func (e *Entry) Clone() *Entry {
 	c := *e
 	c.Descriptions = append([]Description(nil), e.Descriptions...)
@@ -252,11 +251,21 @@ func (s *Snapshot) Clone() *Snapshot {
 // VendorCVECount returns, for every vendor name, the number of CVEs
 // listing it. A CVE with several products of one vendor counts once.
 func (s *Snapshot) VendorCVECount() map[string]int {
-	counts := make(map[string]int)
-	for _, e := range s.Entries {
-		for _, v := range e.Vendors() {
-			counts[v]++
+	// last is one past the index of the entry a vendor was last
+	// counted for, so a vendor repeated within one entry counts once
+	// without a per-entry set.
+	type tally struct{ count, last int }
+	tallies := make(map[string]tally)
+	for i, e := range s.Entries {
+		for _, n := range e.CPEs {
+			if t := tallies[n.Vendor]; t.last != i+1 {
+				tallies[n.Vendor] = tally{t.count + 1, i + 1}
+			}
 		}
+	}
+	counts := make(map[string]int, len(tallies))
+	for v, t := range tallies {
+		counts[v] = t.count
 	}
 	return counts
 }

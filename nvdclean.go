@@ -114,7 +114,9 @@ type Result struct {
 	// Original is the snapshot as given (untouched).
 	Original *Snapshot
 	// Cleaned is the rectified snapshot: consolidated names, corrected
-	// CWE fields.
+	// CWE fields. Its entries are distinct from Original's but share
+	// every slice and vector the pipeline did not rewrite with them, so
+	// both snapshots are read-only: edit a Clone of an entry instead.
 	Cleaned *Snapshot
 
 	// EstimatedDisclosure maps CVE ID to the §4.1 estimated disclosure
@@ -148,16 +150,19 @@ type Result struct {
 }
 
 // Clean runs the full pipeline on snap, returning the rectified
-// snapshot and all intermediate artifacts. snap itself is not modified.
+// snapshot and all intermediate artifacts. snap itself is not modified:
+// Result.Cleaned copies each entry struct but shares the descriptions,
+// references, CVSS vectors and every other slice or vector no stage
+// rewrites with snap, so the caller must treat both as read-only.
 //
 // Internally Clean runs a fixed stage graph: the §4.1 reference crawl
 // reads only the original snapshot while the §4.2 naming consolidation
-// and §4.4 CWE correction rewrite disjoint fields of the clone, so all
-// three run in parallel and join before the §4.3 severity step (which
-// needs the corrected clone). opts.Concurrency is split across the
-// branches in flight, and every stage observes ctx. The returned
-// Result also carries the state CleanDelta needs to reprocess a feed
-// delta incrementally.
+// and §4.4 CWE correction replace disjoint fields of the cleaned
+// entries, so all three run in parallel and join before the §4.3
+// severity step (which needs the corrected entries). opts.Concurrency
+// is split across the branches in flight, and every stage observes
+// ctx. The returned Result also carries the state CleanDelta needs to
+// reprocess a feed delta incrementally.
 func Clean(ctx context.Context, snap *Snapshot, opts Options) (*Result, error) {
 	return runClean(ctx, snap, opts, nil)
 }

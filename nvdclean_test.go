@@ -31,20 +31,54 @@ func TestCleanEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Clean(context.Background(), snap, fastOpts(true, snap, truth))
+	opts := fastOpts(true, snap, truth)
+	input := snap.Clone()
+	res, err := Clean(context.Background(), snap, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The original is untouched.
+	// The original is untouched, by the pipeline and by the checkpoint
+	// that materializes backported scores into the cleaned entries.
 	if res.Original != snap {
 		t.Error("Original should be the input snapshot")
 	}
-	for _, e := range snap.Entries {
-		for _, n := range e.CPEs {
-			_ = n // compile check; deep equality asserted below on one field
+	requireEntriesEqual(t, "input after Clean", snap.Entries, input.Entries)
+	requireDistinctEntries(t, res)
+	res.StoreCheckpoint()
+	requireEntriesEqual(t, "input after StoreCheckpoint", snap.Entries, input.Entries)
+
+	// So are a delta's inputs: the previous Result, whose cleaned
+	// entries share data with the next run's, and the delta's entries.
+	// The delta removes one entry, adds one and rewrites three others
+	// whose names consolidate.
+	delta := &Delta{CapturedAt: snap.CapturedAt, Removed: []string{snap.Entries[0].ID}}
+	for _, e := range snap.Entries[1:] {
+		if len(delta.Modified) < 3 && (res.VendorChanged[e.ID] || res.ProductChanged[e.ID]) {
+			m := e.Clone()
+			m.Descriptions[0].Value += " Exploited in the wild."
+			delta.Modified = append(delta.Modified, m)
 		}
 	}
+	if len(delta.Modified) == 0 {
+		t.Fatal("no consolidated entry to modify")
+	}
+	added := snap.Entries[0].Clone()
+	added.ID = "CVE-2018-99999"
+	delta.Added = []*Entry{added}
+	delta.Sort()
+	prevOriginal, prevCleaned := res.Original.Clone(), res.Cleaned.Clone()
+	deltaEntries := append(append([]*Entry(nil), delta.Added...), delta.Modified...)
+	deltaCopy := (&Snapshot{Entries: deltaEntries}).Clone()
+	next, err := CleanDelta(context.Background(), res, delta, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDistinctEntries(t, next)
+	next.StoreCheckpoint()
+	requireEntriesEqual(t, "previous original after CleanDelta", res.Original.Entries, prevOriginal.Entries)
+	requireEntriesEqual(t, "previous cleaned after CleanDelta", res.Cleaned.Entries, prevCleaned.Entries)
+	requireEntriesEqual(t, "delta entries after CleanDelta", deltaEntries, deltaCopy.Entries)
 
 	// §4.1: estimated dates cover the snapshot and never precede truth.
 	if len(res.EstimatedDisclosure) != snap.Len() {
@@ -107,6 +141,36 @@ func TestCleanEndToEnd(t *testing.T) {
 	}
 	if res.CrawlStats.Fetched == 0 {
 		t.Error("crawl stats empty")
+	}
+}
+
+// requireEntriesEqual fails unless got holds, entry by entry, the same
+// data as want.
+func requireEntriesEqual(t *testing.T, what string, got, want []*Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: entry %s was modified", what, want[i].ID)
+		}
+	}
+}
+
+// requireDistinctEntries fails if a cleaned entry is also an original
+// entry: the pipeline and ApplyBackport replace fields of the cleaned
+// entries in place, so sharing one would rewrite the original.
+func requireDistinctEntries(t *testing.T, res *Result) {
+	t.Helper()
+	orig := make(map[*Entry]bool, res.Original.Len())
+	for _, e := range res.Original.Entries {
+		orig[e] = true
+	}
+	for _, e := range res.Cleaned.Entries {
+		if orig[e] {
+			t.Fatalf("cleaned entry %s is the original entry", e.ID)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -92,7 +93,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	}
 	res := &Result{
 		Original:            snap,
-		Cleaned:             snap.Clone(),
+		Cleaned:             shareEntries(snap),
 		EstimatedDisclosure: make(map[string]time.Time),
 		LagDays:             make(map[string]int),
 		VendorChanged:       make(map[string]bool),
@@ -148,8 +149,10 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		return nil
 	}
 
-	// §4.2, vendors first: consolidation rewrites only the clone, as
-	// the paper does before surveying products.
+	// §4.2, vendors first: consolidation rewrites only the cleaned
+	// view, as the paper does before surveying products. An entry the
+	// map rewrites gets a private CPE list first, so Apply never writes
+	// through a list the original shares.
 	vendors := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -170,6 +173,8 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			for _, n := range e.CPEs {
 				if res.VendorMap.Mapped(n.Vendor) {
 					res.VendorChanged[e.ID] = true
+					e.CPEs = slices.Clone(e.CPEs)
+					break
 				}
 			}
 		}
@@ -177,7 +182,9 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		return nil
 	}
 
-	// §4.2, products under the consolidated vendors.
+	// §4.2, products under the consolidated vendors. An entry the
+	// vendor stage left sharing its CPE list gets a private one before
+	// its products are rewritten.
 	products := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -196,6 +203,10 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			for _, n := range e.CPEs {
 				if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
 					res.ProductChanged[e.ID] = true
+					if !res.VendorChanged[e.ID] {
+						e.CPEs = slices.Clone(e.CPEs)
+					}
+					break
 				}
 			}
 		}
@@ -203,8 +214,8 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		return nil
 	}
 
-	// §4.4: CWE field correction. Touches only the CWE field, so it
-	// overlaps the naming stages on the same clone.
+	// §4.4: CWE field correction. Replaces only the CWE field with a
+	// fresh slice, so it overlaps the naming stages on the same entries.
 	fixCWE := func() error {
 		reg := cwe.NewRegistry()
 		cor := &predict.CWECorrection{}
@@ -231,7 +242,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	}
 
 	// §4.3: CVSS v3 severity backporting, which needs the corrected
-	// clone (consolidated names and fixed CWE types).
+	// entries (consolidated names and fixed CWE types).
 	severity := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -305,6 +316,23 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		}
 	}
 	return res, nil
+}
+
+// shareEntries returns the snapshot the stages clean: a copy of every
+// entry struct, sharing each slice and vector with snap. A stage
+// replaces a field it rewrites — the naming stages a CPE list, the CWE
+// fix a CWE list, ApplyBackport a PV3 pointer — and never writes
+// through a shared one, so snap (and every generation that shares its
+// entries) stays untouched. The copies live in one block, a single
+// allocation, since they live and die with their generation anyway.
+func shareEntries(snap *Snapshot) *Snapshot {
+	block := make([]Entry, len(snap.Entries))
+	out := &Snapshot{CapturedAt: snap.CapturedAt, Entries: make([]*Entry, len(snap.Entries))}
+	for i, e := range snap.Entries {
+		block[i] = *e
+		out.Entries[i] = &block[i]
+	}
+	return out
 }
 
 // foldCrawl replays per-entry §4.1 artifacts into res in snapshot
