@@ -1,7 +1,8 @@
 // Incremental-cleaning benchmarks: full Clean of a merged snapshot vs
 // CleanDelta of the 5% feed delta that produced it, per the
 // PERFORMANCE.md recipe (recorded in BENCH_2.json), plus the
-// allocation bound on a one-entry CleanDelta.
+// allocation bound on a one-entry CleanDelta and the size bound on a
+// committed checkpoint.
 package nvdclean_test
 
 import (
@@ -10,6 +11,7 @@ import (
 
 	"nvdclean"
 	"nvdclean/internal/predict"
+	"nvdclean/internal/store"
 )
 
 // deltaBench holds the shared 95/5 fixture: a previous Clean result,
@@ -145,5 +147,51 @@ func TestCleanDeltaAllocGuard(t *testing.T) {
 	t.Logf("CleanDelta of one entry: %.0f allocations over %d entries = %.2f per entry", allocs, snap.Len(), perEntry)
 	if perEntry > maxAllocsPerEntry {
 		t.Fatalf("CleanDelta of one entry costs %.2f allocations per entry, budget %.1f", perEntry, maxAllocsPerEntry)
+	}
+}
+
+// TestCheckpointSizeGuard is the checkpoint-size regression bound: the
+// committed checkpoint (no index) of a 3K-entry Clean must stay within
+// a recorded budget of bytes per snapshot entry. A checkpoint stores
+// the original feed, the consolidation maps and the reuse state, never
+// the cleaned feed they determine; storing that too would double it.
+// The bytes are deterministic, so the guard runs in -short mode as
+// well. Raising this bound is a format regression — justify it in the
+// commit that does.
+func TestCheckpointSizeGuard(t *testing.T) {
+	const maxBytesPerEntry = 1500.0 // measured 1,353; 2,672 with the cleaned feed stored
+	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := nvdclean.Clean(context.Background(), snap, nvdclean.Options{
+		Concurrency: 4,
+		Models:      []predict.ModelKind{predict.ModelLR},
+		ModelConfig: predict.ModelConfig{Seed: 1},
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, _, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Commit(res.StoreCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	rm, err := st.ReplicationManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, f := range rm.Files {
+		total += f.Size
+	}
+	perEntry := float64(total) / float64(snap.Len())
+	t.Logf("checkpoint: %d bytes in %d files over %d entries = %.0f bytes/entry", total, len(rm.Files), snap.Len(), perEntry)
+	if perEntry > maxBytesPerEntry {
+		t.Fatalf("checkpoint costs %.0f bytes/entry, budget %.0f", perEntry, maxBytesPerEntry)
 	}
 }

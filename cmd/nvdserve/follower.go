@@ -31,8 +31,10 @@ import (
 type follower struct {
 	srv    *server
 	client *replica.Client
-	// poll is the steady-state poll interval when caught up; maxLag is
-	// the /readyz gate (0 disables gating).
+	// poll is the wait after an active-segment read and the retry delay
+	// after a failure; at the primary's committed end the primary's
+	// Retry-After wins when it is longer. maxLag is the /readyz gate (0
+	// disables gating).
 	poll   time.Duration
 	maxLag time.Duration
 

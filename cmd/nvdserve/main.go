@@ -103,7 +103,7 @@ func main() {
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate listener (empty: disabled; profiling never shares the serving port)")
 	flag.DurationVar(&cfg.drainWait, "drain-wait", 500*time.Millisecond, "how long /readyz reports 503 before the listener closes on shutdown, so load balancers drain first (0: immediate)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read replica of the primary nvdserve at this base URL (requires -data-dir; POST /feed turns 403)")
-	flag.DurationVar(&cfg.followPoll, "follow-poll", 500*time.Millisecond, "replication poll interval when caught up with the primary")
+	flag.DurationVar(&cfg.followPoll, "follow-poll", 500*time.Millisecond, "replica wait after reading the primary's active segment, and retry delay after a failed bootstrap or fetch (at the primary's committed end the replica waits the longer of this and the primary's Retry-After of 1s)")
 	flag.DurationVar(&cfg.maxReplicaLag, "max-replica-lag", 15*time.Second, "replica /readyz reports 503 when replication lag exceeds this (0: never gate readiness on lag)")
 	flag.Parse()
 

@@ -37,7 +37,6 @@ func protoPrimary(t *testing.T) *server {
 	snap := &cve.Snapshot{CapturedAt: time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC), Entries: []*cve.Entry{e}}
 	cp := &store.Checkpoint{
 		Original: snap,
-		Cleaned:  snap.Clone(),
 		Vendors:  naming.NewMap(nil),
 		Products: naming.NewProductMap(nil),
 		State:    &store.State{},
@@ -167,7 +166,6 @@ func TestReplicateEndpoints(t *testing.T) {
 	}
 	cp2 := &store.Checkpoint{
 		Original: &cve.Snapshot{CapturedAt: time.Now().UTC()},
-		Cleaned:  &cve.Snapshot{CapturedAt: time.Now().UTC()},
 		Vendors:  naming.NewMap(nil),
 		Products: naming.NewProductMap(nil),
 		State:    &store.State{},

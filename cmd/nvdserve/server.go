@@ -179,9 +179,8 @@ type notDurable struct{ error }
 // append replays the delta, one before it loses only an unacknowledged
 // update); build the serving state; commit inline on a cold boot (a
 // failed boot commit must not leave an unrecorded generation serving);
-// compact, building the checkpoint while no reader can hold the
-// generation it materializes backported scores into; derive the
-// validator from the settled store position; swap; observe.
+// compact; derive the validator from the settled store position; swap;
+// observe.
 func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
 	start := time.Now()
 	prev := s.cur.Load()
@@ -215,9 +214,8 @@ func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
 	}
 	if prev != nil && res == prev.res {
 		// Nothing to clean (a follower's deltas cancel out, or a bare
-		// mirrored seal): the serving generation stays, and its
-		// checkpoint writes nothing a reader could race — newState
-		// already materialized its backported scores.
+		// mirrored seal): the serving generation stays and only
+		// compacts.
 		seq, err := s.compact(t, prev)
 		return outcome{st: prev, sealedSeq: seq, compactErr: err}, nil
 	}
@@ -287,12 +285,12 @@ func mergeDeltas(base *nvdclean.Snapshot, deltas []*nvdclean.Delta) *nvdclean.De
 }
 
 // newState builds the serving state for res: backported scores are
-// materialized into the cleaned snapshot (so severity indexes and the
-// persisted cleaned feed are entry-local), and the query indexes are
-// restored from a checkpoint, built in full, or, given the previous
-// generation, advanced incrementally from the cleaned-view delta — the
-// Diff of the two cleaned snapshots, which also captures consolidation
-// flips on entries the feed delta never named. Untouched index shards
+// materialized into the cleaned snapshot (so severity indexes are
+// entry-local), and the query indexes are restored from a checkpoint,
+// built in full, or, given the previous generation, advanced
+// incrementally from the cleaned-view delta — the Diff of the two
+// cleaned snapshots, which also captures consolidation flips on
+// entries the feed delta never named. Untouched index shards
 // are shared between generations, and so are the previous generation's
 // pre-encoded /cve responses: an entry neither delta names serves the
 // exact bytes it served last generation, copied forward by reference.

@@ -9,6 +9,7 @@ import (
 	"nvdclean"
 	"nvdclean/internal/gen"
 	"nvdclean/internal/predict"
+	"nvdclean/internal/store"
 )
 
 // deltaFixture splits a generated snapshot into an "old" capture plus
@@ -172,6 +173,79 @@ func TestCleanDeltaEquivalenceInvariant(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestRestoreResultEquivalence is the warm-restart oracle at the
+// library surface. A Result restored from a committed checkpoint must
+// equal the cold Clean the checkpoint was taken from, restoring must
+// leave the checkpoint's original snapshot untouched, and a CleanDelta
+// from either side must give equal Results. It covers runs with and
+// without a transport, and with and without the severity stage.
+func TestRestoreResultEquivalence(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		transport bool
+		severity  bool
+	}{
+		{"crawled with severity", true, true},
+		{"crawled without severity", true, false},
+		{"no transport with severity", false, true},
+		{"no transport without severity", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fix := newDeltaFixture(t, 4, false)
+			opts := fix.opts
+			if !tc.transport {
+				opts.Transport = nil
+			}
+			opts.SkipSeverity = !tc.severity
+			cold, err := nvdclean.Clean(ctx, fix.old, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			st, _, _, _, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Commit(cold.StoreCheckpoint()); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			st, cp, _, _, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if cp == nil {
+				t.Fatal("reopened store holds no checkpoint")
+			}
+			original := cp.Original.Clone()
+
+			warm, err := nvdclean.RestoreResult(cp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nvdclean.ApplyBackport(cold.Cleaned, cold.Backport)
+			assertResultsEqual(t, tc.name+" restored", warm, cold)
+			for i, e := range original.Entries {
+				if !e.Equal(cp.Original.Entries[i]) {
+					t.Fatalf("restore modified original entry %s", e.ID)
+				}
+			}
+
+			fromWarm, err := nvdclean.CleanDelta(ctx, warm, fix.delta, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromCold, err := nvdclean.CleanDelta(ctx, cold, fix.delta, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEqual(t, tc.name+" delta after restore", fromWarm, fromCold)
 		})
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
@@ -89,9 +90,10 @@ func materializeDir(t *testing.T, img dirImage) string {
 
 // viewOf recovers a (copy of a) store directory and fingerprints the
 // logical state it serves: the committed checkpoint's generation,
-// watermark and snapshots plus every replayed delta, in order. Two
-// directories with the same fingerprint recover to the same serving
-// view. Recovery itself must never fail on a crash image — an error
+// watermark, original snapshot, consolidation maps and state document
+// (from which the restore derives the cleaned view) plus every
+// replayed delta, in order. Two directories with the same fingerprint
+// recover to the same serving view. Recovery itself must never fail on a crash image — an error
 // becomes a fingerprint no legitimate view matches, failing the
 // assertion with the error text.
 func viewOf(t *testing.T, dir string) string {
@@ -109,7 +111,13 @@ func viewOf(t *testing.T, dir string) string {
 	if err := cve.WriteFeedCompact(h, cp.Original); err != nil {
 		return "unrecoverable: " + err.Error()
 	}
-	if err := cve.WriteFeedCompact(h, cp.Cleaned); err != nil {
+	if err := cp.Vendors.WriteJSON(h); err != nil {
+		return "unrecoverable: " + err.Error()
+	}
+	if err := cp.Products.WriteJSON(h); err != nil {
+		return "unrecoverable: " + err.Error()
+	}
+	if err := json.NewEncoder(h).Encode(cp.State); err != nil {
 		return "unrecoverable: " + err.Error()
 	}
 	for _, d := range deltas {
@@ -281,7 +289,8 @@ func TestCrashPointsCommitSealedWithIndex(t *testing.T) {
 			return err
 		}
 		cp := testCheckpoint()
-		cp.Index = BuildIndex(cp.Cleaned, 0)
+		_, cleaned := testSnapshots()
+		cp.Index = BuildIndex(cleaned, 0)
 		return s.CommitSealed(cp, seq)
 	})
 	if n == 0 {

@@ -603,8 +603,8 @@ func (ix *Index) shardWire(s int) ([]byte, error) {
 // indexFromSegments assembles a lazy Index from per-shard segment
 // payloads. Shards stay raw until first touched; only each segment's
 // header is read here, to pin every shard to the given snapshot length.
-func indexFromSegments(raws [numShards][]byte, cleaned *cve.Snapshot) (*Index, error) {
-	ix := &Index{ids: idsOf(cleaned)}
+func indexFromSegments(raws [numShards][]byte, snap *cve.Snapshot) (*Index, error) {
+	ix := &Index{ids: idsOf(snap)}
 	for s, raw := range raws {
 		entries, err := peekShardEntries(raw)
 		if err != nil {

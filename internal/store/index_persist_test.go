@@ -14,7 +14,8 @@ import (
 func commitWithIndex(t *testing.T, s *Store) *Index {
 	t.Helper()
 	cp := testCheckpoint()
-	cp.Index = BuildIndex(cp.Cleaned, 4)
+	_, cleaned := testSnapshots()
+	cp.Index = BuildIndex(cleaned, 4)
 	if err := s.Commit(cp); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -45,8 +46,8 @@ func TestCheckpointIndexRoundTrip(t *testing.T) {
 	if st.DiskBytes == 0 {
 		t.Fatal("lazy index reports zero on-disk bytes")
 	}
-	if st.Entries != len(cp.Cleaned.Entries) {
-		t.Fatalf("index entries %d != cleaned %d", st.Entries, len(cp.Cleaned.Entries))
+	if st.Entries != len(cp.Original.Entries) {
+		t.Fatalf("index entries %d != snapshot %d", st.Entries, len(cp.Original.Entries))
 	}
 	for s2 := range cp.Index.shards {
 		if !reflect.DeepEqual(decodedShard(t, cp.Index.shards[s2]), decodedShard(t, want.shards[s2])) {
@@ -199,8 +200,8 @@ func TestDamagedIndexSegmentsDowngrade(t *testing.T) {
 			}
 			// Everything else recovered: snapshots, generation, the
 			// appended delta — and the store still takes writes.
-			if len(cp.Cleaned.Entries) != len(testCheckpoint().Cleaned.Entries) {
-				t.Fatal("cleaned snapshot diverged under index damage")
+			if len(cp.Original.Entries) != len(testCheckpoint().Original.Entries) {
+				t.Fatal("snapshot diverged under index damage")
 			}
 			if len(deltas) != 1 {
 				t.Fatalf("replayed %d deltas, want 1", len(deltas))

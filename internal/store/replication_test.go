@@ -188,9 +188,9 @@ func TestInstallCheckpointRoundTrip(t *testing.T) {
 	if sink.Generation() != 1 || sink.Watermark() != rm.CheckpointSeq {
 		t.Fatalf("sink gen=%d watermark=%d, want 1/%d", sink.Generation(), sink.Watermark(), rm.CheckpointSeq)
 	}
-	for i, e := range want.Cleaned.Entries {
-		if !e.Equal(cp.Cleaned.Entries[i]) {
-			t.Errorf("shipped cleaned entry %d mismatch", i)
+	for i, e := range want.Original.Entries {
+		if !e.Equal(cp.Original.Entries[i]) {
+			t.Errorf("shipped original entry %d mismatch", i)
 		}
 	}
 	if cp.Vendors.Canonical("redhat_inc") != "redhat" {
@@ -248,7 +248,7 @@ func TestInstallCheckpointRejectsCorrupt(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if mf.Name == cleanedFile {
+		if mf.Name == originalFile {
 			b[len(b)/2] ^= 0x01
 		}
 		return io.NopCloser(bytes.NewReader(b)), nil

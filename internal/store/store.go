@@ -8,15 +8,16 @@
 //	gen-NNNNNN/      one full checkpoint (see below)
 //	log-NNNNNN       one delta-log segment of CRC-framed records
 //
-// A checkpoint directory contains the original and cleaned snapshots in
-// NVD JSON 1.1 feed form (the cleaned feed carries the backportedV3
-// extension key), the consolidation maps, the trained severity engine,
-// and state.json — the incremental-reuse state (dataset fingerprint,
+// A checkpoint directory contains the original snapshot in NVD JSON 1.1
+// feed form, the consolidation maps, the trained severity engine, and
+// state.json — the incremental-reuse state (dataset fingerprint,
 // per-entry crawl and CWE artifacts, backported scores) that lets a
 // restart rebuild a delta-cleanable Result without re-running the
-// pipeline. MANIFEST.json closes the checkpoint with per-file CRC-32C
-// sums — and the walSeq watermark naming the highest log segment the
-// checkpoint already folds in — and is written last.
+// pipeline. The cleaned view is not stored: the original, the two maps
+// and state.json determine it, and the restore derives it from them.
+// MANIFEST.json closes the checkpoint with per-file CRC-32C sums — and
+// the walSeq watermark naming the highest log segment the checkpoint
+// already folds in — and is written last.
 //
 // The delta log is segmented (wal.go): appends go to the active
 // segment, Seal closes it and opens a successor, and CommitSealed
@@ -70,7 +71,6 @@ const (
 	currentFile  = "CURRENT"
 	manifestFile = "MANIFEST.json"
 	originalFile = "original.json"
-	cleanedFile  = "cleaned.json"
 	vendorsFile  = "vendors.json"
 	productsFile = "products.json"
 	engineFile   = "engine.json"
@@ -88,8 +88,8 @@ type CrawlArtifact struct {
 
 // State is the serializable incremental-reuse state of one cleaned
 // generation — everything CleanDelta needs from a previous Result that
-// is not already in the two snapshots, the consolidation maps, or the
-// engine document.
+// is not already in the original snapshot, the consolidation maps, or
+// the engine document.
 type State struct {
 	// Fingerprint is the §4.3 dataset fingerprint of the cleaned
 	// snapshot; Trained marks a generation whose severity stage ran.
@@ -112,17 +112,17 @@ type State struct {
 	Backport    map[string]float64 `json:"backport,omitempty"`
 }
 
-// Checkpoint is one full generation as persisted: both snapshots, the
-// consolidation maps, the trained engine (nil when the severity stage
-// did not run) and the reuse state. Generation and Seq are filled by
-// the store on load; callers building a checkpoint leave them zero.
+// Checkpoint is one full generation as persisted: the original
+// snapshot, the consolidation maps, the trained engine (nil when the
+// severity stage did not run) and the reuse state, from which the
+// cleaned view is derived. Generation and Seq are filled by the store
+// on load; callers building a checkpoint leave them zero.
 type Checkpoint struct {
 	Generation uint64
 	// Seq is the walSeq watermark: the highest delta-log segment this
 	// checkpoint folds in. Recovery replays only segments above it.
 	Seq      uint64
 	Original *cve.Snapshot
-	Cleaned  *cve.Snapshot
 	Vendors  *naming.Map
 	Products *naming.ProductMap
 	Engine   *predict.Engine
@@ -525,17 +525,16 @@ func (s *Store) CommitSealed(cp *Checkpoint, seq uint64) error {
 var errSuperseded = errors.New("store: checkpoint superseded")
 
 func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
-	if cp == nil || cp.Original == nil || cp.Cleaned == nil || cp.State == nil ||
+	if cp == nil || cp.Original == nil || cp.State == nil ||
 		cp.Vendors == nil || cp.Products == nil {
 		return fmt.Errorf("store: incomplete checkpoint")
 	}
-	if cp.Index != nil && cp.Index.Entries() != len(cp.Cleaned.Entries) {
-		return fmt.Errorf("store: index covers %d entries, cleaned snapshot has %d",
-			cp.Index.Entries(), len(cp.Cleaned.Entries))
+	if cp.Index != nil && cp.Index.Entries() != len(cp.Original.Entries) {
+		return fmt.Errorf("store: index covers %d entries, snapshot has %d",
+			cp.Index.Entries(), len(cp.Original.Entries))
 	}
 	files := []stagedFile{
 		{originalFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Original) }},
-		{cleanedFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Cleaned) }},
 		{vendorsFile, cp.Vendors.WriteJSON},
 		{productsFile, cp.Products.WriteJSON},
 		{stateFile, func(w io.Writer) error { return json.NewEncoder(w).Encode(cp.State) }},
@@ -810,11 +809,12 @@ func writeCurrent(fs fsio.FS, dir, name string) error {
 
 // loadCheckpoint reads and fully verifies one checkpoint directory:
 // the manifest must parse, every listed file must match its recorded
-// size and CRC-32C sum, and every document must decode. Index segment
+// size and CRC-32C sum (an older build's cleaned.json is only checked,
+// never decoded), and every document must decode. Index segment
 // files are the one exception to strictness: a torn or corrupt
 // index-NN.seg is dropped (with a note) rather than failing the
 // checkpoint, because the index is derivable — the caller rebuilds it
-// from the cleaned snapshot — while the snapshots and maps are not.
+// from the cleaned view — while the snapshot, maps and state are not.
 func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 	mb, err := fs.ReadFile(filepath.Join(path, manifestFile))
 	if err != nil {
@@ -851,7 +851,7 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 		return data, nil
 	}
 
-	// The two snapshots, the reuse state and the engine are the large
+	// The snapshot, the reuse state and the engine are the large
 	// documents; decode them concurrently. The consolidation maps are
 	// small enough to decode inline.
 	cp := &Checkpoint{Generation: m.Generation, Seq: m.Seq}
@@ -870,10 +870,6 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 	}
 	decode(originalFile, func(data []byte) (err error) {
 		cp.Original, err = cve.ReadFeed(bytes.NewReader(data))
-		return err
-	})
-	decode(cleanedFile, func(data []byte) (err error) {
-		cp.Cleaned, err = cve.ReadFeed(bytes.NewReader(data))
 		return err
 	})
 	decode(stateFile, func(data []byte) error {
@@ -898,7 +894,7 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 	if err := g.Wait(); err != nil {
 		return nil, err
 	}
-	cp.Index, cp.IndexNote = loadIndexSegments(files, cp.Cleaned)
+	cp.Index, cp.IndexNote = loadIndexSegments(files, cp.Original)
 	if len(segDamage) > 0 {
 		sort.Strings(segDamage)
 		cp.Index = nil
@@ -921,7 +917,7 @@ func isIndexSegName(name string) bool {
 // index returns a silent nil, and a partial or mismatched segment
 // set returns nil with a note — either way the caller rebuilds in
 // memory.
-func loadIndexSegments(files map[string][]byte, cleaned *cve.Snapshot) (*Index, string) {
+func loadIndexSegments(files map[string][]byte, snap *cve.Snapshot) (*Index, string) {
 	var raws [numShards][]byte
 	found := 0
 	for s := range raws {
@@ -936,7 +932,7 @@ func loadIndexSegments(files map[string][]byte, cleaned *cve.Snapshot) (*Index, 
 	if found < numShards {
 		return nil, fmt.Sprintf("index segments incomplete (%d/%d); index will be rebuilt", found, numShards)
 	}
-	ix, err := indexFromSegments(raws, cleaned)
+	ix, err := indexFromSegments(raws, snap)
 	if err != nil {
 		return nil, fmt.Sprintf("index segments unusable (%v); index will be rebuilt", err)
 	}

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -75,10 +78,9 @@ func testSnapshots() (*cve.Snapshot, *cve.Snapshot) {
 }
 
 func testCheckpoint() *Checkpoint {
-	orig, cleaned := testSnapshots()
+	orig, _ := testSnapshots()
 	return &Checkpoint{
 		Original: orig,
-		Cleaned:  cleaned,
 		Vendors:  naming.NewMap(map[string]string{"redhat_inc": "redhat"}),
 		Products: naming.NewProductMap(map[[2]string]string{{"acme", "anvil2"}: "anvil"}),
 		State: &State{
@@ -157,14 +159,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Errorf("original entry %d mismatch", i)
 		}
 	}
-	for i, e := range want.Cleaned.Entries {
-		if !e.Equal(got.Cleaned.Entries[i]) {
-			t.Errorf("cleaned entry %d mismatch", i)
-		}
-	}
-	if got.Cleaned.Entries[0].PV3 == nil || *got.Cleaned.Entries[0].PV3 != 8.5 {
-		t.Error("backportedV3 key did not survive the cleaned feed round trip")
-	}
 	if got.Vendors.Canonical("redhat_inc") != "redhat" || got.Vendors.Len() != 1 {
 		t.Errorf("vendor map mismatch")
 	}
@@ -190,6 +184,63 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if len(deltas) != 1 || len(deltas[0].Added) != 1 || deltas[0].Added[0].ID != "CVE-2018-0101" ||
 		len(deltas[0].Removed) != 1 {
 		t.Fatalf("delta log mismatch: %+v", deltas)
+	}
+}
+
+// TestCheckpointListingCleanedFeedOpens opens the layout older builds
+// wrote, whose manifest also lists a cleaned.json. The loader checks
+// that file's sum like any listed file's and never decodes it, so the
+// checkpoint loads without a migration, and the next commit no longer
+// lists it.
+func TestCheckpointListingCleanedFeedOpens(t *testing.T) {
+	dir := t.TempDir()
+	s, _, _, _ := mustOpen(t, dir)
+	if err := s.Commit(testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	readManifest := func(gen string) (string, manifest) {
+		t.Helper()
+		path := filepath.Join(dir, gen, manifestFile)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m manifest
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		return path, m
+	}
+	_, cleaned := testSnapshots()
+	var feed bytes.Buffer
+	if err := cve.WriteFeedCompact(&feed, cleaned); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "gen-000001", "cleaned.json"), feed.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path, m := readManifest("gen-000001")
+	m.Files["cleaned.json"] = fileSum{Size: int64(feed.Len()), CRC32C: crc32.Checksum(feed.Bytes(), walTable)}
+	b, err := json.MarshalIndent(&m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, cp, _, notes := mustOpen(t, dir)
+	if cp == nil || cp.Generation != 1 || len(notes) != 0 {
+		t.Fatalf("older layout: checkpoint %v, notes %v", cp != nil, notes)
+	}
+	if err := s2.Commit(testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	_, m = readManifest("gen-000002")
+	if _, ok := m.Files["cleaned.json"]; ok {
+		t.Fatal("the next commit's manifest still lists cleaned.json")
 	}
 }
 
@@ -501,7 +552,7 @@ func TestRecoveryCorruptCheckpoint(t *testing.T) {
 	}
 	s.Close()
 
-	path := filepath.Join(dir, "gen-000001", cleanedFile)
+	path := filepath.Join(dir, "gen-000001", originalFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

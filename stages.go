@@ -150,9 +150,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	}
 
 	// §4.2, vendors first: consolidation rewrites only the cleaned
-	// view, as the paper does before surveying products. An entry the
-	// map rewrites gets a private CPE list first, so Apply never writes
-	// through a list the original shares.
+	// view, as the paper does before surveying products.
 	vendors := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -169,22 +167,11 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, e := range res.Cleaned.Entries {
-			for _, n := range e.CPEs {
-				if res.VendorMap.Mapped(n.Vendor) {
-					res.VendorChanged[e.ID] = true
-					e.CPEs = slices.Clone(e.CPEs)
-					break
-				}
-			}
-		}
-		res.VendorMap.Apply(res.Cleaned)
+		applyVendorMap(res)
 		return nil
 	}
 
-	// §4.2, products under the consolidated vendors. An entry the
-	// vendor stage left sharing its CPE list gets a private one before
-	// its products are rewritten.
+	// §4.2, products under the consolidated vendors.
 	products := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -199,18 +186,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, e := range res.Cleaned.Entries {
-			for _, n := range e.CPEs {
-				if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
-					res.ProductChanged[e.ID] = true
-					if !res.VendorChanged[e.ID] {
-						e.CPEs = slices.Clone(e.CPEs)
-					}
-					break
-				}
-			}
-		}
-		res.ProductMap.Apply(res.Cleaned)
+		applyProductMap(res)
 		return nil
 	}
 
@@ -232,10 +208,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 				ec = predict.CorrectEntryCWEs(e, reg)
 			}
 			st.cweFix[e.ID] = ec
-			if ec.Changed {
-				e.CWEs = append([]cwe.ID(nil), ec.CWEs...)
-			}
-			cor.Record(ec)
+			applyCWEFix(e, ec, cor)
 		}
 		res.CWECorrection = cor
 		return nil
@@ -333,6 +306,54 @@ func shareEntries(snap *Snapshot) *Snapshot {
 		out.Entries[i] = &block[i]
 	}
 	return out
+}
+
+// applyVendorMap rewrites res.Cleaned under res.VendorMap and marks
+// each entry it rewrites in res.VendorChanged. A marked entry gets a
+// private CPE list first, so Apply never writes through a list the
+// original shares. The vendors stage and RestoreResult both call it.
+func applyVendorMap(res *Result) {
+	for _, e := range res.Cleaned.Entries {
+		for _, n := range e.CPEs {
+			if res.VendorMap.Mapped(n.Vendor) {
+				res.VendorChanged[e.ID] = true
+				e.CPEs = slices.Clone(e.CPEs)
+				break
+			}
+		}
+	}
+	res.VendorMap.Apply(res.Cleaned)
+}
+
+// applyProductMap rewrites res.Cleaned, whose vendors applyVendorMap
+// has consolidated, under res.ProductMap and marks each entry it
+// rewrites in res.ProductChanged. An entry the vendor map left sharing
+// its CPE list gets a private one first. The products stage and
+// RestoreResult both call it.
+func applyProductMap(res *Result) {
+	for _, e := range res.Cleaned.Entries {
+		for _, n := range e.CPEs {
+			if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
+				res.ProductChanged[e.ID] = true
+				if !res.VendorChanged[e.ID] {
+					e.CPEs = slices.Clone(e.CPEs)
+				}
+				break
+			}
+		}
+	}
+	res.ProductMap.Apply(res.Cleaned)
+}
+
+// applyCWEFix applies one entry's §4.4 outcome to its cleaned copy,
+// replacing the CWE list rather than writing through the one the
+// original shares, and records the outcome. The CWE stage and
+// RestoreResult both call it.
+func applyCWEFix(e *Entry, ec predict.EntryCorrection, cor *predict.CWECorrection) {
+	if ec.Changed {
+		e.CWEs = append([]cwe.ID(nil), ec.CWEs...)
+	}
+	cor.Record(ec)
 }
 
 // foldCrawl replays per-entry §4.1 artifacts into res in snapshot
@@ -440,15 +461,13 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 }
 
 // StoreCheckpoint snapshots everything a persistent generation store
-// needs to rebuild this Result without re-running the pipeline: both
-// snapshots, the consolidation maps, the trained engine, and the
-// incremental-reuse state (dataset fingerprint, training signature,
-// per-entry crawl and CWE artifacts, backported scores). Backported
-// scores are materialized into the cleaned snapshot's PV3 extension
-// field first (idempotently), so the persisted cleaned feed carries
-// them under the codec's backportedV3 key.
+// needs to rebuild this Result without re-running the pipeline: the
+// original snapshot, the consolidation maps, the trained engine, and
+// the incremental-reuse state (dataset fingerprint, training signature,
+// per-entry crawl and CWE artifacts, backported scores). The cleaned
+// view is not among them: RestoreResult derives it from these. Building
+// a checkpoint modifies nothing.
 func (r *Result) StoreCheckpoint() *store.Checkpoint {
-	ApplyBackport(r.Cleaned, r.Backport)
 	st := &store.State{
 		Fingerprint: r.inc.fp,
 		Trained:     r.inc.trained,
@@ -465,7 +484,6 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 	}
 	return &store.Checkpoint{
 		Original: r.Original,
-		Cleaned:  r.Cleaned,
 		Vendors:  r.VendorMap,
 		Products: r.ProductMap,
 		Engine:   r.Engine,
@@ -474,26 +492,27 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 }
 
 // RestoreResult reassembles a servable, delta-cleanable Result from a
-// persisted checkpoint without running any pipeline stage: snapshots
-// and maps load as stored, per-entry artifacts replay into the
-// disclosure/lag/CWE aggregates in snapshot order (so folds match a
-// from-scratch run bit for bit), and the reuse state rearms CleanDelta
-// — including the engine warm-start check, provided opts carries the
-// same model selection, training config and seed the checkpoint was
-// produced with. The pure-function naming memos are rebuilt lazily by
-// the next delta clean; starting them empty changes cost, never bits.
+// persisted checkpoint without running any pipeline stage. The cleaned
+// view is derived from the original with the stages' own rewrite code:
+// the persisted consolidation maps apply through the naming stages'
+// functions, the persisted §4.4 outcomes replay as the CWE stage
+// applies them, and the persisted backported scores are materialized,
+// so the view matches a cold Clean's entry for entry and shares its
+// memory layout. Per-entry artifacts replay into the disclosure, lag
+// and CWE aggregates in snapshot order (so folds match a from-scratch
+// run bit for bit), and the reuse state rearms CleanDelta — including
+// the engine warm-start check, provided opts carries the same model
+// selection, training config and seed the checkpoint was produced
+// with. The pure-function naming memos are rebuilt lazily by the next
+// delta clean; starting them empty changes cost, never bits.
 func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
-	if cp == nil || cp.Original == nil || cp.Cleaned == nil || cp.State == nil ||
+	if cp == nil || cp.Original == nil || cp.State == nil ||
 		cp.Vendors == nil || cp.Products == nil {
 		return nil, errors.New("nvdclean: incomplete checkpoint")
 	}
-	if cp.Original.Len() != cp.Cleaned.Len() {
-		return nil, fmt.Errorf("nvdclean: checkpoint snapshots disagree (%d original vs %d cleaned entries)",
-			cp.Original.Len(), cp.Cleaned.Len())
-	}
 	res := &Result{
 		Original:            cp.Original,
-		Cleaned:             cp.Cleaned,
+		Cleaned:             shareEntries(cp.Original),
 		EstimatedDisclosure: make(map[string]time.Time),
 		LagDays:             make(map[string]int),
 		VendorMap:           cp.Vendors,
@@ -532,27 +551,14 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 		res.Backport = &predict.Backport{Scores: scores}
 	}
 
-	// The changed-entry flags are pure functions of the original names
-	// and the maps: a vendor flag records any remapped vendor name, a
-	// product flag a remapped product under its consolidated vendor —
-	// exactly what the naming stages computed before applying the maps.
-	for _, e := range cp.Original.Entries {
-		for _, n := range e.CPEs {
-			if res.VendorMap.Mapped(n.Vendor) {
-				res.VendorChanged[e.ID] = true
-			}
-			cv := res.VendorMap.Canonical(n.Vendor)
-			if res.ProductMap.Canonical(cv, n.Product) != n.Product {
-				res.ProductChanged[e.ID] = true
-			}
-		}
-	}
-
+	applyVendorMap(res)
+	applyProductMap(res)
 	cor := &predict.CWECorrection{}
-	for _, e := range cp.Original.Entries {
-		cor.Record(st.cweFix[e.ID])
+	for _, e := range res.Cleaned.Entries {
+		applyCWEFix(e, st.cweFix[e.ID], cor)
 	}
 	res.CWECorrection = cor
+	ApplyBackport(res.Cleaned, res.Backport)
 	return res, nil
 }
 
@@ -561,9 +567,7 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 // round trips, returning the number of entries annotated. Entries with
 // a real v3 vector are left alone, matching the paper's pv3 scoring
 // (real v3 when present, predicted otherwise). A score already
-// materialized is not rewritten, so applying again to a snapshot that
-// is being served (StoreCheckpoint of a serving generation) writes
-// nothing a concurrent reader could race.
+// materialized is not rewritten, so applying again writes nothing.
 func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 	if snap == nil || b == nil {
 		return 0
