@@ -97,15 +97,19 @@ func BenchmarkCleanDelta(b *testing.B) {
 
 // TestCleanDeltaAllocGuard is the ingest-allocation regression bound:
 // a one-entry edit through CleanDelta must allocate within a recorded
-// budget of heap objects per snapshot entry. What a one-entry delta
-// still pays per entry is the snapshot-wide work it cannot yet skip:
-// vendor blocking, the per-entry replays, the result maps. Raising this
-// bound is an ingest regression — justify it in the commit that does.
+// budget of heap objects per snapshot entry. A description edit names
+// no new vendor or product, so the naming survey carries over and only
+// consolidation re-runs; what it still pays per entry is the
+// snapshot-wide work a delta cannot yet skip: the per-entry replays,
+// the result maps and the consolidation rewrite of the cleaned view.
+// An edit that names a new vendor and product falls back to blocking
+// every vendor name and re-surveys that vendor's products, so it has a
+// budget of its own. Raising either bound is an ingest regression —
+// justify it in the commit that does.
 func TestCleanDeltaAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
 	}
-	const maxAllocsPerEntry = 10.0 // measured 6.9 at 3K entries; 15.2 with the deep copy
 	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +126,7 @@ func TestCleanDeltaAllocGuard(t *testing.T) {
 	}
 	var target *nvdclean.Entry
 	for _, e := range snap.Entries {
-		if e.V2 != nil && e.V3 == nil {
+		if e.V2 != nil && e.V3 == nil && len(e.CPEs) > 0 {
 			target = e
 			break
 		}
@@ -130,23 +134,42 @@ func TestCleanDeltaAllocGuard(t *testing.T) {
 	if target == nil {
 		t.Fatal("no v2-only entry to edit")
 	}
-	mod := target.Clone()
-	mod.Descriptions[0].Value += " Exploited in the wild."
-	delta := &nvdclean.Delta{CapturedAt: snap.CapturedAt, Modified: []*nvdclean.Entry{mod}}
-
-	var runErr error
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := nvdclean.CleanDelta(context.Background(), prev, delta, opts); err != nil {
-			runErr = err
-		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	perEntry := allocs / float64(snap.Len())
-	t.Logf("CleanDelta of one entry: %.0f allocations over %d entries = %.2f per entry", allocs, snap.Len(), perEntry)
-	if perEntry > maxAllocsPerEntry {
-		t.Fatalf("CleanDelta of one entry costs %.2f allocations per entry, budget %.1f", perEntry, maxAllocsPerEntry)
+	for _, tc := range []struct {
+		name              string
+		maxAllocsPerEntry float64
+		edit              func(*nvdclean.Entry)
+	}{
+		// Measured 0.20 at 3K entries; 6.9 when every delta re-ran the
+		// naming survey, 15.2 with the deep copy.
+		{"description edit", 1.0, func(e *nvdclean.Entry) {
+			e.Descriptions[0].Value += " Exploited in the wild."
+		}},
+		// Measured 4.8 at 3K entries: vendor blocking re-runs over
+		// every name.
+		{"new vendor and product", 10.0, func(e *nvdclean.Entry) {
+			e.CPEs[0].Vendor = "allocguard_vendor"
+			e.CPEs[0].Product = "allocguard_product"
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mod := target.Clone()
+			tc.edit(mod)
+			delta := &nvdclean.Delta{CapturedAt: snap.CapturedAt, Modified: []*nvdclean.Entry{mod}}
+			var runErr error
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := nvdclean.CleanDelta(context.Background(), prev, delta, opts); err != nil {
+					runErr = err
+				}
+			})
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			perEntry := allocs / float64(snap.Len())
+			t.Logf("CleanDelta of one entry: %.0f allocations over %d entries = %.2f per entry", allocs, snap.Len(), perEntry)
+			if perEntry > tc.maxAllocsPerEntry {
+				t.Fatalf("CleanDelta of one entry costs %.2f allocations per entry, budget %.1f", perEntry, tc.maxAllocsPerEntry)
+			}
+		})
 	}
 }
 

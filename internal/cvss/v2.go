@@ -156,20 +156,24 @@ func (v VectorV2) Severity() Severity {
 // String formats the vector in the NVD's v2 notation, e.g.
 // "AV:N/AC:L/Au:N/C:P/I:P/A:P".
 func (v VectorV2) String() string {
-	var b strings.Builder
-	b.WriteString("AV:")
-	b.WriteString(avV2Letter(v.AccessVector))
-	b.WriteString("/AC:")
-	b.WriteString(acV2Letter(v.AccessComplexity))
-	b.WriteString("/Au:")
-	b.WriteString(auV2Letter(v.Authentication))
-	b.WriteString("/C:")
-	b.WriteString(impactV2Letter(v.Confidentiality))
-	b.WriteString("/I:")
-	b.WriteString(impactV2Letter(v.Integrity))
-	b.WriteString("/A:")
-	b.WriteString(impactV2Letter(v.Availability))
-	return b.String()
+	return string(v.Append(make([]byte, 0, 26)))
+}
+
+// Append appends the vector's v2 notation, as String formats it, to b
+// and returns the extended buffer.
+func (v VectorV2) Append(b []byte) []byte {
+	b = append(b, "AV:"...)
+	b = append(b, avV2Letter(v.AccessVector)...)
+	b = append(b, "/AC:"...)
+	b = append(b, acV2Letter(v.AccessComplexity)...)
+	b = append(b, "/Au:"...)
+	b = append(b, auV2Letter(v.Authentication)...)
+	b = append(b, "/C:"...)
+	b = append(b, impactV2Letter(v.Confidentiality)...)
+	b = append(b, "/I:"...)
+	b = append(b, impactV2Letter(v.Integrity)...)
+	b = append(b, "/A:"...)
+	return append(b, impactV2Letter(v.Availability)...)
 }
 
 func avV2Letter(v AccessVectorV2) string {

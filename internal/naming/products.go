@@ -1,8 +1,9 @@
 package naming
 
 import (
+	"maps"
+	"slices"
 	"sort"
-	"sync"
 	"unicode"
 
 	"nvdclean/internal/cve"
@@ -47,72 +48,6 @@ type ProductAnalysis struct {
 	CVECount map[[2]string]int
 }
 
-// ProductCache carries per-vendor pair blocks across incremental
-// analysis runs. A vendor's pair block is a pure function of its
-// product catalog (the set of product names), so when a feed delta
-// leaves a vendor's catalog untouched the previous block is reused
-// verbatim; only vendors whose catalogs changed are re-surveyed.
-// Staleness is impossible by construction: every reuse re-validates
-// the stored catalog against the current one. Safe for concurrent use.
-type ProductCache struct {
-	mu      sync.Mutex
-	vendors map[string]productCacheEntry
-}
-
-type productCacheEntry struct {
-	catalog map[string]struct{}
-	pairs   []ProductPair
-}
-
-// NewProductCache returns an empty cache.
-func NewProductCache() *ProductCache {
-	return &ProductCache{vendors: make(map[string]productCacheEntry)}
-}
-
-// lookup returns the cached pair block for vendor when its recorded
-// catalog equals the given product set.
-func (c *ProductCache) lookup(vendor string, set map[string]struct{}) ([]ProductPair, bool) {
-	c.mu.Lock()
-	ent, ok := c.vendors[vendor]
-	c.mu.Unlock()
-	if !ok || len(ent.catalog) != len(set) {
-		return nil, false
-	}
-	for p := range set {
-		if _, ok := ent.catalog[p]; !ok {
-			return nil, false
-		}
-	}
-	return ent.pairs, true
-}
-
-// store records vendor's pair block for the given catalog.
-func (c *ProductCache) store(vendor string, set map[string]struct{}, pairs []ProductPair) {
-	c.mu.Lock()
-	c.vendors[vendor] = productCacheEntry{catalog: set, pairs: pairs}
-	c.mu.Unlock()
-}
-
-// Len returns the number of cached vendors.
-func (c *ProductCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.vendors)
-}
-
-// Prune drops cached blocks for vendors keep rejects, bounding a
-// long-lived incremental pipeline's memory by the current feed rather
-// than by every vendor ever seen.
-func (c *ProductCache) Prune(keep func(vendor string) bool) {
-	c.mu.Lock()
-	for v := range c.vendors {
-		if !keep(v) {
-			delete(c.vendors, v)
-		}
-	}
-	c.mu.Unlock()
-}
-
 // AnalyzeProducts surveys product names per vendor using the §4.2
 // heuristics: identical tokenization (internet-explorer vs
 // internet_explorer), first-character abbreviation (ie), and edit
@@ -123,187 +58,178 @@ func AnalyzeProducts(snap *cve.Snapshot) *ProductAnalysis {
 }
 
 // AnalyzeProductsN is AnalyzeProducts with an explicit worker bound
-// (zero means GOMAXPROCS).
+// (zero means GOMAXPROCS). It tallies the snapshot's names, then
+// analyzes the tallies.
 func AnalyzeProductsN(snap *cve.Snapshot, workers int) *ProductAnalysis {
-	return AnalyzeProductsCached(snap, workers, nil)
+	return analyzeProducts(tally(snap.Entries, namedPair), workers, nil, nil)
 }
 
-// AnalyzeProductsCached is AnalyzeProductsN with an optional per-vendor
-// cache shared across runs (nil re-surveys everything). Vendors are
-// mutually independent — every heuristic blocks within one vendor's
-// catalog — so each worker surveys whole vendors, writing its sorted
-// pair block into the vendor's slot; concatenating the blocks in
-// sorted-vendor order yields the same (Vendor, A, B)-sorted pair list
-// at any concurrency, with or without a cache.
-func AnalyzeProductsCached(snap *cve.Snapshot, workers int, cache *ProductCache) *ProductAnalysis {
-	pa := &ProductAnalysis{CVECount: make(map[[2]string]int)}
-	perVendor := make(map[string]map[string]struct{})
-	for _, e := range snap.Entries {
-		seen := make(map[[2]string]bool, len(e.CPEs))
-		for _, n := range e.CPEs {
-			k := [2]string{n.Vendor, n.Product}
-			set := perVendor[n.Vendor]
+// analyzeProducts surveys the (vendor, product) names counts counts
+// CVEs for. Vendors are mutually independent — every heuristic blocks
+// within one vendor's catalog — so each worker surveys whole vendors,
+// writing its sorted pair block into the vendor's slot, and the blocks
+// concatenate in sorted-vendor order into the (Vendor, A, B)-sorted
+// pair list at any concurrency. With changed non-nil only the vendors
+// it marks are surveyed, and every other vendor keeps its block from
+// prev, the pairs of an earlier analysis: a block is a pure function
+// of the vendor's catalog.
+func analyzeProducts(counts map[[2]string]int, workers int, prev []ProductPair, changed map[string]bool) *ProductAnalysis {
+	catalogs := make(map[string][]string)
+	for k := range counts {
+		if changed == nil || changed[k[0]] {
+			catalogs[k[0]] = append(catalogs[k[0]], k[1])
+		}
+	}
+	vendors := slices.Sorted(maps.Keys(catalogs))
+	blocks := make([][]ProductPair, len(vendors))
+	parallel.For(workers, len(vendors), func(vi int) {
+		products := catalogs[vendors[vi]]
+		slices.Sort(products)
+		blocks[vi] = surveyCatalog(vendors[vi], products)
+	})
+	return &ProductAnalysis{Pairs: splice(prev, changed, vendors, blocks), CVECount: counts}
+}
+
+// splice returns the pairs of prev whose vendor changed does not mark,
+// with blocks, the new blocks of the sorted vendors, merged in by
+// vendor order.
+func splice(prev []ProductPair, changed map[string]bool, vendors []string, blocks [][]ProductPair) []ProductPair {
+	n := len(prev)
+	for _, b := range blocks {
+		n += len(b)
+	}
+	out := make([]ProductPair, 0, n)
+	i := 0
+	for _, pp := range prev {
+		if changed[pp.Vendor] {
+			continue
+		}
+		for ; i < len(vendors) && vendors[i] < pp.Vendor; i++ {
+			out = append(out, blocks[i]...)
+		}
+		out = append(out, pp)
+	}
+	for ; i < len(vendors); i++ {
+		out = append(out, blocks[i]...)
+	}
+	return out
+}
+
+// surveyCatalog returns the candidate pairs among one vendor's
+// products, given sorted, sorted by (A, B).
+func surveyCatalog(vendor string, products []string) []ProductPair {
+	type key [2]string
+	cand := make(map[key]map[Pattern]struct{})
+	add := func(a, b string, p Pattern) {
+		if a == b {
+			return
+		}
+		if a > b {
+			a, b = b, a
+		}
+		k := key{a, b}
+		s := cand[k]
+		if s == nil {
+			s = make(map[Pattern]struct{}, 2)
+			cand[k] = s
+		}
+		s[p] = struct{}{}
+	}
+
+	// Heuristic 1: identical tokenization.
+	byTokens := make(map[string][]string)
+	for _, p := range products {
+		t := textnorm.CanonicalTokens(p)
+		if t == "" {
+			continue
+		}
+		byTokens[t] = append(byTokens[t], p)
+	}
+	for _, group := range byTokens {
+		for i := 0; i < len(group); i++ {
+			for j := i + 1; j < len(group); j++ {
+				add(group[i], group[j], PatternTokens)
+			}
+		}
+	}
+
+	// Heuristic 2: abbreviation of a multi-component name equals a
+	// single-component name.
+	nameSet := make(map[string]bool, len(products))
+	for _, p := range products {
+		nameSet[p] = true
+	}
+	// Expansions are counted by canonical tokenization, so separator
+	// variants of one product ("internet_explorer",
+	// "internet-explorer") count as a single expansion of "ie".
+	abbrevSets := make(map[string]map[string]struct{})
+	for _, p := range products {
+		if ab := textnorm.Abbreviation(p); len(ab) >= 2 {
+			set := abbrevSets[ab]
 			if set == nil {
 				set = make(map[string]struct{})
-				perVendor[n.Vendor] = set
+				abbrevSets[ab] = set
 			}
-			set[n.Product] = struct{}{}
-			if !seen[k] {
-				seen[k] = true
-				pa.CVECount[k]++
+			set[textnorm.CanonicalTokens(p)] = struct{}{}
+		}
+	}
+	abbrevCount := make(map[string]int, len(abbrevSets))
+	for ab, set := range abbrevSets {
+		abbrevCount[ab] = len(set)
+	}
+	for _, p := range products {
+		if ab := textnorm.Abbreviation(p); len(ab) >= 2 && nameSet[ab] {
+			add(p, ab, PatternAbbrev)
+		}
+	}
+
+	// Heuristic 3: edit distance 1 via deletion signatures.
+	sig := make(map[string][]string)
+	for _, p := range products {
+		sig[p] = append(sig[p], p)
+		for i := 0; i < len(p); i++ {
+			s := p[:i] + p[i+1:]
+			sig[s] = append(sig[s], p)
+		}
+	}
+	for _, group := range sig {
+		if len(group) < 2 {
+			continue
+		}
+		for i := 0; i < len(group); i++ {
+			for j := i + 1; j < len(group); j++ {
+				a, b := group[i], group[j]
+				if a != b && textnorm.WithinEditDistance(a, b, 1) {
+					add(a, b, PatternEdit)
+				}
 			}
 		}
 	}
 
-	vendors := make([]string, 0, len(perVendor))
-	for v := range perVendor {
-		vendors = append(vendors, v)
+	pairs := make([]ProductPair, 0, len(cand))
+	for k, patterns := range cand {
+		pp := ProductPair{Vendor: vendor, A: k[0], B: k[1]}
+		for p := range patterns {
+			pp.Patterns = append(pp.Patterns, p)
+		}
+		sort.Slice(pp.Patterns, func(i, j int) bool { return pp.Patterns[i] < pp.Patterns[j] })
+		if pp.HasPattern(PatternAbbrev) {
+			// The single-component side is the abbreviation.
+			ab := pp.A
+			if len(pp.B) < len(ab) {
+				ab = pp.B
+			}
+			pp.AbbrevExpansions = abbrevCount[ab]
+		}
+		pairs = append(pairs, pp)
 	}
-	sort.Strings(vendors)
-
-	perVendorPairs := make([][]ProductPair, len(vendors))
-	parallel.For(workers, len(vendors), func(vi int) {
-		vendor := vendors[vi]
-		set := perVendor[vendor]
-		if cache != nil {
-			if pairs, ok := cache.lookup(vendor, set); ok {
-				perVendorPairs[vi] = pairs
-				return
-			}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].A != pairs[j].A {
+			return pairs[i].A < pairs[j].A
 		}
-		products := make([]string, 0, len(set))
-		for p := range set {
-			products = append(products, p)
-		}
-		sort.Strings(products)
-
-		type key [2]string
-		cand := make(map[key]map[Pattern]struct{})
-		add := func(a, b string, p Pattern) {
-			if a == b {
-				return
-			}
-			if a > b {
-				a, b = b, a
-			}
-			k := key{a, b}
-			s := cand[k]
-			if s == nil {
-				s = make(map[Pattern]struct{}, 2)
-				cand[k] = s
-			}
-			s[p] = struct{}{}
-		}
-
-		// Heuristic 1: identical tokenization.
-		byTokens := make(map[string][]string)
-		for _, p := range products {
-			t := textnorm.CanonicalTokens(p)
-			if t == "" {
-				continue
-			}
-			byTokens[t] = append(byTokens[t], p)
-		}
-		for _, group := range byTokens {
-			for i := 0; i < len(group); i++ {
-				for j := i + 1; j < len(group); j++ {
-					add(group[i], group[j], PatternTokens)
-				}
-			}
-		}
-
-		// Heuristic 2: abbreviation of a multi-component name equals a
-		// single-component name.
-		nameSet := make(map[string]bool, len(products))
-		for _, p := range products {
-			nameSet[p] = true
-		}
-		// Expansions are counted by canonical tokenization, so separator
-		// variants of one product ("internet_explorer",
-		// "internet-explorer") count as a single expansion of "ie".
-		abbrevSets := make(map[string]map[string]struct{})
-		for _, p := range products {
-			if ab := textnorm.Abbreviation(p); len(ab) >= 2 {
-				set := abbrevSets[ab]
-				if set == nil {
-					set = make(map[string]struct{})
-					abbrevSets[ab] = set
-				}
-				set[textnorm.CanonicalTokens(p)] = struct{}{}
-			}
-		}
-		abbrevCount := make(map[string]int, len(abbrevSets))
-		for ab, set := range abbrevSets {
-			abbrevCount[ab] = len(set)
-		}
-		for _, p := range products {
-			if ab := textnorm.Abbreviation(p); len(ab) >= 2 && nameSet[ab] {
-				add(p, ab, PatternAbbrev)
-			}
-		}
-
-		// Heuristic 3: edit distance 1 via deletion signatures.
-		sig := make(map[string][]string)
-		for _, p := range products {
-			sig[p] = append(sig[p], p)
-			for i := 0; i < len(p); i++ {
-				s := p[:i] + p[i+1:]
-				sig[s] = append(sig[s], p)
-			}
-		}
-		for _, group := range sig {
-			if len(group) < 2 {
-				continue
-			}
-			for i := 0; i < len(group); i++ {
-				for j := i + 1; j < len(group); j++ {
-					a, b := group[i], group[j]
-					if a != b && textnorm.WithinEditDistance(a, b, 1) {
-						add(a, b, PatternEdit)
-					}
-				}
-			}
-		}
-
-		pairs := make([]ProductPair, 0, len(cand))
-		for k, patterns := range cand {
-			pp := ProductPair{Vendor: vendor, A: k[0], B: k[1]}
-			for p := range patterns {
-				pp.Patterns = append(pp.Patterns, p)
-			}
-			sort.Slice(pp.Patterns, func(i, j int) bool { return pp.Patterns[i] < pp.Patterns[j] })
-			if pp.HasPattern(PatternAbbrev) {
-				// The single-component side is the abbreviation.
-				ab := pp.A
-				if len(pp.B) < len(ab) {
-					ab = pp.B
-				}
-				pp.AbbrevExpansions = abbrevCount[ab]
-			}
-			pairs = append(pairs, pp)
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].A != pairs[j].A {
-				return pairs[i].A < pairs[j].A
-			}
-			return pairs[i].B < pairs[j].B
-		})
-		perVendorPairs[vi] = pairs
-		if cache != nil {
-			cache.store(vendor, set, pairs)
-		}
+		return pairs[i].B < pairs[j].B
 	})
-	// Vendor blocks concatenate in sorted-vendor order, so the full
-	// list arrives sorted by (Vendor, A, B) without a global sort.
-	total := 0
-	for _, pairs := range perVendorPairs {
-		total += len(pairs)
-	}
-	pa.Pairs = make([]ProductPair, 0, total)
-	for _, pairs := range perVendorPairs {
-		pa.Pairs = append(pa.Pairs, pairs...)
-	}
-	return pa
+	return pairs
 }
 
 // ProductJudge decides whether a candidate product pair names the same

@@ -8,9 +8,10 @@
 package naming
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"nvdclean/internal/cve"
 	"nvdclean/internal/parallel"
@@ -77,58 +78,6 @@ type VendorAnalysis struct {
 	Products map[string]map[string]struct{}
 }
 
-// LCSCache memoizes longest-common-substring lengths across analysis
-// runs. LCS is a pure function of the two names and dominates pair
-// scoring, so an incremental re-analysis after a feed delta only pays
-// for pairs involving genuinely new names. Safe for concurrent use.
-type LCSCache struct {
-	mu sync.Mutex
-	m  map[[2]string]int
-}
-
-// NewLCSCache returns an empty cache.
-func NewLCSCache() *LCSCache {
-	return &LCSCache{m: make(map[[2]string]int)}
-}
-
-// LCS returns the longest-common-substring length of a and b,
-// computing and recording it on first use.
-func (c *LCSCache) LCS(a, b string) int {
-	k := [2]string{a, b}
-	c.mu.Lock()
-	v, ok := c.m[k]
-	c.mu.Unlock()
-	if ok {
-		return v
-	}
-	v = textnorm.LongestCommonSubstring(a, b)
-	c.mu.Lock()
-	c.m[k] = v
-	c.mu.Unlock()
-	return v
-}
-
-// Len returns the number of memoized pairs.
-func (c *LCSCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Prune drops memoized pairs mentioning any name keep rejects. A
-// long-lived incremental pipeline calls this with the current vendor
-// set after each run so names that left the feed stop occupying
-// memory; dropping a live entry is harmless (it recomputes).
-func (c *LCSCache) Prune(keep func(name string) bool) {
-	c.mu.Lock()
-	for k := range c.m {
-		if !keep(k[0]) || !keep(k[1]) {
-			delete(c.m, k)
-		}
-	}
-	c.mu.Unlock()
-}
-
 // AnalyzeVendors surveys a snapshot and generates candidate pairs with
 // the §4.2 vendor heuristics, scoring pairs with GOMAXPROCS workers.
 func AnalyzeVendors(snap *cve.Snapshot) *VendorAnalysis {
@@ -136,23 +85,34 @@ func AnalyzeVendors(snap *cve.Snapshot) *VendorAnalysis {
 }
 
 // AnalyzeVendorsN is AnalyzeVendors with an explicit worker bound
-// (zero means GOMAXPROCS).
+// (zero means GOMAXPROCS). It tallies the snapshot's names, then
+// analyzes the tallies.
 func AnalyzeVendorsN(snap *cve.Snapshot, workers int) *VendorAnalysis {
-	return AnalyzeVendorsCached(snap, workers, nil)
+	return analyzeVendors(tally(snap.Entries, vendorName), tally(snap.Entries, namedPair), workers, nil)
 }
 
-// AnalyzeVendorsCached is AnalyzeVendorsN with an optional LCS memo
-// shared across runs (nil computes every score fresh). Candidate
+// analyzeVendors surveys the vendor names vendorCVEs counts CVEs for,
+// with pairCVEs counting CVEs per (vendor, product). Candidate
 // generation uses pure blocking strategies to stay far from O(V²) —
 // names are bucketed by stripped form, deletion signature,
 // abbreviation, product, and a sorted-prefix scan — and the surviving
 // candidates are scored (LCS, shared-product counts) in parallel, each
 // pair writing only its own slot of the sorted pair list, so the
-// analysis is identical at any concurrency, with or without a cache.
-func AnalyzeVendorsCached(snap *cve.Snapshot, workers int, lcs *LCSCache) *VendorAnalysis {
+// analysis is identical at any concurrency. A pair that prev, an
+// earlier analysis, already scored keeps its LCS, a pure function of
+// the two names; prev may be nil.
+func analyzeVendors(vendorCVEs map[string]int, pairCVEs map[[2]string]int, workers int, prev *VendorAnalysis) *VendorAnalysis {
 	va := &VendorAnalysis{
-		CVECount: snap.VendorCVECount(),
-		Products: snap.VendorProducts(),
+		CVECount: vendorCVEs,
+		Products: make(map[string]map[string]struct{}, len(vendorCVEs)),
+	}
+	for k := range pairCVEs {
+		set := va.Products[k[0]]
+		if set == nil {
+			set = make(map[string]struct{})
+			va.Products[k[0]] = set
+		}
+		set[k[1]] = struct{}{}
 	}
 	names := make([]string, 0, len(va.CVECount))
 	for name := range va.CVECount {
@@ -297,8 +257,8 @@ func AnalyzeVendorsCached(snap *cve.Snapshot, workers int, lcs *LCSCache) *Vendo
 			vp.Patterns = append(vp.Patterns, p)
 		}
 		sort.Slice(vp.Patterns, func(a, b int) bool { return vp.Patterns[a] < vp.Patterns[b] })
-		if lcs != nil {
-			vp.LCS = lcs.LCS(k[0], k[1])
+		if lcs, ok := prev.lcs(k[0], k[1]); ok {
+			vp.LCS = lcs
 		} else {
 			vp.LCS = textnorm.LongestCommonSubstring(k[0], k[1])
 		}
@@ -310,6 +270,21 @@ func AnalyzeVendorsCached(snap *cve.Snapshot, workers int, lcs *LCSCache) *Vendo
 		va.Pairs[i] = vp
 	})
 	return va
+}
+
+// lcs returns the LCS score of the candidate pair (a, b), a < b, when
+// the analysis holds that pair; va may be nil.
+func (va *VendorAnalysis) lcs(a, b string) (int, bool) {
+	if va == nil {
+		return 0, false
+	}
+	i, ok := slices.BinarySearchFunc(va.Pairs, [2]string{a, b}, func(p VendorPair, k [2]string) int {
+		return cmp.Or(strings.Compare(p.A, k[0]), strings.Compare(p.B, k[1]))
+	})
+	if !ok {
+		return 0, false
+	}
+	return va.Pairs[i].LCS, true
 }
 
 func countShared(a, b map[string]struct{}) int {

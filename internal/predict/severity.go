@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -125,23 +124,26 @@ func firstConcrete(ids []cwe.ID) cwe.ID {
 // incremental cleaning. A feed delta that only touches v2-only CVEs
 // (the common case: backporting exists because new entries lack v3)
 // leaves the fingerprint unchanged.
+//
+// Each entry's fields are hashed as one record assembled in a reused
+// buffer, so the fingerprint allocates nothing; the bytes, and so the
+// value persisted in checkpoints, are those of hashing the fields one
+// by one.
 func DatasetFingerprint(snap *cve.Snapshot, seed int64) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-	h.Write(buf[:])
+	var buf [64]byte
+	h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(seed)))
 	for _, e := range snap.Entries {
 		if e.V2 == nil || e.V3 == nil {
 			continue
 		}
-		io.WriteString(h, e.ID)
-		h.Write([]byte{0})
-		io.WriteString(h, e.V2.String())
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(firstConcrete(e.CWEs))))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e.V3.BaseScore()))
-		h.Write(buf[:])
+		b := append(buf[:0], e.ID...)
+		b = append(b, 0)
+		b = e.V2.Append(b)
+		b = append(b, 0)
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(firstConcrete(e.CWEs))))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.V3.BaseScore()))
+		h.Write(b)
 	}
 	return h.Sum64()
 }

@@ -196,6 +196,44 @@ func TestCleanWithoutTransport(t *testing.T) {
 	}
 }
 
+// TestApplyBackportOneBlock requires ApplyBackport to materialize a
+// fresh view's scores in one allocation and applying again to write
+// and allocate nothing.
+func TestApplyBackportOneBlock(t *testing.T) {
+	snap, truth, err := GenerateSnapshot(SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Clean(context.Background(), snap, fastOpts(false, snap, truth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Backport.Scores) == 0 {
+		t.Fatal("no backported scores to apply")
+	}
+	fresh := testing.AllocsPerRun(3, func() {
+		for _, e := range res.Cleaned.Entries {
+			e.PV3 = nil
+		}
+		ApplyBackport(res.Cleaned, res.Backport)
+	})
+	if fresh != 1 {
+		t.Errorf("applying %d scores to a fresh view allocates %.0f objects, want 1", len(res.Backport.Scores), fresh)
+	}
+	written := make([]*float64, len(res.Cleaned.Entries))
+	for i, e := range res.Cleaned.Entries {
+		written[i] = e.PV3
+	}
+	if again := testing.AllocsPerRun(3, func() { ApplyBackport(res.Cleaned, res.Backport) }); again != 0 {
+		t.Errorf("applying again allocates %.0f objects, want 0", again)
+	}
+	for i, e := range res.Cleaned.Entries {
+		if e.PV3 != written[i] {
+			t.Fatalf("applying again rewrote %s's score", e.ID)
+		}
+	}
+}
+
 func TestCleanContextCancellation(t *testing.T) {
 	snap, truth, err := GenerateSnapshot(SmallScale())
 	if err != nil {

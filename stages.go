@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -42,8 +43,9 @@ func trainSigOf(opts Options) trainSig {
 }
 
 // incState is the incremental-cleaning state a Result carries so the
-// next CleanDelta can reuse per-entry artifacts and warm caches. It is
-// deliberately unexported: callers hold it only through a Result.
+// next CleanDelta can reuse per-entry artifacts, the naming survey and
+// the trained engine. It is deliberately unexported: callers hold it
+// only through a Result.
 type incState struct {
 	// crawl maps CVE ID to its §4.1 artifact; nil when the run had no
 	// transport. Estimates, lags and stats are pure per-entry functions
@@ -52,9 +54,14 @@ type incState struct {
 	// their artifacts without touching the network. Nothing writes to
 	// the map once its run has built it, so checkpoints share it.
 	crawl map[string]store.CrawlArtifact
-	// lcs and prods are pure-function memos shared across runs.
-	lcs   *naming.LCSCache
-	prods *naming.ProductCache
+	// survey is the §4.2 naming survey of the snapshot: its name
+	// tallies, candidate pairs and per-vendor product pair blocks. The
+	// next CleanDelta derives its survey from this one in O(delta)
+	// when no name appears or disappears. It is nil after
+	// RestoreResult, and when the snapshot's entries are not in ID
+	// order, since CleanDelta finds the delta's previous versions by
+	// binary search; the next CleanDelta then surveys from scratch.
+	survey *naming.Survey
 	// cweFix maps CVE ID to its §4.4 outcome.
 	cweFix map[string]predict.EntryCorrection
 	// fp and sig identify the trained engine; trained marks a run that
@@ -68,12 +75,16 @@ type incState struct {
 // apply: the per-entry artifact maps plus the set of entry IDs the
 // feed delta names. Every lookup asks about an entry of the merged
 // snapshot, so an ID absent from changed is one the delta left
-// untouched.
+// untouched. survey is the previous naming survey when it carries
+// over, and before and after then hold the entries with a changed ID
+// in the previous and the merged snapshot.
 type reuseState struct {
-	prev         *incState
-	prevEngine   *predict.Engine
-	prevBackport map[string]float64
-	changed      map[string]bool
+	prev          *incState
+	prevEngine    *predict.Engine
+	prevBackport  map[string]float64
+	changed       map[string]bool
+	survey        *naming.Survey
+	before, after []*Entry
 }
 
 // runClean executes the stage graph on snap: the §4.1 crawl (given a
@@ -99,18 +110,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		VendorChanged:       make(map[string]bool),
 		ProductChanged:      make(map[string]bool),
 	}
-	st := &incState{
-		lcs:    naming.NewLCSCache(),
-		prods:  naming.NewProductCache(),
-		cweFix: make(map[string]predict.EntryCorrection, snap.Len()),
-	}
-	if ru != nil {
-		// The memo caches validate their own entries (LCS is pure,
-		// product blocks re-check catalogs), so carrying them over is
-		// always sound.
-		st.lcs = ru.prev.lcs
-		st.prods = ru.prev.prods
-	}
+	st := &incState{cweFix: make(map[string]predict.EntryCorrection, snap.Len())}
 	res.inc = st
 
 	// §4.1: disclosure dates via reference crawling. Reads only the
@@ -150,19 +150,19 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	}
 
 	// §4.2, vendors first: consolidation rewrites only the cleaned
-	// view, as the paper does before surveying products.
+	// view, as the paper does before surveying products. The survey
+	// reads the names as snap gives them.
+	var survey *naming.Survey
 	vendors := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		va := naming.AnalyzeVendorsCached(res.Cleaned, w, st.lcs)
-		// Bound the memo by the live name set: a long-running
-		// daemon otherwise accumulates scores for every name that
-		// ever passed through the feed.
-		st.lcs.Prune(func(name string) bool {
-			_, ok := va.CVECount[name]
-			return ok
-		})
+		if ru != nil && ru.survey != nil {
+			survey = ru.survey.Next(snap, ru.before, ru.after)
+		} else {
+			survey = naming.NewSurvey(snap)
+		}
+		va := survey.AnalyzeVendors(w)
 		res.VendorMap = va.Consolidate(naming.HeuristicJudge{})
 		if err := ctx.Err(); err != nil {
 			return err
@@ -176,12 +176,10 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pa := naming.AnalyzeProductsCached(res.Cleaned, w, st.prods)
-		live := make(map[string]bool)
-		for k := range pa.CVECount {
-			live[k[0]] = true
+		pa := survey.AnalyzeProducts(res.VendorMap, w)
+		if ru != nil && ru.survey != nil || sortedByID(snap) {
+			st.survey = survey
 		}
-		st.prods.Prune(func(vendor string) bool { return live[vendor] })
 		res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
 		if err := ctx.Err(); err != nil {
 			return err
@@ -427,8 +425,13 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //
 //   - unchanged entries replay their recorded crawl artifacts, so only
 //     new or modified references touch the network;
-//   - name consolidation reuses the LCS memo and per-vendor pair
-//     blocks, re-surveying only what the delta's names perturb;
+//   - the §4.2 naming survey carries over: its name tallies update
+//     from the delta's entries alone, and when no vendor name or
+//     (vendor, product) pair appears or disappears the candidate pairs
+//     carry over and only consolidation re-runs; otherwise vendor
+//     blocking re-runs over every name, reusing the previous pair
+//     scores, and only vendors whose product catalog changed are
+//     re-surveyed;
 //   - §4.4 outcomes replay for unchanged entries;
 //   - when the delta leaves the dual-labeled training split untouched
 //     (the common case — new CVEs are v2-only, which is why backporting
@@ -444,9 +447,15 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 	if prev == nil || prev.inc == nil {
 		return nil, errors.New("nvdclean: CleanDelta needs a Result produced by Clean or CleanDelta")
 	}
+	if delta == nil {
+		delta = &Delta{}
+	}
 	merged := prev.Original.ApplyDelta(delta)
 	changed := make(map[string]bool, delta.Size())
 	for _, id := range delta.ChangedIDs() {
+		changed[id] = true
+	}
+	for _, id := range delta.Removed {
 		changed[id] = true
 	}
 	ru := &reuseState{
@@ -457,7 +466,58 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 	if prev.Backport != nil {
 		ru.prevBackport = prev.Backport.Scores
 	}
+	if prev.inc.survey != nil && wellFormedIDs(delta) {
+		ru.survey = prev.inc.survey
+		for id := range changed {
+			ru.before = appendByID(ru.before, prev.Original, id)
+			ru.after = appendByID(ru.after, merged, id)
+		}
+	}
 	return runClean(ctx, merged, opts, ru)
+}
+
+// sortedByID reports whether snap's entries are in ID order with every
+// ID well formed: the order Snapshot documents, which ApplyDelta keeps
+// when the delta's IDs are well formed too.
+func sortedByID(snap *Snapshot) bool {
+	py, pq := 0, 0
+	for _, e := range snap.Entries {
+		y, q, err := cve.SplitID(e.ID)
+		if err != nil || y < py || y == py && q < pq {
+			return false
+		}
+		py, pq = y, q
+	}
+	return true
+}
+
+// wellFormedIDs reports whether every entry the delta brings has a
+// well-formed ID.
+func wellFormedIDs(delta *Delta) bool {
+	for _, entries := range [][]*Entry{delta.Added, delta.Modified} {
+		for _, e := range entries {
+			if _, _, err := cve.SplitID(e.ID); err != nil {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// appendByID appends the entries of snap, which must be sortedByID,
+// with the given ID to dst.
+func appendByID(dst []*Entry, snap *Snapshot, id string) []*Entry {
+	if _, _, err := cve.SplitID(id); err != nil {
+		return dst // no entry of snap has it
+	}
+	es := snap.Entries
+	i := sort.Search(len(es), func(i int) bool { return !cve.IDLess(es[i].ID, id) })
+	for ; i < len(es) && !cve.IDLess(id, es[i].ID); i++ {
+		if es[i].ID == id {
+			dst = append(dst, es[i])
+		}
+	}
+	return dst
 }
 
 // StoreCheckpoint snapshots everything a persistent generation store
@@ -503,8 +563,9 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 // run bit for bit), and the reuse state rearms CleanDelta — including
 // the engine warm-start check, provided opts carries the same model
 // selection, training config and seed the checkpoint was produced
-// with. The pure-function naming memos are rebuilt lazily by the next
-// delta clean; starting them empty changes cost, never bits.
+// with. The restored Result carries no naming survey: the next
+// CleanDelta surveys the merged snapshot from scratch, which changes
+// its cost, never its bits.
 func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 	if cp == nil || cp.Original == nil || cp.State == nil ||
 		cp.Vendors == nil || cp.Products == nil {
@@ -522,8 +583,6 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 		Engine:              cp.Engine,
 	}
 	st := &incState{
-		lcs:     naming.NewLCSCache(),
-		prods:   naming.NewProductCache(),
 		cweFix:  cp.State.CWEFix,
 		fp:      cp.State.Fingerprint,
 		sig:     trainSig{models: cp.State.Models, cfg: cp.State.ModelConfig, seed: cp.State.Seed},
@@ -567,20 +626,28 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 // round trips, returning the number of entries annotated. Entries with
 // a real v3 vector are left alone, matching the paper's pv3 scoring
 // (real v3 when present, predicted otherwise). A score already
-// materialized is not rewritten, so applying again writes nothing.
+// materialized is not rewritten, so applying again writes nothing and
+// allocates nothing; the scores it does write share one block.
 func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 	if snap == nil || b == nil {
 		return 0
 	}
 	n := 0
+	var block []float64
 	for _, e := range snap.Entries {
 		if e.V3 != nil {
 			continue
 		}
 		if s, ok := b.Scores[e.ID]; ok {
 			if e.PV3 == nil || *e.PV3 != s {
-				v := s
-				e.PV3 = &v
+				if block == nil {
+					block = make([]float64, 0, len(b.Scores))
+				}
+				// Appending past the capacity (IDs repeated in snap)
+				// moves on to a new block; earlier pointers keep the
+				// old one alive.
+				block = append(block, s)
+				e.PV3 = &block[len(block)-1]
 			}
 			n++
 		}
