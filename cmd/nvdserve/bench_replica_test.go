@@ -141,7 +141,7 @@ func BenchmarkFollowerCatchUp(b *testing.B) {
 		if st == nil || st.res.Cleaned.Len() != restartWorld.res.Cleaned.Len() {
 			b.Fatalf("replica view incomplete: %v", st)
 		}
-		if e := st.byID[base.Entries[1].ID]; e == nil || !strings.Contains(e.Descriptions[0].Value, "Advisory updated.") {
+		if e := st.res.Cleaned.ByID(base.Entries[1].ID); e == nil || !strings.Contains(e.Descriptions[0].Value, "Advisory updated.") {
 			b.Fatal("replica view missing the tail modifications")
 		}
 		b.StopTimer()

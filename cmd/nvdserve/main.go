@@ -14,6 +14,8 @@
 //	GET  /replicate/log?from={seq}     delta-log segment bytes from a cursor
 //	POST /feed                         ingest a feed update (NVD JSON 1.1 body)
 //
+// Feed items, in -feed and POST /feed alike, may come in any order.
+//
 // POST /feed is the incremental path: the posted entries diff against
 // the current snapshot and only the delta re-cleans (CleanDelta), with
 // the previous generation serving until the new one swaps in
@@ -88,7 +90,7 @@ type serveConfig struct {
 func main() {
 	var cfg serveConfig
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8417", "listen address (use :0 for an ephemeral port)")
-	flag.StringVar(&cfg.feedPath, "feed", "", "NVD JSON 1.1 feed file to serve (empty: synthetic demo snapshot)")
+	flag.StringVar(&cfg.feedPath, "feed", "", "NVD JSON 1.1 feed file to serve, items in any order (empty: synthetic demo snapshot)")
 	flag.StringVar(&cfg.demoScale, "demo", "tiny", "demo snapshot scale: tiny, small or paper")
 	flag.BoolVar(&cfg.crawl, "crawl", false, "crawl reference URLs of real feeds over the live web")
 	flag.IntVar(&cfg.concurrency, "concurrency", 0, "worker bound for every pipeline stage (0: GOMAXPROCS)")

@@ -143,7 +143,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Query by the consolidated vendor of the first entry's first CPE.
 	st := srv.cur.Load()
-	vendor := st.byID[id].CPEs[0].Vendor
+	vendor := st.res.Cleaned.ByID(id).CPEs[0].Vendor
 	var q struct {
 		Total   int `json:"total"`
 		Results []struct {
@@ -174,6 +174,12 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if code := getJSON(t, ts, "/query?offset=-1", &bad); code != http.StatusBadRequest {
 		t.Errorf("negative offset = %d, want 400", code)
+	}
+	// Year 0 would mean "no year filter" and match every entry.
+	for _, y := range []string{"0", "-3"} {
+		if code := getJSON(t, ts, "/query?year="+y, &bad); code != http.StatusBadRequest {
+			t.Errorf("year=%s = %d, want 400", y, code)
+		}
 	}
 
 	// The page size is capped: a client cannot size the response
@@ -312,7 +318,7 @@ func TestServerFeedUpdate(t *testing.T) {
 		t.Error("feed update should be an incremental generation")
 	}
 	// The old generation still serves its own view (zero downtime).
-	if _, ok := before.byID["CVE-2018-9999"]; ok {
+	if before.res.Cleaned.ByID("CVE-2018-9999") != nil {
 		t.Error("previous generation was mutated by the update")
 	}
 

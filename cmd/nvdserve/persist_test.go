@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -151,6 +152,90 @@ func TestQueryIndexEquivalence(t *testing.T) {
 	}
 }
 
+// TestUnorderedFeedQueryEquivalence is the regression test for a feed
+// that does not list its CVEs in ID order. The daemon cold-boots from
+// a reversed feed and takes a POST /feed; then the generation is
+// committed and restored. After the post, and again after the
+// restore, every /query answer from the index must equal the reference
+// scan and a fresh BuildIndex. The incremental index update assumes
+// ordinals in ID order, which only holds because loading a feed sorts
+// it.
+func TestUnorderedFeedQueryEquivalence(t *testing.T) {
+	ctx := context.Background()
+	snap, opts := world(t, gen.TinyConfig())
+	reversed := &nvdclean.Snapshot{CapturedAt: snap.CapturedAt, Entries: slices.Clone(snap.Entries)}
+	slices.Reverse(reversed.Entries)
+	var body bytes.Buffer
+	if err := nvdclean.WriteFeed(&body, reversed); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := nvdclean.LoadFeed(&body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(opts)
+	coldBoot(t, srv, loaded)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	postFeed(t, ts, feedUpdate(t, loaded))
+
+	// check counts the grid queries whose indexed answer differs from
+	// the scan, from a fresh BuildIndex, or from want's indexed answer.
+	check := func(label string, st, want *serveState) {
+		t.Helper()
+		rebuilt := *st
+		rebuilt.idx = store.BuildIndex(st.res.Cleaned, 1)
+		grid := paramGrid(want)
+		differ := 0
+		for _, p := range grid {
+			indexed := marshalResponse(t, st.queryIndexed(p))
+			if !bytes.Equal(indexed, marshalResponse(t, st.queryScan(p))) ||
+				!bytes.Equal(indexed, marshalResponse(t, rebuilt.queryIndexed(p))) ||
+				!bytes.Equal(indexed, marshalResponse(t, want.queryIndexed(p))) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d of %d /query answers differ", label, differ, len(grid))
+		}
+	}
+	posted := srv.cur.Load()
+	check("after POST /feed", posted, posted)
+
+	dir := t.TempDir()
+	str, _, _, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := posted.res.StoreCheckpoint()
+	cp.Index = posted.idx
+	if err := str.Commit(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := str.Close(); err != nil {
+		t.Fatal(err)
+	}
+	str2, cp2, _, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer str2.Close()
+	if cp2.Index == nil {
+		t.Fatalf("reloaded checkpoint has no index (note %q)", cp2.IndexNote)
+	}
+	restored := newServer(opts)
+	if _, err := restored.advance(ctx, transition{cp: cp2}); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored.cur.Load(), posted)
+
+	// Clean checks the order LoadFeed establishes rather than cope
+	// without it.
+	if _, err := nvdclean.Clean(ctx, reversed, opts); err == nil {
+		t.Error("Clean accepted a snapshot out of ID order")
+	}
+}
+
 // postFeed writes update as an NVD feed body and POSTs it.
 func postFeed(t *testing.T, ts *httptest.Server, update *nvdclean.Snapshot) map[string]any {
 	t.Helper()
@@ -287,8 +372,8 @@ func TestWarmRestartEquivalence(t *testing.T) {
 
 	// Every served CVE view must be bit-identical.
 	for _, e := range stCold.res.Cleaned.Entries {
-		we, ok := stWarm.byID[e.ID]
-		if !ok {
+		we := stWarm.res.Cleaned.ByID(e.ID)
+		if we == nil {
 			t.Fatalf("warm view lacks %s", e.ID)
 		}
 		cold, err := json.Marshal(stCold.view(e))

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+
+	"nvdclean"
 )
 
 // The read hot path. Every read response is a pure function of
@@ -110,12 +112,11 @@ func serveRead(w http.ResponseWriter, etag string, body []byte) {
 // bypasses the cache: it is a debugging convenience, not the hot path,
 // and caching both representations would double the cache for no
 // reader benefit.
-func (st *serveState) cveBody(id string, pretty bool) []byte {
-	e := st.byID[id]
+func (st *serveState) cveBody(e *nvdclean.Entry, pretty bool) []byte {
 	if pretty {
 		return encodeJSON(st.view(e), true)
 	}
-	return st.entries.Get(id, func() []byte {
+	return st.entries.Get(e.ID, func() []byte {
 		return encodeJSON(st.view(e), false)
 	})
 }

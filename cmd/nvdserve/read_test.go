@@ -246,7 +246,7 @@ func TestPrettyOptIn(t *testing.T) {
 		t.Error("default /cve body is indented")
 	}
 	_, _, pretty := getRaw(t, ts, "/cve/"+id+"?pretty=1", "")
-	if want := encodeJSON(st.view(st.byID[id]), true); !bytes.Equal(pretty, want) {
+	if want := encodeJSON(st.view(st.res.Cleaned.ByID(id)), true); !bytes.Equal(pretty, want) {
 		t.Errorf("pretty body differs from indented render")
 	}
 	var indented bytes.Buffer

@@ -216,8 +216,8 @@ func assertConverged(t *testing.T, label string, p, f *server) {
 		t.Fatalf("%s: entry counts differ: primary %d, follower %d", label, stP.res.Cleaned.Len(), stF.res.Cleaned.Len())
 	}
 	for _, e := range stP.res.Cleaned.Entries {
-		fe, ok := stF.byID[e.ID]
-		if !ok {
+		fe := stF.res.Cleaned.ByID(e.ID)
+		if fe == nil {
 			t.Fatalf("%s: follower lacks %s", label, e.ID)
 		}
 		pb, err := json.Marshal(stP.view(e))

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"nvdclean"
-	"nvdclean/internal/cve"
 	"nvdclean/internal/cvss"
 	"nvdclean/internal/cwe"
 	"nvdclean/internal/predict"
@@ -31,7 +30,6 @@ import (
 // state pointer swaps snapshot and indexes together.
 type serveState struct {
 	res      *nvdclean.Result
-	byID     map[string]*nvdclean.Entry
 	idx      *store.Index
 	loadedAt time.Time
 	cleanDur time.Duration
@@ -301,12 +299,8 @@ func mergeDeltas(base *nvdclean.Snapshot, deltas []*nvdclean.Delta) *nvdclean.De
 // even when the cleaned diff never names them.
 func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvdclean.Delta, restored *store.Index) *serveState {
 	nvdclean.ApplyBackport(res.Cleaned, res.Backport)
-	byID := make(map[string]*nvdclean.Entry, res.Cleaned.Len())
-	for _, e := range res.Cleaned.Entries {
-		byID[e.ID] = e
-	}
 	st := &serveState{
-		res: res, byID: byID, loadedAt: time.Now(),
+		res: res, loadedAt: time.Now(),
 		entries: respcache.NewEntryCache(s.metrics),
 		queries: respcache.NewQueryCache(s.queryCacheBytes, s.metrics),
 	}
@@ -318,9 +312,7 @@ func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvd
 		st.idx = restored
 	case prev != nil && prev.idx != nil:
 		cleanedDelta := nvdclean.Diff(prev.res.Cleaned, res.Cleaned)
-		idx, err := prev.idx.Update(cleanedDelta, func(id string) *cve.Entry {
-			return prev.byID[id]
-		}, res.Cleaned, s.opts.Concurrency)
+		idx, err := prev.idx.Update(cleanedDelta, prev.res.Cleaned.ByID, res.Cleaned, s.opts.Concurrency)
 		if err != nil {
 			// A corrupt lazily-loaded shard surfaces on the first
 			// update that touches it; a full rebuild restores a clean
@@ -328,11 +320,10 @@ func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvd
 			idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
 		}
 		st.idx = idx
+		// An ID the new generation lacks is in the cleaned delta's
+		// Removed, so stale covers it.
 		stale := staleIDs(cleanedDelta, feedDelta)
-		st.entries.Seed(prev.entries, func(id string) bool {
-			_, alive := byID[id]
-			return alive && !stale[id]
-		})
+		st.entries.Seed(prev.entries, func(id string) bool { return !stale[id] })
 	default:
 		st.idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
 	}
@@ -590,7 +581,8 @@ func (s *server) handleCVE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	if _, ok := st.byID[id]; !ok {
+	e := st.res.Cleaned.ByID(id)
+	if e == nil {
 		writeError(w, http.StatusNotFound, "no entry %s", id)
 		return
 	}
@@ -610,7 +602,7 @@ func (s *server) handleCVE(w http.ResponseWriter, r *http.Request) {
 		s.serveNotModified(w, etag, cached)
 		return
 	}
-	serveRead(w, etag, st.cveBody(id, pretty))
+	serveRead(w, etag, st.cveBody(e, pretty))
 }
 
 // queryParams is one parsed /query request.
@@ -663,8 +655,9 @@ func parseQueryParams(values url.Values) (queryParams, error) {
 		p.hasSev = true
 	}
 	if y := values.Get("year"); y != "" {
+		// Year 0 would mean "no year filter" downstream.
 		var err error
-		if p.year, err = strconv.Atoi(y); err != nil {
+		if p.year, err = strconv.Atoi(y); err != nil || p.year < 1 {
 			return p, fmt.Errorf("bad year %q", y)
 		}
 	}
@@ -1004,10 +997,6 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing feed: %v", err)
 		return
 	}
-	if id, ok := duplicateID(snap); ok {
-		writeError(w, http.StatusBadRequest, "feed names %s more than once", id)
-		return
-	}
 	s.feedMu.Lock()
 	defer s.feedMu.Unlock()
 	st := s.state(w)
@@ -1064,34 +1053,17 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, summary)
 }
 
-// duplicateID returns the first CVE ID that names two entries of snap.
-// Either mode's delta would carry both, and the swap would then serve
-// two entries under one ID.
-func duplicateID(snap *nvdclean.Snapshot) (string, bool) {
-	seen := make(map[string]bool, snap.Len())
-	for _, e := range snap.Entries {
-		if seen[e.ID] {
-			return e.ID, true
-		}
-		seen[e.ID] = true
-	}
-	return "", false
-}
-
 // upsertDelta builds the delta for a partial feed: posted entries are
 // added or modified; nothing is removed. This matches the NVD's
-// "modified" data feed semantics.
+// "modified" data feed semantics. Both snapshots are in ID order, so
+// the delta's lists are too.
 func upsertDelta(cur, posted *nvdclean.Snapshot) *nvdclean.Delta {
 	d := &nvdclean.Delta{CapturedAt: posted.CapturedAt}
 	if d.CapturedAt.IsZero() {
 		d.CapturedAt = cur.CapturedAt
 	}
-	byID := make(map[string]*nvdclean.Entry, cur.Len())
-	for _, e := range cur.Entries {
-		byID[e.ID] = e
-	}
 	for _, e := range posted.Entries {
-		prev := byID[e.ID]
+		prev := cur.ByID(e.ID)
 		switch {
 		case prev == nil:
 			d.Added = append(d.Added, e)
@@ -1099,7 +1071,6 @@ func upsertDelta(cur, posted *nvdclean.Snapshot) *nvdclean.Delta {
 			d.Modified = append(d.Modified, e)
 		}
 	}
-	d.Sort()
 	return d
 }
 

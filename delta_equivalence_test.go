@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"nvdclean"
+	"nvdclean/internal/cve"
 	"nvdclean/internal/gen"
 	"nvdclean/internal/naming"
 	"nvdclean/internal/predict"
@@ -456,5 +457,65 @@ func TestCleanDeltaRejectsForeignResult(t *testing.T) {
 	}
 	if _, err := nvdclean.CleanDelta(context.Background(), &nvdclean.Result{}, &nvdclean.Delta{}, nvdclean.Options{}); err == nil {
 		t.Error("hand-built prev should fail")
+	}
+}
+
+// TestCleanDeltaRejectsUnmergeableDelta: CleanDelta checks that its
+// delta's added entries merge into prev's ID order instead of coping.
+// An added ID that is malformed, out of ID order, or names a CVE prev
+// already holds under either spelling is an error naming the ID.
+func TestCleanDeltaRejectsUnmergeableDelta(t *testing.T) {
+	ctx := context.Background()
+	fix := newDeltaFixture(t, 2, v2OnlyDelta)
+	prev, err := nvdclean.Clean(ctx, fix.old, fix.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := fix.old.Entries[0]
+	year, seq, err := cve.SplitID(held.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respelled := fmt.Sprintf("CVE-%d-%08d", year, seq)
+	as := func(id string) *nvdclean.Entry {
+		e := held.Clone()
+		e.ID = id
+		return e
+	}
+	for _, tc := range []struct {
+		name string
+		d    *nvdclean.Delta
+		want string
+	}{
+		{"malformed added ID", &nvdclean.Delta{Added: []*nvdclean.Entry{as("CVE-18-0001")}}, "CVE-18-0001"},
+		{"added ID prev holds", &nvdclean.Delta{Added: []*nvdclean.Entry{as(held.ID)}}, held.ID},
+		{"added respelling of an ID prev holds", &nvdclean.Delta{Added: []*nvdclean.Entry{as(respelled)}}, respelled},
+		{"added out of ID order", &nvdclean.Delta{Added: []*nvdclean.Entry{as("CVE-2099-0002"), as("CVE-2099-0001")}}, "CVE-2099-0001"},
+	} {
+		if _, err := nvdclean.CleanDelta(ctx, prev, tc.d, fix.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CleanDelta = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
+	// IDs the delta modifies or removes that prev lacks are ignored.
+	d := &nvdclean.Delta{Modified: []*nvdclean.Entry{as("CVE-2099-0001")}, Removed: []string{"CVE-2099-0002"}}
+	if got, err := nvdclean.CleanDelta(ctx, prev, d, fix.opts); err != nil || got.Original.Len() != prev.Original.Len() {
+		t.Errorf("CleanDelta of IDs prev lacks = %v, want prev's %d entries", err, prev.Original.Len())
+	}
+	// A replacing feed may respell an ID: its Diff removes the old
+	// spelling and adds the new one.
+	d = &nvdclean.Delta{Added: []*nvdclean.Entry{as(respelled)}, Removed: []string{held.ID}}
+	got, err := nvdclean.CleanDelta(ctx, prev, d, fix.opts)
+	if err != nil {
+		t.Fatalf("CleanDelta respelling a removed ID: %v", err)
+	}
+	if got.Original.ByID(respelled) == nil || got.Original.ByID(held.ID) != nil || got.Original.CheckOrder() != nil {
+		t.Errorf("respelling %s as %s did not replace it in ID order", held.ID, respelled)
+	}
+
+	// Clean checks its snapshot the same way.
+	reversed := &nvdclean.Snapshot{Entries: slices.Clone(fix.old.Entries)}
+	slices.Reverse(reversed.Entries)
+	if _, err := nvdclean.Clean(ctx, reversed, fix.opts); err == nil || !strings.Contains(err.Error(), "Snapshot.Sort") {
+		t.Errorf("Clean of a reversed snapshot = %v, want an order error pointing at Snapshot.Sort", err)
 	}
 }

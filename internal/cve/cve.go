@@ -210,31 +210,52 @@ type Snapshot struct {
 	// CapturedAt records when the snapshot was taken (the paper's was
 	// May 21, 2018).
 	CapturedAt time.Time
-	// Entries holds every CVE, sorted by ID.
+	// Entries holds every CVE once, in ID order (CheckOrder), which
+	// ReadFeed and Sort establish and ByID, Diff and ApplyDelta rely on.
 	Entries []*Entry
 }
 
 // Sort orders entries by (year, sequence).
-func (s *Snapshot) Sort() {
-	sort.Slice(s.Entries, func(i, j int) bool {
-		yi, si, _ := SplitID(s.Entries[i].ID)
-		yj, sj, _ := SplitID(s.Entries[j].ID)
-		if yi != yj {
-			return yi < yj
+func (s *Snapshot) Sort() { sortEntries(s.Entries) }
+
+// CheckOrder reports the first entry that breaks the snapshot's ID
+// order: a malformed ID, or one not strictly after its predecessor.
+// Two spellings of one (year, sequence), such as CVE-2017-1 and
+// CVE-2017-0001, count as a repeat.
+func (s *Snapshot) CheckOrder() error {
+	py, pq := 0, -1
+	for i, e := range s.Entries {
+		y, q, err := SplitID(e.ID)
+		switch {
+		case err != nil:
+			return err
+		case keyLess(py, pq, y, q):
+		case s.Entries[i-1].ID == e.ID:
+			return fmt.Errorf("cve: %s appears more than once", e.ID)
+		case y == py && q == pq:
+			return fmt.Errorf("cve: %s and %s name one CVE", s.Entries[i-1].ID, e.ID)
+		default:
+			return fmt.Errorf("cve: %s is out of ID order after %s", e.ID, s.Entries[i-1].ID)
 		}
-		return si < sj
-	})
+		py, pq = y, q
+	}
+	return nil
 }
 
 // Len returns the number of entries.
 func (s *Snapshot) Len() int { return len(s.Entries) }
 
-// ByID returns the entry with the given CVE identifier, or nil.
+// ByID returns the entry with the given CVE identifier, or nil. It is
+// a binary search, so the snapshot must be in ID order.
 func (s *Snapshot) ByID(id string) *Entry {
-	for _, e := range s.Entries {
-		if e.ID == id {
-			return e
-		}
+	y, q, _ := SplitID(id) // a malformed id matches no entry
+	es := s.Entries
+	i := sort.Search(len(es), func(i int) bool {
+		ey, eq, _ := SplitID(es[i].ID)
+		return !keyLess(ey, eq, y, q)
+	})
+	if i < len(es) && es[i].ID == id {
+		return es[i]
 	}
 	return nil
 }

@@ -177,6 +177,29 @@ func TestSnapshotSortAndByID(t *testing.T) {
 	}
 }
 
+func TestCheckOrder(t *testing.T) {
+	for _, tc := range []struct {
+		ids  []string
+		want string // substring of the error; "" for none
+	}{
+		{nil, ""},
+		{[]string{"CVE-1999-0100", "CVE-2018-0002", "CVE-2018-1000001"}, ""},
+		{[]string{"CVE-2018-0002", "CVE-2018-0001"}, "CVE-2018-0001 is out of ID order after CVE-2018-0002"},
+		{[]string{"CVE-2018-0001", "CVE-2018-0001"}, "CVE-2018-0001 appears more than once"},
+		{[]string{"CVE-2018-0001", "CVE-2018-1"}, "CVE-2018-0001 and CVE-2018-1 name one CVE"},
+		{[]string{"CVE-2018-0001", "bogus"}, "bogus"},
+	} {
+		s := &Snapshot{}
+		for _, id := range tc.ids {
+			s.Entries = append(s.Entries, &Entry{ID: id})
+		}
+		err := s.CheckOrder()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !contains(err.Error(), tc.want)) {
+			t.Errorf("CheckOrder(%v) = %v, want %q", tc.ids, err, tc.want)
+		}
+	}
+}
+
 func TestSnapshotVendorStats(t *testing.T) {
 	mk := func(id, vendor, product string) *Entry {
 		return &Entry{ID: id, CPEs: []cpe.Name{cpe.NewName(cpe.PartApplication, vendor, product, "1")}}

@@ -93,7 +93,8 @@ func (d *Delta) Size() int {
 
 // Sort normalizes the delta into its documented order: Added and
 // Modified by ID, Removed likewise. Diff returns sorted deltas
-// already; hand-assembled deltas (feed upserts) should call this.
+// already, and so does a walk over a snapshot's entries; other
+// hand-assembled deltas must call this before ApplyDelta.
 func (d *Delta) Sort() {
 	if d == nil {
 		return
@@ -136,88 +137,89 @@ func idLess(a, b string) bool {
 	if erra != nil || errb != nil {
 		return a < b
 	}
-	if ya != yb {
-		return ya < yb
-	}
-	return sa < sb
+	return keyLess(ya, sa, yb, sb)
 }
+
+// keyLess is idLess on IDs already parsed by SplitID.
+func keyLess(ya, sa, yb, sb int) bool { return ya < yb || ya == yb && sa < sb }
 
 func sortEntries(entries []*Entry) {
 	sort.Slice(entries, func(i, j int) bool { return idLess(entries[i].ID, entries[j].ID) })
 }
 
 // Diff computes the delta that turns the old snapshot into the new
-// one. Entries are matched by ID and compared deeply with Entry.Equal;
+// one. Both snapshots must be in ID order (Snapshot.CheckOrder); Diff
+// walks them in one merge, so the delta's lists come out in ID order
+// too. Entries are matched by ID and compared deeply with Entry.Equal;
 // the returned slices share entry pointers with the new snapshot.
 func Diff(old, new *Snapshot) *Delta {
 	d := &Delta{}
+	var olds, news []*Entry
+	if old != nil {
+		olds = old.Entries
+	}
 	if new != nil {
 		d.CapturedAt = new.CapturedAt
+		news = new.Entries
 	}
-	oldByID := make(map[string]*Entry)
-	if old != nil {
-		for _, e := range old.Entries {
-			oldByID[e.ID] = e
-		}
-	}
-	seen := make(map[string]bool)
-	if new != nil {
-		for _, e := range new.Entries {
-			seen[e.ID] = true
-			prev, ok := oldByID[e.ID]
-			switch {
-			case !ok:
-				d.Added = append(d.Added, e)
-			case !prev.Equal(e):
-				d.Modified = append(d.Modified, e)
+	for len(olds) > 0 || len(news) > 0 {
+		switch {
+		case len(olds) > 0 && len(news) > 0 && olds[0].ID == news[0].ID:
+			if !olds[0].Equal(news[0]) {
+				d.Modified = append(d.Modified, news[0])
 			}
+			olds, news = olds[1:], news[1:]
+		case len(news) == 0 || len(olds) > 0 && idLess(olds[0].ID, news[0].ID):
+			d.Removed = append(d.Removed, olds[0].ID)
+			olds = olds[1:]
+		case len(olds) == 0 || idLess(news[0].ID, olds[0].ID):
+			d.Added = append(d.Added, news[0])
+			news = news[1:]
+		default:
+			// Two spellings of one (year, sequence): a removal and an
+			// addition, as ApplyDelta matches IDs exactly.
+			d.Removed = append(d.Removed, olds[0].ID)
+			d.Added = append(d.Added, news[0])
+			olds, news = olds[1:], news[1:]
 		}
 	}
-	if old != nil {
-		for _, e := range old.Entries {
-			if !seen[e.ID] {
-				d.Removed = append(d.Removed, e.ID)
-			}
-		}
-	}
-	sortEntries(d.Added)
-	sortEntries(d.Modified)
-	sortIDs(d.Removed)
 	return d
 }
 
-// ApplyDelta returns the snapshot that results from applying the delta
-// to s: removed entries dropped, modified entries replaced, added
-// entries inserted, the whole list re-sorted by ID. The receiver is
+// ApplyDelta merges the delta into s in one walk: removed entries are
+// dropped, modified ones replaced and added ones inserted. s and the
+// delta's lists must be in ID order, and added IDs new to s; IDs the
+// delta modifies or removes that s lacks are ignored. The receiver is
 // not modified; the result shares entry pointers with s and the delta.
 func (s *Snapshot) ApplyDelta(d *Delta) *Snapshot {
 	out := &Snapshot{CapturedAt: s.CapturedAt}
 	if d == nil {
-		out.Entries = append([]*Entry(nil), s.Entries...)
-		return out
+		d = &Delta{}
 	}
 	if !d.CapturedAt.IsZero() {
 		out.CapturedAt = d.CapturedAt
 	}
-	removed := make(map[string]bool, len(d.Removed))
-	for _, id := range d.Removed {
-		removed[id] = true
-	}
-	modified := make(map[string]*Entry, len(d.Modified))
-	for _, e := range d.Modified {
-		modified[e.ID] = e
-	}
 	out.Entries = make([]*Entry, 0, len(s.Entries)+len(d.Added))
+	added, modified, removed := d.Added, d.Modified, d.Removed
 	for _, e := range s.Entries {
+		for len(added) > 0 && idLess(added[0].ID, e.ID) {
+			out.Entries = append(out.Entries, added[0])
+			added = added[1:]
+		}
+		for len(modified) > 0 && idLess(modified[0].ID, e.ID) {
+			modified = modified[1:]
+		}
+		for len(removed) > 0 && idLess(removed[0], e.ID) {
+			removed = removed[1:]
+		}
 		switch {
-		case removed[e.ID]:
-		case modified[e.ID] != nil:
-			out.Entries = append(out.Entries, modified[e.ID])
+		case len(removed) > 0 && removed[0] == e.ID:
+		case len(modified) > 0 && modified[0].ID == e.ID:
+			out.Entries = append(out.Entries, modified[0])
 		default:
 			out.Entries = append(out.Entries, e)
 		}
 	}
-	out.Entries = append(out.Entries, d.Added...)
-	sortEntries(out.Entries)
+	out.Entries = append(out.Entries, added...)
 	return out
 }

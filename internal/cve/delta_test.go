@@ -2,6 +2,9 @@ package cve
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -71,13 +74,11 @@ func TestDiffAndApplyDelta(t *testing.T) {
 	mod.Descriptions[0].Value = "Updated description."
 	newSnap.Entries = append(newSnap.Entries, mod, old.Entries[3].Clone(),
 		testEntry(FormatID(2017, 6), 6), testEntry(FormatID(2016, 9), 9))
+	newSnap.Sort()
 
 	d := Diff(old, newSnap)
 	if len(d.Added) != 2 || len(d.Modified) != 1 || len(d.Removed) != 1 {
 		t.Fatalf("delta = +%d ~%d -%d, want +2 ~1 -1", len(d.Added), len(d.Modified), len(d.Removed))
-	}
-	if d.Added[0].ID != "CVE-2016-0009" || d.Added[1].ID != "CVE-2017-0006" {
-		t.Errorf("added order: %s, %s", d.Added[0].ID, d.Added[1].ID)
 	}
 	if d.Modified[0].ID != "CVE-2017-0003" || d.Removed[0] != "CVE-2017-0005" {
 		t.Errorf("modified %s, removed %s", d.Modified[0].ID, d.Removed[0])
@@ -148,5 +149,208 @@ func TestPV3FeedRoundTrip(t *testing.T) {
 	}
 	if !e.Equal(got) {
 		t.Error("entry with PV3 should round-trip Equal")
+	}
+}
+
+// refDiff is the reference Diff that TestMergesMatchReferences holds
+// the merge to: it matches entries through an ID map, then sorts the
+// lists, so it needs no input order.
+func refDiff(old, new *Snapshot) *Delta {
+	d := &Delta{CapturedAt: new.CapturedAt}
+	oldByID := make(map[string]*Entry)
+	for _, e := range old.Entries {
+		oldByID[e.ID] = e
+	}
+	seen := make(map[string]bool)
+	for _, e := range new.Entries {
+		seen[e.ID] = true
+		prev, ok := oldByID[e.ID]
+		switch {
+		case !ok:
+			d.Added = append(d.Added, e)
+		case !prev.Equal(e):
+			d.Modified = append(d.Modified, e)
+		}
+	}
+	for _, e := range old.Entries {
+		if !seen[e.ID] {
+			d.Removed = append(d.Removed, e.ID)
+		}
+	}
+	sortEntries(d.Added)
+	sortEntries(d.Modified)
+	sortIDs(d.Removed)
+	return d
+}
+
+// refApplyDelta is the reference ApplyDelta: it drops and replaces
+// entries through ID maps, appends the added ones and sorts the result.
+func refApplyDelta(s *Snapshot, d *Delta) *Snapshot {
+	out := &Snapshot{CapturedAt: s.CapturedAt}
+	if !d.CapturedAt.IsZero() {
+		out.CapturedAt = d.CapturedAt
+	}
+	removed := make(map[string]bool)
+	for _, id := range d.Removed {
+		removed[id] = true
+	}
+	modified := make(map[string]*Entry)
+	for _, e := range d.Modified {
+		modified[e.ID] = e
+	}
+	for _, e := range s.Entries {
+		switch {
+		case removed[e.ID]:
+		case modified[e.ID] != nil:
+			out.Entries = append(out.Entries, modified[e.ID])
+		default:
+			out.Entries = append(out.Entries, e)
+		}
+	}
+	out.Entries = append(out.Entries, d.Added...)
+	sortEntries(out.Entries)
+	return out
+}
+
+// randomIDs returns n distinct well-formed IDs in random order, over
+// interleaved years and 4- to 7-digit sequences, so lexical order and
+// ID order disagree (CVE-2017-1000001 sorts lexically before
+// CVE-2017-2000).
+func randomIDs(rng *rand.Rand, n int) []string {
+	years := []int{1999, 2005, 2017, 2018}
+	seen := make(map[string]bool, n)
+	var ids []string
+	for len(ids) < n {
+		lo := []int{0, 10000, 100000, 1000000}[rng.Intn(4)] // 4 to 7 digits
+		id := FormatID(years[rng.Intn(len(years))], lo+rng.Intn(max(9*lo, 9000)))
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// sortedSnapshot builds a snapshot in ID order over ids, one entry per
+// ID with a description variant drawn from rng.
+func sortedSnapshot(rng *rand.Rand, at time.Time, ids []string) *Snapshot {
+	s := &Snapshot{CapturedAt: at}
+	for _, id := range ids {
+		e := testEntry(id, rng.Intn(40))
+		e.Descriptions[0].Value = fmt.Sprintf("variant %d", rng.Intn(3))
+		s.Entries = append(s.Entries, e)
+	}
+	s.Sort()
+	return s
+}
+
+// sameEntries requires two entry lists to hold the same pointers in the
+// same order.
+func sameEntries(t *testing.T, label string, got, want []*Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: entry %d is %s, want %s", label, i, got[i].ID, want[i].ID)
+		}
+	}
+}
+
+// TestMergesMatchReferences is the property test of the merge Diff and
+// ApplyDelta: over seeded random pairs of ordered snapshots (adds,
+// removes, modifications and respelled IDs over interleaved years and
+// 4- to 7-digit sequences, either side possibly empty), Diff equals the map-based
+// reference, ApplyDelta equals the sort-based one on both Diff's delta
+// and a hand-built sorted delta that modifies and removes IDs the
+// snapshot lacks, and ApplyDelta(old, Diff(old, new)) is new.
+func TestMergesMatchReferences(t *testing.T) {
+	seeds := 500
+	if testing.Short() {
+		seeds = 50
+	}
+	day := time.Date(2018, 5, 21, 0, 0, 0, 0, time.UTC)
+	for seed := range seeds {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		pool := randomIDs(rng, 60)
+		var oldIDs, newIDs []string
+		for _, id := range pool[:40] {
+			switch r := rng.Intn(4); {
+			case seed%10 == 1: // empty old side
+				newIDs = append(newIDs, id)
+			case seed%10 == 2: // empty new side
+				oldIDs = append(oldIDs, id)
+			case r == 0:
+				oldIDs = append(oldIDs, id) // removed
+			case r == 1:
+				newIDs = append(newIDs, id) // added
+			case r == 2 && seed%3 == 0:
+				// Respelled: one (year, sequence) under a second ID.
+				y, q, _ := SplitID(id)
+				oldIDs = append(oldIDs, id)
+				newIDs = append(newIDs, fmt.Sprintf("CVE-%d-%08d", y, q))
+			default:
+				oldIDs = append(oldIDs, id)
+				newIDs = append(newIDs, id)
+			}
+		}
+		old := sortedSnapshot(rng, day, oldIDs)
+		newSnap := sortedSnapshot(rng, day.AddDate(0, 0, 1), newIDs)
+		// Entries both sides hold are old's, or a modified copy.
+		for i, e := range newSnap.Entries {
+			if prev := old.ByID(e.ID); prev != nil && rng.Intn(3) > 0 {
+				newSnap.Entries[i] = prev
+			}
+		}
+		label := fmt.Sprintf("seed %d", seed)
+
+		d := Diff(old, newSnap)
+		want := refDiff(old, newSnap)
+		sameEntries(t, label+": Added", d.Added, want.Added)
+		sameEntries(t, label+": Modified", d.Modified, want.Modified)
+		if !slices.Equal(d.Removed, want.Removed) {
+			t.Fatalf("%s: Removed %v, want %v", label, d.Removed, want.Removed)
+		}
+		if !d.CapturedAt.Equal(want.CapturedAt) {
+			t.Fatalf("%s: CapturedAt %v, want %v", label, d.CapturedAt, want.CapturedAt)
+		}
+		merged := old.ApplyDelta(d)
+		sameEntries(t, label+": ApplyDelta(Diff)", merged.Entries, refApplyDelta(old, d).Entries)
+		if !merged.CapturedAt.Equal(newSnap.CapturedAt) {
+			t.Fatalf("%s: merged capture time %v, want %v", label, merged.CapturedAt, newSnap.CapturedAt)
+		}
+		if merged.Len() != newSnap.Len() {
+			t.Fatalf("%s: ApplyDelta(old, Diff(old, new)) has %d entries, want %d", label, merged.Len(), newSnap.Len())
+		}
+		for i, e := range newSnap.Entries {
+			if !merged.Entries[i].Equal(e) {
+				t.Fatalf("%s: ApplyDelta(old, Diff(old, new)) entry %d is %s, want %s", label, i, merged.Entries[i].ID, e.ID)
+			}
+		}
+
+		// A hand-built delta: new IDs added, and IDs old holds or
+		// lacks modified and removed.
+		hand := &Delta{}
+		for _, id := range pool[40:] {
+			switch rng.Intn(3) {
+			case 0:
+				hand.Added = append(hand.Added, testEntry(id, 1))
+			case 1:
+				hand.Modified = append(hand.Modified, testEntry(id, 2))
+			default:
+				hand.Removed = append(hand.Removed, id)
+			}
+		}
+		for _, e := range old.Entries {
+			switch rng.Intn(4) {
+			case 0:
+				hand.Modified = append(hand.Modified, testEntry(e.ID, 3))
+			case 1:
+				hand.Removed = append(hand.Removed, e.ID)
+			}
+		}
+		hand.Sort()
+		sameEntries(t, label+": ApplyDelta(hand-built)", old.ApplyDelta(hand).Entries, refApplyDelta(old, hand).Entries)
 	}
 }

@@ -242,6 +242,8 @@ func upper(s string) string {
 // ReadFeed parses an NVD JSON 1.1 data feed. Malformed CWE strings and
 // CPE URIs are skipped rather than fatal, matching how NVD consumers must
 // treat the real feeds; CVSS vector strings must parse when present.
+// Entries come back in ID order whatever order the feed lists them in
+// (no sort for a feed already in order); naming a CVE twice is an error.
 func ReadFeed(r io.Reader) (*Snapshot, error) {
 	var f feedJSON
 	dec := json.NewDecoder(r)
@@ -260,6 +262,12 @@ func ReadFeed(r io.Reader) (*Snapshot, error) {
 			return nil, fmt.Errorf("cve: item %d (%s): %w", i, f.Items[i].CVE.Meta.ID, err)
 		}
 		s.Entries = append(s.Entries, e)
+	}
+	if s.CheckOrder() != nil {
+		s.Sort()
+		if err := s.CheckOrder(); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

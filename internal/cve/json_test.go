@@ -2,6 +2,7 @@ package cve
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -55,7 +56,11 @@ func TestFeedRoundTrip(t *testing.T) {
 	if len(got.Entries) != len(orig.Entries) {
 		t.Fatalf("entries = %d, want %d", len(got.Entries), len(orig.Entries))
 	}
-	for i, want := range orig.Entries {
+	// The fixture lists its entries out of ID order, and ReadFeed
+	// returns them in ID order.
+	sorted := &Snapshot{Entries: append([]*Entry(nil), orig.Entries...)}
+	sorted.Sort()
+	for i, want := range sorted.Entries {
 		e := got.Entries[i]
 		if e.ID != want.ID {
 			t.Errorf("entry %d ID = %s, want %s", i, e.ID, want.ID)
@@ -184,6 +189,68 @@ func TestReadFeedErrors(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// feedOf writes entries with the given IDs, in the given order, as a
+// feed.
+func feedOf(t *testing.T, ids ...string) *bytes.Buffer {
+	t.Helper()
+	s := &Snapshot{}
+	for _, id := range ids {
+		e := sampleEntry(t)
+		e.ID = id
+		s.Entries = append(s.Entries, e)
+	}
+	var buf bytes.Buffer
+	if err := WriteFeed(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// TestReadFeedOrdersEntries: nothing orders a feed's items, and
+// ReadFeed returns them in ID order whatever order the file lists them
+// in — reversed, or lexically sorted, which puts CVE-2017-1000001
+// before CVE-2017-2000.
+func TestReadFeedOrdersEntries(t *testing.T) {
+	want := []string{"CVE-1999-0001", "CVE-2017-0002", "CVE-2017-2000", "CVE-2017-1000001", "CVE-2018-0001"}
+	for name, ids := range map[string][]string{
+		"in order": want,
+		"reversed": {"CVE-2018-0001", "CVE-2017-1000001", "CVE-2017-2000", "CVE-2017-0002", "CVE-1999-0001"},
+		"lexical":  slices.Sorted(slices.Values(want)),
+	} {
+		s, err := ReadFeed(feedOf(t, ids...))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []string
+		for _, e := range s.Entries {
+			got = append(got, e.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: ReadFeed order %v, want %v", name, got, want)
+		}
+		if err := s.CheckOrder(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestReadFeedRejectsRepeatedIDs: a feed naming one CVE twice, under
+// one spelling or two, is an error naming the ID.
+func TestReadFeedRejectsRepeatedIDs(t *testing.T) {
+	for _, tc := range []struct {
+		ids  []string
+		want string
+	}{
+		{[]string{"CVE-2018-0002", "CVE-2017-0001", "CVE-2018-0002"}, "CVE-2018-0002"},
+		{[]string{"CVE-2017-0001", "CVE-2017-1"}, "CVE-2017-1"},
+	} {
+		_, err := ReadFeed(feedOf(t, tc.ids...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadFeed(%v) = %v, want an error naming %s", tc.ids, err, tc.want)
+		}
 	}
 }
 

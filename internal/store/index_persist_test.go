@@ -2,9 +2,11 @@ package store
 
 import (
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -210,6 +212,96 @@ func TestDamagedIndexSegmentsDowngrade(t *testing.T) {
 				t.Fatalf("append after index downgrade: %v", err)
 			}
 		})
+	}
+}
+
+// TestVersion1IndexSegmentsRebuild: an older build kept a feed in
+// file order and wrote version 1 index segments over it, with valid
+// CRCs. ReadFeed now sorts the reopened snapshot into ID order, so
+// those ordinals would name other entries: the segments take the
+// unusable-segment path once. The checkpoint opens with a rebuild note
+// and no index, and the index rebuilt over the reopened snapshot
+// answers like BuildIndex over the snapshot in ID order, not like the
+// segments.
+func TestVersion1IndexSegmentsRebuild(t *testing.T) {
+	dir := t.TempDir()
+	s, _, _, _ := mustOpen(t, dir)
+	orig, cleaned := testSnapshots()
+	slices.Reverse(orig.Entries)
+	slices.Reverse(cleaned.Entries)
+	cp := testCheckpoint()
+	cp.Original = orig
+	cp.Index = BuildIndex(cleaned, 4)
+	if err := s.Commit(cp); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	genDir := filepath.Join(dir, genName(s.Generation()))
+	s.Close()
+
+	mPath := filepath.Join(genDir, manifestFile)
+	mb, err := os.ReadFile(mPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(mb, &m); err != nil {
+		t.Fatal(err)
+	}
+	for seg := range numShards {
+		name := indexSegName(seg)
+		data, err := os.ReadFile(filepath.Join(genDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(indexMagic)] = 1 // the version byte
+		if err := os.WriteFile(filepath.Join(genDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.Files[name] = fileSum{Size: int64(len(data)), CRC32C: crc32.Checksum(data, walTable)}
+	}
+	if mb, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mPath, mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, cp2, _, notes := mustOpen(t, dir)
+	if cp2 == nil {
+		t.Fatalf("checkpoint with version 1 index segments did not open (notes %v)", notes)
+	}
+	if cp2.Index != nil {
+		t.Fatal("version 1 index segments still produced an index")
+	}
+	if !strings.Contains(cp2.IndexNote, "version 1") || !strings.Contains(cp2.IndexNote, "rebuilt") {
+		t.Fatalf("index note does not name the version and the rebuild: %q", cp2.IndexNote)
+	}
+	if err := cp2.Original.CheckOrder(); err != nil {
+		t.Fatalf("reopened snapshot: %v", err)
+	}
+	sorted, want := testSnapshots()
+	for i, e := range cp2.Original.Entries {
+		if e.ID != sorted.Entries[i].ID {
+			t.Fatalf("reopened entry %d is %s, want %s", i, e.ID, sorted.Entries[i].ID)
+		}
+	}
+	// The caller rebuilds over the reopened snapshot's cleaned view,
+	// which is in the same ID order.
+	cleaned.Sort()
+	rebuilt, fresh := BuildIndex(cleaned, 4), BuildIndex(want, 1)
+	stale := false
+	for sh := range rebuilt.shards {
+		got := decodedShard(t, rebuilt.shards[sh])
+		if !reflect.DeepEqual(got, decodedShard(t, fresh.shards[sh])) {
+			t.Fatalf("rebuilt shard %d differs from BuildIndex", sh)
+		}
+		stale = stale || !reflect.DeepEqual(got, decodedShard(t, cp.Index.shards[sh]))
+	}
+	if !stale {
+		t.Fatal("the file-order segments index the snapshot like the rebuild; the test proves nothing")
+	}
+	if err := s2.AppendDelta(testDelta(1)); err != nil {
+		t.Fatalf("append after index rebuild note: %v", err)
 	}
 }
 

@@ -27,8 +27,11 @@ import (
 // downgrades the whole index to an in-memory rebuild rather than serve
 // ordinals against the wrong snapshot.
 
-// indexFormatVersion is the segment encode version.
-const indexFormatVersion = 1
+// indexFormatVersion is the segment encode version. Version 1
+// segments may index a snapshot in its feed's order, which cve.ReadFeed
+// now sorts into ID order, so their ordinals can name other entries;
+// they load as unusable and the index is rebuilt once.
+const indexFormatVersion = 2
 
 var indexMagic = []byte("NVIX")
 

@@ -74,7 +74,7 @@ func NewWebCorpus(snap *Snapshot, disclosure map[string]time.Time) *WebCorpus {
 	return webcorpus.New(snap, disclosure)
 }
 
-// LoadFeed parses an NVD JSON 1.1 data feed.
+// LoadFeed parses an NVD JSON 1.1 data feed into a snapshot in ID order.
 func LoadFeed(r io.Reader) (*Snapshot, error) { return cve.ReadFeed(r) }
 
 // WriteFeed serializes a snapshot in NVD JSON 1.1 format.
@@ -150,7 +150,9 @@ type Result struct {
 }
 
 // Clean runs the full pipeline on snap, returning the rectified
-// snapshot and all intermediate artifacts. snap itself is not modified:
+// snapshot and all intermediate artifacts. snap must be in ID order
+// (Snapshot.CheckOrder), as LoadFeed and GenerateSnapshot return it;
+// Snapshot.Sort orders a hand-built one. snap itself is not modified:
 // Result.Cleaned copies each entry struct but shares the descriptions,
 // references, CVSS vectors and every other slice or vector no stage
 // rewrites with snap, so the caller must treat both as read-only.

@@ -58,9 +58,7 @@ type incState struct {
 	// tallies, candidate pairs and per-vendor product pair blocks. The
 	// next CleanDelta derives its survey from this one in O(delta)
 	// when no name appears or disappears. It is nil after
-	// RestoreResult, and when the snapshot's entries are not in ID
-	// order, since CleanDelta finds the delta's previous versions by
-	// binary search; the next CleanDelta then surveys from scratch.
+	// RestoreResult; the next CleanDelta then surveys from scratch.
 	survey *naming.Survey
 	// cweFix maps CVE ID to its §4.4 outcome.
 	cweFix map[string]predict.EntryCorrection
@@ -98,6 +96,12 @@ type reuseState struct {
 func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState) (*Result, error) {
 	if snap == nil || snap.Len() == 0 {
 		return nil, fmt.Errorf("nvdclean: empty snapshot")
+	}
+	// CleanDelta's merged snapshot is in ID order by construction.
+	if ru == nil {
+		if err := snap.CheckOrder(); err != nil {
+			return nil, fmt.Errorf("nvdclean: %w (Snapshot.Sort orders a hand-built snapshot)", err)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -177,9 +181,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			return err
 		}
 		pa := survey.AnalyzeProducts(res.VendorMap, w)
-		if ru != nil && ru.survey != nil || sortedByID(snap) {
-			st.survey = survey
-		}
+		st.survey = survey
 		res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
 		if err := ctx.Err(); err != nil {
 			return err
@@ -438,6 +440,10 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //     exists) the trained engine carries over and only changed entries
 //     are re-scored.
 //
+// The delta's lists must be in ID order (Delta.Sort). An added entry
+// out of that order, with a malformed ID, or naming a CVE prev.Original
+// holds that the delta does not remove, is an error.
+//
 // Bit-identity assumes opts matches the options of the previous run
 // (same Transport behavior, TopKDomains, Models, ModelConfig and Seed)
 // and a deterministic transport; Concurrency is free to differ. The
@@ -449,6 +455,9 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 	}
 	if delta == nil {
 		delta = &Delta{}
+	}
+	if err := checkDelta(prev.Original, delta); err != nil {
+		return nil, err
 	}
 	merged := prev.Original.ApplyDelta(delta)
 	changed := make(map[string]bool, delta.Size())
@@ -466,58 +475,35 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 	if prev.Backport != nil {
 		ru.prevBackport = prev.Backport.Scores
 	}
-	if prev.inc.survey != nil && wellFormedIDs(delta) {
-		ru.survey = prev.inc.survey
+	if ru.survey = prev.inc.survey; ru.survey != nil {
 		for id := range changed {
-			ru.before = appendByID(ru.before, prev.Original, id)
-			ru.after = appendByID(ru.after, merged, id)
+			if e := prev.Original.ByID(id); e != nil {
+				ru.before = append(ru.before, e)
+			}
+			if e := merged.ByID(id); e != nil {
+				ru.after = append(ru.after, e)
+			}
 		}
 	}
 	return runClean(ctx, merged, opts, ru)
 }
 
-// sortedByID reports whether snap's entries are in ID order with every
-// ID well formed: the order Snapshot documents, which ApplyDelta keeps
-// when the delta's IDs are well formed too.
-func sortedByID(snap *Snapshot) bool {
-	py, pq := 0, 0
-	for _, e := range snap.Entries {
-		y, q, err := cve.SplitID(e.ID)
-		if err != nil || y < py || y == py && q < pq {
-			return false
-		}
-		py, pq = y, q
+// checkDelta enforces CleanDelta's contract on the added entries; one
+// may respell an ID the delta removes. Binary searches keep it O(delta).
+func checkDelta(base *Snapshot, d *Delta) error {
+	if err := (&Snapshot{Entries: d.Added}).CheckOrder(); err != nil {
+		return fmt.Errorf("nvdclean: delta's added entries: %w (Delta.Sort orders a hand-built delta)", err)
 	}
-	return true
-}
-
-// wellFormedIDs reports whether every entry the delta brings has a
-// well-formed ID.
-func wellFormedIDs(delta *Delta) bool {
-	for _, entries := range [][]*Entry{delta.Added, delta.Modified} {
-		for _, e := range entries {
-			if _, _, err := cve.SplitID(e.ID); err != nil {
-				return false
-			}
+	es, rs := base.Entries, d.Removed
+	for _, e := range d.Added {
+		i := sort.Search(len(es), func(i int) bool { return !cve.IDLess(es[i].ID, e.ID) })
+		j := sort.Search(len(rs), func(j int) bool { return !cve.IDLess(rs[j], e.ID) })
+		held := i < len(es) && !cve.IDLess(e.ID, es[i].ID)
+		if held && (j == len(rs) || rs[j] != es[i].ID) {
+			return fmt.Errorf("nvdclean: delta adds %s, which the snapshot already holds as %s", e.ID, es[i].ID)
 		}
 	}
-	return true
-}
-
-// appendByID appends the entries of snap, which must be sortedByID,
-// with the given ID to dst.
-func appendByID(dst []*Entry, snap *Snapshot, id string) []*Entry {
-	if _, _, err := cve.SplitID(id); err != nil {
-		return dst // no entry of snap has it
-	}
-	es := snap.Entries
-	i := sort.Search(len(es), func(i int) bool { return !cve.IDLess(es[i].ID, id) })
-	for ; i < len(es) && !cve.IDLess(id, es[i].ID); i++ {
-		if es[i].ID == id {
-			dst = append(dst, es[i])
-		}
-	}
-	return dst
+	return nil
 }
 
 // StoreCheckpoint snapshots everything a persistent generation store
