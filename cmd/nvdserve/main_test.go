@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"nvdclean"
+	"nvdclean/internal/cve"
 	"nvdclean/internal/fsio"
 	"nvdclean/internal/gen"
 	"nvdclean/internal/predict"
@@ -350,9 +351,10 @@ func TestServerFeedUpdate(t *testing.T) {
 }
 
 // TestFeedRejectsDuplicateIDs posts bodies that name one new CVE ID
-// twice, in both modes: each must be answered 400 naming the ID and
-// leave the serving generation as it was, rather than serve two
-// entries under one ID.
+// twice, in both modes, and an upsert that names a CVE the snapshot
+// holds under another spelling: each must be answered 400 naming the
+// IDs and leave the serving generation as it was, rather than serve two
+// entries under one CVE. A replacing feed may respell an ID.
 func TestFeedRejectsDuplicateIDs(t *testing.T) {
 	srv, snap := demoServer(t)
 	ts := httptest.NewServer(srv.handler())
@@ -361,35 +363,59 @@ func TestFeedRejectsDuplicateIDs(t *testing.T) {
 
 	dup := snap.Entries[0].Clone()
 	dup.ID = "CVE-2018-9999"
-	for _, tc := range []struct {
-		mode    string
-		entries []*nvdclean.Entry
-	}{
-		{"upsert", []*nvdclean.Entry{dup, dup}},
-		{"replace", append(append([]*nvdclean.Entry(nil), snap.Entries...), dup, dup)},
-	} {
+	held := snap.Entries[0]
+	year, seq, err := cve.SplitID(held.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respelled := held.Clone()
+	respelled.ID = fmt.Sprintf("CVE-%d-%08d", year, seq)
+	post := func(mode string, entries []*nvdclean.Entry) (int, map[string]any) {
+		t.Helper()
 		var body bytes.Buffer
-		if err := nvdclean.WriteFeed(&body, &nvdclean.Snapshot{CapturedAt: snap.CapturedAt, Entries: tc.entries}); err != nil {
+		if err := nvdclean.WriteFeed(&body, &nvdclean.Snapshot{CapturedAt: snap.CapturedAt, Entries: entries}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ts.Client().Post(ts.URL+"/feed?mode="+tc.mode, "application/json", &body)
+		resp, err := ts.Client().Post(ts.URL+"/feed?mode="+mode, "application/json", &body)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
 		var msg map[string]any
 		if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: POST /feed with a repeated ID = %d, want 400: %v", tc.mode, resp.StatusCode, msg)
+		return resp.StatusCode, msg
+	}
+	for _, tc := range []struct {
+		name, mode string
+		entries    []*nvdclean.Entry
+		ids        []string // the IDs the 400 must name
+	}{
+		{"repeated ID", "upsert", []*nvdclean.Entry{dup, dup}, []string{dup.ID}},
+		{"repeated ID", "replace", append(append([]*nvdclean.Entry(nil), snap.Entries...), dup, dup), []string{dup.ID}},
+		{"respelled ID", "upsert", []*nvdclean.Entry{respelled}, []string{respelled.ID, held.ID}},
+	} {
+		code, msg := post(tc.mode, tc.entries)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s, %s: POST /feed = %d, want 400: %v", tc.name, tc.mode, code, msg)
 		}
-		if e, _ := msg["error"].(string); !strings.Contains(e, dup.ID) {
-			t.Errorf("%s: 400 does not name the repeated ID: %v", tc.mode, msg)
+		for _, id := range tc.ids {
+			if e, _ := msg["error"].(string); !strings.Contains(e, id) {
+				t.Errorf("%s, %s: 400 does not name %s: %v", tc.name, tc.mode, id, msg)
+			}
 		}
 		if cur := srv.cur.Load(); cur != before || cur.res.Cleaned.Len() != snap.Len() {
-			t.Fatalf("%s: rejected feed changed the serving generation", tc.mode)
+			t.Fatalf("%s, %s: rejected feed changed the serving generation", tc.name, tc.mode)
 		}
+	}
+
+	replaced := append([]*nvdclean.Entry{respelled}, snap.Entries[1:]...)
+	if code, msg := post("replace", replaced); code != http.StatusOK {
+		t.Fatalf("replace respelling %s as %s: POST /feed = %d, want 200: %v", held.ID, respelled.ID, code, msg)
+	}
+	if o := srv.cur.Load().res.Original; o.ByID(respelled.ID) == nil || o.ByID(held.ID) != nil {
+		t.Errorf("replace did not respell %s as %s", held.ID, respelled.ID)
 	}
 }
 

@@ -1035,6 +1035,11 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		// client when to retry.
 		s.persistUnavailable(w, nd.Error(), errors.Is(nd.error, syscall.ENOSPC))
 		return
+	case errors.Is(err, nvdclean.ErrBadDelta):
+		// The body is at fault, as when an upsert names a CVE the
+		// snapshot holds under another spelling.
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "incremental clean: %v", err)
 		return

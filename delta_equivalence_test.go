@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"nvdclean"
 	"nvdclean/internal/cve"
+	"nvdclean/internal/cwe"
 	"nvdclean/internal/gen"
 	"nvdclean/internal/naming"
 	"nvdclean/internal/predict"
@@ -43,6 +45,10 @@ const (
 	// (see renameNames), so the naming survey re-blocks and the vendor
 	// map changes.
 	renameDelta
+	// cweFlipDelta edits descriptions instead of holding entries out
+	// (see flipCorrections), so one §4.4 correction appears, one
+	// disappears and another carries over.
+	cweFlipDelta
 )
 
 // newDeltaFixture builds an old snapshot and the delta that turns it
@@ -64,9 +70,10 @@ func newDeltaFixture(t *testing.T, concurrency int, mode fixtureMode) deltaFixtu
 
 	target := full.Clone()
 	old := &nvdclean.Snapshot{CapturedAt: full.CapturedAt}
+	holdOut := mode == mixedDelta || mode == v2OnlyDelta
 	held := 0
 	for i, e := range target.Entries {
-		holdable := mode != renameDelta && i%20 == 10 && held < target.Len()/20+1
+		holdable := holdOut && i%20 == 10 && held < target.Len()/20+1
 		if holdable && mode == v2OnlyDelta && e.V3 != nil {
 			holdable = false
 		}
@@ -85,8 +92,10 @@ func newDeltaFixture(t *testing.T, concurrency int, mode fixtureMode) deltaFixtu
 		target.Entries = append(target.Entries[:7], target.Entries[8:]...)
 	case renameDelta:
 		renameNames(t, old, target)
+	case cweFlipDelta:
+		flipCorrections(t, target)
 	}
-	if held == 0 && mode != renameDelta {
+	if held == 0 && holdOut {
 		t.Fatal("fixture held out no entries")
 	}
 	delta := nvdclean.Diff(old, target)
@@ -191,6 +200,46 @@ func renameNames(t *testing.T, old, target *nvdclean.Snapshot) {
 	}
 }
 
+// flipCorrections edits target, a deep copy of the fixture's old
+// snapshot, so that its delta flips §4.4 corrections both ways, and
+// checks with the fix's own function that each flip happens:
+//   - the first entry the fix leaves alone gains an embedded "CWE-79",
+//     so a correction appears;
+//   - the first entry it corrects loses every embedded CWE ID, so its
+//     correction disappears;
+//   - the second entry it corrects stays as it is, so its correction
+//     carries over.
+func flipCorrections(t *testing.T, target *nvdclean.Snapshot) {
+	t.Helper()
+	reg := cwe.NewRegistry()
+	corrected := func(e *nvdclean.Entry) bool { return predict.CorrectEntryCWEs(e, reg).Changed }
+	var gain, lose, keep *nvdclean.Entry
+	for _, e := range target.Entries {
+		switch {
+		case !corrected(e):
+			if gain == nil && len(e.Descriptions) > 0 && !slices.Contains(e.CWEs, cwe.ID(79)) {
+				gain = e
+			}
+		case lose == nil:
+			lose = e
+		case keep == nil:
+			keep = e
+		}
+	}
+	if gain == nil || keep == nil {
+		t.Fatal("fixture snapshot lacks an uncorrected entry or two corrected ones")
+	}
+	gain.Descriptions[0].Value += " Tracked as CWE-79."
+	embedded := regexp.MustCompile(`CWE-[0-9]+`)
+	for i := range lose.Descriptions {
+		lose.Descriptions[i].Value = embedded.ReplaceAllString(lose.Descriptions[i].Value, "")
+	}
+	if !corrected(gain) || corrected(lose) || !corrected(keep) {
+		t.Fatalf("fixture's flips do not hold: %s corrected %v, %s corrected %v, %s corrected %v",
+			gain.ID, corrected(gain), lose.ID, corrected(lose), keep.ID, corrected(keep))
+	}
+}
+
 // consolidate returns the vendor and product maps a Clean of snap
 // consolidates.
 func consolidate(snap *nvdclean.Snapshot) (*naming.Map, *naming.ProductMap) {
@@ -269,6 +318,7 @@ func TestCleanDeltaEquivalenceInvariant(t *testing.T) {
 		{"v2-only delta reuses engine", v2OnlyDelta},
 		{"mixed delta retrains", mixedDelta},
 		{"renamed names re-survey", renameDelta},
+		{"CWE corrections flip", cweFlipDelta},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fix := newDeltaFixture(t, 4, tc.mode)
@@ -310,21 +360,24 @@ func TestCleanDeltaEquivalenceInvariant(t *testing.T) {
 // equal the cold Clean the checkpoint was taken from, restoring must
 // leave the checkpoint's original snapshot untouched, and a CleanDelta
 // from either side must give equal Results. It covers runs with and
-// without a transport, and with and without the severity stage.
+// without a transport, and with and without the severity stage, and a
+// delta that makes §4.4 corrections appear and disappear.
 func TestRestoreResultEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name      string
 		transport bool
 		severity  bool
+		mode      fixtureMode
 	}{
-		{"crawled with severity", true, true},
-		{"crawled without severity", true, false},
-		{"no transport with severity", false, true},
-		{"no transport without severity", false, false},
+		{"crawled with severity", true, true, mixedDelta},
+		{"crawled without severity", true, false, mixedDelta},
+		{"no transport with severity", false, true, mixedDelta},
+		{"no transport without severity", false, false, mixedDelta},
+		{"CWE corrections flip", true, true, cweFlipDelta},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fix := newDeltaFixture(t, 4, mixedDelta)
+			fix := newDeltaFixture(t, 4, tc.mode)
 			opts := fix.opts
 			if !tc.transport {
 				opts.Transport = nil
@@ -375,6 +428,96 @@ func TestRestoreResultEquivalence(t *testing.T) {
 			}
 			assertResultsEqual(t, tc.name+" delta after restore", fromWarm, fromCold)
 		})
+	}
+}
+
+// TestReuseStateLayout pins what the reuse state holds for §4.4: one
+// record per entry whose CWE field the fix rewrote, and none for an
+// entry it left alone. A state in the older layout, which also lists a
+// zero outcome for every entry left alone, must still restore to a
+// Result equal to the cold Clean, and a CleanDelta from that Result
+// must warm-start the engine and equal a cold Clean of the merged
+// snapshot.
+func TestReuseStateLayout(t *testing.T) {
+	ctx := context.Background()
+	full, truth, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := nvdclean.Options{
+		Transport:   nvdclean.NewWebCorpus(full, truth.Disclosure).Transport(),
+		Concurrency: 4,
+		Models:      []predict.ModelKind{predict.ModelLR},
+		ModelConfig: predict.ModelConfig{Seed: 1},
+		Seed:        1,
+	}
+	// Hold out v2-only entries, so the delta leaves the training split
+	// as it was.
+	old := &nvdclean.Snapshot{CapturedAt: full.CapturedAt}
+	for i, e := range full.Entries {
+		if i%20 != 10 || e.V3 != nil {
+			old.Entries = append(old.Entries, e)
+		}
+	}
+	cold, err := nvdclean.Clean(ctx, old, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := cold.StoreCheckpoint()
+	records := cp.State.CWEFix
+	if len(records) == 0 || len(records) != cold.CWECorrection.Corrected {
+		t.Fatalf("state holds %d §4.4 records, want the %d corrections", len(records), cold.CWECorrection.Corrected)
+	}
+	for i, e := range cold.Cleaned.Entries {
+		rewrote := !slices.Equal(e.CWEs, cold.Original.Entries[i].CWEs)
+		if ec, ok := records[e.ID]; ok != rewrote || ok && !ec.Changed {
+			t.Fatalf("%s: record %+v (present: %v), CWE field rewritten: %v", e.ID, ec, ok, rewrote)
+		}
+	}
+
+	st := *cp.State
+	st.CWEFix = maps.Clone(records)
+	for _, e := range old.Entries {
+		if _, ok := st.CWEFix[e.ID]; !ok {
+			st.CWEFix[e.ID] = predict.EntryCorrection{}
+		}
+	}
+	cp.State = &st
+	dir := t.TempDir()
+	s, _, _, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(cp); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, cp, _, _, err = store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if cp == nil || len(cp.State.CWEFix) != old.Len() {
+		t.Fatal("reopened store does not hold the older layout's state")
+	}
+	warm, err := nvdclean.RestoreResult(cp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nvdclean.ApplyBackport(cold.Cleaned, cold.Backport)
+	assertResultsEqual(t, "older layout restored", warm, cold)
+
+	got, err := nvdclean.CleanDelta(ctx, warm, nvdclean.Diff(old, full), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := nvdclean.Clean(ctx, full, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, "delta after the older layout", got, want)
+	if got.Engine != warm.Engine {
+		t.Error("v2-only delta after the older layout did not reuse the restored engine")
 	}
 }
 

@@ -11,10 +11,11 @@
 // A checkpoint directory contains the original snapshot in NVD JSON 1.1
 // feed form, the consolidation maps, the trained severity engine, and
 // state.json — the incremental-reuse state (dataset fingerprint,
-// per-entry crawl and CWE artifacts, backported scores) that lets a
-// restart rebuild a delta-cleanable Result without re-running the
-// pipeline. The cleaned view is not stored: the original, the two maps
-// and state.json determine it, and the restore derives it from them.
+// training signature, per-entry crawl artifacts, the §4.4 corrections,
+// backported scores) that lets a restart rebuild a delta-cleanable
+// Result without re-running the pipeline. The cleaned view is not
+// stored: the original, the two maps and state.json determine it, and
+// the restore derives it from them.
 // MANIFEST.json closes the checkpoint with per-file CRC-32C sums — and
 // the walSeq watermark naming the highest log segment the checkpoint
 // already folds in — and is written last.
@@ -86,25 +87,35 @@ type CrawlArtifact struct {
 	Stats     crawler.Stats `json:"stats"`
 }
 
-// State is the serializable incremental-reuse state of one cleaned
-// generation — everything CleanDelta needs from a previous Result that
-// is not already in the original snapshot, the consolidation maps, or
-// the engine document.
+// Training is everything besides the dataset that determines a trained
+// §4.3 engine: the model selection, the training config and the split
+// seed. The config's Workers is zero, since trained models are
+// bit-identical at any worker count.
+type Training struct {
+	Models      string              `json:"models"`
+	ModelConfig predict.ModelConfig `json:"modelConfig"`
+	Seed        int64               `json:"seed"`
+}
+
+// State is the incremental-reuse state of one cleaned generation —
+// everything CleanDelta needs from a previous Result that is not
+// already in the original snapshot, the consolidation maps, or the
+// engine document. A Result carries it as is, and a checkpoint
+// persists it as state.json.
 type State struct {
 	// Fingerprint is the §4.3 dataset fingerprint of the cleaned
 	// snapshot; Trained marks a generation whose severity stage ran.
 	Fingerprint uint64 `json:"fingerprint"`
 	Trained     bool   `json:"trained"`
-	// Models, ModelConfig and Seed reproduce the training signature the
-	// engine warm-start check compares against the boot options.
-	Models      string              `json:"models"`
-	ModelConfig predict.ModelConfig `json:"modelConfig"`
-	Seed        int64               `json:"seed"`
+	// Training is the signature the engine warm-start check compares
+	// against the next run's options.
+	Training
 	// Crawled marks a generation produced with a transport; Crawl holds
 	// the per-entry artifacts.
 	Crawled bool                     `json:"crawled"`
 	Crawl   map[string]CrawlArtifact `json:"crawl,omitempty"`
-	// CWEFix holds the per-entry §4.4 outcomes.
+	// CWEFix holds the §4.4 outcomes that rewrote an entry's CWE field.
+	// An entry without a record was left alone.
 	CWEFix map[string]predict.EntryCorrection `json:"cweFix"`
 	// HasBackport marks a generation carrying predicted v3 scores;
 	// Backport maps CVE ID to the predicted score.

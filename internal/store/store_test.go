@@ -86,10 +86,12 @@ func testCheckpoint() *Checkpoint {
 		State: &State{
 			Fingerprint: 0xfeedbeef,
 			Trained:     true,
-			Models:      "LR",
-			ModelConfig: predict.ModelConfig{Epochs: 3, Compact: true, Seed: 7},
-			Seed:        7,
-			Crawled:     true,
+			Training: Training{
+				Models:      "LR",
+				ModelConfig: predict.ModelConfig{Epochs: 3, Compact: true, Seed: 7},
+				Seed:        7,
+			},
+			Crawled: true,
 			Crawl: map[string]CrawlArtifact{
 				"CVE-2017-0001": {
 					Estimated: time.Date(2017, 2, 20, 0, 0, 0, 0, time.UTC),

@@ -19,16 +19,9 @@ import (
 	"nvdclean/internal/store"
 )
 
-// trainSig captures everything besides the dataset that determines the
-// trained engine, for the warm-start equality check. Workers is
-// excluded: trained models are bit-identical at any worker count.
-type trainSig struct {
-	models string
-	cfg    predict.ModelConfig
-	seed   int64
-}
-
-func trainSigOf(opts Options) trainSig {
+// trainingOf is the training signature a severity stage run under
+// opts records, for the warm-start equality check.
+func trainingOf(opts Options) store.Training {
 	kinds := opts.Models
 	if len(kinds) == 0 {
 		kinds = predict.AllModels()
@@ -39,34 +32,30 @@ func trainSigOf(opts Options) trainSig {
 	}
 	cfg := opts.ModelConfig
 	cfg.Workers = 0
-	return trainSig{models: strings.Join(names, ","), cfg: cfg, seed: opts.Seed}
+	return store.Training{Models: strings.Join(names, ","), ModelConfig: cfg, Seed: opts.Seed}
 }
 
 // incState is the incremental-cleaning state a Result carries so the
 // next CleanDelta can reuse per-entry artifacts, the naming survey and
-// the trained engine. It is deliberately unexported: callers hold it
-// only through a Result.
+// the trained engine: the store.State a checkpoint persists, plus the
+// survey. It is deliberately unexported: callers hold it only through
+// a Result.
+//
+// Crawl estimates, lags and stats are pure per-entry functions of the
+// entry's references (the crawler memo changes scheduling, never
+// accounting), so unchanged entries of a feed delta replay their
+// artifacts without touching the network. Nothing writes to the
+// state's maps once their run has built them, so checkpoints share
+// them. A run leaves HasBackport and Backport unset: the scores live in
+// Result.Backport, and StoreCheckpoint takes them from there.
 type incState struct {
-	// crawl maps CVE ID to its §4.1 artifact; nil when the run had no
-	// transport. Estimates, lags and stats are pure per-entry functions
-	// of the entry's references (the crawler memo changes scheduling,
-	// never accounting), so unchanged entries of a feed delta replay
-	// their artifacts without touching the network. Nothing writes to
-	// the map once its run has built it, so checkpoints share it.
-	crawl map[string]store.CrawlArtifact
+	store.State
 	// survey is the §4.2 naming survey of the snapshot: its name
 	// tallies, candidate pairs and per-vendor product pair blocks. The
 	// next CleanDelta derives its survey from this one in O(delta)
 	// when no name appears or disappears. It is nil after
 	// RestoreResult; the next CleanDelta then surveys from scratch.
 	survey *naming.Survey
-	// cweFix maps CVE ID to its §4.4 outcome.
-	cweFix map[string]predict.EntryCorrection
-	// fp and sig identify the trained engine; trained marks a run that
-	// executed the severity stage.
-	fp      uint64
-	sig     trainSig
-	trained bool
 }
 
 // reuseState tells a run which pieces of the previous Result still
@@ -114,7 +103,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		VendorChanged:       make(map[string]bool),
 		ProductChanged:      make(map[string]bool),
 	}
-	st := &incState{cweFix: make(map[string]predict.EntryCorrection, snap.Len())}
+	st := &incState{State: store.State{CWEFix: make(map[string]predict.EntryCorrection)}}
 	res.inc = st
 
 	// §4.1: disclosure dates via reference crawling. Reads only the
@@ -128,14 +117,15 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		if err != nil {
 			return fmt.Errorf("nvdclean: building crawler: %w", err)
 		}
-		st.crawl = make(map[string]store.CrawlArtifact, snap.Len())
+		st.Crawled = true
+		st.Crawl = make(map[string]store.CrawlArtifact, snap.Len())
 		toCrawl := snap.Entries
-		if ru != nil && ru.prev.crawl != nil {
+		if ru != nil && ru.prev.Crawled {
 			toCrawl = nil
 			for _, e := range snap.Entries {
 				if !ru.changed[e.ID] {
-					if a, ok := ru.prev.crawl[e.ID]; ok {
-						st.crawl[e.ID] = a
+					if a, ok := ru.prev.Crawl[e.ID]; ok {
+						st.Crawl[e.ID] = a
 						continue
 					}
 				}
@@ -147,9 +137,9 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			return fmt.Errorf("nvdclean: crawling references: %w", err)
 		}
 		for i, r := range results {
-			st.crawl[r.ID] = store.CrawlArtifact{Estimated: r.Estimated, LagDays: r.LagDays, Stats: perStats[i]}
+			st.Crawl[r.ID] = store.CrawlArtifact{Estimated: r.Estimated, LagDays: r.LagDays, Stats: perStats[i]}
 		}
-		foldCrawl(res, snap, st.crawl, w)
+		foldCrawl(res, snap, st.Crawl, w)
 		return nil
 	}
 
@@ -207,7 +197,9 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			} else {
 				ec = predict.CorrectEntryCWEs(e, reg)
 			}
-			st.cweFix[e.ID] = ec
+			if ec.Changed {
+				st.CWEFix[e.ID] = ec
+			}
 			applyCWEFix(e, ec, cor)
 		}
 		res.CWECorrection = cor
@@ -220,10 +212,10 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		st.fp = predict.DatasetFingerprint(res.Cleaned, opts.Seed)
-		st.sig = trainSigOf(opts)
-		if ru != nil && ru.prev.trained && ru.prevEngine != nil &&
-			ru.prev.fp == st.fp && ru.prev.sig == st.sig {
+		st.Fingerprint = predict.DatasetFingerprint(res.Cleaned, opts.Seed)
+		st.Training = trainingOf(opts)
+		if ru != nil && ru.prev.Trained && ru.prevEngine != nil &&
+			ru.prev.Fingerprint == st.Fingerprint && ru.prev.Training == st.Training {
 			// Warm start: identical dataset and training
 			// config reproduce the engine bit for bit, so the
 			// previous one carries over and only entries the
@@ -250,7 +242,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 				return fmt.Errorf("nvdclean: backporting v3 scores: %w", err)
 			}
 		}
-		st.trained = true
+		st.Trained = true
 		return nil
 	}
 
@@ -370,14 +362,15 @@ func foldCrawl(res *Result, snap *Snapshot, arts map[string]store.CrawlArtifact,
 	res.CrawlStats = crawler.FoldStats(workers, perEntry)
 }
 
-// cachedCorrection looks up a reusable §4.4 outcome for an unchanged
-// entry.
+// cachedCorrection looks up the previous §4.4 outcome of an entry the
+// delta does not name. Every run computes an outcome for each entry of
+// its snapshot and records the ones that rewrote it, so an entry
+// without a record was left alone: the zero outcome.
 func cachedCorrection(ru *reuseState, id string) (predict.EntryCorrection, bool) {
-	if ru == nil || ru.prev.cweFix == nil || ru.changed[id] {
+	if ru == nil || ru.changed[id] {
 		return predict.EntryCorrection{}, false
 	}
-	ec, ok := ru.prev.cweFix[id]
-	return ec, ok
+	return ru.prev.CWEFix[id], true
 }
 
 // backportDelta rebuilds the backport map under a reused engine:
@@ -442,7 +435,8 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //
 // The delta's lists must be in ID order (Delta.Sort). An added entry
 // out of that order, with a malformed ID, or naming a CVE prev.Original
-// holds that the delta does not remove, is an error.
+// holds that the delta does not remove, is an error wrapping
+// ErrBadDelta.
 //
 // Bit-identity assumes opts matches the options of the previous run
 // (same Transport behavior, TopKDomains, Models, ModelConfig and Seed)
@@ -488,11 +482,16 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 	return runClean(ctx, merged, opts, ru)
 }
 
+// ErrBadDelta marks a CleanDelta error that the delta alone causes: an
+// added entry out of ID order, with a malformed ID, or naming a CVE the
+// previous snapshot holds that the delta does not remove.
+var ErrBadDelta = errors.New("nvdclean: bad delta")
+
 // checkDelta enforces CleanDelta's contract on the added entries; one
 // may respell an ID the delta removes. Binary searches keep it O(delta).
 func checkDelta(base *Snapshot, d *Delta) error {
 	if err := (&Snapshot{Entries: d.Added}).CheckOrder(); err != nil {
-		return fmt.Errorf("nvdclean: delta's added entries: %w (Delta.Sort orders a hand-built delta)", err)
+		return fmt.Errorf("%w: its added entries: %w (Delta.Sort orders a hand-built delta)", ErrBadDelta, err)
 	}
 	es, rs := base.Entries, d.Removed
 	for _, e := range d.Added {
@@ -500,7 +499,7 @@ func checkDelta(base *Snapshot, d *Delta) error {
 		j := sort.Search(len(rs), func(j int) bool { return !cve.IDLess(rs[j], e.ID) })
 		held := i < len(es) && !cve.IDLess(e.ID, es[i].ID)
 		if held && (j == len(rs) || rs[j] != es[i].ID) {
-			return fmt.Errorf("nvdclean: delta adds %s, which the snapshot already holds as %s", e.ID, es[i].ID)
+			return fmt.Errorf("%w: it adds %s, which the snapshot already holds as %s", ErrBadDelta, e.ID, es[i].ID)
 		}
 	}
 	return nil
@@ -510,20 +509,11 @@ func checkDelta(base *Snapshot, d *Delta) error {
 // needs to rebuild this Result without re-running the pipeline: the
 // original snapshot, the consolidation maps, the trained engine, and
 // the incremental-reuse state (dataset fingerprint, training signature,
-// per-entry crawl and CWE artifacts, backported scores). The cleaned
-// view is not among them: RestoreResult derives it from these. Building
-// a checkpoint modifies nothing.
+// per-entry crawl artifacts, the §4.4 corrections, backported scores).
+// The cleaned view is not among them: RestoreResult derives it from
+// these. Building a checkpoint modifies nothing.
 func (r *Result) StoreCheckpoint() *store.Checkpoint {
-	st := &store.State{
-		Fingerprint: r.inc.fp,
-		Trained:     r.inc.trained,
-		Models:      r.inc.sig.models,
-		ModelConfig: r.inc.sig.cfg,
-		Seed:        r.inc.sig.seed,
-		Crawled:     r.inc.crawl != nil,
-		Crawl:       r.inc.crawl,
-		CWEFix:      r.inc.cweFix,
-	}
+	st := r.inc.State
 	if r.Backport != nil {
 		st.HasBackport = true
 		st.Backport = r.Backport.Scores
@@ -533,7 +523,7 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 		Vendors:  r.VendorMap,
 		Products: r.ProductMap,
 		Engine:   r.Engine,
-		State:    st,
+		State:    &st,
 	}
 }
 
@@ -541,17 +531,18 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 // persisted checkpoint without running any pipeline stage. The cleaned
 // view is derived from the original with the stages' own rewrite code:
 // the persisted consolidation maps apply through the naming stages'
-// functions, the persisted §4.4 outcomes replay as the CWE stage
-// applies them, and the persisted backported scores are materialized,
-// so the view matches a cold Clean's entry for entry and shares its
-// memory layout. Per-entry artifacts replay into the disclosure, lag
-// and CWE aggregates in snapshot order (so folds match a from-scratch
-// run bit for bit), and the reuse state rearms CleanDelta — including
-// the engine warm-start check, provided opts carries the same model
-// selection, training config and seed the checkpoint was produced
-// with. The restored Result carries no naming survey: the next
-// CleanDelta surveys the merged snapshot from scratch, which changes
-// its cost, never its bits.
+// functions, the persisted §4.4 corrections replay as the CWE stage
+// applies them (an entry without one was left alone), and the persisted
+// backported scores are materialized, so the view matches a cold
+// Clean's entry for entry and shares its memory layout. Per-entry
+// artifacts replay into the disclosure, lag and CWE aggregates in
+// snapshot order (so folds match a from-scratch run bit for bit), and
+// the reuse state rearms CleanDelta — including the engine warm-start
+// check, provided opts carries the same model selection, training
+// config and seed the checkpoint was produced with. The restored
+// Result carries no naming survey: the next CleanDelta surveys the
+// merged snapshot from scratch, which changes its cost, never its
+// bits.
 func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 	if cp == nil || cp.Original == nil || cp.State == nil ||
 		cp.Vendors == nil || cp.Products == nil {
@@ -568,28 +559,14 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 		ProductChanged:      make(map[string]bool),
 		Engine:              cp.Engine,
 	}
-	st := &incState{
-		cweFix:  cp.State.CWEFix,
-		fp:      cp.State.Fingerprint,
-		sig:     trainSig{models: cp.State.Models, cfg: cp.State.ModelConfig, seed: cp.State.Seed},
-		trained: cp.State.Trained,
-	}
-	if st.cweFix == nil {
-		st.cweFix = make(map[string]predict.EntryCorrection)
-	}
+	st := &incState{State: *cp.State}
 	res.inc = st
 
-	if cp.State.Crawled {
-		// A nil map would tell the next CleanDelta the run never
-		// crawled.
-		st.crawl = cp.State.Crawl
-		if st.crawl == nil {
-			st.crawl = make(map[string]store.CrawlArtifact)
-		}
-		foldCrawl(res, cp.Original, st.crawl, opts.Concurrency)
+	if st.Crawled {
+		foldCrawl(res, cp.Original, st.Crawl, opts.Concurrency)
 	}
-	if cp.State.HasBackport {
-		scores := cp.State.Backport
+	if st.HasBackport {
+		scores := st.Backport
 		if scores == nil {
 			scores = make(map[string]float64)
 		}
@@ -600,7 +577,7 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 	applyProductMap(res)
 	cor := &predict.CWECorrection{}
 	for _, e := range res.Cleaned.Entries {
-		applyCWEFix(e, st.cweFix[e.ID], cor)
+		applyCWEFix(e, st.CWEFix[e.ID], cor)
 	}
 	res.CWECorrection = cor
 	ApplyBackport(res.Cleaned, res.Backport)
