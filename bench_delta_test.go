@@ -1,15 +1,18 @@
 // Incremental-cleaning benchmarks: full Clean of a merged snapshot vs
 // CleanDelta of the 5% feed delta that produced it, per the
 // PERFORMANCE.md recipe (recorded in BENCH_2.json), plus the
-// allocation bound on a one-entry CleanDelta and the size bound on a
-// committed checkpoint.
+// allocation bound on a one-entry CleanDelta, the size and allocation
+// bounds on a committed checkpoint, and the checkpoint feed encoding's
+// benchmark.
 package nvdclean_test
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"nvdclean"
+	"nvdclean/internal/cve"
 	"nvdclean/internal/predict"
 	"nvdclean/internal/store"
 )
@@ -218,5 +221,92 @@ func TestCheckpointSizeGuard(t *testing.T) {
 	t.Logf("checkpoint: %d bytes in %d files over %d entries = %.0f bytes/entry", total, len(rm.Files), snap.Len(), perEntry)
 	if perEntry > maxBytesPerEntry {
 		t.Fatalf("checkpoint costs %.0f bytes/entry, budget %.0f", perEntry, maxBytesPerEntry)
+	}
+}
+
+// TestCommitAllocGuard is the checkpoint-commit allocation bound: a
+// Store.Commit of a 3K-entry Clean's checkpoint, with its query index,
+// must stay within a recorded budget of heap objects per snapshot
+// entry, and the feed encoding inside it must allocate a constant
+// number of objects, at 400 entries as at 3K. The encoder appends each
+// entry's bytes to one reused buffer and streams them through a 64 KiB
+// writer; building a JSON tree per entry, or buffering the whole
+// document, would break both bounds. Raising either bound is an ingest
+// regression — justify it in the commit that does.
+func TestCommitAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
+	}
+	// Measured 1.66 per entry at 3K entries; 30.8 when the feed writer
+	// built an itemJSON tree per entry for json.Encoder.
+	const maxCommitAllocsPerEntry = 3.0
+	// Measured 2 at both sizes (the write buffer and the entry buffer);
+	// the tree-building writer allocated 10,701 at 400 entries and
+	// 87,317 at 3K.
+	const maxFeedAllocs = 16
+	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := nvdclean.Clean(context.Background(), snap, nvdclean.Options{
+		Concurrency: 4,
+		Models:      []predict.ModelKind{predict.ModelLR},
+		ModelConfig: predict.ModelConfig{Seed: 1},
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := res.StoreCheckpoint()
+	cp.Index = store.BuildIndex(res.Cleaned, 4)
+	st, _, _, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var commitErr error
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := st.Commit(cp); err != nil {
+			commitErr = err
+		}
+	})
+	if commitErr != nil {
+		t.Fatal(commitErr)
+	}
+	perEntry := allocs / float64(snap.Len())
+	t.Logf("Store.Commit: %.0f allocations over %d entries = %.2f per entry", allocs, snap.Len(), perEntry)
+	if perEntry > maxCommitAllocsPerEntry {
+		t.Errorf("Store.Commit costs %.2f allocations per entry, budget %.1f", perEntry, maxCommitAllocsPerEntry)
+	}
+	for _, n := range []int{400, snap.Len()} {
+		feed := &nvdclean.Snapshot{CapturedAt: res.Original.CapturedAt, Entries: res.Original.Entries[:n]}
+		var writeErr error
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := cve.WriteFeedCompact(io.Discard, feed); err != nil {
+				writeErr = err
+			}
+		})
+		if writeErr != nil {
+			t.Fatal(writeErr)
+		}
+		t.Logf("WriteFeedCompact of %d entries: %.0f allocations", n, allocs)
+		if allocs > maxFeedAllocs {
+			t.Errorf("WriteFeedCompact of %d entries allocates %.0f times, budget %d", n, allocs, maxFeedAllocs)
+		}
+	}
+}
+
+// BenchmarkWriteFeedCompact times the checkpoint feed encoding of the
+// 3K-entry snapshot.
+func BenchmarkWriteFeedCompact(b *testing.B) {
+	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := cve.WriteFeedCompact(io.Discard, snap); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

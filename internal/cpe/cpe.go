@@ -69,13 +69,18 @@ func (n Name) attrs() [11]string {
 
 // FormatString binds the name to a CPE 2.3 formatted string.
 func (n Name) FormatString() string {
-	var b strings.Builder
-	b.WriteString("cpe:2.3")
+	return string(n.AppendFormatString(make([]byte, 0, 128)))
+}
+
+// AppendFormatString appends the name's CPE 2.3 formatted string, as
+// FormatString binds it, to b and returns the extended buffer.
+func (n Name) AppendFormatString(b []byte) []byte {
+	b = append(b, "cpe:2.3"...)
 	for _, a := range n.attrs() {
-		b.WriteByte(':')
-		b.WriteString(escape(a))
+		b = append(b, ':')
+		b = appendEscaped(b, a)
 	}
-	return b.String()
+	return b
 }
 
 // URI binds the name to the legacy CPE 2.2 URI form used by older NVD
@@ -104,26 +109,25 @@ func (n Name) URI() string {
 // String returns the formatted-string binding.
 func (n Name) String() string { return n.FormatString() }
 
-// escape backslash-escapes the characters the 2.3 grammar reserves,
-// leaving the logical values "*" and "-" intact.
-func escape(s string) string {
-	if s == Any || s == "-" || s == "" {
-		if s == "" {
-			return Any
-		}
-		return s
+// appendEscaped appends s with the characters the 2.3 grammar reserves
+// backslash-escaped, leaving the logical values "*" and "-" intact; an
+// empty attribute binds as "*".
+func appendEscaped(b []byte, s string) []byte {
+	switch s {
+	case "":
+		return append(b, Any...)
+	case Any, "-":
+		return append(b, s...)
 	}
-	var b strings.Builder
-	b.Grow(len(s))
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch c {
+		switch c := s[i]; c {
 		case ':', '*', '?', '\\':
-			b.WriteByte('\\')
+			b = append(b, '\\', c)
+		default:
+			b = append(b, c)
 		}
-		b.WriteByte(c)
 	}
-	return b.String()
+	return b
 }
 
 func unescape(s string) string {

@@ -122,6 +122,10 @@ func TestEscaping(t *testing.T) {
 
 func TestFormatStringRoundTripProperty(t *testing.T) {
 	f := func(vendor, product, version string) bool {
+		n := NewName(PartApplication, vendor, product, version)
+		if string(n.AppendFormatString([]byte("x"))) != "x"+n.FormatString() {
+			return false
+		}
 		// Skip values that are not representable (empty or containing a
 		// backslash, which the simple escaper reserves).
 		for _, s := range []string{vendor, product} {
@@ -132,12 +136,30 @@ func TestFormatStringRoundTripProperty(t *testing.T) {
 		if strings.ContainsAny(version, "\\") || version == "" {
 			return true
 		}
-		n := NewName(PartApplication, vendor, product, version)
 		back, err := Parse(n.FormatString())
 		return err == nil && back == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+var stringSink string
+
+// TestFormatStringAllocs: FormatString binds through AppendFormatString
+// into a stack buffer, so the returned string is its one allocation.
+func TestFormatStringAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts skipped in -short mode: race builds count allocations differently")
+	}
+	for _, n := range []Name{
+		NewName(PartApplication, "microsoft", "internet_explorer", "11.0"),
+		NewName(PartOS, "vendor:with:colons", "product*star?", `back\slash`),
+		{Part: PartHardware, Vendor: "cisco", Product: "-"},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { stringSink = n.FormatString() }); allocs > 1 {
+			t.Errorf("FormatString of %q allocates %.0f times, want at most 1", n.FormatString(), allocs)
+		}
 	}
 }
 

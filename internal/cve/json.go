@@ -1,11 +1,15 @@
 package cve
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"nvdclean/internal/cpe"
 	"nvdclean/internal/cvss"
@@ -13,7 +17,10 @@ import (
 )
 
 // The NVD JSON 1.1 feed layout. Field names follow the feed schema so
-// the codec reads real NVD data-feed files unchanged.
+// the codec reads real NVD data-feed files unchanged. ReadFeed and
+// UnmarshalDelta decode through these types; appendItem writes the
+// same layout by hand, byte for byte as encoding/json writes these
+// types (TestFeedEncodingMatchesReference).
 type (
 	feedJSON struct {
 		DataType    string     `json:"CVE_data_type"`
@@ -128,115 +135,306 @@ type (
 // feedTime is the timestamp layout of the NVD JSON feeds.
 const feedTime = "2006-01-02T15:04Z"
 
+// feedBufferSize is WriteFeedCompact's write buffer: a checkpoint feed
+// streams to its file in writes of this size, and a feed smaller than
+// it reaches the writer in one Write.
+const feedBufferSize = 64 << 10
+
 // WriteFeed serializes the snapshot in NVD JSON 1.1 data-feed format,
-// indented like the published feeds.
+// indented like the published feeds. It indents WriteFeedCompact's
+// bytes with json.Indent, as json.Encoder's SetIndent does, and hands
+// the document to w in one Write.
 func WriteFeed(w io.Writer, s *Snapshot) error {
-	return writeFeed(w, s, true)
+	var compact, indented bytes.Buffer
+	if err := WriteFeedCompact(&compact, s); err != nil {
+		return err
+	}
+	if err := json.Indent(&indented, compact.Bytes(), "", "  "); err != nil {
+		return fmt.Errorf("cve: indenting feed: %w", err)
+	}
+	_, err := indented.WriteTo(w)
+	return err
 }
 
 // WriteFeedCompact is WriteFeed without indentation — the generation
 // store's checkpoint encoding, where decode speed and file size beat
-// readability. ReadFeed accepts both forms identically.
+// readability. ReadFeed accepts both forms identically. The bytes are
+// those encoding/json writes for the feed layout, followed by a
+// newline as json.Encoder ends a document. Entries are encoded one at
+// a time and streamed through a 64 KiB buffer, so memory does not grow
+// with the feed; on an error w may have received part of it.
 func WriteFeedCompact(w io.Writer, s *Snapshot) error {
-	return writeFeed(w, s, false)
-}
-
-func writeFeed(w io.Writer, s *Snapshot, indent bool) error {
-	f := feedJSON{
-		DataType:    "CVE",
-		DataFormat:  "MITRE",
-		DataVersion: "4.0",
-		NumberCVEs:  strconv.Itoa(len(s.Entries)),
-		Timestamp:   s.CapturedAt.UTC().Format(feedTime),
-		Items:       make([]itemJSON, 0, len(s.Entries)),
-	}
-	for _, e := range s.Entries {
-		f.Items = append(f.Items, encodeItem(e))
-	}
-	enc := json.NewEncoder(w)
-	if indent {
-		enc.SetIndent("", "  ")
-	}
-	return enc.Encode(&f)
-}
-
-func encodeItem(e *Entry) itemJSON {
-	item := itemJSON{
-		CVE: cveJSON{
-			Meta: metaJSON{ID: e.ID, Assigner: "cve@mitre.org"},
-		},
-		PublishedDate: e.Published.UTC().Format(feedTime),
-	}
-	if !e.LastModified.IsZero() {
-		item.LastModified = e.LastModified.UTC().Format(feedTime)
-	}
-	// Problem type (CWE field).
-	var ptDescs []langValueJSON
-	for _, id := range e.CWEs {
-		ptDescs = append(ptDescs, langValueJSON{Lang: "en", Value: id.String()})
-	}
-	item.CVE.ProblemType.Data = []problemDataJSON{{Description: ptDescs}}
-	// References.
-	for _, r := range e.References {
-		item.CVE.References.Data = append(item.CVE.References.Data, refJSON{
-			URL: r.URL, Name: r.URL, Tags: r.Tags,
-		})
-	}
-	// Descriptions.
-	for _, d := range e.Descriptions {
-		item.CVE.Description.Data = append(item.CVE.Description.Data, langValueJSON{
-			Lang: "en", Value: d.Value, Source: d.Source,
-		})
-	}
-	// Configurations (CPE list).
-	if len(e.CPEs) > 0 {
-		node := nodeJSON{Operator: "OR"}
-		for _, n := range e.CPEs {
-			node.CPEMatch = append(node.CPEMatch, cpeMatchJSON{
-				Vulnerable: true, CPE23URI: n.FormatString(),
-			})
+	bw := bufio.NewWriterSize(w, feedBufferSize)
+	b := append(make([]byte, 0, 4<<10), `{"CVE_data_type":"CVE","CVE_data_format":"MITRE","CVE_data_version":"4.0","CVE_data_numberOfCVEs":"`...)
+	b = strconv.AppendInt(b, int64(len(s.Entries)), 10)
+	b = append(b, `","CVE_data_timestamp":`...)
+	b = appendTime(b, s.CapturedAt)
+	b = append(b, `,"CVE_Items":[`...)
+	for i, e := range s.Entries {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		item.Configurations = &configsJSON{DataVersion: "4.0", Nodes: []nodeJSON{node}}
+		var err error
+		if b, err = appendItem(b, e); err != nil {
+			return err
+		}
+		if _, err := bw.Write(b); err != nil {
+			return err
+		}
+		b = b[:0]
 	}
-	// Impact.
-	if e.V2 != nil || e.V3 != nil || e.PV3 != nil {
-		item.Impact = &impactJSON{}
-		if e.PV3 != nil {
-			item.Impact.BackportedV3 = &backportedV3JSON{
-				BaseScore:    *e.PV3,
-				BaseSeverity: upper(cvss.SeverityV3(*e.PV3).String()),
+	if _, err := bw.Write(append(b, "]}\n"...)); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// appendItem appends e as one element of CVE_Items, byte for byte as
+// encoding/json writes its itemJSON form: omitempty keys left out, null
+// for an empty problem type, reference or description list, HTML-safe
+// string escaping and encoding/json's float format. A NaN or infinite
+// score is an error, as it is to encoding/json.
+func appendItem(b []byte, e *Entry) ([]byte, error) {
+	b = append(b, `{"cve":{"CVE_data_meta":{"ID":`...)
+	b = appendString(b, e.ID)
+	b = append(b, `,"ASSIGNER":"cve@mitre.org"},"problemtype":{"problemtype_data":[{"description":`...)
+	for i, id := range e.CWEs {
+		b = appendListSep(b, i)
+		b = append(b, `{"lang":"en","value":`...)
+		b = appendQuoted(b, id.Append)
+		b = append(b, '}')
+	}
+	b = closeList(b, len(e.CWEs))
+	b = append(b, `}]},"references":{"reference_data":`...)
+	for i, r := range e.References {
+		b = appendListSep(b, i)
+		b = append(b, `{"url":`...)
+		b = appendString(b, r.URL)
+		if r.URL != "" {
+			b = append(b, `,"name":`...)
+			b = appendString(b, r.URL)
+		}
+		if len(r.Tags) > 0 {
+			b = append(b, `,"tags":`...)
+			for j, tag := range r.Tags {
+				b = appendListSep(b, j)
+				b = appendString(b, tag)
 			}
+			b = append(b, ']')
 		}
+		b = append(b, '}')
+	}
+	b = closeList(b, len(e.References))
+	b = append(b, `},"description":{"description_data":`...)
+	for i, d := range e.Descriptions {
+		b = appendListSep(b, i)
+		b = append(b, `{"lang":"en","value":`...)
+		b = appendString(b, d.Value)
+		if d.Source != "" {
+			b = append(b, `,"source":`...)
+			b = appendString(b, d.Source)
+		}
+		b = append(b, '}')
+	}
+	b = closeList(b, len(e.Descriptions))
+	b = append(b, "}}"...)
+	if len(e.CPEs) > 0 {
+		b = append(b, `,"configurations":{"CVE_data_version":"4.0","nodes":[{"operator":"OR","cpe_match":`...)
+		for i, n := range e.CPEs {
+			b = appendListSep(b, i)
+			b = append(b, `{"vulnerable":true,"cpe23Uri":`...)
+			b = appendQuoted(b, n.AppendFormatString)
+			b = append(b, '}')
+		}
+		b = append(b, "]}]}"...)
+	}
+	if e.V2 != nil || e.V3 != nil || e.PV3 != nil {
+		var err error
+		b = append(b, `,"impact":`...)
+		sep := byte('{')
 		if e.V3 != nil {
-			item.Impact.BaseMetricV3 = &baseMetricV3JSON{CVSSV3: cvssV3JSON{
-				Version:      "3.0",
-				VectorString: e.V3.String(),
-				BaseScore:    e.V3.BaseScore(),
-				BaseSeverity: upper(e.V3.Severity().String()),
-			}}
+			b = append(b, sep)
+			sep = ','
+			b = append(b, `"baseMetricV3":{"cvssV3":{"version":"3.0","vectorString":`...)
+			b = appendQuoted(b, e.V3.Append)
+			b = append(b, ',')
+			if b, err = appendScore(b, e.ID, e.V3.BaseScore(), e.V3.Severity()); err != nil {
+				return b, err
+			}
+			b = append(b, "}}"...)
 		}
 		if e.V2 != nil {
-			item.Impact.BaseMetricV2 = &baseMetricV2JSON{
-				CVSSV2: cvssV2JSON{
-					Version:      "2.0",
-					VectorString: e.V2.String(),
-					BaseScore:    e.V2.BaseScore(),
-				},
-				Severity: upper(e.V2.Severity().String()),
+			b = append(b, sep)
+			sep = ','
+			b = append(b, `"baseMetricV2":{"cvssV2":{"version":"2.0","vectorString":`...)
+			b = appendQuoted(b, e.V2.Append)
+			b = append(b, `,"baseScore":`...)
+			if b, err = appendFloat(b, e.ID, e.V2.BaseScore()); err != nil {
+				return b, err
 			}
+			b = append(b, `},"severity":`...)
+			b = appendSeverity(b, e.V2.Severity())
+			b = append(b, '}')
 		}
+		if e.PV3 != nil {
+			b = append(b, sep)
+			b = append(b, `"backportedV3":{`...)
+			if b, err = appendScore(b, e.ID, *e.PV3, cvss.SeverityV3(*e.PV3)); err != nil {
+				return b, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, '}')
 	}
-	return item
+	b = append(b, `,"publishedDate":`...)
+	b = appendTime(b, e.Published)
+	if !e.LastModified.IsZero() {
+		b = append(b, `,"lastModifiedDate":`...)
+		b = appendTime(b, e.LastModified)
+	}
+	return append(b, '}'), nil
 }
 
-func upper(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'a' && c <= 'z' {
-			b[i] = c - 'a' + 'A'
-		}
+// appendListSep opens a JSON list before its first element and
+// separates the later ones.
+func appendListSep(b []byte, i int) []byte {
+	if i == 0 {
+		return append(b, '[')
 	}
-	return string(b)
+	return append(b, ',')
+}
+
+// closeList closes a list of n elements opened by appendListSep, or
+// writes null for an empty one, as encoding/json writes a nil slice.
+func closeList(b []byte, n int) []byte {
+	if n == 0 {
+		return append(b, "null"...)
+	}
+	return append(b, ']')
+}
+
+// appendScore appends the "baseScore" and "baseSeverity" members of a
+// v3 score object.
+func appendScore(b []byte, id string, score float64, sev cvss.Severity) ([]byte, error) {
+	b = append(b, `"baseScore":`...)
+	b, err := appendFloat(b, id, score)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"baseSeverity":`...)
+	return appendSeverity(b, sev), nil
+}
+
+// appendSeverity appends the band's label as the feeds spell it, in
+// upper case: "HIGH".
+func appendSeverity(b []byte, s cvss.Severity) []byte {
+	label := s.String()
+	b = append(b, '"')
+	for i := 0; i < len(label); i++ {
+		c := label[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return append(b, '"')
+}
+
+// appendTime appends t in UTC as a feedTime string. The layout writes
+// only digits, '-', 'T', ':' and 'Z', which JSON strings carry as is.
+func appendTime(b []byte, t time.Time) []byte {
+	b = append(b, '"')
+	b = t.UTC().AppendFormat(b, feedTime)
+	return append(b, '"')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21
+// up, with a one-digit negative exponent written without its leading
+// zero (1e-7, not 1e-07). NaN and the infinities are an error, as they
+// are to encoding/json; id names the entry in it.
+func appendFloat(b []byte, id string, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, fmt.Errorf("cve: %s: unsupported score %s", id, strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// appendQuoted appends, as a JSON string, the text appendText appends.
+// The text is staged at the end of b, quoted after it and moved down
+// over it, so quoting costs no buffer of its own.
+func appendQuoted(b []byte, appendText func([]byte) []byte) []byte {
+	start := len(b)
+	b = appendText(b)
+	end := len(b)
+	b = appendString(b, b[start:end])
+	return append(b[:start], b[end:]...)
+}
+
+// appendString appends s as a JSON string, as encoding/json writes it
+// with HTML escaping on (json.Marshal, and json.Encoder by default):
+// '"' and '\\' escaped with a backslash; \b, \f, \n, \r and \t in short
+// form; other control bytes and '<', '>' and '&' as \u00XX; each byte
+// of invalid UTF-8 as \ufffd; and U+2028 and U+2029 as \u2028 and
+// \u2029. Every other byte is written as is.
+func appendString[S string | []byte](b []byte, s S) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		n := min(len(s)-i, utf8.UTFMax)
+		r, size := utf8.DecodeRuneInString(string(s[i : i+n]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // ReadFeed parses an NVD JSON 1.1 data feed. Malformed CWE strings and
@@ -341,19 +539,47 @@ type deltaJSON struct {
 const deltaKind = "cve-delta"
 
 // MarshalDelta serializes a delta as one self-describing JSON document,
-// the payload format of the generation store's log records.
+// the payload format of the generation store's log records: the bytes
+// json.Marshal writes for its deltaJSON form.
 func MarshalDelta(d *Delta) ([]byte, error) {
-	dj := deltaJSON{Kind: deltaKind, Removed: d.Removed}
+	b := append(make([]byte, 0, 2<<10), `{"kind":"`+deltaKind+`"`...)
 	if !d.CapturedAt.IsZero() {
-		dj.CapturedAt = d.CapturedAt.UTC().Format(feedTime)
+		b = append(b, `,"capturedAt":`...)
+		b = appendTime(b, d.CapturedAt)
 	}
-	for _, e := range d.Added {
-		dj.Added = append(dj.Added, encodeItem(e))
+	var err error
+	if b, err = appendItemList(b, `,"added":`, d.Added); err != nil {
+		return nil, err
 	}
-	for _, e := range d.Modified {
-		dj.Modified = append(dj.Modified, encodeItem(e))
+	if b, err = appendItemList(b, `,"modified":`, d.Modified); err != nil {
+		return nil, err
 	}
-	return json.Marshal(&dj)
+	if len(d.Removed) > 0 {
+		b = append(b, `,"removed":`...)
+		for i, id := range d.Removed {
+			b = appendListSep(b, i)
+			b = appendString(b, id)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendItemList appends key and the list of es's items, or nothing for
+// an empty es: deltaJSON's lists are omitempty.
+func appendItemList(b []byte, key string, es []*Entry) ([]byte, error) {
+	if len(es) == 0 {
+		return b, nil
+	}
+	b = append(b, key...)
+	for i, e := range es {
+		b = appendListSep(b, i)
+		var err error
+		if b, err = appendItem(b, e); err != nil {
+			return b, err
+		}
+	}
+	return append(b, ']'), nil
 }
 
 // UnmarshalDelta parses a delta written by MarshalDelta.

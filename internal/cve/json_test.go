@@ -2,7 +2,13 @@ package cve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -284,6 +290,360 @@ func TestReadFeedNestedNodes(t *testing.T) {
 	}
 	if len(s.Entries[0].CPEs) != 1 || s.Entries[0].CPEs[0].Vendor != "nested" {
 		t.Errorf("nested CPEs = %v", s.Entries[0].CPEs)
+	}
+}
+
+// writeFeedReference is the reflection-based writer WriteFeed and
+// WriteFeedCompact replaced: it builds the itemJSON tree of every entry
+// and hands the whole feed to json.Encoder. The writers must reproduce
+// its bytes exactly (TestFeedEncodingMatchesReference), since
+// checkpoint files and log records it wrote are read back and
+// replicated byte for byte.
+func writeFeedReference(w io.Writer, s *Snapshot, indent bool) error {
+	f := feedJSON{
+		DataType:    "CVE",
+		DataFormat:  "MITRE",
+		DataVersion: "4.0",
+		NumberCVEs:  strconv.Itoa(len(s.Entries)),
+		Timestamp:   s.CapturedAt.UTC().Format(feedTime),
+		Items:       make([]itemJSON, 0, len(s.Entries)),
+	}
+	for _, e := range s.Entries {
+		f.Items = append(f.Items, encodeItem(e))
+	}
+	enc := json.NewEncoder(w)
+	if indent {
+		enc.SetIndent("", "  ")
+	}
+	return enc.Encode(&f)
+}
+
+// marshalDeltaReference is the reflection-based MarshalDelta.
+func marshalDeltaReference(d *Delta) ([]byte, error) {
+	dj := deltaJSON{Kind: deltaKind, Removed: d.Removed}
+	if !d.CapturedAt.IsZero() {
+		dj.CapturedAt = d.CapturedAt.UTC().Format(feedTime)
+	}
+	for _, e := range d.Added {
+		dj.Added = append(dj.Added, encodeItem(e))
+	}
+	for _, e := range d.Modified {
+		dj.Modified = append(dj.Modified, encodeItem(e))
+	}
+	return json.Marshal(&dj)
+}
+
+func encodeItem(e *Entry) itemJSON {
+	item := itemJSON{
+		CVE: cveJSON{
+			Meta: metaJSON{ID: e.ID, Assigner: "cve@mitre.org"},
+		},
+		PublishedDate: e.Published.UTC().Format(feedTime),
+	}
+	if !e.LastModified.IsZero() {
+		item.LastModified = e.LastModified.UTC().Format(feedTime)
+	}
+	// Problem type (CWE field).
+	var ptDescs []langValueJSON
+	for _, id := range e.CWEs {
+		ptDescs = append(ptDescs, langValueJSON{Lang: "en", Value: id.String()})
+	}
+	item.CVE.ProblemType.Data = []problemDataJSON{{Description: ptDescs}}
+	// References.
+	for _, r := range e.References {
+		item.CVE.References.Data = append(item.CVE.References.Data, refJSON{
+			URL: r.URL, Name: r.URL, Tags: r.Tags,
+		})
+	}
+	// Descriptions.
+	for _, d := range e.Descriptions {
+		item.CVE.Description.Data = append(item.CVE.Description.Data, langValueJSON{
+			Lang: "en", Value: d.Value, Source: d.Source,
+		})
+	}
+	// Configurations (CPE list).
+	if len(e.CPEs) > 0 {
+		node := nodeJSON{Operator: "OR"}
+		for _, n := range e.CPEs {
+			node.CPEMatch = append(node.CPEMatch, cpeMatchJSON{
+				Vulnerable: true, CPE23URI: n.FormatString(),
+			})
+		}
+		item.Configurations = &configsJSON{DataVersion: "4.0", Nodes: []nodeJSON{node}}
+	}
+	// Impact.
+	if e.V2 != nil || e.V3 != nil || e.PV3 != nil {
+		item.Impact = &impactJSON{}
+		if e.PV3 != nil {
+			item.Impact.BackportedV3 = &backportedV3JSON{
+				BaseScore:    *e.PV3,
+				BaseSeverity: upper(cvss.SeverityV3(*e.PV3).String()),
+			}
+		}
+		if e.V3 != nil {
+			item.Impact.BaseMetricV3 = &baseMetricV3JSON{CVSSV3: cvssV3JSON{
+				Version:      "3.0",
+				VectorString: e.V3.String(),
+				BaseScore:    e.V3.BaseScore(),
+				BaseSeverity: upper(e.V3.Severity().String()),
+			}}
+		}
+		if e.V2 != nil {
+			item.Impact.BaseMetricV2 = &baseMetricV2JSON{
+				CVSSV2: cvssV2JSON{
+					Version:      "2.0",
+					VectorString: e.V2.String(),
+					BaseScore:    e.V2.BaseScore(),
+				},
+				Severity: upper(e.V2.Severity().String()),
+			}
+		}
+	}
+	return item
+}
+
+func upper(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if c >= 'a' && c <= 'z' {
+			b[i] = c - 'a' + 'A'
+		}
+	}
+	return string(b)
+}
+
+// encodingPieces are the fragments the encoding oracle builds its text
+// from: every byte class encoding/json escapes or replaces (invalid
+// UTF-8 among them: a stray continuation byte, a truncated sequence, an
+// encoded surrogate, an overlong slash), U+2028 and U+2029, multibyte
+// text, and the characters the CPE binding escapes.
+var encodingPieces = []string{
+	"<", ">", "&", `"`, `\`, "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+	"\xff", "\x80", "\xc3", "\xe6\x97", "\xed\xa0\x80", "\xc0\xaf",
+	"\u2028", "\u2029", "é", "日本語", "😀", "\ufffd",
+	":", "*", "?", "-", "/", " ", "apache", "CVE-2017-0001", "https://x.example/a?b=1&c=2",
+}
+
+// randText returns up to maxPieces pieces, with now and then a random
+// control byte among them.
+func randText(r *rand.Rand, maxPieces int) string {
+	var b strings.Builder
+	for range r.Intn(maxPieces + 1) {
+		if r.Intn(8) == 0 {
+			b.WriteByte(byte(r.Intn(0x20)))
+			continue
+		}
+		b.WriteString(encodingPieces[r.Intn(len(encodingPieces))])
+	}
+	return b.String()
+}
+
+// randTime returns the zero time one time in eight, and otherwise a
+// minute-or-finer instant, sometimes outside UTC or past year 9999.
+func randTime(r *rand.Rand) time.Time {
+	if r.Intn(8) == 0 {
+		return time.Time{}
+	}
+	loc := time.UTC
+	if r.Intn(3) == 0 {
+		loc = time.FixedZone("", (r.Intn(27)-12)*3600+r.Intn(2)*1800)
+	}
+	year := 1988 + r.Intn(40)
+	if r.Intn(16) == 0 {
+		year = 10000 + r.Intn(2000)
+	}
+	return time.Date(year, time.Month(1+r.Intn(12)), 1+r.Intn(28), r.Intn(24), r.Intn(60), r.Intn(60), r.Intn(1e9), loc)
+}
+
+// edgeScores are PV3 values at encoding/json's float-format edges: zero
+// of both signs, the smallest denormal, both sides of the 1e-6 and 1e21
+// exponent cut-offs, an exponent it cleans up (1e-7, not 1e-07), and
+// ordinary one-decimal scores.
+var edgeScores = []float64{0, math.Copysign(0, -1), 1e-7, 5e-324, 9.95, 1e21, 1e20, 1e-6, 9.99999e-7, 1.5e-300, 7.5, 10, 123456.789, -3.3}
+
+// randEntry returns an entry whose every field the encoder branches on
+// varies: nil, empty and filled lists; empty URLs and sources; a zero
+// LastModified; vector presence set by mask (V2, V3 and PV3 bits); the
+// meta CWEs; CPE attributes with reserved characters, empty, "-" and
+// "*" alone; and invalid vectors, which format with "?".
+func randEntry(r *rand.Rand, mask int) *Entry {
+	e := &Entry{ID: randText(r, 3), Published: randTime(r), LastModified: randTime(r)}
+	if r.Intn(2) == 0 {
+		e.ID = FormatID(1999+r.Intn(20), r.Intn(100000))
+	}
+	switch r.Intn(3) {
+	case 1:
+		e.CWEs = []cwe.ID{}
+	case 2:
+		ids := []cwe.ID{cwe.Unassigned, cwe.Other, cwe.NoInfo, 20, 79, 1000, -7}
+		for range 1 + r.Intn(3) {
+			e.CWEs = append(e.CWEs, ids[r.Intn(len(ids))])
+		}
+	}
+	switch r.Intn(3) {
+	case 1:
+		e.References = []Reference{}
+	case 2:
+		for range 1 + r.Intn(3) {
+			ref := Reference{URL: randText(r, 3)}
+			switch r.Intn(3) {
+			case 1:
+				ref.Tags = []string{}
+			case 2:
+				for range 1 + r.Intn(2) {
+					ref.Tags = append(ref.Tags, randText(r, 2))
+				}
+			}
+			e.References = append(e.References, ref)
+		}
+	}
+	switch r.Intn(3) {
+	case 1:
+		e.Descriptions = []Description{}
+	case 2:
+		for range 1 + r.Intn(3) {
+			e.Descriptions = append(e.Descriptions, Description{Source: randText(r, 1), Value: randText(r, 6)})
+		}
+	}
+	parts := []cpe.Part{cpe.PartApplication, cpe.PartOS, cpe.PartHardware, ':', 0, 0xe9}
+	attr := func() string {
+		switch r.Intn(5) {
+		case 0:
+			return ""
+		case 1:
+			return "-"
+		case 2:
+			return cpe.Any
+		}
+		return randText(r, 2)
+	}
+	for range r.Intn(3) {
+		e.CPEs = append(e.CPEs, cpe.Name{
+			Part: parts[r.Intn(len(parts))], Vendor: attr(), Product: attr(), Version: attr(),
+			Update: attr(), Edition: attr(), Language: attr(), SWEdition: attr(),
+			TargetSW: attr(), TargetHW: attr(), Other: attr(),
+		})
+	}
+	if mask&1 != 0 {
+		v := cvss.VectorV2{}
+		if all := cvss.AllV2Vectors(); r.Intn(8) > 0 {
+			v = all[r.Intn(len(all))]
+		}
+		e.V2 = &v
+	}
+	if mask&2 != 0 {
+		v := cvss.VectorV3{}
+		if all := cvss.AllV3Vectors(); r.Intn(8) > 0 {
+			v = all[r.Intn(len(all))]
+		}
+		e.V3 = &v
+	}
+	if mask&4 != 0 {
+		score := math.Round(r.Float64()*100) / 10
+		if r.Intn(2) == 0 {
+			score = edgeScores[r.Intn(len(edgeScores))]
+		}
+		e.PV3 = &score
+	}
+	return e
+}
+
+// diffAt reports where two encodings first differ.
+func diffAt(got, want []byte) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	from := max(0, i-40)
+	return fmt.Sprintf("first difference at byte %d of %d/%d: got %q, want %q",
+		i, len(got), len(want), got[from:min(len(got), i+40)], want[from:min(len(want), i+40)])
+}
+
+// TestFeedEncodingMatchesReference is the byte-identity oracle of the
+// append encoder: over seeded random snapshots and deltas (see
+// randEntry), WriteFeedCompact, WriteFeed and MarshalDelta write
+// exactly the bytes of the reflection-based reference, and a NaN or
+// infinite backported score is an error to both.
+func TestFeedEncodingMatchesReference(t *testing.T) {
+	seeds := 500
+	if testing.Short() {
+		seeds = 50
+	}
+	check := func(name string, got, want []byte, gotErr, wantErr error) {
+		t.Helper()
+		if gotErr != nil || wantErr != nil {
+			t.Fatalf("%s: error %v, reference error %v", name, gotErr, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %s", name, diffAt(got, want))
+		}
+	}
+	masks := 0
+	for seed := range seeds {
+		r := rand.New(rand.NewSource(int64(seed)))
+		s := &Snapshot{CapturedAt: randTime(r)}
+		if n := r.Intn(9); n > 0 || r.Intn(2) == 0 {
+			s.Entries = make([]*Entry, n)
+		}
+		for i := range s.Entries {
+			mask := (seed + i) % 8
+			masks |= 1 << mask
+			s.Entries[i] = randEntry(r, mask)
+		}
+		for _, indent := range []bool{false, true} {
+			write := WriteFeedCompact
+			if indent {
+				write = WriteFeed
+			}
+			var got, want bytes.Buffer
+			gotErr := write(&got, s)
+			wantErr := writeFeedReference(&want, s, indent)
+			check(fmt.Sprintf("seed %d, indent %v", seed, indent), got.Bytes(), want.Bytes(), gotErr, wantErr)
+		}
+
+		d := &Delta{CapturedAt: randTime(r)}
+		for _, e := range s.Entries {
+			if r.Intn(2) == 0 {
+				d.Added = append(d.Added, e)
+			} else {
+				d.Modified = append(d.Modified, e)
+			}
+		}
+		switch r.Intn(3) {
+		case 1:
+			d.Removed = []string{}
+		case 2:
+			for range 1 + r.Intn(3) {
+				d.Removed = append(d.Removed, randText(r, 3))
+			}
+		}
+		got, gotErr := MarshalDelta(d)
+		want, wantErr := marshalDeltaReference(d)
+		check(fmt.Sprintf("seed %d, delta", seed), got, want, gotErr, wantErr)
+	}
+	if masks != 0xff {
+		t.Fatalf("V2/V3/PV3 presence combinations covered: %08b, want all eight", masks)
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := sampleEntry(t)
+		e.PV3 = &bad
+		s := &Snapshot{Entries: []*Entry{e}}
+		d := &Delta{Modified: s.Entries}
+		_, deltaErr := MarshalDelta(d)
+		_, refDeltaErr := marshalDeltaReference(d)
+		for name, err := range map[string]error{
+			"WriteFeedCompact":          WriteFeedCompact(io.Discard, s),
+			"WriteFeed":                 WriteFeed(io.Discard, s),
+			"MarshalDelta":              deltaErr,
+			"reference compact writer":  writeFeedReference(io.Discard, s, false),
+			"reference indented writer": writeFeedReference(io.Discard, s, true),
+			"reference MarshalDelta":    refDeltaErr,
+		} {
+			if err == nil {
+				t.Errorf("PV3 %v: %s returned no error", bad, name)
+			}
+		}
 	}
 }
 

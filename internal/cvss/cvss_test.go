@@ -150,6 +150,28 @@ func TestV3RoundTripAll(t *testing.T) {
 		if parsed != v {
 			t.Fatalf("round trip mismatch: %v -> %q -> %v", v, v.String(), parsed)
 		}
+		if got, want := string(v.Append([]byte("x"))), "x"+v.String(); got != want {
+			t.Fatalf("Append = %q, want %q", got, want)
+		}
+	}
+}
+
+var stringSink string
+
+// TestVectorStringAllocs: String formats through Append into a stack
+// buffer, so the returned string is its one allocation.
+func TestVectorStringAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts skipped in -short mode: race builds count allocations differently")
+	}
+	v2, v3 := AllV2Vectors()[0], AllV3Vectors()[0]
+	for name, f := range map[string]func(){
+		"VectorV2": func() { stringSink = v2.String() },
+		"VectorV3": func() { stringSink = v3.String() },
+	} {
+		if n := testing.AllocsPerRun(100, f); n > 1 {
+			t.Errorf("%s.String allocates %.0f times, want at most 1", name, n)
+		}
 	}
 }
 

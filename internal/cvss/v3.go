@@ -201,24 +201,28 @@ func (v VectorV3) Severity() Severity {
 
 // String formats the vector with the mandatory "CVSS:3.0/" prefix.
 func (v VectorV3) String() string {
-	var b strings.Builder
-	b.WriteString("CVSS:3.0/AV:")
-	b.WriteString(avV3Letter(v.AttackVector))
-	b.WriteString("/AC:")
-	b.WriteString(acV3Letter(v.AttackComplexity))
-	b.WriteString("/PR:")
-	b.WriteString(prV3Letter(v.PrivilegesRequired))
-	b.WriteString("/UI:")
-	b.WriteString(uiV3Letter(v.UserInteraction))
-	b.WriteString("/S:")
-	b.WriteString(scopeV3Letter(v.Scope))
-	b.WriteString("/C:")
-	b.WriteString(impactV3Letter(v.Confidentiality))
-	b.WriteString("/I:")
-	b.WriteString(impactV3Letter(v.Integrity))
-	b.WriteString("/A:")
-	b.WriteString(impactV3Letter(v.Availability))
-	return b.String()
+	return string(v.Append(make([]byte, 0, 44)))
+}
+
+// Append appends the vector, as String formats it, to b and returns the
+// extended buffer.
+func (v VectorV3) Append(b []byte) []byte {
+	b = append(b, "CVSS:3.0/AV:"...)
+	b = append(b, avV3Letter(v.AttackVector)...)
+	b = append(b, "/AC:"...)
+	b = append(b, acV3Letter(v.AttackComplexity)...)
+	b = append(b, "/PR:"...)
+	b = append(b, prV3Letter(v.PrivilegesRequired)...)
+	b = append(b, "/UI:"...)
+	b = append(b, uiV3Letter(v.UserInteraction)...)
+	b = append(b, "/S:"...)
+	b = append(b, scopeV3Letter(v.Scope)...)
+	b = append(b, "/C:"...)
+	b = append(b, impactV3Letter(v.Confidentiality)...)
+	b = append(b, "/I:"...)
+	b = append(b, impactV3Letter(v.Integrity)...)
+	b = append(b, "/A:"...)
+	return append(b, impactV3Letter(v.Availability)...)
 }
 
 func avV3Letter(v AttackVectorV3) string {

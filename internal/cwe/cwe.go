@@ -36,16 +36,25 @@ func (id ID) IsMeta() bool { return id <= 0 }
 // String formats the ID in NVD notation: "CWE-89", "NVD-CWE-Other",
 // "NVD-CWE-noinfo", or "" for Unassigned.
 func (id ID) String() string {
-	switch {
-	case id == Unassigned:
+	switch id {
+	case Unassigned:
 		return ""
-	case id == Other:
+	case Other:
 		return "NVD-CWE-Other"
-	case id == NoInfo:
+	case NoInfo:
 		return "NVD-CWE-noinfo"
-	default:
-		return "CWE-" + strconv.Itoa(int(id))
 	}
+	return string(id.Append(make([]byte, 0, 24)))
+}
+
+// Append appends the ID, as String formats it, to b and returns the
+// extended buffer.
+func (id ID) Append(b []byte) []byte {
+	switch id {
+	case Unassigned, Other, NoInfo:
+		return append(b, id.String()...)
+	}
+	return strconv.AppendInt(append(b, "CWE-"...), int64(id), 10)
 }
 
 // Parse converts an NVD CWE field string to an ID. Empty strings parse as

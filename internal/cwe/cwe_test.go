@@ -16,13 +16,30 @@ func TestIDString(t *testing.T) {
 		{Other, "NVD-CWE-Other"},
 		{NoInfo, "NVD-CWE-noinfo"},
 		{Unassigned, ""},
+		{ID(-7), "CWE--7"},
 	}
 	for _, tt := range tests {
 		if got := tt.id.String(); got != tt.want {
 			t.Errorf("ID(%d).String() = %q, want %q", tt.id, got, tt.want)
 		}
+		if got := string(tt.id.Append([]byte("x"))); got != "x"+tt.want {
+			t.Errorf("ID(%d).Append = %q, want %q", tt.id, got, "x"+tt.want)
+		}
+		if testing.Short() {
+			continue // race builds count allocations differently
+		}
+		// A numeric ID costs its string; a meta one is a constant.
+		budget := 1.0
+		if tt.id == Unassigned || tt.id == Other || tt.id == NoInfo {
+			budget = 0
+		}
+		if n := testing.AllocsPerRun(100, func() { stringSink = tt.id.String() }); n > budget {
+			t.Errorf("ID(%d).String allocates %.0f times, want at most %.0f", tt.id, n, budget)
+		}
 	}
 }
+
+var stringSink string
 
 func TestParse(t *testing.T) {
 	tests := []struct {
