@@ -1,7 +1,9 @@
 // Command nvdclean runs the full cleaning pipeline over an NVD
 // snapshot — either a real NVD JSON 1.1 feed or a freshly generated
 // synthetic one — and writes the rectified feed plus a correction
-// summary.
+// summary. Each v2-only CVE the severity engine scored carries its
+// predicted v3 score in the feed under the backportedV3 extension key;
+// a backportedV3 key in the input is not carried over.
 //
 // Usage:
 //

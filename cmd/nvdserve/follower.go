@@ -119,7 +119,7 @@ func (f *follower) run(ctx context.Context) {
 			fmt.Printf("nvdserve: replica bootstrap: %v\n", err)
 			// Jittered: a fleet of replicas booting against a down
 			// primary must not hammer it in lockstep when it returns.
-			if !sleepCtx(ctx, jitter(f.poll)) {
+			if !sleepCtx(ctx, store.Jitter(f.poll)) {
 				return
 			}
 			continue
@@ -131,7 +131,7 @@ func (f *follower) run(ctx context.Context) {
 			fmt.Printf("nvdserve: replica sync: %v\n", err)
 			// Failed polls back off with jitter so a primary outage
 			// does not synchronize the fleet's retry schedule.
-			wait = jitter(wait)
+			wait = store.Jitter(wait)
 		}
 		if wait <= 0 {
 			continue

@@ -351,10 +351,12 @@ func TestServerFeedUpdate(t *testing.T) {
 }
 
 // TestFeedRejectsDuplicateIDs posts bodies that name one new CVE ID
-// twice, in both modes, and an upsert that names a CVE the snapshot
-// holds under another spelling: each must be answered 400 naming the
-// IDs and leave the serving generation as it was, rather than serve two
-// entries under one CVE. A replacing feed may respell an ID.
+// twice, in both modes, an upsert that names a CVE the snapshot holds
+// under another spelling, and a replacing feed with no entries, which
+// would remove every one: each must be answered 400 naming the IDs and
+// leave the serving generation as it was, rather than serve two entries
+// under one CVE or fail as a server fault. A replacing feed may respell
+// an ID.
 func TestFeedRejectsDuplicateIDs(t *testing.T) {
 	srv, snap := demoServer(t)
 	ts := httptest.NewServer(srv.handler())
@@ -395,6 +397,7 @@ func TestFeedRejectsDuplicateIDs(t *testing.T) {
 		{"repeated ID", "upsert", []*nvdclean.Entry{dup, dup}, []string{dup.ID}},
 		{"repeated ID", "replace", append(append([]*nvdclean.Entry(nil), snap.Entries...), dup, dup), []string{dup.ID}},
 		{"respelled ID", "upsert", []*nvdclean.Entry{respelled}, []string{respelled.ID, held.ID}},
+		{"empty capture", "replace", nil, nil},
 	} {
 		code, msg := post(tc.mode, tc.entries)
 		if code != http.StatusBadRequest {

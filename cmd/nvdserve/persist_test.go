@@ -70,8 +70,9 @@ func marshalResponse(t *testing.T, resp queryResponse) []byte {
 // TestQueryIndexEquivalence is the index invariant: for every filter
 // combination, index-intersection answers are byte-identical to the
 // reference linear scan — under an index built at any worker count,
-// after an incremental ordinal-level update, and after a persist→load
-// round-trip through lazy checkpoint segments.
+// after an incremental ordinal-level update, after a post whose
+// entries carry backportedV3 scores the engine never predicted, and
+// after a persist→load round-trip through lazy checkpoint segments.
 func TestQueryIndexEquivalence(t *testing.T) {
 	srv, snap := demoServer(t)
 	ts := httptest.NewServer(srv.handler())
@@ -113,6 +114,55 @@ func TestQueryIndexEquivalence(t *testing.T) {
 	rebuilt.idx = store.BuildIndex(st2.res.Cleaned, 1)
 	check(st2, &rebuilt, "incremental update")
 
+	// A posted backportedV3 key is not the engine's score, so no
+	// cleaned view carries one: an added entry holding a HIGH score
+	// but no CVSS vector has no pv3 band, for the index as for the
+	// scan and /cve, and a held v3 entry re-posted with a stale score
+	// keeps only its v3 band.
+	unscored := snap.Entries[0].Clone()
+	unscored.ID, unscored.V2, unscored.V3 = "CVE-2018-9998", nil, nil
+	high := 7.5
+	unscored.PV3 = &high
+	if st2.res.Original.ByID(unscored.ID) != nil {
+		t.Fatalf("snapshot already holds %s", unscored.ID)
+	}
+	var stale *nvdclean.Entry
+	for _, e := range st2.res.Original.Entries {
+		if e.V3 != nil {
+			stale = e.Clone()
+			break
+		}
+	}
+	if stale == nil {
+		t.Fatal("no v3 entry in snapshot")
+	}
+	low := 1.0
+	stale.PV3 = &low
+	postFeed(t, ts, &nvdclean.Snapshot{
+		CapturedAt: snap.CapturedAt.Add(48 * time.Hour),
+		Entries:    []*nvdclean.Entry{stale, unscored},
+	})
+	st3 := srv.cur.Load()
+	for _, id := range []string{unscored.ID, stale.ID} {
+		e := st3.res.Cleaned.ByID(id)
+		if e == nil {
+			t.Fatalf("posted %s is not served", id)
+		}
+		if e.PV3 != nil {
+			t.Errorf("%s: cleaned view carries the posted backported score %v", id, *e.PV3)
+		}
+	}
+	var body map[string]any
+	if code := getJSON(t, ts, "/cve/"+unscored.ID, &body); code != 200 {
+		t.Fatalf("/cve/%s = %d", unscored.ID, code)
+	}
+	if score, ok := body["pv3Score"]; ok {
+		t.Errorf("/cve/%s serves pv3Score %v the engine never predicted", unscored.ID, score)
+	}
+	rebuilt = *st3
+	rebuilt.idx = store.BuildIndex(st3.res.Cleaned, 1)
+	check(st3, &rebuilt, "posted backported scores")
+
 	// Persist→load round-trip: the committed index segments reload as
 	// a lazy index answering byte-identically, shards parsing only on
 	// first touch.
@@ -121,8 +171,8 @@ func TestQueryIndexEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := st2.res.StoreCheckpoint()
-	cp.Index = st2.idx
+	cp := st3.res.StoreCheckpoint()
+	cp.Index = st3.idx
 	if err := str.Commit(cp); err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +194,9 @@ func TestQueryIndexEquivalence(t *testing.T) {
 	if ixs.DiskBytes == 0 {
 		t.Fatal("loaded index reports no on-disk bytes")
 	}
-	restored := *st2
+	restored := *st3
 	restored.idx = cp2.Index
-	check(st2, &restored, "persist/load round-trip")
+	check(st3, &restored, "persist/load round-trip")
 	if after := cp2.Index.Stats(); after.LoadedShards == 0 {
 		t.Fatal("queries never touched a lazy shard")
 	}

@@ -282,13 +282,11 @@ func mergeDeltas(base *nvdclean.Snapshot, deltas []*nvdclean.Delta) *nvdclean.De
 	return nvdclean.Diff(base, merged)
 }
 
-// newState builds the serving state for res: backported scores are
-// materialized into the cleaned snapshot (so severity indexes are
-// entry-local), and the query indexes are restored from a checkpoint,
-// built in full, or, given the previous generation, advanced
-// incrementally from the cleaned-view delta — the Diff of the two
-// cleaned snapshots, which also captures consolidation flips on
-// entries the feed delta never named. Untouched index shards
+// newState builds the serving state for res: the query indexes are
+// restored from a checkpoint, built in full, or, given the previous
+// generation, advanced incrementally from the cleaned-view delta — the
+// Diff of the two cleaned snapshots, which also captures consolidation
+// flips on entries the feed delta never named. Untouched index shards
 // are shared between generations, and so are the previous generation's
 // pre-encoded /cve responses: an entry neither delta names serves the
 // exact bytes it served last generation, copied forward by reference.
@@ -298,7 +296,6 @@ func mergeDeltas(base *nvdclean.Snapshot, deltas []*nvdclean.Delta) *nvdclean.De
 // the cleaned entry bytes equal, so the feed delta's IDs are stale
 // even when the cleaned diff never names them.
 func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvdclean.Delta, restored *store.Index) *serveState {
-	nvdclean.ApplyBackport(res.Cleaned, res.Backport)
 	st := &serveState{
 		res: res, loadedAt: time.Now(),
 		entries: respcache.NewEntryCache(s.metrics),
@@ -554,12 +551,10 @@ func (st *serveState) view(e *nvdclean.Entry) cveView {
 		v.V3Score = &score
 		v.V3Severity = e.V3.Severity().String()
 	}
-	if e.V3 == nil && st.res.Backport != nil {
-		if score, ok := st.res.Backport.Scores[e.ID]; ok {
-			v.Backported = true
-			v.PV3Score = &score
-			v.PV3Severity = cvss.SeverityV3(score).String()
-		}
+	if e.PV3 != nil {
+		v.Backported = true
+		v.PV3Score = e.PV3
+		v.PV3Severity = cvss.SeverityV3(*e.PV3).String()
 	}
 	if d, ok := st.res.EstimatedDisclosure[e.ID]; ok {
 		v.EstimatedDisclosure = &d
@@ -716,17 +711,15 @@ func matchVendor(e *nvdclean.Entry, vendor, product string) string {
 // hitOf renders one matched entry.
 func (st *serveState) hitOf(e *nvdclean.Entry, p queryParams) hit {
 	h := hit{ID: e.ID, VendorMatch: matchVendor(e, p.vendor, p.product)}
-	if sev, ok := predict.PV3Severity(e, st.res.Backport); ok {
+	if sev, ok := e.SeverityPV3(); ok {
 		h.Severity = sev.String()
 	}
 	if e.V3 != nil {
 		score := e.V3.BaseScore()
 		h.Score = &score
-	} else if st.res.Backport != nil {
-		if score, ok := st.res.Backport.Scores[e.ID]; ok {
-			h.Score = &score
-			h.Backported = true
-		}
+	} else if e.PV3 != nil {
+		h.Score = e.PV3
+		h.Backported = true
 	}
 	return h
 }
@@ -795,7 +788,7 @@ func (st *serveState) queryScan(p queryParams) queryResponse {
 			continue
 		}
 		if p.hasSev {
-			sev, ok := predict.PV3Severity(e, st.res.Backport)
+			sev, ok := e.SeverityPV3()
 			if !ok || sev != p.sev {
 				continue
 			}

@@ -250,7 +250,9 @@ func consolidate(snap *nvdclean.Snapshot) (*naming.Map, *naming.ProductMap) {
 }
 
 // assertResultsEqual requires two Clean results to be bit-identical in
-// every artifact the paper's pipeline produces.
+// every artifact the paper's pipeline produces, and each to be complete
+// as returned: a cleaned entry's PV3 is its backported score when the
+// engine scored it and nil otherwise.
 func assertResultsEqual(t *testing.T, label string, got, want *nvdclean.Result) {
 	t.Helper()
 	if got.Original.Len() != want.Original.Len() {
@@ -260,6 +262,20 @@ func assertResultsEqual(t *testing.T, label string, got, want *nvdclean.Result) 
 		g := got.Cleaned.Entries[i]
 		if !g.Equal(e) {
 			t.Fatalf("%s: cleaned entry %s differs", label, e.ID)
+		}
+	}
+	for _, side := range []struct {
+		name string
+		res  *nvdclean.Result
+	}{{"got", got}, {"want", want}} {
+		for _, e := range side.res.Cleaned.Entries {
+			score, scored := 0.0, false
+			if side.res.Backport != nil {
+				score, scored = side.res.Backport.Scores[e.ID]
+			}
+			if scored != (e.PV3 != nil) || scored && *e.PV3 != score {
+				t.Fatalf("%s: %s cleaned entry %s has PV3 %v, backported score %v (scored: %v)", label, side.name, e.ID, e.PV3, score, scored)
+			}
 		}
 	}
 	if !maps.Equal(got.EstimatedDisclosure, want.EstimatedDisclosure) {
@@ -410,7 +426,6 @@ func TestRestoreResultEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nvdclean.ApplyBackport(cold.Cleaned, cold.Backport)
 			assertResultsEqual(t, tc.name+" restored", warm, cold)
 			for i, e := range original.Entries {
 				if !e.Equal(cp.Original.Entries[i]) {
@@ -504,7 +519,6 @@ func TestReuseStateLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nvdclean.ApplyBackport(cold.Cleaned, cold.Backport)
 	assertResultsEqual(t, "older layout restored", warm, cold)
 
 	got, err := nvdclean.CleanDelta(ctx, warm, nvdclean.Diff(old, full), opts)

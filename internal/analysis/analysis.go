@@ -14,7 +14,6 @@ import (
 
 	"nvdclean/internal/cve"
 	"nvdclean/internal/cvss"
-	"nvdclean/internal/predict"
 )
 
 // Scoring selects which severity labeling a breakdown uses.
@@ -27,7 +26,7 @@ const (
 	// ScoreV3 uses the NVD-assigned v3 score where present.
 	ScoreV3
 	// ScorePV3 uses the v3 score where present, otherwise the
-	// model-predicted ("pv3") score.
+	// model-predicted ("pv3") score a cleaned entry carries in PV3.
 	ScorePV3
 )
 
@@ -48,14 +47,14 @@ func (s Scoring) String() string {
 // SeverityOf returns an entry's severity under a scoring; ok is false
 // when the entry has no label under that scoring (e.g. ScoreV3 on an
 // old CVE).
-func SeverityOf(e *cve.Entry, s Scoring, b *predict.Backport) (cvss.Severity, bool) {
+func SeverityOf(e *cve.Entry, s Scoring) (cvss.Severity, bool) {
 	switch s {
 	case ScoreV2:
 		return e.SeverityV2()
 	case ScoreV3:
 		return e.SeverityV3()
 	case ScorePV3:
-		return predict.PV3Severity(e, b)
+		return e.SeverityPV3()
 	default:
 		return 0, false
 	}
@@ -126,11 +125,11 @@ type SeverityDist map[cvss.Severity]float64
 
 // SeverityDistribution computes the Table 9 distribution of CVE
 // severities under a scoring, over the entries that have a label.
-func SeverityDistribution(snap *cve.Snapshot, s Scoring, b *predict.Backport) SeverityDist {
+func SeverityDistribution(snap *cve.Snapshot, s Scoring) SeverityDist {
 	counts := make(map[cvss.Severity]int)
 	total := 0
 	for _, e := range snap.Entries {
-		sev, ok := SeverityOf(e, s, b)
+		sev, ok := SeverityOf(e, s)
 		if !ok {
 			continue
 		}
@@ -149,7 +148,7 @@ func SeverityDistribution(snap *cve.Snapshot, s Scoring, b *predict.Backport) Se
 
 // YearlySeverity computes Fig 3: for each CVE-identifier year, the
 // severity distribution under each scoring.
-func YearlySeverity(snap *cve.Snapshot, b *predict.Backport) map[int]map[Scoring]SeverityDist {
+func YearlySeverity(snap *cve.Snapshot) map[int]map[Scoring]SeverityDist {
 	type key struct {
 		year int
 		s    Scoring
@@ -162,7 +161,7 @@ func YearlySeverity(snap *cve.Snapshot, b *predict.Backport) map[int]map[Scoring
 			continue
 		}
 		for _, s := range []Scoring{ScoreV2, ScoreV3, ScorePV3} {
-			sev, ok := SeverityOf(e, s, b)
+			sev, ok := SeverityOf(e, s)
 			if !ok {
 				continue
 			}
@@ -192,7 +191,7 @@ func YearlySeverity(snap *cve.Snapshot, b *predict.Backport) map[int]map[Scoring
 
 // AvgLagBySeverity computes Fig 4: the mean lag (days between estimated
 // disclosure and NVD publication) per severity band under a scoring.
-func AvgLagBySeverity(snap *cve.Snapshot, lagDays map[string]int, s Scoring, b *predict.Backport) map[cvss.Severity]float64 {
+func AvgLagBySeverity(snap *cve.Snapshot, lagDays map[string]int, s Scoring) map[cvss.Severity]float64 {
 	sum := make(map[cvss.Severity]float64)
 	n := make(map[cvss.Severity]int)
 	for _, e := range snap.Entries {
@@ -200,7 +199,7 @@ func AvgLagBySeverity(snap *cve.Snapshot, lagDays map[string]int, s Scoring, b *
 		if !ok {
 			continue
 		}
-		sev, ok := SeverityOf(e, s, b)
+		sev, ok := SeverityOf(e, s)
 		if !ok {
 			continue
 		}

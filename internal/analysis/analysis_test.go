@@ -12,12 +12,11 @@ import (
 	"nvdclean/internal/predict"
 )
 
-// fixture bundles the shared expensive setup: a generated snapshot and
-// a backport from a quick LR model.
+// fixture bundles the shared expensive setup: a generated snapshot
+// whose v2-only entries carry a quick LR model's backported scores.
 type fixture struct {
-	snap     *cve.Snapshot
-	truth    *gen.Truth
-	backport *predict.Backport
+	snap  *cve.Snapshot
+	truth *gen.Truth
 }
 
 var shared *fixture
@@ -43,7 +42,14 @@ func setup(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared = &fixture{snap: snap, truth: truth, backport: b}
+	// The pv3 scoring reads a score from the entry, where the severity
+	// stage materializes it.
+	for _, e := range snap.Entries {
+		if s, ok := b.Scores[e.ID]; ok {
+			e.PV3 = &s
+		}
+	}
+	shared = &fixture{snap: snap, truth: truth}
 	return shared
 }
 
@@ -115,8 +121,8 @@ func TestDayOfWeek(t *testing.T) {
 
 func TestSeverityDistribution(t *testing.T) {
 	f := setup(t)
-	v2 := SeverityDistribution(f.snap, ScoreV2, nil)
-	pv3 := SeverityDistribution(f.snap, ScorePV3, f.backport)
+	v2 := SeverityDistribution(f.snap, ScoreV2)
+	pv3 := SeverityDistribution(f.snap, ScorePV3)
 	// Table 9: v2 majority Medium; pv3 skews toward High+Critical.
 	if v2[cvss.SeverityMedium] < v2[cvss.SeverityHigh] || v2[cvss.SeverityMedium] < 0.35 {
 		t.Errorf("v2 Medium share = %.2f, expected the majority band", v2[cvss.SeverityMedium])
@@ -142,7 +148,7 @@ func TestSeverityDistribution(t *testing.T) {
 
 func TestYearlySeverity(t *testing.T) {
 	f := setup(t)
-	yearly := YearlySeverity(f.snap, f.backport)
+	yearly := YearlySeverity(f.snap)
 	if len(yearly) < 10 {
 		t.Fatalf("only %d years", len(yearly))
 	}
@@ -176,7 +182,7 @@ func TestYearlySeverity(t *testing.T) {
 
 func TestTopTypes(t *testing.T) {
 	f := setup(t)
-	v2High := TopTypes(f.snap, ScoreV2, cvss.SeverityHigh, 10, nil)
+	v2High := TopTypes(f.snap, ScoreV2, cvss.SeverityHigh, 10)
 	if len(v2High) == 0 {
 		t.Fatal("no v2 High types")
 	}
@@ -185,7 +191,7 @@ func TestTopTypes(t *testing.T) {
 		t.Errorf("top v2 High type = %v, want CWE-119", v2High[0].ID)
 	}
 	// SQL injection leads the critical column under pv3 (§5.3).
-	pv3Crit := TopTypes(f.snap, ScorePV3, cvss.SeverityCritical, 10, f.backport)
+	pv3Crit := TopTypes(f.snap, ScorePV3, cvss.SeverityCritical, 10)
 	if len(pv3Crit) == 0 {
 		t.Fatal("no pv3 Critical types")
 	}
@@ -268,7 +274,7 @@ func TestMislabeledAndCaseStudies(t *testing.T) {
 		t.Fatal("no vendor-corrected CVEs")
 	}
 
-	tab := MislabeledBySeverity(f.snap, vendorChanged, productChanged, ScoreV2, nil)
+	tab := MislabeledBySeverity(f.snap, vendorChanged, productChanged, ScoreV2)
 	var vTotal int
 	for _, c := range tab.Vendor {
 		vTotal += c
@@ -309,7 +315,7 @@ func TestAvgLagBySeverity(t *testing.T) {
 	for _, e := range f.snap.Entries {
 		lag[e.ID] = f.truth.LagDays(e.ID, e.Published)
 	}
-	avg := AvgLagBySeverity(f.snap, lag, ScorePV3, f.backport)
+	avg := AvgLagBySeverity(f.snap, lag, ScorePV3)
 	if len(avg) < 3 {
 		t.Fatalf("only %d severity bands: %v", len(avg), avg)
 	}
@@ -329,7 +335,7 @@ func TestScoringString(t *testing.T) {
 }
 
 func TestSeverityOfUnknownScoring(t *testing.T) {
-	if _, ok := SeverityOf(&cve.Entry{}, Scoring(9), nil); ok {
+	if _, ok := SeverityOf(&cve.Entry{}, Scoring(9)); ok {
 		t.Error("unknown scoring should not resolve")
 	}
 }
@@ -346,6 +352,6 @@ func BenchmarkYearlySeverity(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		YearlySeverity(f.snap, f.backport)
+		YearlySeverity(f.snap)
 	}
 }

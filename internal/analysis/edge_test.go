@@ -6,7 +6,6 @@ import (
 
 	"nvdclean/internal/cve"
 	"nvdclean/internal/cvss"
-	"nvdclean/internal/predict"
 )
 
 func TestTopDatesUnbounded(t *testing.T) {
@@ -38,7 +37,7 @@ func TestTopDatesEmpty(t *testing.T) {
 
 func TestSeverityDistributionEmpty(t *testing.T) {
 	snap := &cve.Snapshot{}
-	if d := SeverityDistribution(snap, ScoreV2, nil); len(d) != 0 {
+	if d := SeverityDistribution(snap, ScoreV2); len(d) != 0 {
 		t.Errorf("empty snapshot distribution = %v", d)
 	}
 }
@@ -58,7 +57,7 @@ func TestSeverityDistributionScoreV3OnlyLabeled(t *testing.T) {
 		{ID: "CVE-2016-0001", V2: &v2, V3: &v3},
 		{ID: "CVE-2005-0001", V2: &v2}, // no v3 label
 	}}
-	d := SeverityDistribution(snap, ScoreV3, nil)
+	d := SeverityDistribution(snap, ScoreV3)
 	if d[cvss.SeverityCritical] != 1.0 {
 		t.Errorf("V3 distribution = %v, want Critical 100%% over the labeled subset", d)
 	}
@@ -66,14 +65,14 @@ func TestSeverityDistributionScoreV3OnlyLabeled(t *testing.T) {
 
 func TestAvgLagBySeverityNoLags(t *testing.T) {
 	snap := &cve.Snapshot{Entries: []*cve.Entry{{ID: "CVE-2010-0001"}}}
-	if avg := AvgLagBySeverity(snap, nil, ScoreV2, nil); len(avg) != 0 {
+	if avg := AvgLagBySeverity(snap, nil, ScoreV2); len(avg) != 0 {
 		t.Errorf("no lag data should give empty result: %v", avg)
 	}
 }
 
 func TestMislabeledBySeverityEmptySets(t *testing.T) {
 	f := setup(t)
-	tab := MislabeledBySeverity(f.snap, nil, nil, ScoreV2, nil)
+	tab := MislabeledBySeverity(f.snap, nil, nil, ScoreV2)
 	for _, c := range tab.Vendor {
 		if c != 0 {
 			t.Error("no changed CVEs should give zero counts")
@@ -113,7 +112,7 @@ func TestSampleCaseStudiesDeterministic(t *testing.T) {
 
 func TestTopTypesExcludesMeta(t *testing.T) {
 	f := setup(t)
-	for _, tc := range TopTypes(f.snap, ScoreV2, cvss.SeverityHigh, 0, nil) {
+	for _, tc := range TopTypes(f.snap, ScoreV2, cvss.SeverityHigh, 0) {
 		if tc.ID.IsMeta() {
 			t.Fatalf("meta CWE %v in top types", tc.ID)
 		}
@@ -126,10 +125,23 @@ func TestPV3SeverityWithoutBackport(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &cve.Entry{ID: "CVE-2005-0001", V2: &v2}
-	if _, ok := predict.PV3Severity(e, nil); ok {
+	if _, ok := e.SeverityPV3(); ok {
 		t.Error("pv3 without backport or label should be absent")
 	}
-	if _, ok := SeverityOf(e, ScorePV3, &predict.Backport{Scores: map[string]float64{}}); ok {
-		t.Error("pv3 with empty backport should be absent")
+	if _, ok := SeverityOf(e, ScorePV3); ok {
+		t.Error("pv3 scoring without a backported score should be absent")
+	}
+	score := 9.8
+	e.PV3 = &score
+	if sev, ok := SeverityOf(e, ScorePV3); !ok || sev != cvss.SeverityCritical {
+		t.Errorf("pv3 of a backported 9.8 = %v, %v; want CRITICAL", sev, ok)
+	}
+	v3, err := cvss.ParseV3("CVSS:3.0/AV:L/AC:H/PR:H/UI:R/S:U/C:L/I:N/A:N")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.V3 = &v3
+	if sev, ok := SeverityOf(e, ScorePV3); !ok || sev != v3.Severity() {
+		t.Errorf("pv3 with a v3 label = %v, %v; want the label's %v", sev, ok, v3.Severity())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"nvdclean/internal/cve"
 	"nvdclean/internal/cvss"
 	"nvdclean/internal/cwe"
-	"nvdclean/internal/predict"
 )
 
 // TypeCount is one row of Table 10: a weakness type with its number of
@@ -19,10 +18,10 @@ type TypeCount struct {
 
 // TopTypes ranks CWE types by the number of CVEs whose severity under
 // scoring s equals band (Table 10 uses High and Critical).
-func TopTypes(snap *cve.Snapshot, s Scoring, band cvss.Severity, n int, b *predict.Backport) []TypeCount {
+func TopTypes(snap *cve.Snapshot, s Scoring, band cvss.Severity, n int) []TypeCount {
 	counts := make(map[cwe.ID]int)
 	for _, e := range snap.Entries {
-		sev, ok := SeverityOf(e, s, b)
+		sev, ok := SeverityOf(e, s)
 		if !ok || sev != band {
 			continue
 		}
@@ -115,13 +114,13 @@ type MislabeledSeverity struct {
 // product corrections by its severity under scoring s. vendorChanged
 // and productChanged report whether a given entry was rewritten (the
 // pipeline records these sets while applying maps).
-func MislabeledBySeverity(snap *cve.Snapshot, vendorChanged, productChanged map[string]bool, s Scoring, b *predict.Backport) MislabeledSeverity {
+func MislabeledBySeverity(snap *cve.Snapshot, vendorChanged, productChanged map[string]bool, s Scoring) MislabeledSeverity {
 	out := MislabeledSeverity{
 		Vendor:  make(map[cvss.Severity]int),
 		Product: make(map[cvss.Severity]int),
 	}
 	for _, e := range snap.Entries {
-		sev, ok := SeverityOf(e, s, b)
+		sev, ok := SeverityOf(e, s)
 		if !ok {
 			continue
 		}

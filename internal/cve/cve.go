@@ -51,9 +51,12 @@ type Entry struct {
 	// paper's snapshot).
 	V3 *cvss.VectorV3
 	// PV3 is the backported (predicted) CVSS v3 base score for v2-only
-	// entries — the paper's "pv3" scoring. It is an extension field
-	// populated by the cleaning pipeline's ApplyBackport step, carried
-	// through the feed codec under a non-NVD key; nil when absent.
+	// entries — the paper's "pv3" scoring. It is an extension field,
+	// carried through the feed codec under a non-NVD key; nil when
+	// absent. In a cleaned view it is the one home of the score: the
+	// pipeline's severity stage sets it (ApplyBackport) on each entry
+	// it scored and leaves it nil on every other, and SeverityPV3 reads
+	// it.
 	PV3 *float64
 	// CPEs lists the affected vendor/product names.
 	CPEs []cpe.Name
@@ -141,6 +144,19 @@ func (e *Entry) SeverityV3() (cvss.Severity, bool) {
 		return 0, false
 	}
 	return e.V3.Severity(), true
+}
+
+// SeverityPV3 returns the paper's "pv3" severity band: the v3 band when
+// a v3 vector is present, otherwise the band of the backported PV3
+// score, or false when the entry has neither.
+func (e *Entry) SeverityPV3() (cvss.Severity, bool) {
+	if e.V3 != nil {
+		return e.V3.Severity(), true
+	}
+	if e.PV3 != nil {
+		return cvss.SeverityV3(*e.PV3), true
+	}
+	return 0, false
 }
 
 // Vendors returns the distinct vendor names in the entry's CPE list, in

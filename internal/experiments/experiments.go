@@ -305,8 +305,8 @@ func (s *Suite) Fig2() (string, error) {
 
 // Table9 renders overall severity distributions.
 func (s *Suite) Table9() (string, error) {
-	v2 := analysis.SeverityDistribution(s.Result.Cleaned, analysis.ScoreV2, nil)
-	pv3 := analysis.SeverityDistribution(s.Result.Cleaned, analysis.ScorePV3, s.Result.Backport)
+	v2 := analysis.SeverityDistribution(s.Result.Cleaned, analysis.ScoreV2)
+	pv3 := analysis.SeverityDistribution(s.Result.Cleaned, analysis.ScorePV3)
 	var b strings.Builder
 	err := report.Table9(&b, v2, pv3)
 	return b.String(), err
@@ -314,7 +314,7 @@ func (s *Suite) Table9() (string, error) {
 
 // Fig3 renders yearly severity stacks.
 func (s *Suite) Fig3() (string, error) {
-	yearly := analysis.YearlySeverity(s.Result.Cleaned, s.Result.Backport)
+	yearly := analysis.YearlySeverity(s.Result.Cleaned)
 	var b strings.Builder
 	err := report.Fig3(&b, yearly)
 	return b.String(), err
@@ -323,11 +323,11 @@ func (s *Suite) Fig3() (string, error) {
 // Table10 renders top types by severity band under the three scorings.
 func (s *Suite) Table10() (string, error) {
 	cols := map[string][]analysis.TypeCount{
-		"v2 High":      analysis.TopTypes(s.Result.Cleaned, analysis.ScoreV2, cvss.SeverityHigh, 10, nil),
-		"v3 High":      analysis.TopTypes(s.Result.Cleaned, analysis.ScoreV3, cvss.SeverityHigh, 10, nil),
-		"v3 Critical":  analysis.TopTypes(s.Result.Cleaned, analysis.ScoreV3, cvss.SeverityCritical, 10, nil),
-		"pv3 High":     analysis.TopTypes(s.Result.Cleaned, analysis.ScorePV3, cvss.SeverityHigh, 10, s.Result.Backport),
-		"pv3 Critical": analysis.TopTypes(s.Result.Cleaned, analysis.ScorePV3, cvss.SeverityCritical, 10, s.Result.Backport),
+		"v2 High":      analysis.TopTypes(s.Result.Cleaned, analysis.ScoreV2, cvss.SeverityHigh, 10),
+		"v3 High":      analysis.TopTypes(s.Result.Cleaned, analysis.ScoreV3, cvss.SeverityHigh, 10),
+		"v3 Critical":  analysis.TopTypes(s.Result.Cleaned, analysis.ScoreV3, cvss.SeverityCritical, 10),
+		"pv3 High":     analysis.TopTypes(s.Result.Cleaned, analysis.ScorePV3, cvss.SeverityHigh, 10),
+		"pv3 Critical": analysis.TopTypes(s.Result.Cleaned, analysis.ScorePV3, cvss.SeverityCritical, 10),
 	}
 	var b strings.Builder
 	err := report.Table10(&b, cols)
@@ -349,8 +349,8 @@ func (s *Suite) Table11() (string, error) {
 
 // Table12 renders the mislabeled-CVE severity breakdown.
 func (s *Suite) Table12() (string, error) {
-	v2 := analysis.MislabeledBySeverity(s.Result.Cleaned, s.Result.VendorChanged, s.Result.ProductChanged, analysis.ScoreV2, nil)
-	pv3 := analysis.MislabeledBySeverity(s.Result.Cleaned, s.Result.VendorChanged, s.Result.ProductChanged, analysis.ScorePV3, s.Result.Backport)
+	v2 := analysis.MislabeledBySeverity(s.Result.Cleaned, s.Result.VendorChanged, s.Result.ProductChanged, analysis.ScoreV2)
+	pv3 := analysis.MislabeledBySeverity(s.Result.Cleaned, s.Result.VendorChanged, s.Result.ProductChanged, analysis.ScorePV3)
 	var b strings.Builder
 	err := report.Table12(&b, v2, pv3)
 	return b.String(), err
@@ -358,7 +358,7 @@ func (s *Suite) Table12() (string, error) {
 
 // Fig4 renders average lag by pv3 severity.
 func (s *Suite) Fig4() (string, error) {
-	avg := analysis.AvgLagBySeverity(s.Result.Cleaned, s.Result.LagDays, analysis.ScorePV3, s.Result.Backport)
+	avg := analysis.AvgLagBySeverity(s.Result.Cleaned, s.Result.LagDays, analysis.ScorePV3)
 	var b strings.Builder
 	err := report.Fig4(&b, avg)
 	return b.String(), err

@@ -235,9 +235,16 @@ func TestBackportAll(t *testing.T) {
 	if acc := float64(hit) / float64(total); acc < 0.6 {
 		t.Errorf("backport accuracy vs hidden truth = %.2f, want ≥ 0.6", acc)
 	}
-	// PV3Severity prefers the NVD label when present.
+	// Materialized onto the entries, as the severity stage does, the
+	// scores give every entry a pv3 band, and the NVD label wins when
+	// present.
 	for _, e := range snap.Entries {
-		sev, ok := PV3Severity(e, b)
+		if s, ok := b.Scores[e.ID]; ok {
+			e.PV3 = &s
+		}
+	}
+	for _, e := range snap.Entries {
+		sev, ok := e.SeverityPV3()
 		if !ok {
 			t.Fatalf("%s: no pv3 severity", e.ID)
 		}

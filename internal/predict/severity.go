@@ -335,16 +335,6 @@ type Backport struct {
 	Scores map[string]float64
 }
 
-// Severity returns the predicted severity band for a CVE, or false when
-// the CVE was not backported.
-func (b *Backport) Severity(id string) (cvss.Severity, bool) {
-	s, ok := b.Scores[id]
-	if !ok {
-		return 0, false
-	}
-	return cvss.SeverityV3(s), true
-}
-
 // BackportAll predicts v3 scores for every entry lacking one — the
 // §4.3 bulk path (the paper's 74K v2-only CVEs) — scoring entries in
 // parallel with the engine's configured workers.
@@ -385,19 +375,6 @@ func (e *Engine) BackportAllN(snap *cve.Snapshot, workers int) (*Backport, error
 		b.Scores[entry.ID] = preds[i]
 	}
 	return b, nil
-}
-
-// PV3Severity returns the "pv3" severity of an entry used throughout
-// §5: the real v3 band when the NVD has one, otherwise the backported
-// band.
-func PV3Severity(e *cve.Entry, b *Backport) (cvss.Severity, bool) {
-	if e.V3 != nil {
-		return e.V3.Severity(), true
-	}
-	if b == nil {
-		return 0, false
-	}
-	return b.Severity(e.ID)
 }
 
 // severityNames are the transition-matrix axes (L, M, H, C).

@@ -26,7 +26,6 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -125,17 +124,6 @@ func (c *Client) SetRetry(attempts int, backoff time.Duration) {
 // park a whole follower fleet for minutes with one header.
 const maxRetryAfter = 30 * time.Second
 
-// jitter spreads a retry delay over [d/2, d) so followers that failed
-// on the same primary outage do not reconnect in lockstep and stampede
-// it the instant it returns.
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + rand.N(d-half)
-}
-
 // retryable reports whether an attempt outcome is worth another try:
 // transport errors and 5xx statuses are; context cancellation and
 // protocol statuses are not.
@@ -155,7 +143,7 @@ func (c *Client) do(ctx context.Context, url string, header http.Header) (*http.
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(jitter(delay)):
+			case <-time.After(store.Jitter(delay)):
 			}
 			delay *= 2
 		}

@@ -133,10 +133,11 @@ func (c *Committer) Close() {
 	<-c.done
 }
 
-// jitterDelay spreads a retry delay over [d/2, d), so a fleet of
-// daemons failing on a shared fault (a full volume, a down primary)
-// does not retry in lockstep and stampede whatever just recovered.
-func jitterDelay(d time.Duration) time.Duration {
+// Jitter spreads a retry delay over [d/2, d), so a fleet of daemons
+// failing on a shared fault (a full volume, a down primary) does not
+// retry in lockstep and stampede whatever just recovered. Delays of at
+// most 1ns pass through.
+func Jitter(d time.Duration) time.Duration {
 	if d <= 1 {
 		return d
 	}
@@ -192,7 +193,7 @@ func (c *Committer) loop() {
 			if delay <<= failures; delay > max || delay <= 0 {
 				delay = max
 			}
-			delay = jitterDelay(delay)
+			delay = Jitter(delay)
 			failures++
 			select {
 			case <-c.stop:

@@ -23,6 +23,19 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+func TestJitterBounds(t *testing.T) {
+	d := 100 * time.Millisecond
+	for i := 0; i < 100; i++ {
+		j := Jitter(d)
+		if j < d/2 || j >= d {
+			t.Fatalf("Jitter(%s) = %s out of [%s, %s)", d, j, d/2, d)
+		}
+	}
+	if Jitter(0) != 0 || Jitter(1) != 1 {
+		t.Fatal("Jitter must pass tiny delays through")
+	}
+}
+
 // TestSegmentedReplayOrder proves deltas recover in append order across
 // several sealed segments plus the active one, with the per-segment
 // record counts intact.

@@ -28,10 +28,9 @@ import (
 // until a query first touches them (shard.load), so boot cost and
 // resident memory track the hot key set rather than the feed.
 //
-// Severity postings read the entry's materialized pv3 band (the real
-// v3 severity when present, the backported PV3 score's band
-// otherwise), so the indexed snapshot must have backported scores
-// applied (nvdclean.ApplyBackport).
+// Severity postings read the entry's pv3 band (Entry.SeverityPV3: the
+// real v3 severity when present, the backported PV3 score's band
+// otherwise), which a cleaned view carries as the pipeline returns it.
 
 // numShards is the fixed shard count. Key placement is a pure hash of
 // the key, so index contents never depend on the worker count.
@@ -175,19 +174,6 @@ func ordIn(ids []string, id string) (uint32, bool) {
 // Entries returns the indexed snapshot length.
 func (ix *Index) Entries() int { return len(ix.ids) }
 
-// entrySeverity is the pv3 band of a cleaned entry with backported
-// scores materialized: the real v3 band when present, the predicted
-// band otherwise.
-func entrySeverity(e *cve.Entry) (cvss.Severity, bool) {
-	if e.V3 != nil {
-		return e.V3.Severity(), true
-	}
-	if e.PV3 != nil {
-		return cvss.SeverityV3(*e.PV3), true
-	}
-	return 0, false
-}
-
 // entryKeys returns every posting key of one cleaned entry. The seen
 // maps are filled first so the keys slice is allocated once at its
 // exact final length (sizing by 3*len(CPEs) over-allocates on
@@ -206,7 +192,7 @@ func entryKeys(e *cve.Entry) []key {
 	for _, c := range e.CWEs {
 		seenC[c] = true
 	}
-	sev, hasSev := entrySeverity(e)
+	sev, hasSev := e.SeverityPV3()
 	total := len(seenV) + len(seenP) + len(seenVP) + len(seenC) + 1 // + year
 	if hasSev {
 		total++
@@ -241,7 +227,7 @@ func entryKeys(e *cve.Entry) []key {
 }
 
 // BuildIndex builds the full index over a cleaned snapshot (entries
-// sorted by ID, backported scores materialized). Chunks of entries map
+// sorted by ID, backported scores in PV3). Chunks of entries map
 // to shard-local partial postings in parallel; each shard then folds
 // its partials in chunk order, so ordinals come out strictly increasing
 // no matter how many workers ran.

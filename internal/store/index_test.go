@@ -73,7 +73,7 @@ func bruteMatch(snap *cve.Snapshot, q Query) []string {
 			continue
 		}
 		if q.HasSeverity {
-			sev, ok := entrySeverity(e)
+			sev, ok := e.SeverityPV3()
 			if !ok || sev != q.Severity {
 				continue
 			}

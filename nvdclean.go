@@ -114,9 +114,11 @@ type Result struct {
 	// Original is the snapshot as given (untouched).
 	Original *Snapshot
 	// Cleaned is the rectified snapshot: consolidated names, corrected
-	// CWE fields. Its entries are distinct from Original's but share
-	// every slice and vector the pipeline did not rewrite with them, so
-	// both snapshots are read-only: edit a Clone of an entry instead.
+	// CWE fields, and each backported score in its entry's PV3 (nil on
+	// every other entry, whatever PV3 the input carried). Its entries
+	// are distinct from Original's but share every slice and vector the
+	// pipeline did not rewrite with them, so both snapshots are
+	// read-only: edit a Clone of an entry instead.
 	Cleaned *Snapshot
 
 	// EstimatedDisclosure maps CVE ID to the §4.1 estimated disclosure
@@ -138,7 +140,8 @@ type Result struct {
 
 	// Engine is the trained §4.3 model zoo (nil when SkipSeverity).
 	Engine *predict.Engine
-	// Backport holds predicted v3 scores for v2-only CVEs.
+	// Backport holds predicted v3 scores for v2-only CVEs (nil when
+	// SkipSeverity), the values Cleaned's PV3 fields hold.
 	Backport *predict.Backport
 
 	// CWECorrection summarizes the §4.4 regex fix.

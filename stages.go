@@ -243,6 +243,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			}
 		}
 		st.Trained = true
+		ApplyBackport(res.Cleaned, res.Backport)
 		return nil
 	}
 
@@ -288,13 +289,17 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 // replaces a field it rewrites — the naming stages a CPE list, the CWE
 // fix a CWE list, ApplyBackport a PV3 pointer — and never writes
 // through a shared one, so snap (and every generation that shares its
-// entries) stays untouched. The copies live in one block, a single
-// allocation, since they live and die with their generation anyway.
+// entries) stays untouched. The copies drop snap's PV3: a backported
+// score in the input (a feed's backportedV3 key) is not the engine's,
+// so only the severity stage's ApplyBackport sets one. The copies live
+// in one block, a single allocation, since they live and die with
+// their generation anyway.
 func shareEntries(snap *Snapshot) *Snapshot {
 	block := make([]Entry, len(snap.Entries))
 	out := &Snapshot{CapturedAt: snap.CapturedAt, Entries: make([]*Entry, len(snap.Entries))}
 	for i, e := range snap.Entries {
 		block[i] = *e
+		block[i].PV3 = nil
 		out.Entries[i] = &block[i]
 	}
 	return out
@@ -435,8 +440,8 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //
 // The delta's lists must be in ID order (Delta.Sort). An added entry
 // out of that order, with a malformed ID, or naming a CVE prev.Original
-// holds that the delta does not remove, is an error wrapping
-// ErrBadDelta.
+// holds that the delta does not remove, and a delta that removes every
+// entry, are errors wrapping ErrBadDelta.
 //
 // Bit-identity assumes opts matches the options of the previous run
 // (same Transport behavior, TopKDomains, Models, ModelConfig and Seed)
@@ -454,6 +459,9 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 		return nil, err
 	}
 	merged := prev.Original.ApplyDelta(delta)
+	if merged.Len() == 0 {
+		return nil, fmt.Errorf("%w: it removes every entry", ErrBadDelta)
+	}
 	changed := make(map[string]bool, delta.Size())
 	for _, id := range delta.ChangedIDs() {
 		changed[id] = true
@@ -484,7 +492,8 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 
 // ErrBadDelta marks a CleanDelta error that the delta alone causes: an
 // added entry out of ID order, with a malformed ID, or naming a CVE the
-// previous snapshot holds that the delta does not remove.
+// previous snapshot holds that the delta does not remove, or a delta
+// that leaves no entry to clean.
 var ErrBadDelta = errors.New("nvdclean: bad delta")
 
 // checkDelta enforces CleanDelta's contract on the added entries; one
@@ -533,16 +542,16 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 // the persisted consolidation maps apply through the naming stages'
 // functions, the persisted §4.4 corrections replay as the CWE stage
 // applies them (an entry without one was left alone), and the persisted
-// backported scores are materialized, so the view matches a cold
-// Clean's entry for entry and shares its memory layout. Per-entry
-// artifacts replay into the disclosure, lag and CWE aggregates in
-// snapshot order (so folds match a from-scratch run bit for bit), and
-// the reuse state rearms CleanDelta — including the engine warm-start
-// check, provided opts carries the same model selection, training
-// config and seed the checkpoint was produced with. The restored
-// Result carries no naming survey: the next CleanDelta surveys the
-// merged snapshot from scratch, which changes its cost, never its
-// bits.
+// backported scores are materialized as the severity stage does, so the
+// view matches a cold Clean's entry for entry and shares its memory
+// layout. Per-entry artifacts replay into the disclosure, lag and CWE
+// aggregates in snapshot order (so folds match a from-scratch run bit
+// for bit), and the reuse state rearms CleanDelta — including the
+// engine warm-start check, provided opts carries the same model
+// selection, training config and seed the checkpoint was produced
+// with. The restored Result carries no naming survey: the next
+// CleanDelta surveys the merged snapshot from scratch, which changes
+// its cost, never its bits.
 func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 	if cp == nil || cp.Original == nil || cp.State == nil ||
 		cp.Vendors == nil || cp.Products == nil {
@@ -585,12 +594,15 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 }
 
 // ApplyBackport materializes backported severity scores into the
-// snapshot's PV3 extension field so they survive WriteFeed/LoadFeed
-// round trips, returning the number of entries annotated. Entries with
-// a real v3 vector are left alone, matching the paper's pv3 scoring
-// (real v3 when present, predicted otherwise). A score already
-// materialized is not rewritten, so applying again writes nothing and
-// allocates nothing; the scores it does write share one block.
+// snapshot's PV3 extension field, returning the number of entries
+// annotated. Entries with a real v3 vector are left alone, matching the
+// paper's pv3 scoring (real v3 when present, predicted otherwise). The
+// severity stage and RestoreResult end with it, so every Result's
+// cleaned view already carries its scores: readers take them from
+// Entry.PV3 (Entry.SeverityPV3 for the band), and WriteFeed exports
+// them under the backportedV3 key. A score already materialized is not
+// rewritten, so applying again writes nothing and allocates nothing;
+// the scores it does write share one block.
 func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 	if snap == nil || b == nil {
 		return 0
