@@ -7,6 +7,7 @@
 package nvdclean_test
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"testing"
@@ -292,6 +293,70 @@ func TestCommitAllocGuard(t *testing.T) {
 		t.Logf("WriteFeedCompact of %d entries: %.0f allocations", n, allocs)
 		if allocs > maxFeedAllocs {
 			t.Errorf("WriteFeedCompact of %d entries allocates %.0f times, budget %d", n, allocs, maxFeedAllocs)
+		}
+	}
+}
+
+// TestReadFeedAllocGuard is the feed decoding allocation bound: a
+// ReadFeed of the 3K-entry snapshot, compact as checkpoints store it
+// and indented as WriteFeed writes it, must stay within a recorded
+// budget of heap objects per entry. The decoder builds each entry
+// straight from the bytes and copies each list once at its exact
+// length; decoding through an itemJSON tree, or a strings.Builder per
+// CPE attribute, would break the bound. Raising it is a boot, restart
+// and ingest regression — justify it in the commit that does.
+func TestReadFeedAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
+	}
+	// Measured 14.9 per entry in both forms; 69.3 when ReadFeed decoded
+	// an itemJSON tree by reflection.
+	const maxAllocsPerEntry = 20
+	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, write := range map[string]func(io.Writer, *cve.Snapshot) error{
+		"compact":  cve.WriteFeedCompact,
+		"indented": cve.WriteFeed,
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		var readErr error
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := cve.ReadFeed(bytes.NewReader(buf.Bytes())); err != nil {
+				readErr = err
+			}
+		})
+		if readErr != nil {
+			t.Fatal(readErr)
+		}
+		perEntry := allocs / float64(snap.Len())
+		t.Logf("ReadFeed, %s: %.0f allocations over %d entries = %.2f per entry", name, allocs, snap.Len(), perEntry)
+		if perEntry > maxAllocsPerEntry {
+			t.Errorf("ReadFeed of the %s feed costs %.2f allocations per entry, budget %d", name, perEntry, maxAllocsPerEntry)
+		}
+	}
+}
+
+// BenchmarkReadFeed times the decoding of the 3K-entry snapshot's
+// checkpoint feed, the bytes BenchmarkWriteFeedCompact writes.
+func BenchmarkReadFeed(b *testing.B) {
+	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cve.WriteFeedCompact(&buf, snap); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := cve.ReadFeed(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -352,11 +352,12 @@ func TestServerFeedUpdate(t *testing.T) {
 
 // TestFeedRejectsDuplicateIDs posts bodies that name one new CVE ID
 // twice, in both modes, an upsert that names a CVE the snapshot holds
-// under another spelling, and a replacing feed with no entries, which
-// would remove every one: each must be answered 400 naming the IDs and
-// leave the serving generation as it was, rather than serve two entries
-// under one CVE or fail as a server fault. A replacing feed may respell
-// an ID.
+// under another spelling, a replacing feed with no entries, which
+// would remove every one, and a replacing body that holds two feed
+// documents: each must be answered 400 naming the IDs and leave the
+// serving generation as it was, rather than serve two entries under
+// one CVE, drop the second document or fail as a server fault. A
+// replacing feed may respell an ID.
 func TestFeedRejectsDuplicateIDs(t *testing.T) {
 	srv, snap := demoServer(t)
 	ts := httptest.NewServer(srv.handler())
@@ -372,13 +373,17 @@ func TestFeedRejectsDuplicateIDs(t *testing.T) {
 	}
 	respelled := held.Clone()
 	respelled.ID = fmt.Sprintf("CVE-%d-%08d", year, seq)
-	post := func(mode string, entries []*nvdclean.Entry) (int, map[string]any) {
+	feed := func(entries []*nvdclean.Entry) []byte {
 		t.Helper()
 		var body bytes.Buffer
 		if err := nvdclean.WriteFeed(&body, &nvdclean.Snapshot{CapturedAt: snap.CapturedAt, Entries: entries}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ts.Client().Post(ts.URL+"/feed?mode="+mode, "application/json", &body)
+		return body.Bytes()
+	}
+	post := func(mode string, body []byte) (int, map[string]any) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/feed?mode="+mode, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,17 +394,21 @@ func TestFeedRejectsDuplicateIDs(t *testing.T) {
 		}
 		return resp.StatusCode, msg
 	}
+	last := len(snap.Entries) - 2
 	for _, tc := range []struct {
 		name, mode string
-		entries    []*nvdclean.Entry
+		body       []byte
 		ids        []string // the IDs the 400 must name
 	}{
-		{"repeated ID", "upsert", []*nvdclean.Entry{dup, dup}, []string{dup.ID}},
-		{"repeated ID", "replace", append(append([]*nvdclean.Entry(nil), snap.Entries...), dup, dup), []string{dup.ID}},
-		{"respelled ID", "upsert", []*nvdclean.Entry{respelled}, []string{respelled.ID, held.ID}},
-		{"empty capture", "replace", nil, nil},
+		{"repeated ID", "upsert", feed([]*nvdclean.Entry{dup, dup}), []string{dup.ID}},
+		{"repeated ID", "replace", feed(append(append([]*nvdclean.Entry(nil), snap.Entries...), dup, dup)), []string{dup.ID}},
+		{"respelled ID", "upsert", feed([]*nvdclean.Entry{respelled}), []string{respelled.ID, held.ID}},
+		{"empty capture", "replace", feed(nil), nil},
+		// The whole snapshot, split across two documents in one body:
+		// reading only the first would remove the last two entries.
+		{"two documents", "replace", append(feed(snap.Entries[:last]), feed(snap.Entries[last:])...), nil},
 	} {
-		code, msg := post(tc.mode, tc.entries)
+		code, msg := post(tc.mode, tc.body)
 		if code != http.StatusBadRequest {
 			t.Fatalf("%s, %s: POST /feed = %d, want 400: %v", tc.name, tc.mode, code, msg)
 		}
@@ -414,11 +423,51 @@ func TestFeedRejectsDuplicateIDs(t *testing.T) {
 	}
 
 	replaced := append([]*nvdclean.Entry{respelled}, snap.Entries[1:]...)
-	if code, msg := post("replace", replaced); code != http.StatusOK {
+	if code, msg := post("replace", feed(replaced)); code != http.StatusOK {
 		t.Fatalf("replace respelling %s as %s: POST /feed = %d, want 200: %v", held.ID, respelled.ID, code, msg)
 	}
 	if o := srv.cur.Load().res.Original; o.ByID(respelled.ID) == nil || o.ByID(held.ID) != nil {
 		t.Errorf("replace did not respell %s as %s", held.ID, respelled.ID)
+	}
+}
+
+// TestFeedNestingLimit posts feed bodies nested 10,001 levels deep, one
+// past the limit encoding/json sets and the feed decoder keeps: once
+// inside an unknown key, and once as configuration nodes nested
+// through "children", down which the decoder recurses. Each must be
+// answered 400, and the daemon must stay ready, serving the generation
+// it had.
+func TestFeedNestingLimit(t *testing.T) {
+	srv, _ := demoServer(t)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	before := srv.cur.Load()
+
+	// The document, its item list, the item, "configurations", "nodes"
+	// and the innermost node with its match list are seven levels; each
+	// node above them adds two.
+	const depth, nodes = 10001, (10001 - 7) / 2
+	for _, tc := range []struct{ name, body string }{
+		{"unknown key", `{"CVE_Items":[],"x":` + strings.Repeat("[", depth-1) + strings.Repeat("]", depth-1) + `}`},
+		{"children", `{"CVE_Items":[{"cve":{"CVE_data_meta":{"ID":"CVE-2018-9999"}},"publishedDate":"2018-05-01T00:00Z",` +
+			`"configurations":{"nodes":[` + strings.Repeat(`{"children":[`, nodes) + `{"cpe_match":[]}` + strings.Repeat(`]}`, nodes) + `]}}]}`},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/feed?mode=upsert", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST /feed = %d, want 400: %s", tc.name, resp.StatusCode, msg)
+		}
+		if srv.cur.Load() != before {
+			t.Fatalf("%s: rejected feed changed the serving generation", tc.name)
+		}
+		var ready map[string]any
+		if code := getJSON(t, ts, "/readyz", &ready); code != http.StatusOK {
+			t.Fatalf("%s: /readyz = %d after the rejected feed: %v", tc.name, code, ready)
+		}
 	}
 }
 

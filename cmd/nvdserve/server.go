@@ -955,7 +955,10 @@ func (s *server) replicationStats() map[string]any {
 // feed whose entries are upserted into the current snapshot (mode=
 // replace instead treats the body as a complete capture, so entries it
 // omits are removed). The delta re-cleans incrementally off the serving
-// generation, which keeps serving until the swap.
+// generation, which keeps serving until the swap. A body LoadFeed
+// rejects is a 400 that leaves the generation as it was: one holding
+// more than one feed document, one that repeats a key or nests deeper
+// than 10,000 levels among them. A body past -max-feed-bytes is a 413.
 func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	// A replica's view is defined by its primary's stream: a local
 	// write would fork it (and be silently clobbered by the next
@@ -973,8 +976,8 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		s.persistUnavailable(w, reason, diskFull)
 		return
 	}
-	// Bound the body before the JSON decoder streams it: without this
-	// a client can feed an unbounded body into LoadFeed and size the
+	// Bound the body before LoadFeed reads it whole: without this a
+	// client can feed an unbounded body into LoadFeed and size the
 	// server's heap from the wire.
 	body := io.Reader(r.Body)
 	if s.maxFeedBytes > 0 {

@@ -145,29 +145,33 @@ func unescape(s string) string {
 	return b.String()
 }
 
-// splitEscaped splits s on unescaped colons.
-func splitEscaped(s string) []string {
-	var parts []string
-	var b strings.Builder
+// splitEscaped splits s on its unescaped colons into fields and returns
+// how many fields s has; past len(fields), it only counts them. Each
+// field is a substring of s with its escapes kept.
+func splitEscaped(s string, fields []string) int {
+	n, start := 0, 0
 	for i := 0; i < len(s); i++ {
-		switch {
-		case s[i] == '\\' && i+1 < len(s):
-			b.WriteByte(s[i])
-			b.WriteByte(s[i+1])
-			i++
-		case s[i] == ':':
-			parts = append(parts, b.String())
-			b.Reset()
-		default:
-			b.WriteByte(s[i])
+		switch s[i] {
+		case '\\':
+			i++ // skip the escaped byte; a trailing backslash stays as is
+		case ':':
+			if n < len(fields) {
+				fields[n] = s[start:i]
+			}
+			n++
+			start = i + 1
 		}
 	}
-	parts = append(parts, b.String())
-	return parts
+	if n < len(fields) {
+		fields[n] = s[start:]
+	}
+	return n + 1
 }
 
 // Parse parses either binding: a CPE 2.3 formatted string or a CPE 2.2
-// URI.
+// URI. A 2.3 attribute without a backslash escape is a substring of s,
+// so parsing such a string allocates nothing; only an escaped attribute
+// is built anew.
 func Parse(s string) (Name, error) {
 	s = strings.TrimSpace(s)
 	switch {
@@ -181,9 +185,9 @@ func Parse(s string) (Name, error) {
 }
 
 func parse23(s string) (Name, error) {
-	fields := splitEscaped(strings.TrimPrefix(s, "cpe:2.3:"))
-	if len(fields) != 11 {
-		return Name{}, fmt.Errorf("cpe: formatted string has %d attributes, want 11: %q", len(fields), s)
+	var fields [11]string
+	if n := splitEscaped(strings.TrimPrefix(s, "cpe:2.3:"), fields[:]); n != len(fields) {
+		return Name{}, fmt.Errorf("cpe: formatted string has %d attributes, want 11: %q", n, s)
 	}
 	if len(fields[0]) != 1 || !Part(fields[0][0]).Valid() {
 		return Name{}, fmt.Errorf("cpe: invalid part %q", fields[0])

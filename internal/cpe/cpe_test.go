@@ -163,6 +163,36 @@ func TestFormatStringAllocs(t *testing.T) {
 	}
 }
 
+var nameSink Name
+
+// TestParseAllocs: a 2.3 formatted string without escapes parses into
+// substrings of itself, so Parse allocates nothing; only an escaped
+// attribute is built anew, and it still reads back unescaped.
+func TestParseAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts skipped in -short mode: race builds count allocations differently")
+	}
+	for _, tc := range []struct {
+		s      string
+		allocs float64
+	}{
+		{"cpe:2.3:a:microsoft:internet_explorer:8.0.6001:beta:*:*:*:*:*:*", 0},
+		{" cpe:2.3:o:linux:linux_kernel:-:*:*:*:*:*:*:* ", 0},
+		{`cpe:2.3:a:vendor\:x:product:*:*:*:*:*:*:*:*`, 1},
+	} {
+		var err error
+		if allocs := testing.AllocsPerRun(100, func() { nameSink, err = Parse(tc.s) }); allocs != tc.allocs {
+			t.Errorf("Parse(%q) allocates %.0f times, want %.0f", tc.s, allocs, tc.allocs)
+		}
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.s, err)
+		}
+	}
+	if nameSink.Vendor != "vendor:x" {
+		t.Errorf("escaped vendor parsed as %q", nameSink.Vendor)
+	}
+}
+
 func TestWithVendorProduct(t *testing.T) {
 	n := NewName(PartApplication, "microsft", "ie", "11")
 	m := n.WithVendor("microsoft").WithProduct("internet_explorer")

@@ -6,131 +6,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"strconv"
 	"time"
 	"unicode/utf8"
 
-	"nvdclean/internal/cpe"
 	"nvdclean/internal/cvss"
-	"nvdclean/internal/cwe"
 )
 
-// The NVD JSON 1.1 feed layout. Field names follow the feed schema so
-// the codec reads real NVD data-feed files unchanged. ReadFeed and
-// UnmarshalDelta decode through these types; appendItem writes the
-// same layout by hand, byte for byte as encoding/json writes these
-// types (TestFeedEncodingMatchesReference).
-type (
-	feedJSON struct {
-		DataType    string     `json:"CVE_data_type"`
-		DataFormat  string     `json:"CVE_data_format"`
-		DataVersion string     `json:"CVE_data_version"`
-		NumberCVEs  string     `json:"CVE_data_numberOfCVEs"`
-		Timestamp   string     `json:"CVE_data_timestamp"`
-		Items       []itemJSON `json:"CVE_Items"`
-	}
-
-	itemJSON struct {
-		CVE            cveJSON      `json:"cve"`
-		Configurations *configsJSON `json:"configurations,omitempty"`
-		Impact         *impactJSON  `json:"impact,omitempty"`
-		PublishedDate  string       `json:"publishedDate"`
-		LastModified   string       `json:"lastModifiedDate,omitempty"`
-	}
-
-	cveJSON struct {
-		Meta        metaJSON     `json:"CVE_data_meta"`
-		ProblemType problemJSON  `json:"problemtype"`
-		References  refsJSON     `json:"references"`
-		Description descListJSON `json:"description"`
-	}
-
-	metaJSON struct {
-		ID       string `json:"ID"`
-		Assigner string `json:"ASSIGNER,omitempty"`
-	}
-
-	problemJSON struct {
-		Data []problemDataJSON `json:"problemtype_data"`
-	}
-
-	problemDataJSON struct {
-		Description []langValueJSON `json:"description"`
-	}
-
-	langValueJSON struct {
-		Lang   string `json:"lang"`
-		Value  string `json:"value"`
-		Source string `json:"source,omitempty"` // extension: evaluator provenance
-	}
-
-	refsJSON struct {
-		Data []refJSON `json:"reference_data"`
-	}
-
-	refJSON struct {
-		URL  string   `json:"url"`
-		Name string   `json:"name,omitempty"`
-		Tags []string `json:"tags,omitempty"`
-	}
-
-	descListJSON struct {
-		Data []langValueJSON `json:"description_data"`
-	}
-
-	configsJSON struct {
-		DataVersion string     `json:"CVE_data_version"`
-		Nodes       []nodeJSON `json:"nodes"`
-	}
-
-	nodeJSON struct {
-		Operator string         `json:"operator,omitempty"`
-		CPEMatch []cpeMatchJSON `json:"cpe_match,omitempty"`
-		Children []nodeJSON     `json:"children,omitempty"`
-	}
-
-	cpeMatchJSON struct {
-		Vulnerable bool   `json:"vulnerable"`
-		CPE23URI   string `json:"cpe23Uri"`
-	}
-
-	impactJSON struct {
-		BaseMetricV3 *baseMetricV3JSON `json:"baseMetricV3,omitempty"`
-		BaseMetricV2 *baseMetricV2JSON `json:"baseMetricV2,omitempty"`
-		// BackportedV3 is this codec's extension slot for the §4.3
-		// predicted v3 score of v2-only CVEs. Real NVD feeds never
-		// carry the key, so reading them is unaffected.
-		BackportedV3 *backportedV3JSON `json:"backportedV3,omitempty"`
-	}
-
-	backportedV3JSON struct {
-		BaseScore    float64 `json:"baseScore"`
-		BaseSeverity string  `json:"baseSeverity"`
-	}
-
-	baseMetricV3JSON struct {
-		CVSSV3 cvssV3JSON `json:"cvssV3"`
-	}
-
-	cvssV3JSON struct {
-		Version      string  `json:"version"`
-		VectorString string  `json:"vectorString"`
-		BaseScore    float64 `json:"baseScore"`
-		BaseSeverity string  `json:"baseSeverity"`
-	}
-
-	baseMetricV2JSON struct {
-		CVSSV2   cvssV2JSON `json:"cvssV2"`
-		Severity string     `json:"severity,omitempty"`
-	}
-
-	cvssV2JSON struct {
-		Version      string  `json:"version"`
-		VectorString string  `json:"vectorString"`
-		BaseScore    float64 `json:"baseScore"`
-	}
-)
+// The codec reads and writes the NVD JSON 1.1 data-feed layout, whose
+// key names follow the feed schema so real NVD data-feed files read
+// unchanged. json_test.go declares the layout as Go types (feedJSON,
+// itemJSON and the rest) for the reference codec built on encoding/json:
+// appendItem writes an item byte for byte as encoding/json writes an
+// itemJSON (TestFeedEncodingMatchesReference), and the decoder in
+// decode.go reads what json.Unmarshal reads into one
+// (TestFeedDecodingMatchesReference).
 
 // feedTime is the timestamp layout of the NVD JSON feeds.
 const feedTime = "2006-01-02T15:04Z"
@@ -437,29 +329,51 @@ func appendString[S string | []byte](b []byte, s S) []byte {
 	return append(b, '"')
 }
 
-// ReadFeed parses an NVD JSON 1.1 data feed. Malformed CWE strings and
-// CPE URIs are skipped rather than fatal, matching how NVD consumers must
-// treat the real feeds; CVSS vector strings must parse when present.
-// Entries come back in ID order whatever order the feed lists them in
-// (no sort for a feed already in order); naming a CVE twice is an error.
+// ReadFeed parses an NVD JSON 1.1 data feed read from r to its end, as
+// DecodeFeed parses it. An error reading r is returned wrapped, so a
+// caller can match it (an *http.MaxBytesError, say) with errors.As.
 func ReadFeed(r io.Reader) (*Snapshot, error) {
-	var f feedJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("cve: decoding feed: %w", err)
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("cve: reading feed: %w", err)
 	}
+	return DecodeFeed(data)
+}
+
+// readAll reads r to its end. When r tells its size, as a *bytes.Reader
+// or an *os.File does, the buffer is allocated once at that size rather
+// than grown through a series of copies as io.ReadAll grows it.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil {
+			size = int(fi.Size())
+		}
+	}
+	var buf bytes.Buffer
+	buf.Grow(size + bytes.MinRead)
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// DecodeFeed parses an NVD JSON 1.1 data feed, compact or indented, in
+// one pass over data. Malformed CWE strings and CPE URIs are skipped
+// rather than fatal, matching how NVD consumers must treat the real
+// feeds; CVSS vector strings must parse when present, and so must each
+// publishedDate. Entries come back in ID order whatever order the feed
+// lists them in (no sort for a feed already in order); naming a CVE
+// twice is an error. It reads what encoding/json reads into the feed
+// layout, but rejects anything but whitespace after the document and
+// an object that gives one of its keys twice. No string of the result
+// shares memory with data.
+func DecodeFeed(data []byte) (*Snapshot, error) {
 	s := &Snapshot{}
-	if f.Timestamp != "" {
-		if ts, err := time.Parse(feedTime, f.Timestamp); err == nil {
-			s.CapturedAt = ts
-		}
-	}
-	for i := range f.Items {
-		e, err := decodeItem(&f.Items[i])
-		if err != nil {
-			return nil, fmt.Errorf("cve: item %d (%s): %w", i, f.Items[i].CVE.Meta.ID, err)
-		}
-		s.Entries = append(s.Entries, e)
+	d := &decoder{data: data}
+	if err := d.document(func() error { return d.feed(s) }); err != nil {
+		return nil, fmt.Errorf("cve: decoding feed: %w", err)
 	}
 	if s.CheckOrder() != nil {
 		s.Sort()
@@ -470,77 +384,15 @@ func ReadFeed(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-func decodeItem(item *itemJSON) (*Entry, error) {
-	e := &Entry{ID: item.CVE.Meta.ID}
-	if _, _, err := SplitID(e.ID); err != nil {
-		return nil, err
-	}
-	var err error
-	e.Published, err = time.Parse(feedTime, item.PublishedDate)
-	if err != nil {
-		return nil, fmt.Errorf("published date: %w", err)
-	}
-	if item.LastModified != "" {
-		e.LastModified, _ = time.Parse(feedTime, item.LastModified)
-	}
-	for _, pd := range item.CVE.ProblemType.Data {
-		for _, d := range pd.Description {
-			id, perr := cwe.Parse(d.Value)
-			if perr != nil || id == cwe.Unassigned {
-				continue
-			}
-			e.CWEs = append(e.CWEs, id)
-		}
-	}
-	for _, r := range item.CVE.References.Data {
-		e.References = append(e.References, Reference{URL: r.URL, Tags: r.Tags})
-	}
-	for _, d := range item.CVE.Description.Data {
-		e.Descriptions = append(e.Descriptions, Description{Source: d.Source, Value: d.Value})
-	}
-	if item.Configurations != nil {
-		collectCPEs(item.Configurations.Nodes, e)
-	}
-	if item.Impact != nil {
-		if m := item.Impact.BaseMetricV2; m != nil {
-			v, perr := cvss.ParseV2(m.CVSSV2.VectorString)
-			if perr != nil {
-				return nil, fmt.Errorf("v2 vector: %w", perr)
-			}
-			e.V2 = &v
-		}
-		if m := item.Impact.BaseMetricV3; m != nil {
-			v, perr := cvss.ParseV3(m.CVSSV3.VectorString)
-			if perr != nil {
-				return nil, fmt.Errorf("v3 vector: %w", perr)
-			}
-			e.V3 = &v
-		}
-		if m := item.Impact.BackportedV3; m != nil {
-			score := m.BaseScore
-			e.PV3 = &score
-		}
-	}
-	return e, nil
-}
-
-// deltaJSON is the serialized form of a Delta — the record type of the
-// generation store's append-only log. Entries reuse the feed codec's
-// item layout (including the backportedV3 extension key), so a log
-// record is exactly one day's worth of feed movement in feed terms.
-type deltaJSON struct {
-	Kind       string     `json:"kind"`
-	CapturedAt string     `json:"capturedAt,omitempty"`
-	Added      []itemJSON `json:"added,omitempty"`
-	Modified   []itemJSON `json:"modified,omitempty"`
-	Removed    []string   `json:"removed,omitempty"`
-}
-
+// deltaKind marks a log record: the record is a JSON object with the
+// keys kind, capturedAt, added, modified and removed, whose entries use
+// the feed's item layout (including the backportedV3 extension key), so
+// a record is exactly one day's worth of feed movement in feed terms.
 const deltaKind = "cve-delta"
 
 // MarshalDelta serializes a delta as one self-describing JSON document,
 // the payload format of the generation store's log records: the bytes
-// json.Marshal writes for its deltaJSON form.
+// json.Marshal writes for its deltaJSON form (json_test.go).
 func MarshalDelta(d *Delta) ([]byte, error) {
 	b := append(make([]byte, 0, 2<<10), `{"kind":"`+deltaKind+`"`...)
 	if !d.CapturedAt.IsZero() {
@@ -566,7 +418,7 @@ func MarshalDelta(d *Delta) ([]byte, error) {
 }
 
 // appendItemList appends key and the list of es's items, or nothing for
-// an empty es: deltaJSON's lists are omitempty.
+// an empty es: a record's lists are omitted when empty.
 func appendItemList(b []byte, key string, es []*Entry) ([]byte, error) {
 	if len(es) == 0 {
 		return b, nil
@@ -582,52 +434,22 @@ func appendItemList(b []byte, key string, es []*Entry) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// UnmarshalDelta parses a delta written by MarshalDelta.
+// UnmarshalDelta parses a delta written by MarshalDelta, in one pass
+// over b, by the rules DecodeFeed reads the feed by. Added and Modified
+// keep the record's order. No string of the result shares memory with b.
 func UnmarshalDelta(b []byte) (*Delta, error) {
-	var dj deltaJSON
-	if err := json.Unmarshal(b, &dj); err != nil {
+	dl := &Delta{}
+	d := &decoder{data: b}
+	var kind string
+	err := d.document(func() (err error) {
+		kind, err = d.delta(dl)
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("cve: decoding delta: %w", err)
 	}
-	if dj.Kind != deltaKind {
-		return nil, fmt.Errorf("cve: unexpected delta kind %q", dj.Kind)
+	if kind != deltaKind {
+		return nil, fmt.Errorf("cve: unexpected delta kind %q", kind)
 	}
-	d := &Delta{Removed: dj.Removed}
-	if dj.CapturedAt != "" {
-		ts, err := time.Parse(feedTime, dj.CapturedAt)
-		if err != nil {
-			return nil, fmt.Errorf("cve: delta capture time: %w", err)
-		}
-		d.CapturedAt = ts
-	}
-	for i := range dj.Added {
-		e, err := decodeItem(&dj.Added[i])
-		if err != nil {
-			return nil, fmt.Errorf("cve: delta added %d (%s): %w", i, dj.Added[i].CVE.Meta.ID, err)
-		}
-		d.Added = append(d.Added, e)
-	}
-	for i := range dj.Modified {
-		e, err := decodeItem(&dj.Modified[i])
-		if err != nil {
-			return nil, fmt.Errorf("cve: delta modified %d (%s): %w", i, dj.Modified[i].CVE.Meta.ID, err)
-		}
-		d.Modified = append(d.Modified, e)
-	}
-	return d, nil
-}
-
-func collectCPEs(nodes []nodeJSON, e *Entry) {
-	for _, node := range nodes {
-		for _, m := range node.CPEMatch {
-			if !m.Vulnerable {
-				continue
-			}
-			n, err := cpe.Parse(m.CPE23URI)
-			if err != nil {
-				continue // tolerate malformed URIs in real feeds
-			}
-			e.CPEs = append(e.CPEs, n)
-		}
-		collectCPEs(node.Children, e)
-	}
+	return dl, nil
 }

@@ -188,6 +188,8 @@ func TestReadFeedErrors(t *testing.T) {
 		{"bad cve id", `{"CVE_Items":[{"cve":{"CVE_data_meta":{"ID":"bogus"}},"publishedDate":"2014-04-07T22:55Z"}]}`},
 		{"bad date", `{"CVE_Items":[{"cve":{"CVE_data_meta":{"ID":"CVE-2014-0001"}},"publishedDate":"yesterday"}]}`},
 		{"bad v2 vector", `{"CVE_Items":[{"cve":{"CVE_data_meta":{"ID":"CVE-2014-0001"}},"publishedDate":"2014-04-07T22:55Z","impact":{"baseMetricV2":{"cvssV2":{"vectorString":"AV:X"}}}}]}`},
+		{"two documents", `{"CVE_Items":[]}` + "\n" + `{"CVE_Items":[{"cve":{"CVE_data_meta":{"ID":"CVE-2014-0001"}},"publishedDate":"2014-04-07T22:55Z"}]}`},
+		{"trailing junk", `{"CVE_Items":[]} ]`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,6 +197,23 @@ func TestReadFeedErrors(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// TestReadFeedTrailingWhitespace: whitespace after the document, as a
+// file or an editor may leave it, is not data after it.
+func TestReadFeedTrailingWhitespace(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFeed(&buf, &Snapshot{Entries: []*Entry{sampleEntry(t)}}); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("  \n\r\n\t \n")
+	s, err := ReadFeed(&buf)
+	if err != nil {
+		t.Fatalf("ReadFeed: %v", err)
+	}
+	if s.Len() != 1 {
+		t.Errorf("entries = %d, want 1", s.Len())
 	}
 }
 
@@ -290,6 +309,265 @@ func TestReadFeedNestedNodes(t *testing.T) {
 	}
 	if len(s.Entries[0].CPEs) != 1 || s.Entries[0].CPEs[0].Vendor != "nested" {
 		t.Errorf("nested CPEs = %v", s.Entries[0].CPEs)
+	}
+}
+
+// The NVD JSON 1.1 feed layout as Go types, the reference codec's form
+// of a feed and its items. Field names follow the feed schema.
+// encoding/json reads and writes these types; appendItem must write
+// the bytes it writes (TestFeedEncodingMatchesReference), and the
+// decoder must read what it reads (TestFeedDecodingMatchesReference).
+type (
+	feedJSON struct {
+		DataType    string     `json:"CVE_data_type"`
+		DataFormat  string     `json:"CVE_data_format"`
+		DataVersion string     `json:"CVE_data_version"`
+		NumberCVEs  string     `json:"CVE_data_numberOfCVEs"`
+		Timestamp   string     `json:"CVE_data_timestamp"`
+		Items       []itemJSON `json:"CVE_Items"`
+	}
+
+	itemJSON struct {
+		CVE            cveJSON      `json:"cve"`
+		Configurations *configsJSON `json:"configurations,omitempty"`
+		Impact         *impactJSON  `json:"impact,omitempty"`
+		PublishedDate  string       `json:"publishedDate"`
+		LastModified   string       `json:"lastModifiedDate,omitempty"`
+	}
+
+	cveJSON struct {
+		Meta        metaJSON     `json:"CVE_data_meta"`
+		ProblemType problemJSON  `json:"problemtype"`
+		References  refsJSON     `json:"references"`
+		Description descListJSON `json:"description"`
+	}
+
+	metaJSON struct {
+		ID       string `json:"ID"`
+		Assigner string `json:"ASSIGNER,omitempty"`
+	}
+
+	problemJSON struct {
+		Data []problemDataJSON `json:"problemtype_data"`
+	}
+
+	problemDataJSON struct {
+		Description []langValueJSON `json:"description"`
+	}
+
+	langValueJSON struct {
+		Lang   string `json:"lang"`
+		Value  string `json:"value"`
+		Source string `json:"source,omitempty"` // extension: evaluator provenance
+	}
+
+	refsJSON struct {
+		Data []refJSON `json:"reference_data"`
+	}
+
+	refJSON struct {
+		URL  string   `json:"url"`
+		Name string   `json:"name,omitempty"`
+		Tags []string `json:"tags,omitempty"`
+	}
+
+	descListJSON struct {
+		Data []langValueJSON `json:"description_data"`
+	}
+
+	configsJSON struct {
+		DataVersion string     `json:"CVE_data_version"`
+		Nodes       []nodeJSON `json:"nodes"`
+	}
+
+	nodeJSON struct {
+		Operator string         `json:"operator,omitempty"`
+		CPEMatch []cpeMatchJSON `json:"cpe_match,omitempty"`
+		Children []nodeJSON     `json:"children,omitempty"`
+	}
+
+	cpeMatchJSON struct {
+		Vulnerable bool   `json:"vulnerable"`
+		CPE23URI   string `json:"cpe23Uri"`
+	}
+
+	impactJSON struct {
+		BaseMetricV3 *baseMetricV3JSON `json:"baseMetricV3,omitempty"`
+		BaseMetricV2 *baseMetricV2JSON `json:"baseMetricV2,omitempty"`
+		// BackportedV3 is this codec's extension slot for the §4.3
+		// predicted v3 score of v2-only CVEs. Real NVD feeds never
+		// carry the key, so reading them is unaffected.
+		BackportedV3 *backportedV3JSON `json:"backportedV3,omitempty"`
+	}
+
+	backportedV3JSON struct {
+		BaseScore    float64 `json:"baseScore"`
+		BaseSeverity string  `json:"baseSeverity"`
+	}
+
+	baseMetricV3JSON struct {
+		CVSSV3 cvssV3JSON `json:"cvssV3"`
+	}
+
+	cvssV3JSON struct {
+		Version      string  `json:"version"`
+		VectorString string  `json:"vectorString"`
+		BaseScore    float64 `json:"baseScore"`
+		BaseSeverity string  `json:"baseSeverity"`
+	}
+
+	baseMetricV2JSON struct {
+		CVSSV2   cvssV2JSON `json:"cvssV2"`
+		Severity string     `json:"severity,omitempty"`
+	}
+
+	cvssV2JSON struct {
+		Version      string  `json:"version"`
+		VectorString string  `json:"vectorString"`
+		BaseScore    float64 `json:"baseScore"`
+	}
+)
+
+// deltaJSON is the reference form of a Delta: a log record.
+type deltaJSON struct {
+	Kind       string     `json:"kind"`
+	CapturedAt string     `json:"capturedAt,omitempty"`
+	Added      []itemJSON `json:"added,omitempty"`
+	Modified   []itemJSON `json:"modified,omitempty"`
+	Removed    []string   `json:"removed,omitempty"`
+}
+
+// readFeedReference is the reflection-based reader the one-pass decoder
+// replaced, on json.Unmarshal: it decodes the whole feed into a
+// feedJSON tree and converts each item with decodeItem.
+func readFeedReference(data []byte) (*Snapshot, error) {
+	var f feedJSON
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("cve: decoding feed: %w", err)
+	}
+	s := &Snapshot{}
+	if f.Timestamp != "" {
+		if ts, err := time.Parse(feedTime, f.Timestamp); err == nil {
+			s.CapturedAt = ts
+		}
+	}
+	for i := range f.Items {
+		e, err := decodeItem(&f.Items[i])
+		if err != nil {
+			return nil, fmt.Errorf("cve: item %d (%s): %w", i, f.Items[i].CVE.Meta.ID, err)
+		}
+		s.Entries = append(s.Entries, e)
+	}
+	if s.CheckOrder() != nil {
+		s.Sort()
+		if err := s.CheckOrder(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// unmarshalDeltaReference is the reflection-based UnmarshalDelta.
+func unmarshalDeltaReference(b []byte) (*Delta, error) {
+	var dj deltaJSON
+	if err := json.Unmarshal(b, &dj); err != nil {
+		return nil, fmt.Errorf("cve: decoding delta: %w", err)
+	}
+	if dj.Kind != deltaKind {
+		return nil, fmt.Errorf("cve: unexpected delta kind %q", dj.Kind)
+	}
+	d := &Delta{Removed: dj.Removed}
+	if dj.CapturedAt != "" {
+		ts, err := time.Parse(feedTime, dj.CapturedAt)
+		if err != nil {
+			return nil, fmt.Errorf("cve: delta capture time: %w", err)
+		}
+		d.CapturedAt = ts
+	}
+	for i := range dj.Added {
+		e, err := decodeItem(&dj.Added[i])
+		if err != nil {
+			return nil, fmt.Errorf("cve: delta added %d (%s): %w", i, dj.Added[i].CVE.Meta.ID, err)
+		}
+		d.Added = append(d.Added, e)
+	}
+	for i := range dj.Modified {
+		e, err := decodeItem(&dj.Modified[i])
+		if err != nil {
+			return nil, fmt.Errorf("cve: delta modified %d (%s): %w", i, dj.Modified[i].CVE.Meta.ID, err)
+		}
+		d.Modified = append(d.Modified, e)
+	}
+	return d, nil
+}
+
+func decodeItem(item *itemJSON) (*Entry, error) {
+	e := &Entry{ID: item.CVE.Meta.ID}
+	if _, _, err := SplitID(e.ID); err != nil {
+		return nil, err
+	}
+	var err error
+	e.Published, err = time.Parse(feedTime, item.PublishedDate)
+	if err != nil {
+		return nil, fmt.Errorf("published date: %w", err)
+	}
+	if item.LastModified != "" {
+		e.LastModified, _ = time.Parse(feedTime, item.LastModified)
+	}
+	for _, pd := range item.CVE.ProblemType.Data {
+		for _, d := range pd.Description {
+			id, perr := cwe.Parse(d.Value)
+			if perr != nil || id == cwe.Unassigned {
+				continue
+			}
+			e.CWEs = append(e.CWEs, id)
+		}
+	}
+	for _, r := range item.CVE.References.Data {
+		e.References = append(e.References, Reference{URL: r.URL, Tags: r.Tags})
+	}
+	for _, d := range item.CVE.Description.Data {
+		e.Descriptions = append(e.Descriptions, Description{Source: d.Source, Value: d.Value})
+	}
+	if item.Configurations != nil {
+		collectCPEs(item.Configurations.Nodes, e)
+	}
+	if item.Impact != nil {
+		if m := item.Impact.BaseMetricV2; m != nil {
+			v, perr := cvss.ParseV2(m.CVSSV2.VectorString)
+			if perr != nil {
+				return nil, fmt.Errorf("v2 vector: %w", perr)
+			}
+			e.V2 = &v
+		}
+		if m := item.Impact.BaseMetricV3; m != nil {
+			v, perr := cvss.ParseV3(m.CVSSV3.VectorString)
+			if perr != nil {
+				return nil, fmt.Errorf("v3 vector: %w", perr)
+			}
+			e.V3 = &v
+		}
+		if m := item.Impact.BackportedV3; m != nil {
+			score := m.BaseScore
+			e.PV3 = &score
+		}
+	}
+	return e, nil
+}
+
+func collectCPEs(nodes []nodeJSON, e *Entry) {
+	for _, node := range nodes {
+		for _, m := range node.CPEMatch {
+			if !m.Vulnerable {
+				continue
+			}
+			n, err := cpe.Parse(m.CPE23URI)
+			if err != nil {
+				continue // tolerate malformed URIs in real feeds
+			}
+			e.CPEs = append(e.CPEs, n)
+		}
+		collectCPEs(node.Children, e)
 	}
 }
 

@@ -880,7 +880,7 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 		})
 	}
 	decode(originalFile, func(data []byte) (err error) {
-		cp.Original, err = cve.ReadFeed(bytes.NewReader(data))
+		cp.Original, err = cve.DecodeFeed(data)
 		return err
 	})
 	decode(stateFile, func(data []byte) error {

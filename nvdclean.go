@@ -74,7 +74,11 @@ func NewWebCorpus(snap *Snapshot, disclosure map[string]time.Time) *WebCorpus {
 	return webcorpus.New(snap, disclosure)
 }
 
-// LoadFeed parses an NVD JSON 1.1 data feed into a snapshot in ID order.
+// LoadFeed parses an NVD JSON 1.1 data feed read from r into a
+// snapshot in ID order, in one pass over its bytes (cve.ReadFeed).
+// Anything but whitespace after the feed document is an error, and so
+// is an object that gives one of its keys twice. An error reading r
+// is returned wrapped, for errors.As.
 func LoadFeed(r io.Reader) (*Snapshot, error) { return cve.ReadFeed(r) }
 
 // WriteFeed serializes a snapshot in NVD JSON 1.1 format.
