@@ -42,9 +42,9 @@ type EntryAssessment struct {
 	// ExtractedCWEs are concrete weakness types found in the entry's
 	// descriptions (§4.4 regex).
 	ExtractedCWEs []cwe.ID
-	// PredictedV3 is the backported v3 base score (present when the
-	// Clean run trained an engine and the entry has a v2 vector but no
-	// v3 label).
+	// PredictedV3 is the backported v3 base score, the one the Clean
+	// run's severity stage gives the entry (present when that run
+	// trained an engine and the entry has a v2 vector but no v3 label).
 	PredictedV3 float64
 	// PredictedSeverity is the corresponding band.
 	PredictedSeverity cvss.Severity
@@ -56,7 +56,8 @@ type EntryAssessment struct {
 // artifacts of a prior Clean run: estimate its disclosure date from its
 // references (transport may be nil to skip crawling), suggest
 // consistent vendor names, extract description CWEs, and predict a v3
-// severity. The entry is not modified.
+// severity from the entry's v2 vector and §4.4-corrected CWE field, as
+// the severity stage does. The entry is not modified.
 func (r *Result) AssessEntry(ctx context.Context, e *Entry, transport http.RoundTripper) (*EntryAssessment, error) {
 	if e == nil {
 		return nil, fmt.Errorf("nvdclean: nil entry")
@@ -71,11 +72,11 @@ func (r *Result) AssessEntry(ctx context.Context, e *Entry, transport http.Round
 		if err != nil {
 			return nil, fmt.Errorf("nvdclean: building crawler: %w", err)
 		}
-		est, _ := c.Estimate(ctx, e)
-		out.EstimatedDisclosure = est
-		if lag := int(e.Published.Sub(est).Hours() / 24); lag > 0 {
-			out.LagDays = lag
+		est, _, err := c.EstimateEntries(ctx, []*Entry{e})
+		if err != nil {
+			return nil, fmt.Errorf("nvdclean: crawling references: %w", err)
 		}
+		out.EstimatedDisclosure, out.LagDays = est[0].Estimated, est[0].LagDays
 	}
 
 	advisor := r.Advisor()
@@ -87,24 +88,21 @@ func (r *Result) AssessEntry(ctx context.Context, e *Entry, transport http.Round
 		}
 	}
 
-	out.ExtractedCWEs = cwe.NewRegistry().Validate(cwe.Extract(e.AllDescriptionText()))
+	reg := cwe.NewRegistry()
+	out.ExtractedCWEs = reg.Validate(cwe.Extract(e.AllDescriptionText()))
 
 	if r.Engine != nil && e.V2 != nil && e.V3 == nil {
-		id := cwe.Unassigned
-		if len(out.ExtractedCWEs) > 0 {
-			id = out.ExtractedCWEs[0]
-		} else {
-			for _, c := range e.CWEs {
-				if !c.IsMeta() {
-					id = c
-					break
-				}
-			}
+		// Score the entry as the severity stage does: its §4.4-corrected
+		// CWE field through the engine's batch path.
+		scored := *e
+		if ec := predict.CorrectEntryCWEs(e, reg); ec.Changed {
+			scored.CWEs = ec.CWEs
 		}
-		score, err := r.Engine.Predict(*e.V2, id)
+		b, err := r.Engine.BackportAllN(&Snapshot{Entries: []*Entry{&scored}}, 1)
 		if err != nil {
 			return nil, fmt.Errorf("nvdclean: predicting severity: %w", err)
 		}
+		score := b.Scores[e.ID]
 		out.PredictedV3 = score
 		out.PredictedSeverity = cvss.SeverityV3(score)
 		out.HasPrediction = true

@@ -148,3 +148,51 @@ func TestAssessEntryNil(t *testing.T) {
 		t.Error("nil entry should fail")
 	}
 }
+
+// TestAssessEntryMatchesCleanedPV3 requires the §6 assessment to predict
+// what the pipeline serves: every v2-only entry of a Clean, assessed
+// against that Clean's Result, gets exactly its cleaned PV3. Each
+// assessment builds its advisor over the whole snapshot, so -short
+// assesses every eighth entry.
+func TestAssessEntryMatchesCleanedPV3(t *testing.T) {
+	snap, _, err := GenerateSnapshot(SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Clean(context.Background(), snap, Options{
+		Concurrency: 4,
+		Models:      []predict.ModelKind{ModelLR},
+		ModelConfig: predict.ModelConfig{Compact: true, Seed: 1},
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assessed, mismatched := 0, 0
+	for i, e := range res.Original.Entries {
+		if e.V2 == nil || e.V3 != nil || testing.Short() && i%8 != 0 {
+			continue
+		}
+		a, err := res.AssessEntry(context.Background(), e, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assessed++
+		pv3 := res.Cleaned.Entries[i].PV3
+		if pv3 == nil {
+			t.Fatalf("%s: v2-only entry served without a pv3", e.ID)
+		}
+		if !a.HasPrediction || a.PredictedV3 != *pv3 {
+			mismatched++
+			if mismatched <= 3 {
+				t.Errorf("%s: assessed %v (prediction: %v), served pv3 %v", e.ID, a.PredictedV3, a.HasPrediction, *pv3)
+			}
+		}
+	}
+	if assessed == 0 {
+		t.Fatal("no v2-only entry to assess")
+	}
+	if mismatched > 0 {
+		t.Errorf("%d of %d v2-only entries assessed to another score than their served pv3", mismatched, assessed)
+	}
+}

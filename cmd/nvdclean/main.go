@@ -74,16 +74,9 @@ func run() error {
 			return err
 		}
 	case *generate != "":
-		var cfg gen.Config
-		switch *generate {
-		case "paper":
-			cfg = gen.DefaultConfig()
-		case "small":
-			cfg = gen.SmallConfig()
-		case "tiny":
-			cfg = gen.TinyConfig()
-		default:
-			return fmt.Errorf("unknown scale %q", *generate)
+		cfg, err := gen.ScaleConfig(*generate)
+		if err != nil {
+			return err
 		}
 		cfg.Seed = *seed
 		snap, truth, err = nvdclean.GenerateSnapshot(cfg)

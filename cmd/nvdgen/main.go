@@ -34,16 +34,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	var cfg gen.Config
-	switch *scale {
-	case "paper":
-		cfg = gen.DefaultConfig()
-	case "small":
-		cfg = gen.SmallConfig()
-	case "tiny":
-		cfg = gen.TinyConfig()
-	default:
-		return fmt.Errorf("unknown scale %q", *scale)
+	cfg, err := gen.ScaleConfig(*scale)
+	if err != nil {
+		return err
 	}
 	cfg.Seed = *seed
 

@@ -29,9 +29,14 @@
 // ingested delta is logged durably before it serves, and checkpoints
 // fold the log back down in the background (-compact-every). A restart
 // with the same -data-dir restores the last committed generation from
-// checkpoint plus log in ~O(delta) — no crawling, no training, no
-// re-clean — and the store becomes authoritative over the -feed/-demo
-// input.
+// checkpoint plus log, and the store becomes authoritative over the
+// -feed/-demo input. The restore runs the cleaning stages over the
+// checkpoint, which replay what it recorded: under the same cleaning
+// flags (-crawl, -models, -epochs, -compact, -seed) it costs
+// ~O(delta), with no crawling and no training. Other flags re-derive
+// at boot what they change, as a cold boot would: another model flag
+// or seed retrains, adding -crawl crawls, and dropping it drops the
+// estimated dates.
 //
 // A store-backed daemon is also a replication primary (the /replicate
 // routes). A second daemon started with -follow <primary-url> runs as a
@@ -63,6 +68,7 @@ import (
 
 	"nvdclean"
 	"nvdclean/internal/cve"
+	"nvdclean/internal/gen"
 	"nvdclean/internal/predict"
 	"nvdclean/internal/store"
 )
@@ -142,8 +148,8 @@ func run(cfg serveConfig) error {
 
 	// With a data directory, recover the generation store first: a
 	// committed checkpoint plus its delta log restores the serving
-	// generation in ~O(delta) — no crawling, no training, no re-clean
-	// — and makes the store authoritative over the -feed/-demo input.
+	// generation — in ~O(delta) under the checkpoint's cleaning flags —
+	// and makes the store authoritative over the -feed/-demo input.
 	var persist *store.Store
 	var cp *store.Checkpoint
 	var logged []*cve.Delta
@@ -186,18 +192,9 @@ func run(cfg serveConfig) error {
 		// Demo mode always regenerates: the simulated-web transport
 		// derives from the (deterministic) snapshot and is needed for
 		// future POST /feed deltas even when the store restores.
-		var cfg nvdclean.GenConfig
-		switch demoScale {
-		case "tiny":
-			cfg = nvdclean.SmallScale()
-			cfg.NumCVEs = 400
-			cfg.NumVendors = 120
-		case "small":
-			cfg = nvdclean.SmallScale()
-		case "paper":
-			cfg = nvdclean.PaperScale()
-		default:
-			return fmt.Errorf("unknown demo scale %q (want tiny, small or paper)", demoScale)
+		cfg, err := gen.ScaleConfig(demoScale)
+		if err != nil {
+			return fmt.Errorf("-demo: %w", err)
 		}
 		var truth *nvdclean.Truth
 		snap, truth, err = nvdclean.GenerateSnapshot(cfg)
@@ -219,13 +216,17 @@ func run(cfg serveConfig) error {
 			return fmt.Errorf("warm start: %w", err)
 		}
 		st := out.st
+		engine := "restored"
+		if !st.warmStart {
+			engine = "retrained"
+		}
 		ixs := st.idx.Stats()
-		indexMode := fmt.Sprintf("restored (%d/%d shards lazy)", ixs.Shards-ixs.LoadedShards, ixs.Shards)
+		indexMode := fmt.Sprintf("%d/%d shards lazy", ixs.Shards-ixs.LoadedShards, ixs.Shards)
 		if cp.Index == nil {
 			indexMode = "rebuilt (checkpoint carried no index segments)"
 		}
-		fmt.Printf("nvdserve: warm start: restored store generation %d (%d entries, %d logged deltas) in %dms — no re-clean; index %s\n",
-			srv.persist.Generation(), st.res.Cleaned.Len(), len(logged), st.cleanDur.Milliseconds(), indexMode)
+		fmt.Printf("nvdserve: warm start: restored store generation %d (%d entries, %d logged deltas) in %dms; engine %s, index %s\n",
+			srv.persist.Generation(), st.res.Cleaned.Len(), len(logged), st.cleanDur.Milliseconds(), engine, indexMode)
 		fmt.Println("nvdserve: store is authoritative; POST /feed to ingest feed updates")
 	case cfg.follow == "":
 		fmt.Printf("nvdserve: cleaning %d entries...\n", snap.Len())

@@ -407,6 +407,8 @@ func TestFeedRejectsDuplicateIDs(t *testing.T) {
 		// The whole snapshot, split across two documents in one body:
 		// reading only the first would remove the last two entries.
 		{"two documents", "replace", append(feed(snap.Entries[:last]), feed(snap.Entries[last:])...), nil},
+		// Its oldest entries hold no dual-labeled CVE to train on.
+		{"too few to train", "replace", feed(snap.Entries[:10]), nil},
 	} {
 		code, msg := post(tc.mode, tc.body)
 		if code != http.StatusBadRequest {

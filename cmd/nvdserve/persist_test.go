@@ -336,7 +336,10 @@ func feedUpdate(t *testing.T, snap *nvdclean.Snapshot) *nvdclean.Snapshot {
 // server restored from -data-dir state (checkpoint + a delta log
 // spanning two sealed segments plus the active one, no pipeline run,
 // different concurrency) must serve a view bit-identical to a cold
-// full Clean of the merged feed.
+// full Clean of the merged feed, and report its engine carried over.
+// A restart under another seed from a store whose log is empty must
+// serve what a cold boot under that seed serves, and report its engine
+// retrained.
 func TestWarmRestartEquivalence(t *testing.T) {
 	snap, opts := world(t, gen.TinyConfig())
 	opts.Concurrency = 8
@@ -413,7 +416,50 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	coldOpts.Concurrency = 2
 	srvCold := newServer(coldOpts)
 	coldBoot(t, srvCold, merged)
+	assertServesAlike(t, srvWarm, srvCold)
+	if warm := statsView(t, srvWarm)["engineWarmStart"]; warm != true {
+		t.Errorf("warm restart reports engineWarmStart %v, want true", warm)
+	}
 
+	// A restart under another seed, from the checkpoint a cold boot
+	// commits (an empty log): the boot retrains, as a cold boot under
+	// that seed would, rather than serve the checkpoint's scores.
+	seedDir := t.TempDir()
+	srvBoot := newServer(opts)
+	openTestStore(t, srvBoot, seedDir, fsio.OS{})
+	coldBoot(t, srvBoot, snap)
+	if err := srvBoot.closeStore(); err != nil {
+		t.Fatal(err)
+	}
+	str3, cp3, logged3, _, err := store.Open(seedDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp3 == nil || len(logged3) != 0 {
+		t.Fatalf("reopen after a cold boot: checkpoint=%v deltas=%d", cp3 != nil, len(logged3))
+	}
+	seeded := opts
+	seeded.Seed, seeded.ModelConfig.Seed = 2, 2
+	srvSeeded := newServer(seeded)
+	srvSeeded.attachStore(str3)
+	defer srvSeeded.closeStore()
+	if _, err := srvSeeded.advance(ctx, transition{cp: cp3, delta: mergeDeltas(cp3.Original, logged3)}); err != nil {
+		t.Fatal(err)
+	}
+	if warm := statsView(t, srvSeeded)["engineWarmStart"]; warm != false {
+		t.Errorf("restart under another seed reports engineWarmStart %v, want false", warm)
+	}
+	srvSeededCold := newServer(seeded)
+	coldBoot(t, srvSeededCold, snap)
+	assertServesAlike(t, srvSeeded, srvSeededCold)
+}
+
+// assertServesAlike requires a restored server to serve what a cold
+// one does: every /cve view, every /query grid answer (which must also
+// match the restored server's own scan) and the deterministic /stats
+// content.
+func assertServesAlike(t *testing.T, srvWarm, srvCold *server) {
+	t.Helper()
 	stWarm := srvWarm.cur.Load()
 	stCold := srvCold.cur.Load()
 	if stWarm.res.Cleaned.Len() != stCold.res.Cleaned.Len() {

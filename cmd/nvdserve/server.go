@@ -34,12 +34,14 @@ type serveState struct {
 	loadedAt time.Time
 	cleanDur time.Duration
 	// generation counts snapshot swaps since boot; incremental marks a
-	// generation produced by CleanDelta rather than a full Clean.
+	// generation produced by CleanDelta rather than a full Clean;
+	// warmStart marks one whose engine is the engine its transition
+	// started from (the checkpoint's or the previous generation's).
 	generation  int
 	incremental bool
 	warmStart   bool
 	// restored marks the boot generation of a warm restart from the
-	// persistent store (no full re-clean).
+	// persistent store (the stages replay the checkpoint).
 	restored bool
 	// etag is the strong validator every read response of this
 	// generation carries (see etagFor); entries and queries are the
@@ -183,6 +185,9 @@ func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
 	start := time.Now()
 	prev := s.cur.Load()
 	base, res := prev, (*nvdclean.Result)(nil)
+	// from is the engine the transition starts from; the new
+	// generation's engine is warm when it is that one.
+	var from *predict.Engine
 	var restored *store.Index
 	var err error
 	switch {
@@ -190,15 +195,20 @@ func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
 		base = nil
 		res, err = nvdclean.Clean(ctx, t.snap, s.opts)
 	case t.cp != nil:
-		base, restored = nil, t.cp.Index
+		base, from = nil, t.cp.Engine
 		res, err = nvdclean.RestoreResult(t.cp, s.opts)
+		// The checkpoint's index holds the view it was committed with,
+		// which the restore reproduces unless the severity stage
+		// re-scored under other options.
+		if err == nil && res.Engine == t.cp.Engine {
+			restored = t.cp.Index
+		}
 	default:
-		res = prev.res
+		res, from = prev.res, prev.res.Engine
 	}
 	if err != nil {
 		return outcome{}, err
 	}
-	warm := t.cp != nil
 	if t.delta != nil && !t.delta.Empty() {
 		if base == nil {
 			// The restored checkpoint's own view anchors the delta, so
@@ -208,7 +218,6 @@ func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
 		if res, err = nvdclean.CleanDelta(ctx, base.res, t.delta, s.opts); err != nil {
 			return outcome{}, err
 		}
-		warm = warm || (res.Engine != nil && res.Engine == base.res.Engine)
 	}
 	if prev != nil && res == prev.res {
 		// Nothing to clean (a follower's deltas cancel out, or a bare
@@ -226,6 +235,7 @@ func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
 		}
 	}
 	next := s.newState(res, base, t.delta, restored)
+	warm := res.Engine != nil && res.Engine == from
 	next.cleanDur, next.incremental, next.warmStart, next.restored = dur, t.delta != nil, warm, t.cp != nil
 	next.generation = 1
 	if prev != nil {

@@ -1,9 +1,12 @@
 package nvdclean_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
@@ -373,11 +376,16 @@ func TestCleanDeltaEquivalenceInvariant(t *testing.T) {
 
 // TestRestoreResultEquivalence is the warm-restart oracle at the
 // library surface. A Result restored from a committed checkpoint must
-// equal the cold Clean the checkpoint was taken from, restoring must
-// leave the checkpoint's original snapshot untouched, and a CleanDelta
-// from either side must give equal Results. It covers runs with and
-// without a transport, and with and without the severity stage, and a
-// delta that makes §4.4 corrections appear and disappear.
+// equal a cold Clean of the checkpoint's snapshot under the restoring
+// options, restoring must leave the checkpoint's original snapshot
+// untouched, and a CleanDelta from either side must give equal Results.
+// It covers runs with and without a transport, and with and without
+// the severity stage, and a delta that makes §4.4 corrections appear
+// and disappear. Under the committing options a restore must commit
+// the checkpoint it came from, byte for byte; under other options —
+// another seed, the severity stage dropped or added, another model
+// zoo, the transport dropped or added — it must re-derive what they
+// change.
 func TestRestoreResultEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -385,12 +393,34 @@ func TestRestoreResultEquivalence(t *testing.T) {
 		transport bool
 		severity  bool
 		mode      fixtureMode
+		// restore turns the committing options into the restoring
+		// ones; nil restores under the committing options.
+		restore func(o *nvdclean.Options, fix deltaFixture)
 	}{
-		{"crawled with severity", true, true, mixedDelta},
-		{"crawled without severity", true, false, mixedDelta},
-		{"no transport with severity", false, true, mixedDelta},
-		{"no transport without severity", false, false, mixedDelta},
-		{"CWE corrections flip", true, true, cweFlipDelta},
+		{"crawled with severity", true, true, mixedDelta, nil},
+		{"crawled without severity", true, false, mixedDelta, nil},
+		{"no transport with severity", false, true, mixedDelta, nil},
+		{"no transport without severity", false, false, mixedDelta, nil},
+		{"CWE corrections flip", true, true, cweFlipDelta, nil},
+		{"seed 1 to 2", true, true, mixedDelta, func(o *nvdclean.Options, _ deltaFixture) {
+			o.Seed, o.ModelConfig.Seed = 2, 2
+		}},
+		{"severity dropped", true, true, mixedDelta, func(o *nvdclean.Options, _ deltaFixture) {
+			o.SkipSeverity = true
+		}},
+		{"severity added", true, false, mixedDelta, func(o *nvdclean.Options, _ deltaFixture) {
+			o.SkipSeverity = false
+		}},
+		{"models LR to LR+SVR", true, true, mixedDelta, func(o *nvdclean.Options, _ deltaFixture) {
+			o.Models = []predict.ModelKind{predict.ModelLR, predict.ModelSVR}
+			o.ModelConfig.SVRMaxSamples = 100
+		}},
+		{"transport dropped", true, true, mixedDelta, func(o *nvdclean.Options, _ deltaFixture) {
+			o.Transport = nil
+		}},
+		{"transport added", false, true, mixedDelta, func(o *nvdclean.Options, fix deltaFixture) {
+			o.Transport = fix.opts.Transport
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fix := newDeltaFixture(t, 4, tc.mode)
@@ -422,27 +452,84 @@ func TestRestoreResultEquivalence(t *testing.T) {
 			}
 			original := cp.Original.Clone()
 
+			want := cold
+			if tc.restore != nil {
+				tc.restore(&opts, fix)
+				if want, err = nvdclean.Clean(ctx, fix.old, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
 			warm, err := nvdclean.RestoreResult(cp, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertResultsEqual(t, tc.name+" restored", warm, cold)
+			assertResultsEqual(t, tc.name+" restored", warm, want)
 			for i, e := range original.Entries {
 				if !e.Equal(cp.Original.Entries[i]) {
 					t.Fatalf("restore modified original entry %s", e.ID)
 				}
+			}
+			if tc.restore == nil {
+				again := t.TempDir()
+				st2, _, _, _, err := store.Open(again)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st2.Commit(warm.StoreCheckpoint()); err != nil {
+					t.Fatal(err)
+				}
+				st2.Close()
+				sameCheckpointBytes(t, again, dir)
 			}
 
 			fromWarm, err := nvdclean.CleanDelta(ctx, warm, fix.delta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromCold, err := nvdclean.CleanDelta(ctx, cold, fix.delta, opts)
+			fromCold, err := nvdclean.CleanDelta(ctx, want, fix.delta, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertResultsEqual(t, tc.name+" delta after restore", fromWarm, fromCold)
 		})
+	}
+}
+
+// sameCheckpointBytes requires the checkpoints committed in two store
+// directories to hold the same bytes in every file but MANIFEST.json.
+func sameCheckpointBytes(t *testing.T, got, want string) {
+	t.Helper()
+	files := func(dir string) map[string][]byte {
+		cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		genDir := filepath.Join(dir, strings.TrimSpace(string(cur)))
+		ents, err := os.ReadDir(genDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte)
+		for _, ent := range ents {
+			if ent.Name() == "MANIFEST.json" {
+				continue
+			}
+			b, err := os.ReadFile(filepath.Join(genDir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[ent.Name()] = b
+		}
+		return out
+	}
+	g, w := files(got), files(want)
+	if len(g) != len(w) {
+		t.Fatalf("restored checkpoint has %d files, the original %d", len(g), len(w))
+	}
+	for name, b := range w {
+		if !bytes.Equal(g[name], b) {
+			t.Errorf("restored checkpoint's %s differs from the original's", name)
+		}
 	}
 }
 

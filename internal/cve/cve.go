@@ -7,6 +7,7 @@ package cve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -197,14 +198,15 @@ func (e *Entry) Typed() bool {
 
 // Clone returns a deep copy of the entry, which the caller may then
 // edit freely (a feed update built from a served entry, for instance).
+// A nil list stays nil and an empty one empty.
 func (e *Entry) Clone() *Entry {
 	c := *e
-	c.Descriptions = append([]Description(nil), e.Descriptions...)
-	c.CWEs = append([]cwe.ID(nil), e.CWEs...)
-	c.CPEs = append([]cpe.Name(nil), e.CPEs...)
-	c.References = make([]Reference, len(e.References))
-	for i, r := range e.References {
-		c.References[i] = Reference{URL: r.URL, Tags: append([]string(nil), r.Tags...)}
+	c.Descriptions = slices.Clone(e.Descriptions)
+	c.CWEs = slices.Clone(e.CWEs)
+	c.CPEs = slices.Clone(e.CPEs)
+	c.References = slices.Clone(e.References)
+	for i, r := range c.References {
+		c.References[i].Tags = slices.Clone(r.Tags)
 	}
 	if e.V2 != nil {
 		v := *e.V2

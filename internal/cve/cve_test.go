@@ -1,6 +1,8 @@
 package cve
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -150,6 +152,44 @@ func TestClone(t *testing.T) {
 		e.Descriptions[0].Value == "changed" || e.References[0].URL == "changed" ||
 		!e.V2.Valid() {
 		t.Error("Clone shares state with original")
+	}
+}
+
+// sameArray reports whether two non-empty slices start at one element.
+func sameArray[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// TestCloneKeepsShape clones every entry of the encoder test's seeded
+// snapshots (randFeed), which draw each list nil, empty or filled: a
+// clone must be reflect.DeepEqual to its source, nil and empty lists
+// alike, and share no backing array or vector with it.
+func TestCloneKeepsShape(t *testing.T) {
+	seeds := 500
+	if testing.Short() {
+		seeds = 50
+	}
+	for seed := range seeds {
+		s, _ := randFeed(seed)
+		for i, e := range s.Entries {
+			name := fmt.Sprintf("seed %d, entry %d", seed, i)
+			c := e.Clone()
+			if !reflect.DeepEqual(c, e) {
+				t.Fatalf("%s: clone differs:\n got %#v\nwant %#v", name, c, e)
+			}
+			if sameArray(c.Descriptions, e.Descriptions) || sameArray(c.CWEs, e.CWEs) ||
+				sameArray(c.CPEs, e.CPEs) || sameArray(c.References, e.References) {
+				t.Fatalf("%s: clone shares a list with its source", name)
+			}
+			for j, r := range c.References {
+				if sameArray(r.Tags, e.References[j].Tags) {
+					t.Fatalf("%s: clone shares reference %d's tags with its source", name, j)
+				}
+			}
+			if c.V2 != nil && c.V2 == e.V2 || c.V3 != nil && c.V3 == e.V3 || c.PV3 != nil && c.PV3 == e.PV3 {
+				t.Fatalf("%s: clone shares a vector or score with its source", name)
+			}
+		}
 	}
 }
 

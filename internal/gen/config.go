@@ -12,7 +12,10 @@
 // luxury the paper's authors replaced with manual vetting.
 package gen
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Config controls the synthetic snapshot. The zero value is not valid;
 // start from DefaultConfig or SmallConfig.
@@ -107,4 +110,18 @@ func TinyConfig() Config {
 	c.NumCVEs = 400
 	c.NumVendors = 120
 	return c
+}
+
+// ScaleConfig returns the configuration a command's scale name selects:
+// "tiny" (TinyConfig), "small" (SmallConfig) or "paper" (DefaultConfig).
+func ScaleConfig(name string) (Config, error) {
+	switch name {
+	case "tiny":
+		return TinyConfig(), nil
+	case "small":
+		return SmallConfig(), nil
+	case "paper":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown scale %q (want tiny, small or paper)", name)
 }

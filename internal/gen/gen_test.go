@@ -71,6 +71,37 @@ func TestGenerateConfigErrors(t *testing.T) {
 	}
 }
 
+// TestScaleConfig pins the scale table the commands share. "tiny" must
+// stay the 400-CVE, 120-vendor cut of SmallConfig that nvdserve's demo
+// built by hand, so demo snapshots do not change.
+func TestScaleConfig(t *testing.T) {
+	demoTiny := SmallConfig()
+	demoTiny.NumCVEs, demoTiny.NumVendors = 400, 120
+	for _, tc := range []struct {
+		name string
+		want Config
+		cves int
+	}{
+		{"tiny", demoTiny, 400},
+		{"small", SmallConfig(), 3000},
+		{"paper", DefaultConfig(), 107200},
+	} {
+		got, err := ScaleConfig(tc.name)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want || got.NumCVEs != tc.cves {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	for _, name := range []string{"", "Tiny", "huge"} {
+		_, err := ScaleConfig(name)
+		if want := `unknown scale "` + name + `" (want tiny, small or paper)`; err == nil || err.Error() != want {
+			t.Errorf("ScaleConfig(%q) = %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestEntryInvariants(t *testing.T) {
 	cfg := SmallConfig()
 	snap, truth, _, err := Generate(cfg)

@@ -466,31 +466,11 @@ func makeProductAlias(name string, rng *rand.Rand) string {
 	}
 }
 
-// TotalProducts counts products (canonical names) across all vendors.
-func (u *Universe) TotalProducts() int {
-	var n int
-	for _, v := range u.Vendors {
-		n += len(v.Products)
-	}
-	return n
-}
-
 // VendorAliasCount counts injected vendor aliases.
 func (u *Universe) VendorAliasCount() int {
 	var n int
 	for _, v := range u.Vendors {
 		n += len(v.Aliases)
-	}
-	return n
-}
-
-// ProductAliasCount counts injected product aliases.
-func (u *Universe) ProductAliasCount() int {
-	var n int
-	for _, v := range u.Vendors {
-		for _, p := range v.Products {
-			n += len(p.Aliases)
-		}
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -110,8 +111,29 @@ func TestBuildDataset(t *testing.T) {
 
 func TestBuildDatasetNoDualLabels(t *testing.T) {
 	snap := &cve.Snapshot{Entries: []*cve.Entry{{ID: "CVE-2001-0001"}}}
-	if _, err := BuildDataset(snap, 1); err == nil {
-		t.Error("expected error for snapshot without dual labels")
+	if _, err := BuildDataset(snap, 1); !errors.Is(err, ErrUntrainable) {
+		t.Errorf("snapshot without dual labels: error %v, want ErrUntrainable", err)
+	}
+}
+
+// TestTrainEmptySplit trains on one dual-labeled CVE: the 80/20 split
+// leaves the training side empty, which must be ErrUntrainable too.
+func TestTrainEmptySplit(t *testing.T) {
+	v2, err := cvss.ParseV2("AV:N/AC:L/Au:N/C:P/I:P/A:P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := cvss.ParseV3("CVSS:3.0/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &cve.Snapshot{Entries: []*cve.Entry{{ID: "CVE-2017-0001", V2: &v2, V3: &v3}}}
+	ds, err := BuildDataset(snap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Train(ds, []ModelKind{ModelLR}, fastConfig); !errors.Is(err, ErrUntrainable) {
+		t.Errorf("one dual-labeled CVE: error %v, want ErrUntrainable", err)
 	}
 }
 

@@ -34,6 +34,11 @@ type Dataset struct {
 	Encoder     *CWEEncoder
 }
 
+// ErrUntrainable marks a snapshot with too few dual-labeled CVEs to
+// train and evaluate on: none at all (BuildDataset), or too few for the
+// split to leave a sample on both sides (Train).
+var ErrUntrainable = errors.New("predict: too few dual-labeled CVEs to train on")
+
 // BuildDataset extracts dual-labeled entries and performs a stratified
 // 80/20 split, shuffled deterministically by seed. The CWE encoder is
 // fitted on the training split to avoid target leakage, then both
@@ -61,7 +66,7 @@ func BuildDataset(snap *cve.Snapshot, seed int64) (*Dataset, error) {
 		byClass[r.v2.Severity()] = append(byClass[r.v2.Severity()], r)
 	}
 	if len(byClass) == 0 {
-		return nil, errors.New("predict: snapshot has no dual-labeled CVEs")
+		return nil, fmt.Errorf("%w: the snapshot has none", ErrUntrainable)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	classes := make([]cvss.Severity, 0, len(byClass))
@@ -181,7 +186,7 @@ type Engine struct {
 // concurrency.
 func Train(ds *Dataset, kinds []ModelKind, cfg ModelConfig) (*Engine, error) {
 	if len(ds.Train) == 0 || len(ds.Test) == 0 {
-		return nil, errors.New("predict: empty dataset split")
+		return nil, fmt.Errorf("%w: a dataset split is empty", ErrUntrainable)
 	}
 	if len(kinds) == 0 {
 		kinds = AllModels()

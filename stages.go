@@ -58,35 +58,44 @@ type incState struct {
 	survey *naming.Survey
 }
 
-// reuseState tells a run which pieces of the previous Result still
-// apply: the per-entry artifact maps plus the set of entry IDs the
-// feed delta names. Every lookup asks about an entry of the merged
-// snapshot, so an ID absent from changed is one the delta left
-// untouched. survey is the previous naming survey when it carries
-// over, and before and after then hold the entries with a changed ID
-// in the previous and the merged snapshot.
+// reuseState tells a run which recorded outputs still apply: the
+// per-entry artifacts, engine and scores of a previous Result
+// (CleanDelta) or of a checkpoint (RestoreResult), plus the set of
+// entry IDs the feed delta names, empty for a restore. Every lookup
+// asks about an entry of the snapshot the run cleans, so an ID absent
+// from changed is one the delta left untouched. survey is the previous
+// naming survey when it carries over, and before and after then hold
+// the entries with a changed ID in the previous and the merged
+// snapshot. A checkpoint carries no survey but its consolidation maps,
+// vendorMap and productMap, which the naming stages apply in its
+// place; only RestoreResult sets them.
 type reuseState struct {
-	prev          *incState
+	prev          *store.State
 	prevEngine    *predict.Engine
 	prevBackport  map[string]float64
 	changed       map[string]bool
 	survey        *naming.Survey
 	before, after []*Entry
+	vendorMap     *naming.Map
+	productMap    *naming.ProductMap
 }
 
 // runClean executes the stage graph on snap: the §4.1 crawl (given a
 // transport), §4.2 vendors → products and §4.4 CWE correction run as
 // three branches of one parallel.Group, and §4.3 severity runs once
 // they have joined. With ru == nil every stage computes from scratch
-// (a full Clean); with a reuse state the stages replay per-entry
-// artifacts for unchanged entries and only process the delta. Both
-// paths produce bit-identical Results for the same merged snapshot —
-// the invariant the equivalence tests enforce.
+// (a full Clean); with a reuse state each stage replays what it
+// recorded for unchanged entries, recomputes what opts changes, and
+// processes only the delta. Clean, CleanDelta and RestoreResult are
+// the three reuse states of this one graph, and all give bit-identical
+// Results for the same snapshot and options — the invariant the
+// equivalence tests enforce.
 func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState) (*Result, error) {
 	if snap == nil || snap.Len() == 0 {
 		return nil, fmt.Errorf("nvdclean: empty snapshot")
 	}
-	// CleanDelta's merged snapshot is in ID order by construction.
+	// A delta's merged snapshot and a checkpoint's original are in ID
+	// order by construction.
 	if ru == nil {
 		if err := snap.CheckOrder(); err != nil {
 			return nil, fmt.Errorf("nvdclean: %w (Snapshot.Sort orders a hand-built snapshot)", err)
@@ -139,29 +148,54 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		for i, r := range results {
 			st.Crawl[r.ID] = store.CrawlArtifact{Estimated: r.Estimated, LagDays: r.LagDays, Stats: perStats[i]}
 		}
-		foldCrawl(res, snap, st.Crawl, w)
+		// Fold in snapshot order, so the stats match a from-scratch
+		// crawl of the whole snapshot.
+		perEntry := make([]crawler.Stats, len(snap.Entries))
+		for i, e := range snap.Entries {
+			a := st.Crawl[e.ID]
+			res.EstimatedDisclosure[e.ID] = a.Estimated
+			res.LagDays[e.ID] = a.LagDays
+			perEntry[i] = a.Stats
+		}
+		res.CrawlStats = crawler.FoldStats(w, perEntry)
 		return nil
 	}
 
 	// §4.2, vendors first: consolidation rewrites only the cleaned
 	// view, as the paper does before surveying products. The survey
-	// reads the names as snap gives them.
+	// reads the names as snap gives them. A restore has no survey and
+	// applies the checkpoint's maps instead.
 	var survey *naming.Survey
 	vendors := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if ru != nil && ru.survey != nil {
+		switch {
+		case ru != nil && ru.vendorMap != nil:
+			res.VendorMap = ru.vendorMap
+		case ru != nil && ru.survey != nil:
 			survey = ru.survey.Next(snap, ru.before, ru.after)
-		} else {
+		default:
 			survey = naming.NewSurvey(snap)
 		}
-		va := survey.AnalyzeVendors(w)
-		res.VendorMap = va.Consolidate(naming.HeuristicJudge{})
-		if err := ctx.Err(); err != nil {
-			return err
+		if survey != nil {
+			res.VendorMap = survey.AnalyzeVendors(w).Consolidate(naming.HeuristicJudge{})
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		applyVendorMap(res)
+		// A rewritten entry gets a private CPE list first, so Apply
+		// never writes through a list the original shares.
+		for _, e := range res.Cleaned.Entries {
+			for _, n := range e.CPEs {
+				if res.VendorMap.Mapped(n.Vendor) {
+					res.VendorChanged[e.ID] = true
+					e.CPEs = slices.Clone(e.CPEs)
+					break
+				}
+			}
+		}
+		res.VendorMap.Apply(res.Cleaned)
 		return nil
 	}
 
@@ -170,13 +204,30 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pa := survey.AnalyzeProducts(res.VendorMap, w)
-		st.survey = survey
-		res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
-		if err := ctx.Err(); err != nil {
-			return err
+		if survey == nil {
+			res.ProductMap = ru.productMap
+		} else {
+			pa := survey.AnalyzeProducts(res.VendorMap, w)
+			st.survey = survey
+			res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		applyProductMap(res)
+		// An entry the vendor map left sharing its CPE list gets a
+		// private one first.
+		for _, e := range res.Cleaned.Entries {
+			for _, n := range e.CPEs {
+				if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
+					res.ProductChanged[e.ID] = true
+					if !res.VendorChanged[e.ID] {
+						e.CPEs = slices.Clone(e.CPEs)
+					}
+					break
+				}
+			}
+		}
+		res.ProductMap.Apply(res.Cleaned)
 		return nil
 	}
 
@@ -199,8 +250,9 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			}
 			if ec.Changed {
 				st.CWEFix[e.ID] = ec
+				e.CWEs = append([]cwe.ID(nil), ec.CWEs...)
 			}
-			applyCWEFix(e, ec, cor)
+			cor.Record(ec)
 		}
 		res.CWECorrection = cor
 		return nil
@@ -305,68 +357,6 @@ func shareEntries(snap *Snapshot) *Snapshot {
 	return out
 }
 
-// applyVendorMap rewrites res.Cleaned under res.VendorMap and marks
-// each entry it rewrites in res.VendorChanged. A marked entry gets a
-// private CPE list first, so Apply never writes through a list the
-// original shares. The vendors stage and RestoreResult both call it.
-func applyVendorMap(res *Result) {
-	for _, e := range res.Cleaned.Entries {
-		for _, n := range e.CPEs {
-			if res.VendorMap.Mapped(n.Vendor) {
-				res.VendorChanged[e.ID] = true
-				e.CPEs = slices.Clone(e.CPEs)
-				break
-			}
-		}
-	}
-	res.VendorMap.Apply(res.Cleaned)
-}
-
-// applyProductMap rewrites res.Cleaned, whose vendors applyVendorMap
-// has consolidated, under res.ProductMap and marks each entry it
-// rewrites in res.ProductChanged. An entry the vendor map left sharing
-// its CPE list gets a private one first. The products stage and
-// RestoreResult both call it.
-func applyProductMap(res *Result) {
-	for _, e := range res.Cleaned.Entries {
-		for _, n := range e.CPEs {
-			if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
-				res.ProductChanged[e.ID] = true
-				if !res.VendorChanged[e.ID] {
-					e.CPEs = slices.Clone(e.CPEs)
-				}
-				break
-			}
-		}
-	}
-	res.ProductMap.Apply(res.Cleaned)
-}
-
-// applyCWEFix applies one entry's §4.4 outcome to its cleaned copy,
-// replacing the CWE list rather than writing through the one the
-// original shares, and records the outcome. The CWE stage and
-// RestoreResult both call it.
-func applyCWEFix(e *Entry, ec predict.EntryCorrection, cor *predict.CWECorrection) {
-	if ec.Changed {
-		e.CWEs = append([]cwe.ID(nil), ec.CWEs...)
-	}
-	cor.Record(ec)
-}
-
-// foldCrawl replays per-entry §4.1 artifacts into res in snapshot
-// order, so the stats fold matches a from-scratch crawl of the whole
-// snapshot.
-func foldCrawl(res *Result, snap *Snapshot, arts map[string]store.CrawlArtifact, workers int) {
-	perEntry := make([]crawler.Stats, len(snap.Entries))
-	for i, e := range snap.Entries {
-		a := arts[e.ID]
-		res.EstimatedDisclosure[e.ID] = a.Estimated
-		res.LagDays[e.ID] = a.LagDays
-		perEntry[i] = a.Stats
-	}
-	res.CrawlStats = crawler.FoldStats(workers, perEntry)
-}
-
 // cachedCorrection looks up the previous §4.4 outcome of an entry the
 // delta does not name. Every run computes an outcome for each entry of
 // its snapshot and records the ones that rewrote it, so an entry
@@ -383,7 +373,7 @@ func cachedCorrection(ru *reuseState, id string) (predict.EntryCorrection, bool)
 // function of v2 vector + corrected CWE under a fixed model), changed
 // ones are scored as one batch.
 func backportDelta(res *Result, ru *reuseState, workers int) error {
-	scores := make(map[string]float64)
+	scores := make(map[string]float64, len(ru.prevBackport))
 	var pending []*cve.Entry
 	for _, e := range res.Cleaned.Entries {
 		if e.V2 == nil || e.V3 != nil {
@@ -440,14 +430,18 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //
 // The delta's lists must be in ID order (Delta.Sort). An added entry
 // out of that order, with a malformed ID, or naming a CVE prev.Original
-// holds that the delta does not remove, and a delta that removes every
-// entry, are errors wrapping ErrBadDelta.
+// holds that the delta does not remove, a delta that removes every
+// entry, and one that leaves too few dual-labeled entries to train on
+// (predict.ErrUntrainable), are errors wrapping ErrBadDelta.
 //
-// Bit-identity assumes opts matches the options of the previous run
-// (same Transport behavior, TopKDomains, Models, ModelConfig and Seed)
-// and a deterministic transport; Concurrency is free to differ. The
-// previous Result is not modified and remains servable while the delta
-// cleans — the zero-downtime swap cmd/nvdserve relies on.
+// Each stage re-derives what opts changes against the previous run, as
+// RestoreResult does against a checkpoint: other Models, ModelConfig
+// or Seed retrain, SkipSeverity drops the scores, and a Transport the
+// previous run lacked crawls every entry. Replayed crawl artifacts
+// assume the previous run's transport behavior and TopKDomains, and a
+// deterministic transport; Concurrency is free to differ. The previous
+// Result is not modified and remains servable while the delta cleans —
+// the zero-downtime swap cmd/nvdserve relies on.
 func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (*Result, error) {
 	if prev == nil || prev.inc == nil {
 		return nil, errors.New("nvdclean: CleanDelta needs a Result produced by Clean or CleanDelta")
@@ -470,7 +464,7 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 		changed[id] = true
 	}
 	ru := &reuseState{
-		prev:       prev.inc,
+		prev:       &prev.inc.State,
 		prevEngine: prev.Engine,
 		changed:    changed,
 	}
@@ -487,13 +481,17 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 			}
 		}
 	}
-	return runClean(ctx, merged, opts, ru)
+	res, err := runClean(ctx, merged, opts, ru)
+	if errors.Is(err, predict.ErrUntrainable) {
+		return nil, fmt.Errorf("%w: %w", ErrBadDelta, err)
+	}
+	return res, err
 }
 
 // ErrBadDelta marks a CleanDelta error that the delta alone causes: an
 // added entry out of ID order, with a malformed ID, or naming a CVE the
 // previous snapshot holds that the delta does not remove, or a delta
-// that leaves no entry to clean.
+// that leaves no entry to clean or too few to train on.
 var ErrBadDelta = errors.New("nvdclean: bad delta")
 
 // checkDelta enforces CleanDelta's contract on the added entries; one
@@ -519,8 +517,9 @@ func checkDelta(base *Snapshot, d *Delta) error {
 // original snapshot, the consolidation maps, the trained engine, and
 // the incremental-reuse state (dataset fingerprint, training signature,
 // per-entry crawl artifacts, the §4.4 corrections, backported scores).
-// The cleaned view is not among them: RestoreResult derives it from
-// these. Building a checkpoint modifies nothing.
+// The cleaned view is not among them: RestoreResult re-derives it by
+// running the stages over these. Building a checkpoint modifies
+// nothing.
 func (r *Result) StoreCheckpoint() *store.Checkpoint {
 	st := r.inc.State
 	if r.Backport != nil {
@@ -536,69 +535,51 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 	}
 }
 
-// RestoreResult reassembles a servable, delta-cleanable Result from a
-// persisted checkpoint without running any pipeline stage. The cleaned
-// view is derived from the original with the stages' own rewrite code:
-// the persisted consolidation maps apply through the naming stages'
-// functions, the persisted §4.4 corrections replay as the CWE stage
-// applies them (an entry without one was left alone), and the persisted
-// backported scores are materialized as the severity stage does, so the
-// view matches a cold Clean's entry for entry and shares its memory
-// layout. Per-entry artifacts replay into the disclosure, lag and CWE
-// aggregates in snapshot order (so folds match a from-scratch run bit
-// for bit), and the reuse state rearms CleanDelta — including the
-// engine warm-start check, provided opts carries the same model
-// selection, training config and seed the checkpoint was produced
-// with. The restored Result carries no naming survey: the next
-// CleanDelta surveys the merged snapshot from scratch, which changes
-// its cost, never its bits.
+// RestoreResult rebuilds a servable, delta-cleanable Result from a
+// persisted checkpoint. It runs the stage graph over the checkpoint's
+// original snapshot with the checkpoint as the reuse state, as
+// CleanDelta runs it with a previous Result and a delta that changes
+// no entry, so the Result equals Clean(ctx, cp.Original, opts) whatever
+// options the checkpoint was committed under:
+//
+//   - given a transport, the crawl replays the persisted artifacts and
+//     crawls only the entries without one; without a transport it does
+//     not run;
+//   - the naming stages apply the checkpoint's consolidation maps. A
+//     checkpoint carries no naming survey, so the next CleanDelta
+//     surveys the merged snapshot from scratch, which changes its cost,
+//     never its bits;
+//   - the CWE stage replays the persisted §4.4 corrections;
+//   - severity keeps the checkpoint's engine and scores when the
+//     dataset fingerprint and opts' models, model config and seed match
+//     the checkpoint's, retrains otherwise, and does not run under
+//     SkipSeverity.
+//
+// Under the options the checkpoint was committed with, a restore
+// crawls and trains nothing. Its signature takes no context, so it runs
+// under the equivalent of context.Background(): nothing, not even a
+// daemon's SIGINT, interrupts a crawl or a retrain that changed options
+// force.
 func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 	if cp == nil || cp.Original == nil || cp.State == nil ||
 		cp.Vendors == nil || cp.Products == nil {
 		return nil, errors.New("nvdclean: incomplete checkpoint")
 	}
-	res := &Result{
-		Original:            cp.Original,
-		Cleaned:             shareEntries(cp.Original),
-		EstimatedDisclosure: make(map[string]time.Time),
-		LagDays:             make(map[string]int),
-		VendorMap:           cp.Vendors,
-		VendorChanged:       make(map[string]bool),
-		ProductMap:          cp.Products,
-		ProductChanged:      make(map[string]bool),
-		Engine:              cp.Engine,
-	}
-	st := &incState{State: *cp.State}
-	res.inc = st
-
-	if st.Crawled {
-		foldCrawl(res, cp.Original, st.Crawl, opts.Concurrency)
-	}
-	if st.HasBackport {
-		scores := st.Backport
-		if scores == nil {
-			scores = make(map[string]float64)
-		}
-		res.Backport = &predict.Backport{Scores: scores}
-	}
-
-	applyVendorMap(res)
-	applyProductMap(res)
-	cor := &predict.CWECorrection{}
-	for _, e := range res.Cleaned.Entries {
-		applyCWEFix(e, st.CWEFix[e.ID], cor)
-	}
-	res.CWECorrection = cor
-	ApplyBackport(res.Cleaned, res.Backport)
-	return res, nil
+	return runClean(context.TODO(), cp.Original, opts, &reuseState{
+		prev:         cp.State,
+		prevEngine:   cp.Engine,
+		prevBackport: cp.State.Backport,
+		vendorMap:    cp.Vendors,
+		productMap:   cp.Products,
+	})
 }
 
 // ApplyBackport materializes backported severity scores into the
 // snapshot's PV3 extension field, returning the number of entries
 // annotated. Entries with a real v3 vector are left alone, matching the
 // paper's pv3 scoring (real v3 when present, predicted otherwise). The
-// severity stage and RestoreResult end with it, so every Result's
-// cleaned view already carries its scores: readers take them from
+// severity stage ends with it, so every Result's cleaned view, restored
+// ones included, already carries its scores: readers take them from
 // Entry.PV3 (Entry.SeverityPV3 for the band), and WriteFeed exports
 // them under the backportedV3 key. A score already materialized is not
 // rewritten, so applying again writes nothing and allocates nothing;
