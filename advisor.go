@@ -57,8 +57,16 @@ type EntryAssessment struct {
 // references (transport may be nil to skip crawling), suggest
 // consistent vendor names, extract description CWEs, and predict a v3
 // severity from the entry's v2 vector and §4.4-corrected CWE field, as
-// the severity stage does. The entry is not modified.
+// the severity stage does. The entry is not modified. Each call builds
+// the Result's Advisor for the vendor suggestions, a pass over the
+// whole cleaned snapshot.
 func (r *Result) AssessEntry(ctx context.Context, e *Entry, transport http.RoundTripper) (*EntryAssessment, error) {
+	return r.assessEntry(ctx, e, transport, r.Advisor())
+}
+
+// assessEntry is AssessEntry with the vendor suggestions taken from
+// advisor, which must be r's.
+func (r *Result) assessEntry(ctx context.Context, e *Entry, transport http.RoundTripper, advisor *Advisor) (*EntryAssessment, error) {
 	if e == nil {
 		return nil, fmt.Errorf("nvdclean: nil entry")
 	}
@@ -79,7 +87,6 @@ func (r *Result) AssessEntry(ctx context.Context, e *Entry, transport http.Round
 		out.EstimatedDisclosure, out.LagDays = est[0].Estimated, est[0].LagDays
 	}
 
-	advisor := r.Advisor()
 	for _, vendor := range e.Vendors() {
 		sugs := advisor.SuggestVendor(vendor, 3)
 		// Exact canonical names need no advice.

@@ -2,6 +2,7 @@ package nvdclean
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -151,9 +152,9 @@ func TestAssessEntryNil(t *testing.T) {
 
 // TestAssessEntryMatchesCleanedPV3 requires the §6 assessment to predict
 // what the pipeline serves: every v2-only entry of a Clean, assessed
-// against that Clean's Result, gets exactly its cleaned PV3. Each
-// assessment builds its advisor over the whole snapshot, so -short
-// assesses every eighth entry.
+// against that Clean's Result, gets exactly its cleaned PV3. The
+// assessments share one advisor, built once as AssessEntry builds it
+// on every call; the first must equal AssessEntry's own.
 func TestAssessEntryMatchesCleanedPV3(t *testing.T) {
 	snap, _, err := GenerateSnapshot(SmallScale())
 	if err != nil {
@@ -168,14 +169,24 @@ func TestAssessEntryMatchesCleanedPV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	advisor := res.Advisor()
 	assessed, mismatched := 0, 0
 	for i, e := range res.Original.Entries {
-		if e.V2 == nil || e.V3 != nil || testing.Short() && i%8 != 0 {
+		if e.V2 == nil || e.V3 != nil {
 			continue
 		}
-		a, err := res.AssessEntry(context.Background(), e, nil)
+		a, err := res.assessEntry(context.Background(), e, nil, advisor)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if assessed == 0 {
+			own, err := res.AssessEntry(context.Background(), e, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, own) {
+				t.Fatalf("%s: assessed with the shared advisor %+v, by AssessEntry %+v", e.ID, a, own)
+			}
 		}
 		assessed++
 		pv3 := res.Cleaned.Entries[i].PV3

@@ -3,7 +3,8 @@
 // PERFORMANCE.md recipe (recorded in BENCH_2.json), plus the
 // allocation bound on a one-entry CleanDelta, the size and allocation
 // bounds on a committed checkpoint, the allocation bounds on reading
-// and restoring one, and the checkpoint feed codec's benchmarks.
+// and restoring one and on writing the reuse state, and the checkpoint
+// feed codec's and state encoder's benchmarks.
 package nvdclean_test
 
 import (
@@ -238,9 +239,10 @@ func TestCommitAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
 	}
-	// Measured 1.66 per entry at 3K entries; 30.8 when the feed writer
-	// built an itemJSON tree per entry for json.Encoder.
-	const maxCommitAllocsPerEntry = 3.0
+	// Measured 0.36 per entry at 3K entries; 1.66 when json.Encoder
+	// wrote state.json, and 30.8 when the feed writer also built an
+	// itemJSON tree per entry for it.
+	const maxCommitAllocsPerEntry = 0.5
 	// Measured 2 at both sizes (the write buffer and the entry buffer);
 	// the tree-building writer allocated 10,701 at 400 entries and
 	// 87,317 at 3K.
@@ -294,6 +296,69 @@ func TestCommitAllocGuard(t *testing.T) {
 		if allocs > maxFeedAllocs {
 			t.Errorf("WriteFeedCompact of %d entries allocates %.0f times, budget %d", n, allocs, maxFeedAllocs)
 		}
+	}
+}
+
+// TestStateEncodeAllocGuard is the reuse-state encoder's allocation
+// bound, on the state a 3K-entry Clean persists (1,888 scores and 64
+// §4.4 records) and on the part of it that covers the first 400
+// entries. WriteJSON must allocate one constant number of objects at
+// both sizes: it appends each map entry's bytes to one reused buffer,
+// streams them through a 64 KiB writer, and sorts each map's keys in
+// one list. Encoding through json.Encoder would break the bound.
+// Raising it is a commit regression — justify it in the commit that
+// does.
+func TestStateEncodeAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
+	}
+	// Measured 4 at both sizes (the two write buffers and a key list
+	// per map); json.Encoder allocated 3,906 at 3K.
+	const maxEncodeAllocs = 16
+	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := nvdclean.Clean(context.Background(), snap, nvdclean.Options{
+		Concurrency: 4,
+		Models:      []predict.ModelKind{predict.ModelLR},
+		ModelConfig: predict.ModelConfig{Seed: 1},
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := res.StoreCheckpoint().State
+	part := *full
+	part.CWEFix = make(map[string]predict.EntryCorrection)
+	part.Backport = make(map[string]float64)
+	for _, e := range snap.Entries[:400] {
+		if c, ok := full.CWEFix[e.ID]; ok {
+			part.CWEFix[e.ID] = c
+		}
+		if s, ok := full.Backport[e.ID]; ok {
+			part.Backport[e.ID] = s
+		}
+	}
+	var encodeAllocs []float64
+	for _, st := range []*store.State{&part, full} {
+		var writeErr error
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := st.WriteJSON(io.Discard); err != nil {
+				writeErr = err
+			}
+		})
+		if writeErr != nil {
+			t.Fatal(writeErr)
+		}
+		t.Logf("WriteJSON of %d scores and %d records: %.0f allocations", len(st.Backport), len(st.CWEFix), allocs)
+		if allocs > maxEncodeAllocs {
+			t.Errorf("WriteJSON of %d scores allocates %.0f times, budget %d", len(st.Backport), allocs, maxEncodeAllocs)
+		}
+		encodeAllocs = append(encodeAllocs, allocs)
+	}
+	if encodeAllocs[0] != encodeAllocs[1] {
+		t.Errorf("WriteJSON allocates %.0f times for the 400-entry state and %.0f for the 3K one, want one constant", encodeAllocs[0], encodeAllocs[1])
 	}
 }
 
@@ -438,4 +503,31 @@ func BenchmarkWriteFeedCompact(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWriteState times WriteJSON of the reuse state a 3K-entry
+// Clean persists.
+func BenchmarkWriteState(b *testing.B) {
+	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := nvdclean.Clean(context.Background(), snap, nvdclean.Options{
+		Models:      []predict.ModelKind{predict.ModelLR},
+		ModelConfig: predict.ModelConfig{Seed: 1},
+		Seed:        1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := res.StoreCheckpoint().State
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		if err := st.WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
 }

@@ -203,6 +203,14 @@ func parse23(s string) (Name, error) {
 	if n.Vendor == "" || n.Product == "" {
 		return Name{}, fmt.Errorf("cpe: empty vendor or product in %q", s)
 	}
+	// Any other empty attribute reads as ANY, as an empty 2.2 component
+	// does and as the name binds it, so a parsed name formats and
+	// parses back to itself.
+	for _, p := range dst[2:] {
+		if *p == "" {
+			*p = Any
+		}
+	}
 	return n, nil
 }
 

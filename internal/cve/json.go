@@ -7,12 +7,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
 	"nvdclean/internal/cvss"
+	"nvdclean/internal/jsontext"
 )
 
 // The codec reads and writes the NVD JSON 1.1 data-feed layout, whose
@@ -88,12 +87,12 @@ func WriteFeedCompact(w io.Writer, s *Snapshot) error {
 // score is an error, as it is to encoding/json.
 func appendItem(b []byte, e *Entry) ([]byte, error) {
 	b = append(b, `{"cve":{"CVE_data_meta":{"ID":`...)
-	b = appendString(b, e.ID)
+	b = jsontext.AppendString(b, e.ID)
 	b = append(b, `,"ASSIGNER":"cve@mitre.org"},"problemtype":{"problemtype_data":[{"description":`...)
 	for i, id := range e.CWEs {
 		b = appendListSep(b, i)
 		b = append(b, `{"lang":"en","value":`...)
-		b = appendQuoted(b, id.Append)
+		b = jsontext.AppendQuoted(b, id.Append)
 		b = append(b, '}')
 	}
 	b = closeList(b, len(e.CWEs))
@@ -101,16 +100,16 @@ func appendItem(b []byte, e *Entry) ([]byte, error) {
 	for i, r := range e.References {
 		b = appendListSep(b, i)
 		b = append(b, `{"url":`...)
-		b = appendString(b, r.URL)
+		b = jsontext.AppendString(b, r.URL)
 		if r.URL != "" {
 			b = append(b, `,"name":`...)
-			b = appendString(b, r.URL)
+			b = jsontext.AppendString(b, r.URL)
 		}
 		if len(r.Tags) > 0 {
 			b = append(b, `,"tags":`...)
 			for j, tag := range r.Tags {
 				b = appendListSep(b, j)
-				b = appendString(b, tag)
+				b = jsontext.AppendString(b, tag)
 			}
 			b = append(b, ']')
 		}
@@ -121,10 +120,10 @@ func appendItem(b []byte, e *Entry) ([]byte, error) {
 	for i, d := range e.Descriptions {
 		b = appendListSep(b, i)
 		b = append(b, `{"lang":"en","value":`...)
-		b = appendString(b, d.Value)
+		b = jsontext.AppendString(b, d.Value)
 		if d.Source != "" {
 			b = append(b, `,"source":`...)
-			b = appendString(b, d.Source)
+			b = jsontext.AppendString(b, d.Source)
 		}
 		b = append(b, '}')
 	}
@@ -135,7 +134,7 @@ func appendItem(b []byte, e *Entry) ([]byte, error) {
 		for i, n := range e.CPEs {
 			b = appendListSep(b, i)
 			b = append(b, `{"vulnerable":true,"cpe23Uri":`...)
-			b = appendQuoted(b, n.AppendFormatString)
+			b = jsontext.AppendQuoted(b, n.AppendFormatString)
 			b = append(b, '}')
 		}
 		b = append(b, "]}]}"...)
@@ -148,7 +147,7 @@ func appendItem(b []byte, e *Entry) ([]byte, error) {
 			b = append(b, sep)
 			sep = ','
 			b = append(b, `"baseMetricV3":{"cvssV3":{"version":"3.0","vectorString":`...)
-			b = appendQuoted(b, e.V3.Append)
+			b = jsontext.AppendQuoted(b, e.V3.Append)
 			b = append(b, ',')
 			if b, err = appendScore(b, e.ID, e.V3.BaseScore(), e.V3.Severity()); err != nil {
 				return b, err
@@ -159,7 +158,7 @@ func appendItem(b []byte, e *Entry) ([]byte, error) {
 			b = append(b, sep)
 			sep = ','
 			b = append(b, `"baseMetricV2":{"cvssV2":{"version":"2.0","vectorString":`...)
-			b = appendQuoted(b, e.V2.Append)
+			b = jsontext.AppendQuoted(b, e.V2.Append)
 			b = append(b, `,"baseScore":`...)
 			if b, err = appendFloat(b, e.ID, e.V2.BaseScore()); err != nil {
 				return b, err
@@ -240,93 +239,15 @@ func appendTime(b []byte, t time.Time) []byte {
 	return append(b, '"')
 }
 
-// appendFloat appends f as encoding/json writes a float64: the shortest
-// decimal that round-trips, in exponent form below 1e-6 and from 1e21
-// up, with a one-digit negative exponent written without its leading
-// zero (1e-7, not 1e-07). NaN and the infinities are an error, as they
-// are to encoding/json; id names the entry in it.
+// appendFloat appends a score as encoding/json writes a float64. NaN
+// and the infinities are an error, as they are to encoding/json; id
+// names the entry in it.
 func appendFloat(b []byte, id string, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	b, ok := jsontext.AppendFloat(b, f)
+	if !ok {
 		return b, fmt.Errorf("cve: %s: unsupported score %s", id, strconv.FormatFloat(f, 'g', -1, 64))
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
 	return b, nil
-}
-
-// appendQuoted appends, as a JSON string, the text appendText appends.
-// The text is staged at the end of b, quoted after it and moved down
-// over it, so quoting costs no buffer of its own.
-func appendQuoted(b []byte, appendText func([]byte) []byte) []byte {
-	start := len(b)
-	b = appendText(b)
-	end := len(b)
-	b = appendString(b, b[start:end])
-	return append(b[:start], b[end:]...)
-}
-
-// appendString appends s as a JSON string, as encoding/json writes it
-// with HTML escaping on (json.Marshal, and json.Encoder by default):
-// '"' and '\\' escaped with a backslash; \b, \f, \n, \r and \t in short
-// form; other control bytes and '<', '>' and '&' as \u00XX; each byte
-// of invalid UTF-8 as \ufffd; and U+2028 and U+2029 as \u2028 and
-// \u2029. Every other byte is written as is.
-func appendString[S string | []byte](b []byte, s S) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		n := min(len(s)-i, utf8.UTFMax)
-		r, size := utf8.DecodeRuneInString(string(s[i : i+n]))
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }
 
 // ReadFeed parses an NVD JSON 1.1 data feed read from r to its end, as
@@ -410,7 +331,7 @@ func MarshalDelta(d *Delta) ([]byte, error) {
 		b = append(b, `,"removed":`...)
 		for i, id := range d.Removed {
 			b = appendListSep(b, i)
-			b = appendString(b, id)
+			b = jsontext.AppendString(b, id)
 		}
 		b = append(b, ']')
 	}

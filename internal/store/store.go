@@ -101,7 +101,7 @@ type Training struct {
 // everything CleanDelta needs from a previous Result that is not
 // already in the original snapshot, the consolidation maps, or the
 // engine document. A Result carries it as is, and a checkpoint
-// persists it as state.json.
+// persists it as state.json (WriteJSON).
 type State struct {
 	// Fingerprint is the §4.3 dataset fingerprint of the cleaned
 	// snapshot; Trained marks a generation whose severity stage ran.
@@ -548,7 +548,7 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 		{originalFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Original) }},
 		{vendorsFile, cp.Vendors.WriteJSON},
 		{productsFile, cp.Products.WriteJSON},
-		{stateFile, func(w io.Writer) error { return json.NewEncoder(w).Encode(cp.State) }},
+		{stateFile, cp.State.WriteJSON},
 	}
 	if cp.Engine != nil {
 		files = append(files, stagedFile{engineFile, cp.Engine.WriteJSON})

@@ -261,11 +261,14 @@ func (w *wal) append(d *cve.Delta) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding delta record: %w", err)
 	}
-	frame := make([]byte, walHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walTable))
-	copy(frame[walHeaderSize:], payload)
-	return w.appendRaw(frame, 1)
+	return w.appendRaw(appendFrame(make([]byte, 0, walHeaderSize+len(payload)), payload), 1)
+}
+
+// appendFrame appends payload to b as one framed record.
+func appendFrame(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, walTable))
+	return append(b, payload...)
 }
 
 // appendRaw writes and fsyncs pre-framed record bytes — one locally

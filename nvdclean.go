@@ -87,13 +87,11 @@ func WriteFeed(w io.Writer, s *Snapshot) error { return cve.WriteFeed(w, s) }
 // Options tunes Clean. The zero value disables crawling (no transport)
 // and uses fast model settings.
 type Options struct {
-	// Transport fetches reference pages for disclosure-date estimation.
-	// nil skips the date step. Use a WebCorpus transport for simulation
-	// or http.DefaultTransport for the live web.
+	// Transport fetches reference pages for disclosure-date estimation,
+	// from the 50 most popular reference domains as in the paper. nil
+	// skips the date step. Use a WebCorpus transport for simulation or
+	// http.DefaultTransport for the live web.
 	Transport http.RoundTripper
-	// TopKDomains restricts crawling to the most popular reference
-	// domains (paper: 50). Zero means 50.
-	TopKDomains int
 	// Concurrency bounds the parallelism of every pipeline stage: the
 	// reference crawl, name consolidation, model training, and score
 	// backporting. Zero means GOMAXPROCS. Results are identical at any

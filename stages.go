@@ -120,7 +120,6 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	crawl := func(w int) error {
 		c, err := crawler.New(crawler.Config{
 			Transport:   opts.Transport,
-			TopK:        opts.TopKDomains,
 			Concurrency: w,
 		})
 		if err != nil {
@@ -438,10 +437,11 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 // RestoreResult does against a checkpoint: other Models, ModelConfig
 // or Seed retrain, SkipSeverity drops the scores, and a Transport the
 // previous run lacked crawls every entry. Replayed crawl artifacts
-// assume the previous run's transport behavior and TopKDomains, and a
-// deterministic transport; Concurrency is free to differ. The previous
-// Result is not modified and remains servable while the delta cleans —
-// the zero-downtime swap cmd/nvdserve relies on.
+// assume the previous run's transport behavior and a deterministic
+// transport; every run crawls the crawler's default top domains, and
+// Concurrency is free to differ. The previous Result is not modified
+// and remains servable while the delta cleans — the zero-downtime swap
+// cmd/nvdserve relies on.
 func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (*Result, error) {
 	if prev == nil || prev.inc == nil {
 		return nil, errors.New("nvdclean: CleanDelta needs a Result produced by Clean or CleanDelta")
