@@ -76,7 +76,7 @@ func main() {
 	}
 
 	// Backport across the whole snapshot and show the Table 9 shift.
-	b, err := eng.BackportAll(snap)
+	b, err := eng.BackportAllN(snap, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

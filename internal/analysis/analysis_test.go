@@ -38,7 +38,7 @@ func setup(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.BackportAll(snap)
+	b, err := eng.BackportAllN(snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

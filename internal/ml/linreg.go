@@ -38,9 +38,11 @@ func (lr *LinearRegression) Fit(x [][]float64, y []float64) error {
 	}
 	// Normal equations over the implicit [1 | x] design matrix: the
 	// intercept column is never materialized, so no design copy is
-	// allocated. Like TransposeMulN, output columns are banded across
-	// workers and every element accumulates over rows in ascending
-	// order, so the fit is bit-identical at any concurrency.
+	// allocated. The Gram matrix is symmetric, so only its upper
+	// triangle is accumulated and then mirrored. Output rows are banded
+	// across workers, no two bands share an element, and every element
+	// accumulates over the rows of x in ascending order whatever the
+	// band layout, so the fit is bit-identical at any concurrency.
 	n1 := d + 1
 	gram := NewMatrix(n1, n1)
 	rhs := make([]float64, n1)

@@ -14,7 +14,7 @@ import (
 	"nvdclean/internal/parallel"
 )
 
-// spdParallelMin is the matrix order below which SolveSPD stays serial:
+// spdParallelMin is the matrix order below which SolveSPDN stays serial:
 // the O(n²) inner updates of a small Cholesky cost less than waking
 // workers.
 const spdParallelMin = 256
@@ -57,76 +57,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i (not a copy).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// MulVec computes m·v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	return m.MulVecN(v, 1)
-}
-
-// MulVecN is MulVec batched across up to workers goroutines (0 means
-// GOMAXPROCS). Each output row is an independent dot product, so the
-// result is bit-identical to the serial one.
-func (m *Matrix) MulVecN(v []float64, workers int) ([]float64, error) {
-	if len(v) != m.Cols {
-		return nil, fmt.Errorf("ml: MulVec dims %d != %d", len(v), m.Cols)
-	}
-	out := make([]float64, m.Rows)
-	parallel.ForRange(workers, m.Rows, 64, func(start, end int) {
-		for i := start; i < end; i++ {
-			row := m.Row(i)
-			var s float64
-			for j, rv := range row {
-				s += rv * v[j]
-			}
-			out[i] = s
-		}
-	})
-	return out, nil
-}
-
-// TransposeMul computes mᵀ·m (a Cols x Cols Gram matrix).
-func (m *Matrix) TransposeMul() *Matrix {
-	return m.TransposeMulN(1)
-}
-
-// TransposeMulN is TransposeMul on up to workers goroutines (0 means
-// GOMAXPROCS). The Gram matrix is symmetric, so only the upper triangle
-// is computed — half the multiply-adds of the naive kernel — and
-// mirrored. Each output element (a, b) is the dot product of columns a
-// and b accumulated over rows in ascending order, exactly the serial
-// kernel's summation order, so results are bit-identical at any
-// concurrency.
-func (m *Matrix) TransposeMulN(workers int) *Matrix {
-	out := NewMatrix(m.Cols, m.Cols)
-	nd := m.Cols
-	// Band the output rows; each band scans the input once, touching
-	// only columns ≥ a, and no two bands share an output element. One
-	// band per worker minimizes rescans of the input; the band layout
-	// cannot change results because every element's accumulation order
-	// is fixed by the row order alone.
-	parallel.ForRange(workers, nd, bandWidth(nd, workers), func(a0, a1 int) {
-		for i := 0; i < m.Rows; i++ {
-			row := m.Row(i)
-			for a := a0; a < a1; a++ {
-				ra := row[a]
-				if ra == 0 {
-					continue
-				}
-				dst := out.Data[a*nd:]
-				for b := a; b < nd; b++ {
-					dst[b] += ra * row[b]
-				}
-			}
-		}
-	})
-	// Mirror the strict upper triangle.
-	for a := 0; a < nd; a++ {
-		for b := a + 1; b < nd; b++ {
-			out.Data[b*nd+a] = out.Data[a*nd+b]
-		}
-	}
-	return out
-}
-
 // bandWidth sizes column bands so each worker scans the input about
 // once: ceil(cols / workers), capped at 64 so very wide matrices still
 // split into enough chunks to load-balance.
@@ -142,52 +72,20 @@ func bandWidth(cols, workers int) int {
 	return b
 }
 
-// TransposeMulVec computes mᵀ·v for len(v) == Rows.
-func (m *Matrix) TransposeMulVec(v []float64) ([]float64, error) {
-	return m.TransposeMulVecN(v, 1)
-}
-
-// TransposeMulVecN is TransposeMulVec on up to workers goroutines.
-// Column sums accumulate over rows in ascending order per output slot,
-// so the result is bit-identical to the serial fold.
-func (m *Matrix) TransposeMulVecN(v []float64, workers int) ([]float64, error) {
-	if len(v) != m.Rows {
-		return nil, fmt.Errorf("ml: TransposeMulVec dims %d != %d", len(v), m.Rows)
-	}
-	out := make([]float64, m.Cols)
-	parallel.ForRange(workers, m.Cols, bandWidth(m.Cols, workers), func(j0, j1 int) {
-		for i := 0; i < m.Rows; i++ {
-			vi := v[i]
-			if vi == 0 {
-				continue
-			}
-			row := m.Row(i)
-			for j := j0; j < j1; j++ {
-				out[j] += vi * row[j]
-			}
-		}
-	})
-	return out, nil
-}
-
-// SolveSPD solves A·x = b for symmetric positive-definite A using
-// Cholesky decomposition. A is overwritten with its factorization.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	return SolveSPDN(a, b, 1)
-}
-
-// SolveSPDN is SolveSPD on up to workers goroutines (0 means
-// GOMAXPROCS). The column eliminations below the pivot are independent
-// of each other, so they fan out across workers; each entry's inner
-// dot product keeps the serial summation order, making the
-// factorization bit-identical at any concurrency.
+// SolveSPDN solves A·x = b for symmetric positive-definite A using
+// Cholesky decomposition, on up to workers goroutines (0 means
+// GOMAXPROCS). A is overwritten with its factorization. The column
+// eliminations below the pivot are independent of each other, so they
+// fan out across workers; each entry's inner dot product keeps the
+// serial summation order, making the factorization bit-identical at
+// any concurrency.
 func SolveSPDN(a *Matrix, b []float64, workers int) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {
-		return nil, errors.New("ml: SolveSPD needs a square matrix")
+		return nil, errors.New("ml: SolveSPDN needs a square matrix")
 	}
 	if len(b) != n {
-		return nil, fmt.Errorf("ml: SolveSPD rhs dim %d != %d", len(b), n)
+		return nil, fmt.Errorf("ml: SolveSPDN rhs dim %d != %d", len(b), n)
 	}
 	w := parallel.Workers(workers)
 	if n < spdParallelMin {

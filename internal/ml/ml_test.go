@@ -36,48 +36,10 @@ func TestFromRowsErrors(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	got, err := m.MulVec([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 3 || got[1] != 7 {
-		t.Errorf("MulVec = %v", got)
-	}
-	if _, err := m.MulVec([]float64{1}); err == nil {
-		t.Error("dim mismatch should fail")
-	}
-}
-
-func TestTransposeMul(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	g := m.TransposeMul()
-	// [[1,3],[2,4]]·[[1,2],[3,4]] = [[10,14],[14,20]]
-	want := [][]float64{{10, 14}, {14, 20}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if g.At(i, j) != want[i][j] {
-				t.Errorf("gram[%d][%d] = %v, want %v", i, j, g.At(i, j), want[i][j])
-			}
-		}
-	}
-	tv, err := m.TransposeMulVec([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tv[0] != 4 || tv[1] != 6 {
-		t.Errorf("TransposeMulVec = %v", tv)
-	}
-	if _, err := m.TransposeMulVec([]float64{1, 2, 3}); err == nil {
-		t.Error("dim mismatch should fail")
-	}
-}
-
 func TestSolveSPD(t *testing.T) {
 	// A = [[4,2],[2,3]], b = [10, 8] -> x = [1.75, 1.5]
 	a, _ := FromRows([][]float64{{4, 2}, {2, 3}})
-	x, err := SolveSPD(a, []float64{10, 8})
+	x, err := SolveSPDN(a, []float64{10, 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +50,15 @@ func TestSolveSPD(t *testing.T) {
 
 func TestSolveSPDErrors(t *testing.T) {
 	notSquare, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if _, err := SolveSPD(notSquare, []float64{1, 2}); err == nil {
+	if _, err := SolveSPDN(notSquare, []float64{1, 2}, 1); err == nil {
 		t.Error("non-square should fail")
 	}
 	sq, _ := FromRows([][]float64{{1, 0}, {0, 1}})
-	if _, err := SolveSPD(sq, []float64{1}); err == nil {
+	if _, err := SolveSPDN(sq, []float64{1}, 1); err == nil {
 		t.Error("rhs dim mismatch should fail")
 	}
 	indefinite, _ := FromRows([][]float64{{0, 0}, {0, 0}})
-	if _, err := SolveSPD(indefinite, []float64{1, 2}); err == nil {
+	if _, err := SolveSPDN(indefinite, []float64{1, 2}, 1); err == nil {
 		t.Error("indefinite should fail")
 	}
 }
@@ -335,7 +297,7 @@ func TestKNNFitCopiesData(t *testing.T) {
 }
 
 func TestSolveSPDPropertyRandomSPD(t *testing.T) {
-	// For random B, A = BᵀB + I is SPD and SolveSPD(A, A·x) ≈ x.
+	// For random B, A = BᵀB + I is SPD and SolveSPDN(A, A·x) ≈ x.
 	f := func(seed uint8) bool {
 		n := 4
 		b := NewMatrix(n, n)
@@ -344,16 +306,18 @@ func TestSolveSPDPropertyRandomSPD(t *testing.T) {
 			v = (v*1103515245 + 12345) % (1 << 20)
 			b.Data[i] = float64(v%100)/50 - 1
 		}
-		a := b.TransposeMul()
+		a := naiveTransposeMul(b)
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+1)
 		}
 		want := []float64{1, -2, 3, 0.5}
-		rhs, err := a.MulVec(want)
-		if err != nil {
-			return false
+		rhs := make([]float64, n)
+		for i := range rhs {
+			for j, v := range a.Row(i) {
+				rhs[i] += v * want[j]
+			}
 		}
-		got, err := SolveSPD(a, rhs)
+		got, err := SolveSPDN(a, rhs, 1)
 		if err != nil {
 			return false
 		}

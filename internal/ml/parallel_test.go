@@ -41,67 +41,68 @@ func randomMatrix(rows, cols int, seed int64) *Matrix {
 	return m
 }
 
-func TestTransposeMulMatchesNaiveAtAnyConcurrency(t *testing.T) {
-	for _, dims := range [][2]int{{1, 1}, {3, 2}, {200, 13}, {57, 40}} {
-		m := randomMatrix(dims[0], dims[1], int64(dims[0]*31+dims[1]))
-		want := naiveTransposeMul(m)
-		for _, w := range []int{1, 2, 8} {
-			got := m.TransposeMulN(w)
-			for i, v := range got.Data {
-				if v != want.Data[i] {
-					t.Fatalf("dims=%v workers=%d: element %d = %v, want %v",
-						dims, w, i, v, want.Data[i])
-				}
+// TestLinearRegressionFitMatchesNaiveNormalEquations pins Fit's fused,
+// banded normal-equations kernel to the textbook construction: the
+// explicit [1 | x] design matrix, its full Gram matrix from
+// naiveTransposeMul plus the same ridge, and a serial right-hand side,
+// solved with SolveSPDN on one worker. Fit must reproduce those
+// weights bit for bit at any worker count.
+func TestLinearRegressionFitMatchesNaiveNormalEquations(t *testing.T) {
+	cases := []struct {
+		rows, cols int
+		ridge      float64
+	}{
+		{3000, 13, 0},
+		{200, 13, 0},
+		{57, 40, 0},
+		{9, 2, 0.5},
+	}
+	for _, c := range cases {
+		m := randomMatrix(c.rows, c.cols, int64(c.rows*31+c.cols))
+		rng := rand.New(rand.NewSource(int64(c.rows)))
+		x := make([][]float64, c.rows)
+		y := make([]float64, c.rows)
+		for i := range x {
+			x[i] = m.Row(i)
+			if rng.Intn(5) != 0 {
+				y[i] = 10 * rng.Float64()
 			}
 		}
-	}
-}
-
-func TestMulVecParallelMatchesSerial(t *testing.T) {
-	m := randomMatrix(301, 17, 5)
-	v := make([]float64, 17)
-	for i := range v {
-		v[i] = float64(i) - 8.5
-	}
-	want, err := m.MulVecN(v, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 8} {
-		got, err := m.MulVecN(v, w)
+		design := NewMatrix(c.rows, c.cols+1)
+		for i, row := range x {
+			design.Set(i, 0, 1)
+			copy(design.Row(i)[1:], row)
+		}
+		gram := naiveTransposeMul(design)
+		lambda := c.ridge
+		if lambda <= 0 {
+			lambda = 1e-8
+		}
+		for j := 0; j < gram.Cols; j++ {
+			gram.Set(j, j, gram.At(j, j)+lambda)
+		}
+		rhs := make([]float64, design.Cols)
+		for i, yi := range y {
+			for j, v := range design.Row(i) {
+				rhs[j] += v * yi
+			}
+		}
+		want, err := SolveSPDN(gram, rhs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: out[%d] = %v, want %v", w, i, got[i], want[i])
+		for _, w := range []int{1, 2, 8} {
+			lr := LinearRegression{Ridge: c.ridge, Workers: w}
+			if err := lr.Fit(x, y); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-func TestTransposeMulVecParallelMatchesSerial(t *testing.T) {
-	m := randomMatrix(211, 29, 9)
-	v := make([]float64, 211)
-	rng := rand.New(rand.NewSource(11))
-	for i := range v {
-		if rng.Intn(3) == 0 {
-			v[i] = 0
-		} else {
-			v[i] = rng.NormFloat64()
-		}
-	}
-	want, err := m.TransposeMulVecN(v, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.TransposeMulVecN(v, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("out[%d] = %v, want %v", i, got[i], want[i])
+			got := lr.Weights()
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%dx%d workers=%d: weight %d = %v, want %v",
+						c.rows, c.cols, w, j, got[j], want[j])
+				}
+			}
 		}
 	}
 }
@@ -111,7 +112,7 @@ func TestSolveSPDParallelMatchesSerial(t *testing.T) {
 	n := spdParallelMin + 70
 	src := randomMatrix(n+5, n, 13)
 	spd := func() *Matrix {
-		g := src.TransposeMulN(1)
+		g := naiveTransposeMul(src)
 		for j := 0; j < n; j++ {
 			g.Set(j, j, g.At(j, j)+float64(n))
 		}

@@ -36,20 +36,16 @@ func newParam(n int) *Param {
 
 // Layer is one differentiable stage of a network. Forward consumes the
 // previous activation; Backward consumes dLoss/dOut and returns
-// dLoss/dIn, accumulating parameter gradients.
+// dLoss/dIn, accumulating parameter gradients. replicate returns a
+// worker replica: a copy that shares the weight values (read-only
+// during a batch) but owns its activation scratch and, when ownGrad,
+// its gradient buffers. The method is unexported, so the set of layers
+// is the four this package defines, the ones Save can serialize.
 type Layer interface {
 	Forward(x []float64) []float64
 	Backward(grad []float64) []float64
 	Params() []*Param
 	OutSize(inSize int) (int, error)
-}
-
-// replicable layers can produce worker replicas of themselves: copies
-// that share the weight values (read-only during a batch) but own
-// their activation scratch, and — when ownGrad — their gradient
-// buffers. All built-in layers implement it; a network containing a
-// foreign layer falls back to serial training.
-type replicable interface {
 	replicate(ownGrad bool) Layer
 }
 
@@ -119,7 +115,7 @@ func (d *Dense) Backward(grad []float64) []float64 {
 // Params returns the weight and bias tensors.
 func (d *Dense) Params() []*Param { return []*Param{d.weight, d.bias} }
 
-// replicate implements replicable.
+// replicate implements Layer.
 func (d *Dense) replicate(ownGrad bool) Layer {
 	return &Dense{
 		In: d.In, Out: d.Out,
@@ -167,7 +163,7 @@ func (r *ReLU) Backward(grad []float64) []float64 {
 // Params returns nil: ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
-// replicate implements replicable.
+// replicate implements Layer.
 func (r *ReLU) replicate(bool) Layer { return &ReLU{} }
 
 // OutSize is the identity.
@@ -201,7 +197,7 @@ func (s *Sigmoid) Backward(grad []float64) []float64 {
 // Params returns nil: Sigmoid has no parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
 
-// replicate implements replicable.
+// replicate implements Layer.
 func (s *Sigmoid) replicate(bool) Layer { return &Sigmoid{} }
 
 // OutSize is the identity.
@@ -297,7 +293,7 @@ func (c *Conv1D) Backward(grad []float64) []float64 {
 // Params returns the kernel and bias tensors.
 func (c *Conv1D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
-// replicate implements replicable.
+// replicate implements Layer.
 func (c *Conv1D) replicate(ownGrad bool) Layer {
 	return &Conv1D{
 		InChannels: c.InChannels, OutChannels: c.OutChannels,
@@ -365,55 +361,26 @@ func (n *Network) params() []*Param {
 	return ps
 }
 
-// canReplicate reports whether every layer supports worker replicas,
-// without building any.
-func (n *Network) canReplicate() bool {
-	for _, l := range n.layers {
-		if _, ok := l.(replicable); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // replica builds a copy of the network whose layers share this
 // network's weights but own their activation scratch and, when
-// ownGrad, their gradient buffers. Returns false if any layer is not
-// replicable.
-func (n *Network) replica(ownGrad bool) (*Network, bool) {
+// ownGrad, their gradient buffers.
+func (n *Network) replica(ownGrad bool) *Network {
 	ls := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
-		r, ok := l.(replicable)
-		if !ok {
-			return nil, false
-		}
-		ls[i] = r.replicate(ownGrad)
+		ls[i] = l.replicate(ownGrad)
 	}
-	return &Network{layers: ls}, true
+	return &Network{layers: ls}
 }
 
-// InferenceReplica returns a read-only-weights copy of the network
-// safe for Forward/Predict on another goroutine while other replicas
-// (or the original) predict concurrently. Returns false when the
-// network contains a layer the library cannot replicate; the caller
-// must then serialize access instead.
-func (n *Network) InferenceReplica() (*Network, bool) { return n.replica(false) }
-
 // PredictBatch runs Predict over rows with up to workers goroutines
-// (0 means GOMAXPROCS), using one inference replica per worker. Output
-// slot i belongs to rows[i], so results are identical at any
-// concurrency. Falls back to a serial loop when the network is not
-// replicable.
+// (0 means GOMAXPROCS), using one inference replica per worker, so it
+// never touches the network's own activation scratch and is safe
+// beside other PredictBatch calls. Output slot i belongs to rows[i],
+// so results are identical at any concurrency.
 func (n *Network) PredictBatch(rows [][]float64, workers int) []float64 {
 	out := make([]float64, len(rows))
-	if !n.canReplicate() {
-		for i, r := range rows {
-			out[i] = n.Predict(r)
-		}
-		return out
-	}
 	parallel.ForWith(workers, len(rows),
-		func() *Network { r, _ := n.replica(false); return r },
+		func() *Network { return n.replica(false) },
 		func(rep *Network, i int) { out[i] = rep.Predict(rows[i]) })
 	return out
 }
@@ -472,24 +439,14 @@ func (n *Network) Train(x [][]float64, y []float64, cfg TrainConfig) error {
 	// One gradient-owning replica per sample chunk of a full batch.
 	// Replica ci always serves chunk ci, so its buffers are exclusive
 	// to one worker and the ordered fold below never depends on the
-	// schedule. A network with a non-replicable layer trains serially.
+	// schedule.
 	maxChunks := parallel.NumChunks(batch, gradChunk)
-	reps := make([]*Network, 0, maxChunks)
-	repParams := make([][]*Param, 0, maxChunks)
+	reps := make([]*Network, maxChunks)
+	repParams := make([][]*Param, maxChunks)
 	chunkLoss := make([]float64, maxChunks)
-	var batchG [][]float64 // fallback-path accumulator, chunk-folded
-	if n.canReplicate() {
-		for ci := 0; ci < maxChunks; ci++ {
-			r, _ := n.replica(true)
-			reps = append(reps, r)
-			repParams = append(repParams, r.params())
-		}
-	} else {
-		reps = nil
-		batchG = make([][]float64, len(params))
-		for pi, p := range params {
-			batchG[pi] = make([]float64, len(p.G))
-		}
+	for ci := range reps {
+		reps[ci] = n.replica(true)
+		repParams[ci] = reps[ci].params()
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	idx := make([]int, len(x))
@@ -507,43 +464,6 @@ func (n *Network) Train(x [][]float64, y []float64, cfg TrainConfig) error {
 			bs := float64(end - start)
 			for _, p := range params {
 				clear(p.G)
-			}
-			if reps == nil {
-				// Serial fallback for non-replicable layers: one chunk
-				// at a time through the live network, folding each
-				// chunk's gradients into the batch accumulator in
-				// chunk order — the same grouping as the replica path,
-				// so both paths train to identical weights.
-				for pi := range batchG {
-					clear(batchG[pi])
-				}
-				for cs := 0; cs < end-start; cs += gradChunk {
-					ce := cs + gradChunk
-					if ce > end-start {
-						ce = end - start
-					}
-					for _, p := range params {
-						clear(p.G)
-					}
-					var closs float64
-					for _, i := range idx[start+cs : start+ce] {
-						out := n.Forward(x[i])
-						diff := out[0] - y[i]
-						closs += diff * diff
-						n.backward([]float64{2 * diff / bs})
-					}
-					epochLoss += closs
-					for pi, p := range params {
-						for j, g := range p.G {
-							batchG[pi][j] += g
-						}
-					}
-				}
-				for pi, p := range params {
-					copy(p.G, batchG[pi])
-				}
-				n.adam.step(params, lr)
-				continue
 			}
 			span := end - start
 			nchunks := parallel.NumChunks(span, gradChunk)

@@ -114,67 +114,12 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// opaqueLayer hides a Dense behind a type the library cannot
-// replicate, forcing Train's serial fallback path.
-type opaqueLayer struct{ d *Dense }
-
-func (o opaqueLayer) Forward(x []float64) []float64  { return o.d.Forward(x) }
-func (o opaqueLayer) Backward(g []float64) []float64 { return o.d.Backward(g) }
-func (o opaqueLayer) Params() []*Param               { return o.d.Params() }
-func (o opaqueLayer) OutSize(in int) (int, error)    { return o.d.OutSize(in) }
-
-// TestFallbackPathMatchesReplicaPath pins the two Train code paths to
-// the same numerics: a network with a non-replicable layer (serial
-// fallback) must train to bitwise the same weights as an identical
-// all-builtin network (chunked replica path).
-func TestFallbackPathMatchesReplicaPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 100; i++ {
-		a, b := rng.NormFloat64(), rng.NormFloat64()
-		x = append(x, []float64{a, b, a * b})
-		y = append(y, 1/(1+math.Exp(-a)))
-	}
-	build := func(opaque bool) *Network {
-		r := rand.New(rand.NewSource(21))
-		d1 := NewDense(3, 8, r)
-		d2 := NewDense(8, 1, r)
-		var l1 Layer = d1
-		if opaque {
-			l1 = opaqueLayer{d1}
-		}
-		net, err := NewNetwork(3, l1, &ReLU{}, d2, &Sigmoid{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	cfg := TrainConfig{Epochs: 8, BatchSize: 20, LearningRate: 0.01, Seed: 5, Workers: 4}
-	replicaNet, fallbackNet := build(false), build(true)
-	if err := replicaNet.Train(x, y, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := fallbackNet.Train(x, y, cfg); err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range x {
-		a, b := replicaNet.Predict(row), fallbackNet.Predict(row)
-		if a != b {
-			t.Fatalf("row %d: replica path %v != fallback path %v (diff %g)", i, a, b, a-b)
-		}
-	}
-}
-
 func TestInferenceReplicaSharesWeights(t *testing.T) {
 	net, err := CompactDNN(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, ok := net.InferenceReplica()
-	if !ok {
-		t.Fatal("built-in network should be replicable")
-	}
+	rep := net.replica(false)
 	row := []float64{0.1, -0.4, 0.9}
 	if got, want := rep.Predict(row), net.Predict(row); got != want {
 		t.Fatalf("replica predicts %v, original %v", got, want)

@@ -29,15 +29,11 @@ type Importance struct {
 	AccuracyDrop float64
 }
 
-// FeatureImportance computes permutation importance of every feature
-// for the engine's selected model over the dataset's test split.
-func (e *Engine) FeatureImportance(ds *Dataset, seed int64) ([]Importance, error) {
-	return e.FeatureImportanceN(ds, seed, 0)
-}
-
-// FeatureImportanceN is FeatureImportance with a per-call worker
-// budget (zero or negative falls back to the engine's configured
-// workers).
+// FeatureImportanceN computes permutation importance of every feature
+// for the engine's selected model over the dataset's test split,
+// scoring with up to workers goroutines (zero or negative falls back
+// to the engine's configured workers). The result is identical at any
+// setting.
 func (e *Engine) FeatureImportanceN(ds *Dataset, seed int64, workers int) ([]Importance, error) {
 	model, ok := e.models[e.best]
 	if !ok {
@@ -86,7 +82,7 @@ func bandAccuracy(model Regressor, test []Sample, shuffle int, perm []int, worke
 		row[shuffle] = test[perm[i]].Features[shuffle]
 		rows[i] = row
 	}
-	preds, err := predictAll(model, rows, workers)
+	preds, err := model.predict(rows, workers)
 	if err != nil {
 		return 0, err
 	}

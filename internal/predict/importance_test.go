@@ -14,7 +14,7 @@ func TestFeatureImportance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp, err := eng.FeatureImportance(ds, 99)
+	imp, err := eng.FeatureImportanceN(ds, 99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFeatureImportanceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := &Dataset{Encoder: ds.Encoder}
-	if _, err := eng.FeatureImportance(empty, 1); err == nil {
+	if _, err := eng.FeatureImportanceN(empty, 1, 0); err == nil {
 		t.Error("empty test split should fail")
 	}
 }

@@ -3,7 +3,6 @@ package predict
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"nvdclean/internal/ml"
 	"nvdclean/internal/nn"
@@ -42,10 +41,13 @@ func AllModels() []ModelKind {
 	return []ModelKind{ModelLR, ModelSVR, ModelCNN, ModelDNN}
 }
 
-// Regressor is a fitted v3-score model. Predictions are on the 0–10
-// CVSS scale.
+// Regressor is a fitted v3-score model. predict scores rows with up to
+// workers goroutines; slot i of the result belongs to rows[i], every
+// score is on the 0–10 CVSS scale, and the scores are identical at any
+// worker count. The method is unexported, so the set of models is the
+// three adapters below, the ones Engine.WriteJSON can serialize.
 type Regressor interface {
-	Predict(features []float64) (float64, error)
+	predict(rows [][]float64, workers int) ([]float64, error)
 }
 
 // ModelConfig tunes training cost; the zero value gives the paper's
@@ -131,61 +133,26 @@ func trainDeep(kind ModelKind, x [][]float64, y []float64, cfg ModelConfig) (Reg
 	if err := net.Train(x, scaled, tc); err != nil {
 		return nil, err
 	}
-	return netAdapter{net: net, mu: &sync.Mutex{}}, nil
-}
-
-// batchRegressor is the fast path for scoring many rows: models
-// implementing it predict rows concurrently with bounded workers. Slot
-// i of the result always belongs to rows[i].
-type batchRegressor interface {
-	predictBatch(rows [][]float64, workers int) ([]float64, error)
-}
-
-// predictAll scores every row with the model, fanning out across
-// workers when the model supports it. Results are identical to calling
-// Predict row by row.
-func predictAll(m Regressor, rows [][]float64, workers int) ([]float64, error) {
-	if br, ok := m.(batchRegressor); ok {
-		return br.predictBatch(rows, workers)
-	}
-	out := make([]float64, len(rows))
-	for i, r := range rows {
-		v, err := m.Predict(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return netAdapter{net}, nil
 }
 
 type lrAdapter struct{ m *ml.LinearRegression }
 
-func (a lrAdapter) Predict(f []float64) (float64, error) {
-	v, err := a.m.Predict(f)
-	return clampScore(v), err
-}
-
-func (a lrAdapter) predictBatch(rows [][]float64, workers int) ([]float64, error) {
+func (a lrAdapter) predict(rows [][]float64, workers int) ([]float64, error) {
 	out := make([]float64, len(rows))
 	return out, parallel.ForErr(workers, len(rows), func(i int) error {
-		v, err := a.Predict(rows[i])
+		v, err := a.m.Predict(rows[i])
 		if err != nil {
 			return err
 		}
-		out[i] = v
+		out[i] = clampScore(v)
 		return nil
 	})
 }
 
 type svrAdapter struct{ m *ml.SVR }
 
-func (a svrAdapter) Predict(f []float64) (float64, error) {
-	v, err := a.m.Predict(f)
-	return clampScore(v), err
-}
-
-func (a svrAdapter) predictBatch(rows [][]float64, workers int) ([]float64, error) {
+func (a svrAdapter) predict(rows [][]float64, workers int) ([]float64, error) {
 	s := *a.m
 	s.Workers = workers
 	out, err := s.PredictBatch(rows)
@@ -198,22 +165,13 @@ func (a svrAdapter) predictBatch(rows [][]float64, workers int) ([]float64, erro
 	return out, nil
 }
 
-// netAdapter wraps a neural model. Single-row Predict serializes on a
-// mutex because network layers keep per-call activation scratch;
-// predictBatch sidesteps the lock with per-worker inference replicas.
-type netAdapter struct {
-	net *nn.Network
-	mu  *sync.Mutex
-}
+// netAdapter wraps a neural model. Network layers keep per-call
+// activation scratch, so predict scores through the network's
+// per-worker inference replicas, never the live network, and
+// concurrent calls need no lock.
+type netAdapter struct{ net *nn.Network }
 
-func (a netAdapter) Predict(f []float64) (float64, error) {
-	a.mu.Lock()
-	v := a.net.Predict(f)
-	a.mu.Unlock()
-	return clampScore(v * 10), nil
-}
-
-func (a netAdapter) predictBatch(rows [][]float64, workers int) ([]float64, error) {
+func (a netAdapter) predict(rows [][]float64, workers int) ([]float64, error) {
 	out := a.net.PredictBatch(rows, workers)
 	for i, v := range out {
 		out[i] = clampScore(v * 10)

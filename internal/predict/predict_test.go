@@ -3,6 +3,7 @@ package predict
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"nvdclean/internal/cve"
@@ -167,6 +168,60 @@ func TestTrainAndEvaluate(t *testing.T) {
 	if best.Accuracy < 0.65 {
 		t.Errorf("best model accuracy = %.2f, want ≥ 0.65 at small scale (paper: 0.8629 at full scale)", best.Accuracy)
 	}
+
+	// Single-row scoring is a one-row batch. Eight goroutines call
+	// PredictWith at once over 64 v2-only entries, and every score must
+	// equal the batch path's score for the same row; under -race this
+	// also shows that no model shares per-call scratch between calls.
+	var pending []*cve.Entry
+	for _, e := range snap.Entries {
+		if e.V2 != nil && e.V3 == nil && len(pending) < 64 {
+			pending = append(pending, e)
+		}
+	}
+	if len(pending) < 64 {
+		t.Fatalf("only %d v2-only entries", len(pending))
+	}
+	rows := make([][]float64, len(pending))
+	for i, e := range pending {
+		rows[i] = eng.enc.Features(*e.V2, firstConcrete(e.CWEs))
+	}
+	const callers = 8
+	for _, kind := range AllModels() {
+		want, err := eng.models[kind].predict(rows, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]float64, callers)
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for g := range got {
+			got[g] = make([]float64, len(pending))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range pending {
+					i := (k + 8*g) % len(pending)
+					e := pending[i]
+					if got[g][i], errs[g] = eng.PredictWith(kind, *e.V2, firstConcrete(e.CWEs)); errs[g] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			if errs[g] != nil {
+				t.Fatalf("%s caller %d: %v", kind, g, errs[g])
+			}
+			for i, v := range got[g] {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("%s caller %d: %s scores %v alone, %v in the batch",
+						kind, g, pending[i].ID, v, want[i])
+				}
+			}
+		}
+	}
 }
 
 func TestPredictRange(t *testing.T) {
@@ -226,7 +281,7 @@ func TestBackportAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.BackportAll(snap)
+	b, err := eng.BackportAllN(snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +354,7 @@ func TestTransitionMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := eng.BackportAll(snap)
+	b, err := eng.BackportAllN(snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +362,7 @@ func TestTransitionMatrices(t *testing.T) {
 	if len(pred) != len(b.Scores) {
 		t.Errorf("predicted transitions = %d, want %d", len(pred), len(b.Scores))
 	}
-	truthT, predT, err := eng.TestTransitions(ds)
+	truthT, predT, err := eng.TestTransitionsN(ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"nvdclean/internal/cvss"
 	"nvdclean/internal/cwe"
@@ -132,7 +131,7 @@ func ReadEngineJSON(r io.Reader) (*Engine, error) {
 			if err != nil {
 				return nil, fmt.Errorf("predict: %s: %w", kindStr, err)
 			}
-			e.models[kind] = netAdapter{net: net, mu: &sync.Mutex{}}
+			e.models[kind] = netAdapter{net}
 		default:
 			return nil, fmt.Errorf("predict: model %s has no payload", kindStr)
 		}

@@ -115,11 +115,11 @@ func TestLoadedEngineBackports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := eng.BackportAll(snap)
+	b1, err := eng.BackportAllN(snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := back.BackportAll(snap)
+	b2, err := back.BackportAllN(snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func evaluate(kind ModelKind, model Regressor, test []Sample, workers int) (*Eva
 	for i, s := range test {
 		rows[i] = s.Features
 	}
-	preds, err := predictAll(model, rows, workers)
+	preds, err := model.predict(rows, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -324,13 +324,19 @@ func (e *Engine) Predict(v2 cvss.VectorV2, id cwe.ID) (float64, error) {
 	return e.PredictWith(e.best, v2, id)
 }
 
-// PredictWith runs a specific model.
+// PredictWith runs a specific model. It scores a one-row batch on one
+// worker, so it is safe to call concurrently and gives the score the
+// engine's batch methods give the same entry.
 func (e *Engine) PredictWith(kind ModelKind, v2 cvss.VectorV2, id cwe.ID) (float64, error) {
 	m, ok := e.models[kind]
 	if !ok {
 		return 0, fmt.Errorf("predict: model %s not trained", kind)
 	}
-	return m.Predict(e.enc.Features(v2, id))
+	out, err := m.predict([][]float64{e.enc.Features(v2, id)}, 1)
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }
 
 // Backport holds predicted v3 scores for v2-only CVEs (§4.3
@@ -340,19 +346,13 @@ type Backport struct {
 	Scores map[string]float64
 }
 
-// BackportAll predicts v3 scores for every entry lacking one — the
-// §4.3 bulk path (the paper's 74K v2-only CVEs) — scoring entries in
-// parallel with the engine's configured workers.
-func (e *Engine) BackportAll(snap *cve.Snapshot) (*Backport, error) {
-	return e.BackportAllN(snap, 0)
-}
-
-// BackportAllN is BackportAll with a per-call worker budget (zero or
-// negative falls back to the engine's configured workers). Callers
-// that fan several engine batch calls out concurrently — the
-// experiments suite — pass their budget share here so the aggregate
-// parallelism stays bounded. Predicted scores are identical at any
-// setting.
+// BackportAllN predicts v3 scores for every entry lacking one — the
+// §4.3 bulk path (the paper's 74K v2-only CVEs) — scoring entries with
+// up to workers goroutines (zero or negative falls back to the
+// engine's configured workers). Callers that fan several engine batch
+// calls out concurrently — the experiments suite — pass their budget
+// share here so the aggregate parallelism stays bounded. Predicted
+// scores are identical at any setting.
 func (e *Engine) BackportAllN(snap *cve.Snapshot, workers int) (*Backport, error) {
 	if workers <= 0 {
 		workers = e.cfg.Workers
@@ -371,7 +371,7 @@ func (e *Engine) BackportAllN(snap *cve.Snapshot, workers int) (*Backport, error
 	if !ok {
 		return nil, errors.New("predict: engine has no trained model")
 	}
-	preds, err := predictAll(model, rows, workers)
+	preds, err := model.predict(rows, workers)
 	if err != nil {
 		return nil, fmt.Errorf("predict: backporting: %w", err)
 	}
@@ -438,15 +438,10 @@ func PredictedTransitions(snap *cve.Snapshot, b *Backport) [][2]cvss.Severity {
 	return out
 }
 
-// TestTransitions computes Table 14 (ground truth on the test split)
+// TestTransitionsN computes Table 14 (ground truth on the test split)
 // and Table 15 (model predictions on the test split), scoring the
-// split in parallel with the engine's configured workers.
-func (e *Engine) TestTransitions(ds *Dataset) (truth, predicted [][2]cvss.Severity, err error) {
-	return e.TestTransitionsN(ds, 0)
-}
-
-// TestTransitionsN is TestTransitions with a per-call worker budget
-// (zero or negative falls back to the engine's configured workers).
+// split with up to workers goroutines (zero or negative falls back to
+// the engine's configured workers).
 func (e *Engine) TestTransitionsN(ds *Dataset, workers int) (truth, predicted [][2]cvss.Severity, err error) {
 	if workers <= 0 {
 		workers = e.cfg.Workers
@@ -456,7 +451,7 @@ func (e *Engine) TestTransitionsN(ds *Dataset, workers int) (truth, predicted []
 	for i, s := range ds.Test {
 		rows[i] = s.Features
 	}
-	preds, err := predictAll(m, rows, workers)
+	preds, err := m.predict(rows, workers)
 	if err != nil {
 		return nil, nil, err
 	}

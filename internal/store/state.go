@@ -71,8 +71,6 @@ func (st *State) WriteJSON(w io.Writer) error {
 	} else if b, err = writeMap(bw, b, st.CWEFix, appendCorrection); err != nil {
 		return err
 	}
-	b = append(b, `,"hasBackport":`...)
-	b = strconv.AppendBool(b, st.HasBackport)
 	if len(st.Backport) > 0 {
 		if b, err = writeMap(bw, append(b, `,"backport":`...), st.Backport, appendScore); err != nil {
 			return err

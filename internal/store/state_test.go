@@ -126,8 +126,7 @@ func randState(r *rand.Rand) *State {
 			},
 			Seed: randInt(r),
 		},
-		Crawled:     r.Intn(2) == 0,
-		HasBackport: r.Intn(2) == 0,
+		Crawled: r.Intn(2) == 0,
 	}
 	if r.Intn(2) == 0 {
 		st.Fingerprint = edgeUints[r.Intn(len(edgeUints))]

@@ -117,10 +117,8 @@ type State struct {
 	// CWEFix holds the §4.4 outcomes that rewrote an entry's CWE field.
 	// An entry without a record was left alone.
 	CWEFix map[string]predict.EntryCorrection `json:"cweFix"`
-	// HasBackport marks a generation carrying predicted v3 scores;
-	// Backport maps CVE ID to the predicted score.
-	HasBackport bool               `json:"hasBackport"`
-	Backport    map[string]float64 `json:"backport,omitempty"`
+	// Backport maps CVE ID to the predicted v3 score.
+	Backport map[string]float64 `json:"backport,omitempty"`
 }
 
 // Checkpoint is one full generation as persisted: the original

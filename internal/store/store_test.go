@@ -102,8 +102,7 @@ func testCheckpoint() *Checkpoint {
 			CWEFix: map[string]predict.EntryCorrection{
 				"CVE-2017-0002": {CWEs: []cwe.ID{cwe.ID(125)}, Changed: true, Kind: predict.CorrectionFromOther},
 			},
-			HasBackport: true,
-			Backport:    map[string]float64{"CVE-2017-0001": 8.5},
+			Backport: map[string]float64{"CVE-2017-0001": 8.5},
 		},
 	}
 }
@@ -169,7 +168,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	st := got.State
 	if st.Fingerprint != 0xfeedbeef || !st.Trained || st.Models != "LR" ||
-		st.ModelConfig != want.State.ModelConfig || st.Seed != 7 || !st.Crawled || !st.HasBackport {
+		st.ModelConfig != want.State.ModelConfig || st.Seed != 7 || !st.Crawled {
 		t.Errorf("state mismatch: %+v", st)
 	}
 	a := st.Crawl["CVE-2017-0001"]

@@ -46,7 +46,7 @@ func trainingOf(opts Options) store.Training {
 // accounting), so unchanged entries of a feed delta replay their
 // artifacts without touching the network. Nothing writes to the
 // state's maps once their run has built them, so checkpoints share
-// them. A run leaves HasBackport and Backport unset: the scores live in
+// them. A run leaves Backport unset: the scores live in
 // Result.Backport, and StoreCheckpoint takes them from there.
 type incState struct {
 	store.State
@@ -523,7 +523,6 @@ func checkDelta(base *Snapshot, d *Delta) error {
 func (r *Result) StoreCheckpoint() *store.Checkpoint {
 	st := r.inc.State
 	if r.Backport != nil {
-		st.HasBackport = true
 		st.Backport = r.Backport.Scores
 	}
 	return &store.Checkpoint{
