@@ -181,15 +181,15 @@ func TestCleanDeltaAllocGuard(t *testing.T) {
 // TestCheckpointSizeGuard is the checkpoint-size regression bound: the
 // committed checkpoint (no index) of a 3K-entry Clean must stay within
 // a recorded budget of bytes per snapshot entry. A checkpoint stores
-// the original feed, the consolidation maps and the reuse state, never
-// the cleaned feed they determine; storing that too would double it.
+// the original feed, the naming survey and the reuse state, never the
+// cleaned feed they determine; storing that too would double it.
 // The reuse state lists §4.4 outcomes only for the entries the fix
 // corrected; one record per entry would add 54 bytes per entry.
 // The bytes are deterministic, so the guard runs in -short mode as
 // well. Raising this bound is a format regression — justify it in the
 // commit that does.
 func TestCheckpointSizeGuard(t *testing.T) {
-	const maxBytesPerEntry = 1400.0 // measured 1,299; 1,353 with every §4.4 outcome, 2,672 with the cleaned feed too
+	const maxBytesPerEntry = 1400.0 // measured 1,303; 1,299 with the consolidation maps in place of the survey, 1,353 with every §4.4 outcome, 2,672 with the cleaned feed too
 	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
 	if err != nil {
 		t.Fatal(err)
@@ -239,9 +239,10 @@ func TestCommitAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
 	}
-	// Measured 0.36 per entry at 3K entries; 1.66 when json.Encoder
-	// wrote state.json, and 30.8 when the feed writer also built an
-	// itemJSON tree per entry for it.
+	// Measured 0.33 per entry at 3K entries; 0.36 with the two
+	// consolidation maps in place of the naming survey, 1.66 when
+	// json.Encoder wrote state.json, and 30.8 when the feed writer also
+	// built an itemJSON tree per entry for it.
 	const maxCommitAllocsPerEntry = 0.5
 	// Measured 2 at both sizes (the write buffer and the entry buffer);
 	// the tree-building writer allocated 10,701 at 400 entries and
@@ -406,22 +407,11 @@ func TestReadFeedAllocGuard(t *testing.T) {
 	}
 }
 
-// TestRestoreAllocGuard is the restore allocation bound: RestoreResult
-// of a committed 3K-entry checkpoint, under the options it was
-// committed with, must stay within a recorded budget of heap objects
-// per entry. The restore runs the stages with the checkpoint as their
-// reuse state: the naming stages apply the checkpoint's maps and
-// severity replays its engine and scores. Surveying names at restore
-// instead would add about 21 objects per entry. Raising the bound is a
-// restart and replica-bootstrap regression — justify it in the commit
-// that does.
-func TestRestoreAllocGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
-	}
-	// Measured 0.120 per entry at 3K entries; 0.107 when RestoreResult
-	// rebuilt the Result by hand without running the stages.
-	const maxAllocsPerEntry = 1.0
+// committedSmallScale cleans the 3K-entry snapshot with the LR model
+// alone, commits the Result's checkpoint, and returns the options and
+// the Result with the checkpoint the store loads back.
+func committedSmallScale(t *testing.T) (nvdclean.Options, *nvdclean.Result, *store.Checkpoint) {
+	t.Helper()
 	snap, _, err := nvdclean.GenerateSnapshot(nvdclean.SmallScale())
 	if err != nil {
 		t.Fatal(err)
@@ -449,9 +439,31 @@ func TestRestoreAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	st.Close()
+	return opts, res, cp
+}
+
+// TestRestoreAllocGuard is the restore allocation bound: RestoreResult
+// of a committed 3K-entry checkpoint, under the options it was
+// committed with, must stay within a recorded budget of heap objects
+// per entry. The restore is CleanDelta of an empty delta: the naming
+// stages carry the checkpoint's survey over, and severity replays its
+// engine and scores. Surveying names at restore instead would add
+// about 21 objects per entry. Raising the bound is a restart and
+// replica-bootstrap regression — justify it in the commit that does.
+func TestRestoreAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
+	}
+	// Measured 0.18 per entry at 3K entries; 0.120 when the naming
+	// stages applied the checkpoint's consolidation maps, which left
+	// the first CleanDelta to survey every name.
+	const maxAllocsPerEntry = 1.0
+	opts, res, cp := committedSmallScale(t)
+	snap := res.Original
 	var restoreErr error
 	var restored *nvdclean.Result
+	var err error
 	allocs := testing.AllocsPerRun(5, func() {
 		if restored, err = nvdclean.RestoreResult(cp, opts); err != nil {
 			restoreErr = err
@@ -467,6 +479,56 @@ func TestRestoreAllocGuard(t *testing.T) {
 	t.Logf("RestoreResult: %.0f allocations over %d entries = %.3f per entry", allocs, snap.Len(), perEntry)
 	if perEntry > maxAllocsPerEntry {
 		t.Errorf("RestoreResult costs %.3f allocations per entry, budget %.1f", perEntry, maxAllocsPerEntry)
+	}
+}
+
+// TestRestoreThenCleanDeltaAllocGuard bounds the first post after a
+// restart or a replica bootstrap: a one-entry description edit through
+// CleanDelta on a Result restored from a committed 3K-entry checkpoint
+// must allocate within 1.5x of the same CleanDelta on the Clean Result
+// the checkpoint came from. The checkpoint carries the naming survey,
+// so both derive theirs in O(delta); when it carried the consolidation
+// maps instead, the restored Result surveyed every name again, about
+// 120 times the allocations.
+func TestRestoreThenCleanDeltaAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
+	}
+	const maxRatio = 1.5
+	opts, res, cp := committedSmallScale(t)
+	restored, err := nvdclean.RestoreResult(cp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target *nvdclean.Entry
+	for _, e := range res.Original.Entries {
+		if e.V2 != nil && e.V3 == nil && len(e.CPEs) > 0 {
+			target = e
+			break
+		}
+	}
+	if target == nil {
+		t.Fatal("no v2-only entry to edit")
+	}
+	mod := target.Clone()
+	mod.Descriptions[0].Value += " Exploited in the wild."
+	delta := &nvdclean.Delta{CapturedAt: res.Original.CapturedAt, Modified: []*nvdclean.Entry{mod}}
+	allocs := func(prev *nvdclean.Result) float64 {
+		var runErr error
+		n := testing.AllocsPerRun(5, func() {
+			if _, err := nvdclean.CleanDelta(context.Background(), prev, delta, opts); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		return n
+	}
+	carried, afterRestore := allocs(res), allocs(restored)
+	t.Logf("CleanDelta of one entry: %.0f allocations on the Clean Result, %.0f on the restored one", carried, afterRestore)
+	if afterRestore > maxRatio*carried {
+		t.Errorf("CleanDelta of one entry after a restore costs %.0f allocations, over %.1fx the %.0f on the Clean Result", afterRestore, maxRatio, carried)
 	}
 }
 

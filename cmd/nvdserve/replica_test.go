@@ -21,6 +21,14 @@ import (
 	"nvdclean/internal/store"
 )
 
+// surveyOf returns the completed §4.2 naming survey of snap, which a
+// checkpoint carries.
+func surveyOf(snap *cve.Snapshot) *naming.Survey {
+	sv := naming.NewSurvey(snap)
+	sv.AnalyzeProducts(sv.AnalyzeVendors(1).Consolidate(naming.HeuristicJudge{}), 1)
+	return sv
+}
+
 // protoPrimary builds a store-backed server with a minimal committed
 // checkpoint — enough for the /replicate protocol handlers, which never
 // touch the serving generation — without paying a pipeline run.
@@ -35,12 +43,7 @@ func protoPrimary(t *testing.T) *server {
 		CPEs:         []cpe.Name{cpe.NewName(cpe.PartApplication, "acme", "anvil", "")},
 	}
 	snap := &cve.Snapshot{CapturedAt: time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC), Entries: []*cve.Entry{e}}
-	cp := &store.Checkpoint{
-		Original: snap,
-		Vendors:  naming.NewMap(nil),
-		Products: naming.NewProductMap(nil),
-		State:    &store.State{},
-	}
+	cp := &store.Checkpoint{Original: snap, Survey: surveyOf(snap), State: &store.State{}}
 	if err := str.Commit(cp); err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +167,8 @@ func TestReplicateEndpoints(t *testing.T) {
 	if snapResp.StatusCode != http.StatusOK || snapResp.Header.Get("X-Nvdserve-Sealed") != "1" {
 		t.Fatalf("sealed segment read: %d sealed=%q", snapResp.StatusCode, snapResp.Header.Get("X-Nvdserve-Sealed"))
 	}
-	cp2 := &store.Checkpoint{
-		Original: &cve.Snapshot{CapturedAt: time.Now().UTC()},
-		Vendors:  naming.NewMap(nil),
-		Products: naming.NewProductMap(nil),
-		State:    &store.State{},
-	}
+	empty := &cve.Snapshot{CapturedAt: time.Now().UTC()}
+	cp2 := &store.Checkpoint{Original: empty, Survey: surveyOf(empty), State: &store.State{}}
 	if err := srv.persist.CommitSealed(cp2, 1); err != nil {
 		t.Fatal(err)
 	}

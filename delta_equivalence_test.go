@@ -3,7 +3,10 @@ package nvdclean_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -246,10 +249,10 @@ func flipCorrections(t *testing.T, target *nvdclean.Snapshot) {
 // consolidate returns the vendor and product maps a Clean of snap
 // consolidates.
 func consolidate(snap *nvdclean.Snapshot) (*naming.Map, *naming.ProductMap) {
-	vm := naming.AnalyzeVendors(snap).Consolidate(naming.HeuristicJudge{})
+	vm := naming.AnalyzeVendorsN(snap, 0).Consolidate(naming.HeuristicJudge{})
 	renamed := snap.Clone()
 	vm.Apply(renamed)
-	return vm, naming.AnalyzeProducts(renamed).Consolidate(naming.HeuristicProductJudge{})
+	return vm, naming.AnalyzeProductsN(renamed, 0).Consolidate(naming.HeuristicProductJudge{})
 }
 
 // assertResultsEqual requires two Clean results to be bit-identical in
@@ -620,6 +623,113 @@ func TestReuseStateLayout(t *testing.T) {
 	if got.Engine != warm.Engine {
 		t.Error("v2-only delta after the older layout did not reuse the restored engine")
 	}
+}
+
+// TestCheckpointListingNameMapsOpens opens the layout older builds
+// wrote, whose manifest lists the consolidation maps, vendors.json and
+// products.json, in place of survey.json. The loader checks the maps'
+// sums like any listed file's and never decodes them, so the
+// checkpoint loads without a note or a survey, without a migration.
+// Its restore surveys from scratch and must equal a cold Clean, and
+// the next commit must list survey.json, holding the cold Clean's
+// survey, and neither map.
+func TestCheckpointListingNameMapsOpens(t *testing.T) {
+	fix := newDeltaFixture(t, 4, mixedDelta)
+	cold, err := nvdclean.Clean(context.Background(), fix.old, fix.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(dir string, res *nvdclean.Result) {
+		t.Helper()
+		st, _, _, _, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if err := st.Commit(res.StoreCheckpoint()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type fileSum struct {
+		Size   int64  `json:"size"`
+		CRC32C uint32 `json:"crc32c"`
+	}
+	manifest := func(dir string) (map[string]json.RawMessage, map[string]fileSum) {
+		t.Helper()
+		var m map[string]json.RawMessage
+		var files map[string]fileSum
+		if err := json.Unmarshal(checkpointFile(t, dir, "MANIFEST.json"), &m); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(m["files"], &files); err != nil {
+			t.Fatal(err)
+		}
+		return m, files
+	}
+	dir := t.TempDir()
+	commit(dir, cold)
+
+	// Rewrite the checkpoint to the older layout.
+	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := filepath.Join(dir, strings.TrimSpace(string(cur)))
+	m, files := manifest(dir)
+	if err := os.Remove(filepath.Join(gen, "survey.json")); err != nil {
+		t.Fatal(err)
+	}
+	delete(files, "survey.json")
+	for name, write := range map[string]func(io.Writer) error{
+		"vendors.json":  cold.VendorMap.WriteJSON,
+		"products.json": cold.ProductMap.WriteJSON,
+	} {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(gen, name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[name] = fileSum{int64(buf.Len()), crc32.Checksum(buf.Bytes(), crc32.MakeTable(crc32.Castagnoli))}
+	}
+	if m["files"], err = json.Marshal(files); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(gen, "MANIFEST.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, cp, _, notes, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if cp == nil || cp.Survey != nil || len(notes) != 0 {
+		t.Fatalf("older layout: checkpoint %v, survey %v, notes %v", cp != nil, cp != nil && cp.Survey != nil, notes)
+	}
+	warm, err := nvdclean.RestoreResult(cp, fix.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, "older layout restored", warm, cold)
+	if err := st.Commit(warm.StoreCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	_, files = manifest(dir)
+	_, survey := files["survey.json"]
+	_, vendors := files["vendors.json"]
+	_, products := files["products.json"]
+	if !survey || vendors || products {
+		t.Fatalf("the next commit lists survey.json %v, vendors.json %v, products.json %v", survey, vendors, products)
+	}
+	fresh := t.TempDir()
+	commit(fresh, cold)
+	sameCheckpointBytes(t, dir, fresh)
 }
 
 // TestCleanDeltaChain applies two deltas in sequence and requires the

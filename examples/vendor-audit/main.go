@@ -26,7 +26,7 @@ func main() {
 	fmt.Printf("snapshot: %d distinct vendor names\n\n", snap.DistinctVendors())
 
 	// Survey candidate pairs with the §4.2 heuristics.
-	va := naming.AnalyzeVendors(snap)
+	va := naming.AnalyzeVendorsN(snap, 0)
 	fmt.Printf("candidate vendor pairs: %d\n", len(va.Pairs))
 	fmt.Println("examples:")
 	shown := 0
@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("\nconsolidated %d names onto %d canonical vendors (%d CVEs rewritten)\n",
 		m.Len(), len(m.Targets()), changed)
 
-	pa := naming.AnalyzeProducts(snap)
+	pa := naming.AnalyzeProductsN(snap, 0)
 	pm := pa.Consolidate(naming.HeuristicProductJudge{})
 	pm.Apply(snap)
 	fmt.Printf("consolidated %d product names across %d vendors\n\n",

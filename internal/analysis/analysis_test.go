@@ -250,7 +250,7 @@ func TestMislabeledAndCaseStudies(t *testing.T) {
 	f := setup(t)
 	// Apply naming fixes on a clone, recording which CVEs changed.
 	clone := f.snap.Clone()
-	va := naming.AnalyzeVendors(clone)
+	va := naming.AnalyzeVendorsN(clone, 0)
 	vm := va.Consolidate(naming.HeuristicJudge{})
 	vendorChanged := make(map[string]bool)
 	for _, e := range clone.Entries {
@@ -260,7 +260,7 @@ func TestMislabeledAndCaseStudies(t *testing.T) {
 			}
 		}
 	}
-	pa := naming.AnalyzeProducts(clone)
+	pa := naming.AnalyzeProductsN(clone, 0)
 	pm := pa.Consolidate(naming.HeuristicProductJudge{})
 	productChanged := make(map[string]bool)
 	for _, e := range clone.Entries {

@@ -89,7 +89,7 @@ func (DongBaseline) Pairs(snap *cve.Snapshot) []ProductPair {
 // oracle, returning (truePositives, falsePositives) per method. It is
 // the quantitative version of the paper's qualitative comparison.
 func CompareBaseline(snap *cve.Snapshot, oracle OracleProductJudge) (ours, dong struct{ TP, FP int }) {
-	pa := AnalyzeProducts(snap)
+	pa := AnalyzeProductsN(snap, 0)
 	judge := HeuristicProductJudge{}
 	for i := range pa.Pairs {
 		p := &pa.Pairs[i]

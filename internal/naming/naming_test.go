@@ -51,7 +51,7 @@ func paperSnapshot() *cve.Snapshot {
 }
 
 func TestAnalyzeVendorsFindsPaperPatterns(t *testing.T) {
-	va := AnalyzeVendors(paperSnapshot())
+	va := AnalyzeVendorsN(paperSnapshot(), 0)
 	find := func(a, b string) *VendorPair {
 		if a > b {
 			a, b = b, a
@@ -93,7 +93,7 @@ func TestAnalyzeVendorsFindsPaperPatterns(t *testing.T) {
 }
 
 func TestHeuristicJudge(t *testing.T) {
-	va := AnalyzeVendors(paperSnapshot())
+	va := AnalyzeVendorsN(paperSnapshot(), 0)
 	judge := HeuristicJudge{}
 	want := map[[2]string]bool{
 		{"microsft", "microsoft"}:        true,
@@ -117,7 +117,7 @@ func TestHeuristicJudge(t *testing.T) {
 }
 
 func TestConsolidateCanonicalByMostCVEs(t *testing.T) {
-	va := AnalyzeVendors(paperSnapshot())
+	va := AnalyzeVendorsN(paperSnapshot(), 0)
 	m := va.Consolidate(HeuristicJudge{})
 	tests := []struct{ alias, canonical string }{
 		{"microsft", "microsoft"},
@@ -142,7 +142,7 @@ func TestConsolidateCanonicalByMostCVEs(t *testing.T) {
 
 func TestApplyRewritesSnapshot(t *testing.T) {
 	snap := paperSnapshot()
-	va := AnalyzeVendors(snap)
+	va := AnalyzeVendorsN(snap, 0)
 	m := va.Consolidate(HeuristicJudge{})
 	changed := m.Apply(snap)
 	if changed == 0 {
@@ -162,7 +162,7 @@ func TestVendorHeuristicsAgainstOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	va := AnalyzeVendors(snap)
+	va := AnalyzeVendorsN(snap, 0)
 	oracle := OracleJudge{Canonical: truth.CanonicalVendor}
 	judge := HeuristicJudge{}
 
@@ -208,7 +208,7 @@ func TestConsolidationRecoversInjectedAliases(t *testing.T) {
 			used[v] = true
 		}
 	}
-	va := AnalyzeVendors(snap)
+	va := AnalyzeVendorsN(snap, 0)
 	m := va.Consolidate(HeuristicJudge{})
 	var present, recovered int
 	for alias, canonical := range truth.VendorCanonical {
@@ -246,7 +246,7 @@ func productSnapshot() *cve.Snapshot {
 }
 
 func TestAnalyzeProducts(t *testing.T) {
-	pa := AnalyzeProducts(productSnapshot())
+	pa := AnalyzeProductsN(productSnapshot(), 0)
 	find := func(vendor, a, b string) *ProductPair {
 		if a > b {
 			a, b = b, a
@@ -274,7 +274,7 @@ func TestAnalyzeProducts(t *testing.T) {
 }
 
 func TestHeuristicProductJudge(t *testing.T) {
-	pa := AnalyzeProducts(productSnapshot())
+	pa := AnalyzeProductsN(productSnapshot(), 0)
 	judge := HeuristicProductJudge{}
 	want := map[[3]string]bool{
 		{"microsoft", "internet-explorer", "internet_explorer"}:       true,
@@ -301,7 +301,7 @@ func TestHeuristicProductJudge(t *testing.T) {
 
 func TestProductConsolidateAndApply(t *testing.T) {
 	snap := productSnapshot()
-	pa := AnalyzeProducts(snap)
+	pa := AnalyzeProductsN(snap, 0)
 	m := pa.Consolidate(HeuristicProductJudge{})
 	if got := m.Canonical("microsoft", "ie"); got != "internet_explorer" {
 		t.Errorf("Canonical(ie) = %s", got)
@@ -352,7 +352,7 @@ func TestBuildTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	va := AnalyzeVendors(snap)
+	va := AnalyzeVendorsN(snap, 0)
 	table := BuildTable2(va, OracleJudge{Canonical: truth.CanonicalVendor})
 	if table.Possible.TotalPairs() == 0 {
 		t.Fatal("no possible pairs")
@@ -393,7 +393,7 @@ func BenchmarkAnalyzeVendorsSmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AnalyzeVendors(snap)
+		AnalyzeVendorsN(snap, 0)
 	}
 }
 
@@ -405,6 +405,6 @@ func BenchmarkAnalyzeProductsSmall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AnalyzeProducts(snap)
+		AnalyzeProductsN(snap, 0)
 	}
 }

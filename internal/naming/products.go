@@ -48,18 +48,12 @@ type ProductAnalysis struct {
 	CVECount map[[2]string]int
 }
 
-// AnalyzeProducts surveys product names per vendor using the §4.2
+// AnalyzeProductsN surveys product names per vendor using the §4.2
 // heuristics: identical tokenization (internet-explorer vs
 // internet_explorer), first-character abbreviation (ie), and edit
-// distance 1 (human-error typos). Vendors are analyzed with GOMAXPROCS
-// workers.
-func AnalyzeProducts(snap *cve.Snapshot) *ProductAnalysis {
-	return AnalyzeProductsN(snap, 0)
-}
-
-// AnalyzeProductsN is AnalyzeProducts with an explicit worker bound
-// (zero means GOMAXPROCS). It tallies the snapshot's names, then
-// analyzes the tallies.
+// distance 1 (human-error typos). Vendors are analyzed with up to
+// workers workers (zero means GOMAXPROCS). It tallies the snapshot's
+// names, then analyzes the tallies.
 func AnalyzeProductsN(snap *cve.Snapshot, workers int) *ProductAnalysis {
 	return analyzeProducts(tally(snap.Entries, namedPair), workers, nil, nil)
 }
@@ -301,12 +295,6 @@ func (o OracleProductJudge) SameProduct(p *ProductPair) bool {
 // product name.
 type ProductMap struct {
 	forward map[[2]string]string
-}
-
-// NewProductMap wraps a ready (vendor, alias)→canonical mapping, the
-// product counterpart of NewMap.
-func NewProductMap(m map[[2]string]string) *ProductMap {
-	return &ProductMap{forward: m}
 }
 
 // Canonical resolves a product name under a vendor.

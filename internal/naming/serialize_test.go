@@ -2,6 +2,8 @@ package naming
 
 import (
 	"bytes"
+	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -55,42 +57,64 @@ func TestReadMapJSONErrors(t *testing.T) {
 	}
 }
 
-func TestProductMapJSONRoundTrip(t *testing.T) {
-	snap := productSnapshot()
-	pa := AnalyzeProducts(snap)
-	orig := pa.Consolidate(HeuristicProductJudge{})
-	if orig.Len() == 0 {
+// TestProductMapWriteJSONLayout pins the document nvdclean
+// -product-map writes: kind "product-map", and each (vendor, alias)
+// key flattened to "vendor\tproduct" and mapped to its canonical name.
+func TestProductMapWriteJSONLayout(t *testing.T) {
+	pm := AnalyzeProductsN(productSnapshot(), 0).Consolidate(HeuristicProductJudge{})
+	if pm.Len() == 0 {
 		t.Fatal("fixture produced empty product map")
 	}
 	var buf bytes.Buffer
-	if err := orig.WriteJSON(&buf); err != nil {
+	if err := pm.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadProductMapJSON(&buf)
-	if err != nil {
+	var doc struct {
+		Kind     string            `json:"kind"`
+		Products map[string]string `json:"products"`
+	}
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != orig.Len() {
-		t.Fatalf("len = %d, want %d", back.Len(), orig.Len())
+	want := make(map[string]string)
+	for k, canonical := range pm.Entries() {
+		want[k[0]+"\t"+k[1]] = canonical
 	}
-	for k, canonical := range orig.Entries() {
-		if got := back.Canonical(k[0], k[1]); got != canonical {
-			t.Errorf("Canonical(%q, %q) = %q, want %q", k[0], k[1], got, canonical)
-		}
+	if doc.Kind != "product-map" || !maps.Equal(doc.Products, want) {
+		t.Errorf("product map written as kind %q with %v, want product-map with %v", doc.Kind, doc.Products, want)
 	}
 }
 
-func TestReadProductMapJSONErrors(t *testing.T) {
-	cases := []string{
-		"{",
-		`{"kind":"vendor-map","products":{}}`,
-		`{"kind":"product-map","products":{"nokey":"x"}}`,
-		`{"kind":"product-map","products":{"v\tp":""}}`,
+// TestReadSurveyJSONErrors feeds ReadSurveyJSON documents a store could
+// read from a damaged disk or a faulty primary: each must fail rather
+// than load a survey whose derivations would search or splice pairs
+// out of order.
+func TestReadSurveyJSONErrors(t *testing.T) {
+	snap := paperSnapshot()
+	for _, tc := range []struct{ name, in string }{
+		{"not json", "{"},
+		{"wrong kind", `{"kind":"vendor-map","vendors":{}}`},
+		{"self mapping", `{"kind":"naming-survey","vendorMap":{"a":"a"}}`},
+		{"empty canonical", `{"kind":"naming-survey","vendorMap":{"a":""}}`},
+		{"vendor pairs out of order", `{"kind":"naming-survey","vendorPairs":[{"A":"b","B":"c"},{"A":"a","B":"c"}]}`},
+		{"vendor pair repeated", `{"kind":"naming-survey","vendorPairs":[{"A":"a","B":"c"},{"A":"a","B":"c"}]}`},
+		{"vendor pair names reversed", `{"kind":"naming-survey","vendorPairs":[{"A":"c","B":"a"}]}`},
+		{"product pairs out of vendor order", `{"kind":"naming-survey","productPairs":[{"Vendor":"v","A":"a","B":"b"},{"Vendor":"u","A":"a","B":"b"}]}`},
+		{"product pairs out of order", `{"kind":"naming-survey","productPairs":[{"Vendor":"v","A":"a","B":"c"},{"Vendor":"v","A":"a","B":"b"}]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadSurveyJSON(strings.NewReader(tc.in), snap); err == nil {
+				t.Error("expected error")
+			}
+		})
 	}
-	for _, in := range cases {
-		if _, err := ReadProductMapJSON(strings.NewReader(in)); err == nil {
-			t.Errorf("expected error for %q", in)
-		}
+	// A survey with no pairs and an empty map is fine, and its tallies
+	// come from the snapshot.
+	sv, err := ReadSurveyJSON(strings.NewReader(`{"kind":"naming-survey","vendorPairs":[],"productPairs":[]}`), snap)
+	if err != nil || sv.vendorMap.Len() != 0 || !maps.Equal(sv.vendors.CVECount, snap.VendorCVECount()) {
+		t.Errorf("empty survey: %v", err)
 	}
 }
 
@@ -98,7 +122,7 @@ func TestSerializedMapAppliesAcrossProcesses(t *testing.T) {
 	// Simulate the §4.2 cross-database workflow: consolidate on one
 	// snapshot, serialize, load elsewhere, apply to different strings.
 	snap := paperSnapshot()
-	va := AnalyzeVendors(snap)
+	va := AnalyzeVendorsN(snap, 0)
 	m := va.Consolidate(HeuristicJudge{})
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {

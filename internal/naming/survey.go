@@ -19,7 +19,8 @@ import (
 // Run AnalyzeVendors, then AnalyzeProducts with the vendor map
 // consolidated from it. A completed survey is read-only: deriving the
 // next one copies whatever it changes, so one survey can seed several
-// derivations concurrently.
+// derivations concurrently. WriteJSON persists a completed survey, and
+// ReadSurveyJSON loads it.
 type Survey struct {
 	// pairs counts CVEs per (vendor, product) as named.
 	pairs map[[2]string]int
@@ -85,17 +86,16 @@ func (s *Survey) AnalyzeVendors(workers int) *VendorAnalysis {
 // snapshot. Either way only vendors whose catalog gained or lost a
 // product are surveyed again, and every other vendor keeps its pairs.
 func (s *Survey) AnalyzeProducts(vm *Map, workers int) *ProductAnalysis {
-	key := func(n cpe.Name) [2]string { return [2]string{vm.Canonical(n.Vendor), n.Product} }
 	p := s.prev
 	if p == nil {
-		s.products = analyzeProducts(tally(s.snap.Entries, key), workers, nil, nil)
+		s.products = analyzeProducts(tally(s.snap.Entries, vm.pair), workers, nil, nil)
 	} else {
 		var counts map[[2]string]int
 		var moved [][2]string
 		if maps.Equal(p.vendorMap.forward, vm.forward) {
-			counts, moved = recount(p.products.CVECount, s.before, s.after, key)
+			counts, moved = recount(p.products.CVECount, s.before, s.after, vm.pair)
 		} else {
-			counts = tally(s.snap.Entries, key)
+			counts = tally(s.snap.Entries, vm.pair)
 			moved = keysMoved(p.products.CVECount, counts)
 		}
 		if len(moved) == 0 {
@@ -116,6 +116,9 @@ func (s *Survey) AnalyzeProducts(vm *Map, workers int) *ProductAnalysis {
 
 func vendorName(n cpe.Name) string   { return n.Vendor }
 func namedPair(n cpe.Name) [2]string { return [2]string{n.Vendor, n.Product} }
+
+// pair is a name's (vendor, product) under the vendor consolidation.
+func (m *Map) pair(n cpe.Name) [2]string { return [2]string{m.Canonical(n.Vendor), n.Product} }
 
 // tally counts, per key, the entries with a CPE name yielding it. An
 // entry counts once per key however many of its names yield it.

@@ -1,6 +1,7 @@
 package naming
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -25,7 +26,11 @@ import (
 // among 25 and then 26 vendors, the shared-product blocking bound, and
 // lets an alias overtake its canonical name. Each chain must take the
 // carried-pairs path, the re-blocking path and the changed-vendor-map
-// path at least once. -short runs a few seeds; the full tier hundreds.
+// path at least once. On every odd step the carried survey also goes
+// through WriteJSON and ReadSurveyJSON, as a checkpoint stores and
+// restores it, must read back equal, and the chain continues from the
+// copy read back, so derivations from a restored survey take every
+// path too. -short runs a few seeds; the full tier hundreds.
 func TestSurveyCarryOverOracle(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -145,6 +150,20 @@ func runSurveyChain(t *testing.T, seed int64) {
 		}
 		if !maps.Equal(gotVM.forward, vm.forward) {
 			remapped++
+		}
+		if step%2 == 1 {
+			var buf bytes.Buffer
+			if err := nsv.WriteJSON(&buf); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			back, err := ReadSurveyJSON(&buf, next)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(back, nsv) {
+				t.Fatalf("%s: survey read back differs from the one written", label)
+			}
+			nsv, gotVA = back, back.vendors
 		}
 		sv, va, vm, c.snap = nsv, gotVA, gotVM, next
 	}

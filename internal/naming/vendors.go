@@ -78,15 +78,10 @@ type VendorAnalysis struct {
 	Products map[string]map[string]struct{}
 }
 
-// AnalyzeVendors surveys a snapshot and generates candidate pairs with
-// the §4.2 vendor heuristics, scoring pairs with GOMAXPROCS workers.
-func AnalyzeVendors(snap *cve.Snapshot) *VendorAnalysis {
-	return AnalyzeVendorsN(snap, 0)
-}
-
-// AnalyzeVendorsN is AnalyzeVendors with an explicit worker bound
-// (zero means GOMAXPROCS). It tallies the snapshot's names, then
-// analyzes the tallies.
+// AnalyzeVendorsN surveys a snapshot and generates candidate pairs
+// with the §4.2 vendor heuristics, scoring pairs with up to workers
+// workers (zero means GOMAXPROCS). It tallies the snapshot's names,
+// then analyzes the tallies.
 func AnalyzeVendorsN(snap *cve.Snapshot, workers int) *VendorAnalysis {
 	return analyzeVendors(tally(snap.Entries, vendorName), tally(snap.Entries, namedPair), workers, nil)
 }
@@ -102,18 +97,7 @@ func AnalyzeVendorsN(snap *cve.Snapshot, workers int) *VendorAnalysis {
 // earlier analysis, already scored keeps its LCS, a pure function of
 // the two names; prev may be nil.
 func analyzeVendors(vendorCVEs map[string]int, pairCVEs map[[2]string]int, workers int, prev *VendorAnalysis) *VendorAnalysis {
-	va := &VendorAnalysis{
-		CVECount: vendorCVEs,
-		Products: make(map[string]map[string]struct{}, len(vendorCVEs)),
-	}
-	for k := range pairCVEs {
-		set := va.Products[k[0]]
-		if set == nil {
-			set = make(map[string]struct{})
-			va.Products[k[0]] = set
-		}
-		set[k[1]] = struct{}{}
-	}
+	va := &VendorAnalysis{CVECount: vendorCVEs, Products: productSets(pairCVEs, len(vendorCVEs))}
 	names := make([]string, 0, len(va.CVECount))
 	for name := range va.CVECount {
 		names = append(names, name)
@@ -270,6 +254,21 @@ func analyzeVendors(vendorCVEs map[string]int, pairCVEs map[[2]string]int, worke
 		va.Pairs[i] = vp
 	})
 	return va
+}
+
+// productSets returns each vendor's distinct products, given the CVEs
+// per (vendor, product) and the number of vendors.
+func productSets(pairCVEs map[[2]string]int, vendors int) map[string]map[string]struct{} {
+	sets := make(map[string]map[string]struct{}, vendors)
+	for k := range pairCVEs {
+		set := sets[k[0]]
+		if set == nil {
+			set = make(map[string]struct{})
+			sets[k[0]] = set
+		}
+		set[k[1]] = struct{}{}
+	}
+	return sets
 }
 
 // lcs returns the LCS score of the candidate pair (a, b), a < b, when

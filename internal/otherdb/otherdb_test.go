@@ -13,7 +13,7 @@ func universe(t testing.TB) (*gen.Universe, *gen.Truth, *naming.Map) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	va := naming.AnalyzeVendors(snap)
+	va := naming.AnalyzeVendorsN(snap, 0)
 	return uni, truth, va.Consolidate(naming.HeuristicJudge{})
 }
 

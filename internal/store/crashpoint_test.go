@@ -90,7 +90,7 @@ func materializeDir(t *testing.T, img dirImage) string {
 
 // viewOf recovers a (copy of a) store directory and fingerprints the
 // logical state it serves: the committed checkpoint's generation,
-// watermark, original snapshot, consolidation maps and state document
+// watermark, original snapshot, naming survey and state document
 // (from which the restore derives the cleaned view) plus every
 // replayed delta, in order. Two directories with the same fingerprint
 // recover to the same serving view. Recovery itself must never fail on a crash image — an error
@@ -111,10 +111,7 @@ func viewOf(t *testing.T, dir string) string {
 	if err := cve.WriteFeedCompact(h, cp.Original); err != nil {
 		return "unrecoverable: " + err.Error()
 	}
-	if err := cp.Vendors.WriteJSON(h); err != nil {
-		return "unrecoverable: " + err.Error()
-	}
-	if err := cp.Products.WriteJSON(h); err != nil {
+	if err := cp.Survey.WriteJSON(h); err != nil {
 		return "unrecoverable: " + err.Error()
 	}
 	if err := json.NewEncoder(h).Encode(cp.State); err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -193,8 +194,8 @@ func TestInstallCheckpointRoundTrip(t *testing.T) {
 			t.Errorf("shipped original entry %d mismatch", i)
 		}
 	}
-	if cp.Vendors.Canonical("redhat_inc") != "redhat" {
-		t.Error("shipped vendor map mismatch")
+	if !reflect.DeepEqual(cp.Survey, want.Survey) {
+		t.Error("shipped survey mismatch")
 	}
 
 	// Tail the primary's frames verbatim; positions must align.

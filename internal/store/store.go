@@ -9,12 +9,12 @@
 //	log-NNNNNN       one delta-log segment of CRC-framed records
 //
 // A checkpoint directory contains the original snapshot in NVD JSON 1.1
-// feed form, the consolidation maps, the trained severity engine, and
+// feed form, the §4.2 naming survey, the trained severity engine, and
 // state.json — the incremental-reuse state (dataset fingerprint,
 // training signature, per-entry crawl artifacts, the §4.4 corrections,
 // backported scores) that lets a restart rebuild a delta-cleanable
 // Result without re-running the pipeline. The cleaned view is not
-// stored: the original, the two maps and state.json determine it, and
+// stored: the original, the survey and state.json determine it, and
 // the restore derives it from them.
 // MANIFEST.json closes the checkpoint with per-file CRC-32C sums — and
 // the walSeq watermark naming the highest log segment the checkpoint
@@ -72,8 +72,7 @@ const (
 	currentFile  = "CURRENT"
 	manifestFile = "MANIFEST.json"
 	originalFile = "original.json"
-	vendorsFile  = "vendors.json"
-	productsFile = "products.json"
+	surveyFile   = "survey.json"
 	engineFile   = "engine.json"
 	stateFile    = "state.json"
 )
@@ -99,8 +98,8 @@ type Training struct {
 
 // State is the incremental-reuse state of one cleaned generation —
 // everything CleanDelta needs from a previous Result that is not
-// already in the original snapshot, the consolidation maps, or the
-// engine document. A Result carries it as is, and a checkpoint
+// already in the original snapshot, the naming survey, or the engine
+// document. A Result carries it as is, and a checkpoint
 // persists it as state.json (WriteJSON).
 type State struct {
 	// Fingerprint is the §4.3 dataset fingerprint of the cleaned
@@ -122,20 +121,21 @@ type State struct {
 }
 
 // Checkpoint is one full generation as persisted: the original
-// snapshot, the consolidation maps, the trained engine (nil when the
-// severity stage did not run) and the reuse state, from which the
-// cleaned view is derived. Generation and Seq are filled by the store
-// on load; callers building a checkpoint leave them zero.
+// snapshot, the completed §4.2 naming survey of it, the trained engine
+// (nil when the severity stage did not run) and the reuse state, from
+// which the cleaned view is derived. Generation and Seq are filled by
+// the store on load; callers building a checkpoint leave them zero.
 type Checkpoint struct {
 	Generation uint64
 	// Seq is the walSeq watermark: the highest delta-log segment this
 	// checkpoint folds in. Recovery replays only segments above it.
 	Seq      uint64
 	Original *cve.Snapshot
-	Vendors  *naming.Map
-	Products *naming.ProductMap
-	Engine   *predict.Engine
-	State    *State
+	// Survey is nil on load of a checkpoint an older build wrote,
+	// which lists the consolidation maps in place of survey.json.
+	Survey *naming.Survey
+	Engine *predict.Engine
+	State  *State
 	// Index is the generation's query index. On commit, a non-nil
 	// Index persists as per-shard segment files; on load, it is
 	// assembled lazily from them (shards stay raw bytes until first
@@ -534,8 +534,7 @@ func (s *Store) CommitSealed(cp *Checkpoint, seq uint64) error {
 var errSuperseded = errors.New("store: checkpoint superseded")
 
 func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
-	if cp == nil || cp.Original == nil || cp.State == nil ||
-		cp.Vendors == nil || cp.Products == nil {
+	if cp == nil || cp.Original == nil || cp.State == nil || cp.Survey == nil {
 		return fmt.Errorf("store: incomplete checkpoint")
 	}
 	if cp.Index != nil && cp.Index.Entries() != len(cp.Original.Entries) {
@@ -544,8 +543,7 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 	}
 	files := []stagedFile{
 		{originalFile, func(w io.Writer) error { return cve.WriteFeedCompact(w, cp.Original) }},
-		{vendorsFile, cp.Vendors.WriteJSON},
-		{productsFile, cp.Products.WriteJSON},
+		{surveyFile, cp.Survey.WriteJSON},
 		{stateFile, cp.State.WriteJSON},
 	}
 	if cp.Engine != nil {
@@ -818,12 +816,13 @@ func writeCurrent(fs fsio.FS, dir, name string) error {
 
 // loadCheckpoint reads and fully verifies one checkpoint directory:
 // the manifest must parse, every listed file must match its recorded
-// size and CRC-32C sum (an older build's cleaned.json is only checked,
-// never decoded), and every document must decode. Index segment
-// files are the one exception to strictness: a torn or corrupt
-// index-NN.seg is dropped (with a note) rather than failing the
-// checkpoint, because the index is derivable — the caller rebuilds it
-// from the cleaned view — while the snapshot, maps and state are not.
+// size and CRC-32C sum (an older build's cleaned.json, vendors.json and
+// products.json are only checked, never decoded), and every document
+// must decode. Index segment files are the one exception to
+// strictness: a torn or corrupt index-NN.seg is dropped (with a note)
+// rather than failing the checkpoint, because the index is derivable —
+// the caller rebuilds it from the cleaned view — while the snapshot,
+// survey and state are not.
 func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 	mb, err := fs.ReadFile(filepath.Join(path, manifestFile))
 	if err != nil {
@@ -852,24 +851,16 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 		}
 		files[name] = data
 	}
-	need := func(name string) ([]byte, error) {
-		data, ok := files[name]
-		if !ok {
-			return nil, fmt.Errorf("manifest lists no %s", name)
-		}
-		return data, nil
-	}
-
 	// The snapshot, the reuse state and the engine are the large
-	// documents; decode them concurrently. The consolidation maps are
-	// small enough to decode inline.
+	// documents; decode them concurrently. The survey's tallies are
+	// counted from the snapshot, so it is read once that has decoded.
 	cp := &Checkpoint{Generation: m.Generation, Seq: m.Seq}
 	var g parallel.Group
 	decode := func(file string, fn func([]byte) error) {
 		g.Go(func() error {
-			data, err := need(file)
-			if err != nil {
-				return err
+			data, ok := files[file]
+			if !ok {
+				return fmt.Errorf("manifest lists no %s", file)
 			}
 			if err := fn(data); err != nil {
 				return fmt.Errorf("%s: %w", file, err)
@@ -890,18 +881,13 @@ func loadCheckpoint(fs fsio.FS, path string) (*Checkpoint, error) {
 			return err
 		})
 	}
-	if data, err := need(vendorsFile); err != nil {
-		return nil, err
-	} else if cp.Vendors, err = naming.ReadMapJSON(bytes.NewReader(data)); err != nil {
-		return nil, fmt.Errorf("%s: %w", vendorsFile, err)
-	}
-	if data, err := need(productsFile); err != nil {
-		return nil, err
-	} else if cp.Products, err = naming.ReadProductMapJSON(bytes.NewReader(data)); err != nil {
-		return nil, fmt.Errorf("%s: %w", productsFile, err)
-	}
 	if err := g.Wait(); err != nil {
 		return nil, err
+	}
+	if data, ok := files[surveyFile]; ok {
+		if cp.Survey, err = naming.ReadSurveyJSON(bytes.NewReader(data), cp.Original); err != nil {
+			return nil, fmt.Errorf("%s: %w", surveyFile, err)
+		}
 	}
 	cp.Index, cp.IndexNote = loadIndexSegments(files, cp.Original)
 	if len(segDamage) > 0 {

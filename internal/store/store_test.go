@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"syscall"
 	"testing"
 	"time"
@@ -77,12 +78,18 @@ func testSnapshots() (*cve.Snapshot, *cve.Snapshot) {
 	return orig, cleaned
 }
 
+// testSurvey returns the completed §4.2 naming survey of snap.
+func testSurvey(snap *cve.Snapshot) *naming.Survey {
+	sv := naming.NewSurvey(snap)
+	sv.AnalyzeProducts(sv.AnalyzeVendors(1).Consolidate(naming.HeuristicJudge{}), 1)
+	return sv
+}
+
 func testCheckpoint() *Checkpoint {
 	orig, _ := testSnapshots()
 	return &Checkpoint{
 		Original: orig,
-		Vendors:  naming.NewMap(map[string]string{"redhat_inc": "redhat"}),
-		Products: naming.NewProductMap(map[[2]string]string{{"acme", "anvil2"}: "anvil"}),
+		Survey:   testSurvey(orig),
 		State: &State{
 			Fingerprint: 0xfeedbeef,
 			Trained:     true,
@@ -160,11 +167,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Errorf("original entry %d mismatch", i)
 		}
 	}
-	if got.Vendors.Canonical("redhat_inc") != "redhat" || got.Vendors.Len() != 1 {
-		t.Errorf("vendor map mismatch")
-	}
-	if got.Products.Canonical("acme", "anvil2") != "anvil" {
-		t.Errorf("product map mismatch")
+	if !reflect.DeepEqual(got.Survey, want.Survey) {
+		t.Errorf("survey mismatch")
 	}
 	st := got.State
 	if st.Fingerprint != 0xfeedbeef || !st.Trained || st.Models != "LR" ||

@@ -173,7 +173,7 @@ func TestAdvisorOnGeneratedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	va := naming.AnalyzeVendors(snap)
+	va := naming.AnalyzeVendorsN(snap, 0)
 	vm := va.Consolidate(naming.HeuristicJudge{})
 	clean := snap.Clone()
 	vm.Apply(clean)

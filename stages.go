@@ -37,9 +37,9 @@ func trainingOf(opts Options) store.Training {
 
 // incState is the incremental-cleaning state a Result carries so the
 // next CleanDelta can reuse per-entry artifacts, the naming survey and
-// the trained engine: the store.State a checkpoint persists, plus the
-// survey. It is deliberately unexported: callers hold it only through
-// a Result.
+// the trained engine: the store.State and the survey a checkpoint
+// persists. It is deliberately unexported: callers hold it only
+// through a Result.
 //
 // Crawl estimates, lags and stats are pure per-entry functions of the
 // entry's references (the crawler memo changes scheduling, never
@@ -53,31 +53,21 @@ type incState struct {
 	// survey is the §4.2 naming survey of the snapshot: its name
 	// tallies, candidate pairs and per-vendor product pair blocks. The
 	// next CleanDelta derives its survey from this one in O(delta)
-	// when no name appears or disappears. It is nil after
-	// RestoreResult; the next CleanDelta then surveys from scratch.
+	// when no name appears or disappears.
 	survey *naming.Survey
 }
 
-// reuseState tells a run which recorded outputs still apply: the
-// per-entry artifacts, engine and scores of a previous Result
-// (CleanDelta) or of a checkpoint (RestoreResult), plus the set of
-// entry IDs the feed delta names, empty for a restore. Every lookup
-// asks about an entry of the snapshot the run cleans, so an ID absent
-// from changed is one the delta left untouched. survey is the previous
-// naming survey when it carries over, and before and after then hold
-// the entries with a changed ID in the previous and the merged
-// snapshot. A checkpoint carries no survey but its consolidation maps,
-// vendorMap and productMap, which the naming stages apply in its
-// place; only RestoreResult sets them.
+// reuseState tells a run which recorded outputs still apply: those of
+// a previous Result, whose per-entry artifacts, naming survey, engine
+// and scores it reuses, and the set of entry IDs the feed delta names,
+// empty for a restore. Every lookup asks about an entry of the
+// snapshot the run cleans, so an ID absent from changed is one the
+// delta left untouched. before and after hold the entries with a
+// changed ID in the previous and the merged snapshot.
 type reuseState struct {
-	prev          *store.State
-	prevEngine    *predict.Engine
-	prevBackport  map[string]float64
+	prev          *Result
 	changed       map[string]bool
-	survey        *naming.Survey
 	before, after []*Entry
-	vendorMap     *naming.Map
-	productMap    *naming.ProductMap
 }
 
 // runClean executes the stage graph on snap: the §4.1 crawl (given a
@@ -86,10 +76,10 @@ type reuseState struct {
 // they have joined. With ru == nil every stage computes from scratch
 // (a full Clean); with a reuse state each stage replays what it
 // recorded for unchanged entries, recomputes what opts changes, and
-// processes only the delta. Clean, CleanDelta and RestoreResult are
-// the three reuse states of this one graph, and all give bit-identical
-// Results for the same snapshot and options — the invariant the
-// equivalence tests enforce.
+// processes only the delta. Clean runs this one graph without a reuse
+// state and CleanDelta with one, RestoreResult being CleanDelta of an
+// empty delta, and all give bit-identical Results for the same
+// snapshot and options — the invariant the equivalence tests enforce.
 func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState) (*Result, error) {
 	if snap == nil || snap.Len() == 0 {
 		return nil, fmt.Errorf("nvdclean: empty snapshot")
@@ -128,11 +118,11 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		st.Crawled = true
 		st.Crawl = make(map[string]store.CrawlArtifact, snap.Len())
 		toCrawl := snap.Entries
-		if ru != nil && ru.prev.Crawled {
+		if ru != nil && ru.prev.inc.Crawled {
 			toCrawl = nil
 			for _, e := range snap.Entries {
 				if !ru.changed[e.ID] {
-					if a, ok := ru.prev.Crawl[e.ID]; ok {
+					if a, ok := ru.prev.inc.Crawl[e.ID]; ok {
 						st.Crawl[e.ID] = a
 						continue
 					}
@@ -162,26 +152,20 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 
 	// §4.2, vendors first: consolidation rewrites only the cleaned
 	// view, as the paper does before surveying products. The survey
-	// reads the names as snap gives them. A restore has no survey and
-	// applies the checkpoint's maps instead.
+	// reads the names as snap gives them.
 	var survey *naming.Survey
 	vendors := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		switch {
-		case ru != nil && ru.vendorMap != nil:
-			res.VendorMap = ru.vendorMap
-		case ru != nil && ru.survey != nil:
-			survey = ru.survey.Next(snap, ru.before, ru.after)
-		default:
+		if ru != nil && ru.prev.inc.survey != nil {
+			survey = ru.prev.inc.survey.Next(snap, ru.before, ru.after)
+		} else {
 			survey = naming.NewSurvey(snap)
 		}
-		if survey != nil {
-			res.VendorMap = survey.AnalyzeVendors(w).Consolidate(naming.HeuristicJudge{})
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		res.VendorMap = survey.AnalyzeVendors(w).Consolidate(naming.HeuristicJudge{})
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		// A rewritten entry gets a private CPE list first, so Apply
 		// never writes through a list the original shares.
@@ -203,15 +187,10 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if survey == nil {
-			res.ProductMap = ru.productMap
-		} else {
-			pa := survey.AnalyzeProducts(res.VendorMap, w)
-			st.survey = survey
-			res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		res.ProductMap = survey.AnalyzeProducts(res.VendorMap, w).Consolidate(naming.HeuristicProductJudge{})
+		st.survey = survey
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		// An entry the vendor map left sharing its CPE list gets a
 		// private one first.
@@ -265,13 +244,13 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		}
 		st.Fingerprint = predict.DatasetFingerprint(res.Cleaned, opts.Seed)
 		st.Training = trainingOf(opts)
-		if ru != nil && ru.prev.Trained && ru.prevEngine != nil &&
-			ru.prev.Fingerprint == st.Fingerprint && ru.prev.Training == st.Training {
+		if ru != nil && ru.prev.inc.Trained && ru.prev.Engine != nil &&
+			ru.prev.inc.Fingerprint == st.Fingerprint && ru.prev.inc.Training == st.Training {
 			// Warm start: identical dataset and training
 			// config reproduce the engine bit for bit, so the
 			// previous one carries over and only entries the
 			// delta touched are re-scored.
-			res.Engine = ru.prevEngine
+			res.Engine = ru.prev.Engine
 			if err := backportDelta(res, ru, w); err != nil {
 				return err
 			}
@@ -364,22 +343,24 @@ func cachedCorrection(ru *reuseState, id string) (predict.EntryCorrection, bool)
 	if ru == nil || ru.changed[id] {
 		return predict.EntryCorrection{}, false
 	}
-	return ru.prev.CWEFix[id], true
+	return ru.prev.inc.CWEFix[id], true
 }
 
 // backportDelta rebuilds the backport map under a reused engine:
 // unchanged v2-only entries keep their previous scores (per-entry pure
 // function of v2 vector + corrected CWE under a fixed model), changed
-// ones are scored as one batch.
+// ones are scored as one batch. The previous Result's severity stage
+// ran, so it has scores.
 func backportDelta(res *Result, ru *reuseState, workers int) error {
-	scores := make(map[string]float64, len(ru.prevBackport))
+	prev := ru.prev.Backport.Scores
+	scores := make(map[string]float64, len(prev))
 	var pending []*cve.Entry
 	for _, e := range res.Cleaned.Entries {
 		if e.V2 == nil || e.V3 != nil {
 			continue
 		}
 		if !ru.changed[e.ID] {
-			if v, ok := ru.prevBackport[e.ID]; ok {
+			if v, ok := prev[e.ID]; ok {
 				scores[e.ID] = v
 				continue
 			}
@@ -463,26 +444,17 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 	for _, id := range delta.Removed {
 		changed[id] = true
 	}
-	ru := &reuseState{
-		prev:       &prev.inc.State,
-		prevEngine: prev.Engine,
-		changed:    changed,
-	}
-	if prev.Backport != nil {
-		ru.prevBackport = prev.Backport.Scores
-	}
-	if ru.survey = prev.inc.survey; ru.survey != nil {
-		for id := range changed {
-			if e := prev.Original.ByID(id); e != nil {
-				ru.before = append(ru.before, e)
-			}
-			if e := merged.ByID(id); e != nil {
-				ru.after = append(ru.after, e)
-			}
+	ru := &reuseState{prev: prev, changed: changed}
+	for id := range changed {
+		if e := prev.Original.ByID(id); e != nil {
+			ru.before = append(ru.before, e)
+		}
+		if e := merged.ByID(id); e != nil {
+			ru.after = append(ru.after, e)
 		}
 	}
 	res, err := runClean(ctx, merged, opts, ru)
-	if errors.Is(err, predict.ErrUntrainable) {
+	if errors.Is(err, predict.ErrUntrainable) && !delta.Empty() {
 		return nil, fmt.Errorf("%w: %w", ErrBadDelta, err)
 	}
 	return res, err
@@ -514,7 +486,7 @@ func checkDelta(base *Snapshot, d *Delta) error {
 
 // StoreCheckpoint snapshots everything a persistent generation store
 // needs to rebuild this Result without re-running the pipeline: the
-// original snapshot, the consolidation maps, the trained engine, and
+// original snapshot, the §4.2 naming survey, the trained engine, and
 // the incremental-reuse state (dataset fingerprint, training signature,
 // per-entry crawl artifacts, the §4.4 corrections, backported scores).
 // The cleaned view is not among them: RestoreResult re-derives it by
@@ -527,27 +499,24 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 	}
 	return &store.Checkpoint{
 		Original: r.Original,
-		Vendors:  r.VendorMap,
-		Products: r.ProductMap,
+		Survey:   r.inc.survey,
 		Engine:   r.Engine,
 		State:    &st,
 	}
 }
 
 // RestoreResult rebuilds a servable, delta-cleanable Result from a
-// persisted checkpoint. It runs the stage graph over the checkpoint's
-// original snapshot with the checkpoint as the reuse state, as
-// CleanDelta runs it with a previous Result and a delta that changes
-// no entry, so the Result equals Clean(ctx, cp.Original, opts) whatever
-// options the checkpoint was committed under:
+// persisted checkpoint. It is CleanDelta of an empty delta on the
+// Result the checkpoint records, so the Result equals Clean(ctx,
+// cp.Original, opts) whatever options the checkpoint was committed
+// under:
 //
 //   - given a transport, the crawl replays the persisted artifacts and
 //     crawls only the entries without one; without a transport it does
 //     not run;
-//   - the naming stages apply the checkpoint's consolidation maps. A
-//     checkpoint carries no naming survey, so the next CleanDelta
-//     surveys the merged snapshot from scratch, which changes its cost,
-//     never its bits;
+//   - the naming stages carry the checkpoint's survey over; a
+//     checkpoint without one, as an older build wrote, is surveyed from
+//     scratch;
 //   - the CWE stage replays the persisted §4.4 corrections;
 //   - severity keeps the checkpoint's engine and scores when the
 //     dataset fingerprint and opts' models, model config and seed match
@@ -560,17 +529,16 @@ func (r *Result) StoreCheckpoint() *store.Checkpoint {
 // daemon's SIGINT, interrupts a crawl or a retrain that changed options
 // force.
 func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
-	if cp == nil || cp.Original == nil || cp.State == nil ||
-		cp.Vendors == nil || cp.Products == nil {
+	if cp == nil || cp.Original == nil || cp.State == nil {
 		return nil, errors.New("nvdclean: incomplete checkpoint")
 	}
-	return runClean(context.TODO(), cp.Original, opts, &reuseState{
-		prev:         cp.State,
-		prevEngine:   cp.Engine,
-		prevBackport: cp.State.Backport,
-		vendorMap:    cp.Vendors,
-		productMap:   cp.Products,
-	})
+	prev := &Result{
+		Original: cp.Original,
+		Engine:   cp.Engine,
+		Backport: &predict.Backport{Scores: cp.State.Backport},
+		inc:      &incState{State: *cp.State, survey: cp.Survey},
+	}
+	return CleanDelta(context.TODO(), prev, nil, opts)
 }
 
 // ApplyBackport materializes backported severity scores into the
