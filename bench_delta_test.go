@@ -100,17 +100,69 @@ func BenchmarkCleanDelta(b *testing.B) {
 	}
 }
 
+// allocGuardOpts are the options the CleanDelta allocation guards
+// clean under: the LR model alone and no transport.
+func allocGuardOpts() nvdclean.Options {
+	return nvdclean.Options{
+		Concurrency: 4,
+		Models:      []predict.ModelKind{predict.ModelLR},
+		ModelConfig: predict.ModelConfig{Seed: 1},
+		Seed:        1,
+	}
+}
+
+// editTarget returns the first v2-only entry of snap that names a CPE:
+// the shape of a new NVD entry, which the engine backports.
+func editTarget(t *testing.T, snap *nvdclean.Snapshot) *nvdclean.Entry {
+	t.Helper()
+	for _, e := range snap.Entries {
+		if e.V2 != nil && e.V3 == nil && len(e.CPEs) > 0 {
+			return e
+		}
+	}
+	t.Fatal("no v2-only entry to edit")
+	return nil
+}
+
+// editDescription appends a sentence to an entry's first description:
+// an edit that names no new vendor, product or CWE type.
+func editDescription(e *nvdclean.Entry) {
+	e.Descriptions[0].Value += " Exploited in the wild."
+}
+
+// cleanDeltaAllocs returns the heap objects a CleanDelta on prev
+// allocates for a delta modifying one entry: target as edit changes
+// a clone of it.
+func cleanDeltaAllocs(t *testing.T, prev *nvdclean.Result, target *nvdclean.Entry, edit func(*nvdclean.Entry)) float64 {
+	t.Helper()
+	mod := target.Clone()
+	edit(mod)
+	delta := &nvdclean.Delta{CapturedAt: prev.Original.CapturedAt, Modified: []*nvdclean.Entry{mod}}
+	opts := allocGuardOpts()
+	var runErr error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := nvdclean.CleanDelta(context.Background(), prev, delta, opts); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return allocs
+}
+
 // TestCleanDeltaAllocGuard is the ingest-allocation regression bound:
 // a one-entry edit through CleanDelta must allocate within a recorded
 // budget of heap objects per snapshot entry. A description edit names
-// no new vendor or product, so the naming survey carries over and only
-// consolidation re-runs; what it still pays per entry is the
-// snapshot-wide work a delta cannot yet skip: the per-entry replays,
-// the result maps and the consolidation rewrite of the cleaned view.
-// An edit that names a new vendor and product falls back to blocking
-// every vendor name and re-surveys that vendor's products, so it has a
-// budget of its own. Raising either bound is an ingest regression —
-// justify it in the commit that does.
+// no new vendor or product, so the naming survey and both
+// consolidation maps carry over, every entry the delta does not name
+// keeps its previous cleaned *Entry, and the per-ID maps are shared
+// while no value changes: what it pays is a constant, and its size
+// guard is TestCleanDeltaAllocSizeGuard. An edit that names a new
+// vendor and product falls back to blocking every vendor name and
+// re-surveys that vendor's products, so it has a budget of its own.
+// Raising either bound is an ingest regression — justify it in the
+// commit that does.
 func TestCleanDeltaAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
@@ -119,37 +171,22 @@ func TestCleanDeltaAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := nvdclean.Options{
-		Concurrency: 4,
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
-	prev, err := nvdclean.Clean(context.Background(), snap, opts)
+	prev, err := nvdclean.Clean(context.Background(), snap, allocGuardOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var target *nvdclean.Entry
-	for _, e := range snap.Entries {
-		if e.V2 != nil && e.V3 == nil && len(e.CPEs) > 0 {
-			target = e
-			break
-		}
-	}
-	if target == nil {
-		t.Fatal("no v2-only entry to edit")
-	}
+	target := editTarget(t, snap)
 	for _, tc := range []struct {
 		name              string
 		maxAllocsPerEntry float64
 		edit              func(*nvdclean.Entry)
 	}{
-		// Measured 0.20 at 3K entries; 6.9 when every delta re-ran the
-		// naming survey, 15.2 with the deep copy.
-		{"description edit", 1.0, func(e *nvdclean.Entry) {
-			e.Descriptions[0].Value += " Exploited in the wild."
-		}},
-		// Measured 4.8 at 3K entries: vendor blocking re-runs over
+		// Measured 0.024 (73 objects) at 3K entries; 0.19 when every
+		// delta copied every entry struct and re-applied both maps to
+		// the copies, 6.9 when it also re-ran the naming survey, 15.2
+		// with the deep copy.
+		{"description edit", 0.036, editDescription},
+		// Measured 4.7 at 3K entries: vendor blocking re-runs over
 		// every name.
 		{"new vendor and product", 10.0, func(e *nvdclean.Entry) {
 			e.CPEs[0].Vendor = "allocguard_vendor"
@@ -157,24 +194,46 @@ func TestCleanDeltaAllocGuard(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mod := target.Clone()
-			tc.edit(mod)
-			delta := &nvdclean.Delta{CapturedAt: snap.CapturedAt, Modified: []*nvdclean.Entry{mod}}
-			var runErr error
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := nvdclean.CleanDelta(context.Background(), prev, delta, opts); err != nil {
-					runErr = err
-				}
-			})
-			if runErr != nil {
-				t.Fatal(runErr)
-			}
+			allocs := cleanDeltaAllocs(t, prev, target, tc.edit)
 			perEntry := allocs / float64(snap.Len())
-			t.Logf("CleanDelta of one entry: %.0f allocations over %d entries = %.2f per entry", allocs, snap.Len(), perEntry)
+			t.Logf("CleanDelta of one entry: %.0f allocations over %d entries = %.3f per entry", allocs, snap.Len(), perEntry)
 			if perEntry > tc.maxAllocsPerEntry {
-				t.Fatalf("CleanDelta of one entry costs %.2f allocations per entry, budget %.1f", perEntry, tc.maxAllocsPerEntry)
+				t.Fatalf("CleanDelta of one entry costs %.3f allocations per entry, budget %.3f", perEntry, tc.maxAllocsPerEntry)
 			}
 		})
+	}
+}
+
+// TestCleanDeltaAllocSizeGuard requires a one-entry description edit
+// to cost CleanDelta the same heap objects at any snapshot size: at
+// 20K entries at most 1.25x what it costs at 3K, under the same
+// generator settings (vendors at 16% of the CVE count, as nvdbench's
+// data). Nothing an edit that moves no name tally allocates may grow
+// with the entries it does not name. Re-deriving the whole cleaned
+// view cost 5.1x (3,178 objects against 619).
+func TestCleanDeltaAllocSizeGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode: race builds count allocations differently")
+	}
+	const maxRatio = 1.25
+	var allocs [2]float64
+	sizes := [2]int{3000, 20000}
+	for i, n := range sizes {
+		cfg := nvdclean.PaperScale()
+		cfg.NumCVEs, cfg.NumVendors = n, n*16/100
+		snap, _, err := nvdclean.GenerateSnapshot(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := nvdclean.Clean(context.Background(), snap, allocGuardOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = cleanDeltaAllocs(t, prev, editTarget(t, snap), editDescription)
+		t.Logf("CleanDelta of a description edit at %d entries: %.0f allocations", n, allocs[i])
+	}
+	if allocs[1] > maxRatio*allocs[0] {
+		t.Errorf("CleanDelta of a description edit allocates %.0f objects at %d entries, over %.2fx the %.0f at %d", allocs[1], sizes[1], maxRatio, allocs[0], sizes[0])
 	}
 }
 
@@ -416,12 +475,7 @@ func committedSmallScale(t *testing.T) (nvdclean.Options, *nvdclean.Result, *sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := nvdclean.Options{
-		Concurrency: 4,
-		Models:      []predict.ModelKind{predict.ModelLR},
-		ModelConfig: predict.ModelConfig{Seed: 1},
-		Seed:        1,
-	}
+	opts := allocGuardOpts()
 	res, err := nvdclean.Clean(context.Background(), snap, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -500,31 +554,8 @@ func TestRestoreThenCleanDeltaAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var target *nvdclean.Entry
-	for _, e := range res.Original.Entries {
-		if e.V2 != nil && e.V3 == nil && len(e.CPEs) > 0 {
-			target = e
-			break
-		}
-	}
-	if target == nil {
-		t.Fatal("no v2-only entry to edit")
-	}
-	mod := target.Clone()
-	mod.Descriptions[0].Value += " Exploited in the wild."
-	delta := &nvdclean.Delta{CapturedAt: res.Original.CapturedAt, Modified: []*nvdclean.Entry{mod}}
-	allocs := func(prev *nvdclean.Result) float64 {
-		var runErr error
-		n := testing.AllocsPerRun(5, func() {
-			if _, err := nvdclean.CleanDelta(context.Background(), prev, delta, opts); err != nil {
-				runErr = err
-			}
-		})
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		return n
-	}
+	target := editTarget(t, res.Original)
+	allocs := func(prev *nvdclean.Result) float64 { return cleanDeltaAllocs(t, prev, target, editDescription) }
 	carried, afterRestore := allocs(res), allocs(restored)
 	t.Logf("CleanDelta of one entry: %.0f allocations on the Clean Result, %.0f on the restored one", carried, afterRestore)
 	if afterRestore > maxRatio*carried {

@@ -12,10 +12,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"nvdclean"
 	"nvdclean/internal/cve"
@@ -803,6 +805,135 @@ func TestCleanDeltaConcurrentOnOnePrev(t *testing.T) {
 			assertResultsEqual(t, fmt.Sprintf("mode %d, delta %d on one prev", mode, i+1), got[i], want)
 		}
 	}
+}
+
+// TestCleanDeltaCarriesEntries pins what a delta clean shares with the
+// Result it starts from, in every fixture mode: it must equal a cold
+// Clean of the merged snapshot, it must leave every entry of the
+// previous original and cleaned views as a deep copy taken before the
+// call, and it must carry the previous cleaned *Entry itself for each
+// entry the delta does not name, none of whose names the consolidation
+// maps now resolve differently, and whose score cannot have moved: it
+// has no backported score on either side, or the engine carried over.
+func TestCleanDeltaCarriesEntries(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		mode fixtureMode
+	}{
+		{"v2-only delta reuses engine", v2OnlyDelta},
+		{"mixed delta retrains", mixedDelta},
+		{"renamed names re-survey", renameDelta},
+		{"CWE corrections flip", cweFlipDelta},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fix := newDeltaFixture(t, 4, tc.mode)
+			prev, err := nvdclean.Clean(ctx, fix.old, fix.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := nvdclean.Clean(ctx, fix.old.ApplyDelta(fix.delta), fix.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deepCopy := func(s *nvdclean.Snapshot) []*nvdclean.Entry {
+				out := make([]*nvdclean.Entry, s.Len())
+				for i, e := range s.Entries {
+					out[i] = e.Clone()
+				}
+				return out
+			}
+			original, cleaned := deepCopy(prev.Original), deepCopy(prev.Cleaned)
+			got, err := nvdclean.CleanDelta(ctx, prev, fix.delta, fix.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEqual(t, tc.name, got, want)
+			for _, view := range []struct {
+				name          string
+				entries, copy []*nvdclean.Entry
+			}{{"original", prev.Original.Entries, original}, {"cleaned", prev.Cleaned.Entries, cleaned}} {
+				for i, e := range view.copy {
+					if !view.entries[i].Equal(e) {
+						t.Fatalf("%s: the delta clean wrote the previous %s entry %s", tc.name, view.name, e.ID)
+					}
+				}
+			}
+
+			named := make(map[string]bool)
+			for _, id := range fix.delta.ChangedIDs() {
+				named[id] = true
+			}
+			samePairs := func(e *nvdclean.Entry) bool {
+				for _, n := range e.CPEs {
+					pv, gv := prev.VendorMap.Canonical(n.Vendor), got.VendorMap.Canonical(n.Vendor)
+					if pv != gv || prev.ProductMap.Canonical(pv, n.Product) != got.ProductMap.Canonical(gv, n.Product) {
+						return false
+					}
+				}
+				return true
+			}
+			carried, must := 0, 0
+			for i, e := range got.Original.Entries {
+				before := prev.Cleaned.ByID(e.ID)
+				after := got.Cleaned.Entries[i]
+				if before == after {
+					carried++
+				}
+				if named[e.ID] || !samePairs(e) || !(before.PV3 == nil && after.PV3 == nil || got.Engine == prev.Engine) {
+					continue
+				}
+				must++
+				if before != after {
+					t.Fatalf("%s: cleaned entry %s is not carried from the previous view", tc.name, e.ID)
+				}
+			}
+			t.Logf("%s: %d of %d cleaned entries carried, %d required", tc.name, carried, got.Cleaned.Len(), must)
+			if must == 0 {
+				t.Fatalf("%s: no entry had to be carried", tc.name)
+			}
+		})
+	}
+}
+
+// TestCleanDeltaChainReleasesPredecessors requires a chain of delta
+// cleans to keep no earlier Result alive: carried entries, per-ID maps
+// and the naming survey may share what an earlier Result built, never
+// the Result itself, so a daemon's memory holds the generations it
+// serves and nothing older.
+func TestCleanDeltaChainReleasesPredecessors(t *testing.T) {
+	ctx := context.Background()
+	fix := newDeltaFixture(t, 2, v2OnlyDelta)
+	first, err := nvdclean.Clean(ctx, fix.old, fix.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := weak.Make(first)
+	var target *nvdclean.Entry
+	for _, e := range fix.old.Entries {
+		if e.V2 != nil && e.V3 == nil && len(e.Descriptions) > 0 {
+			target = e
+			break
+		}
+	}
+	if target == nil {
+		t.Fatal("fixture has no v2-only entry to edit")
+	}
+	res := first
+	for i := range 20 {
+		mod := target.Clone()
+		mod.Descriptions[0].Value += fmt.Sprintf(" Edit %d.", i)
+		if res, err = nvdclean.CleanDelta(ctx, res, &nvdclean.Delta{Modified: []*nvdclean.Entry{mod}}, fix.opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first = nil
+	runtime.GC()
+	runtime.GC()
+	if released.Value() != nil {
+		t.Error("a Result 20 delta cleans later still keeps the Clean Result it started from alive")
+	}
+	runtime.KeepAlive(res)
 }
 
 func TestCleanDeltaRejectsForeignResult(t *testing.T) {

@@ -3,6 +3,7 @@ package cve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -59,6 +60,16 @@ func TestEntryEqual(t *testing.T) {
 	c.References[0].Tags[0] = "Patch"
 	if a.Equal(c) {
 		t.Error("tag content change should differ")
+	}
+	// An entry equals itself by pointer, before any field is compared:
+	// even a score that is not equal to itself by value.
+	nan := math.NaN()
+	c.PV3 = &nan
+	if !c.Equal(c) {
+		t.Error("an entry should equal itself")
+	}
+	if !(*Entry)(nil).Equal(nil) || c.Equal(nil) || (*Entry)(nil).Equal(c) {
+		t.Error("nil should equal only nil")
 	}
 }
 

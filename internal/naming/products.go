@@ -55,7 +55,7 @@ type ProductAnalysis struct {
 // workers workers (zero means GOMAXPROCS). It tallies the snapshot's
 // names, then analyzes the tallies.
 func AnalyzeProductsN(snap *cve.Snapshot, workers int) *ProductAnalysis {
-	return analyzeProducts(tally(snap.Entries, namedPair), workers, nil, nil)
+	return analyzeProducts(tally(snap.Entries, namedPair, comparePairs), workers, nil, nil)
 }
 
 // analyzeProducts surveys the (vendor, product) names counts counts
@@ -307,6 +307,12 @@ func (m *ProductMap) Canonical(vendor, product string) string {
 
 // Len returns the number of remapped product names.
 func (m *ProductMap) Len() int { return len(m.forward) }
+
+// Changed returns the (vendor, product) names o resolves to another
+// canonical product than m does, nil when the two maps are equal.
+func (m *ProductMap) Changed(o *ProductMap) map[[2]string]bool {
+	return changedKeys(m.forward, o.forward)
+}
 
 // Entries returns a copy of the (vendor, alias)→canonical mapping.
 func (m *ProductMap) Entries() map[[2]string]string {

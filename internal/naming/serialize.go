@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 
 	"nvdclean/internal/cve"
 )
@@ -116,11 +117,11 @@ func ReadSurveyJSON(r io.Reader, snap *cve.Snapshot) (*Survey, error) {
 	if !ordered(sj.ProductPairs, func(p ProductPair) [3]string { return [3]string{p.Vendor, p.A, p.B} }) {
 		return nil, errors.New("naming: survey's product pairs out of (Vendor, A, B) order")
 	}
-	vendorCVEs, pairCVEs := tally(snap.Entries, vendorName), tally(snap.Entries, namedPair)
+	vendorCVEs, pairCVEs := tally(snap.Entries, vendorName, strings.Compare), tally(snap.Entries, namedPair, comparePairs)
 	return &Survey{
 		pairs:     pairCVEs,
 		vendors:   &VendorAnalysis{Pairs: sj.VendorPairs, CVECount: vendorCVEs, Products: productSets(pairCVEs, len(vendorCVEs))},
-		products:  &ProductAnalysis{Pairs: sj.ProductPairs, CVECount: tally(snap.Entries, vm.pair)},
+		products:  &ProductAnalysis{Pairs: sj.ProductPairs, CVECount: tally(snap.Entries, vm.pair, comparePairs)},
 		vendorMap: vm,
 	}, nil
 }

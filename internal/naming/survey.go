@@ -1,7 +1,10 @@
 package naming
 
 import (
+	"cmp"
 	"maps"
+	"slices"
+	"strings"
 
 	"nvdclean/internal/cpe"
 	"nvdclean/internal/cve"
@@ -59,21 +62,26 @@ func (s *Survey) Next(snap *cve.Snapshot, before, after []*cve.Entry) *Survey {
 // entries; when no (vendor, product) pair appears or disappears — and
 // so no vendor name either — the candidate pairs carry over, and
 // otherwise blocking re-runs over every name with the previous pairs'
-// scores reused.
+// scores reused. When in addition no vendor tally moves, as on an edit
+// that renames nothing, it returns the previous survey's analysis
+// itself, so the consolidation of that analysis still holds.
 func (s *Survey) AnalyzeVendors(workers int) *VendorAnalysis {
 	p := s.prev
 	if p == nil {
-		s.pairs = tally(s.snap.Entries, namedPair)
-		s.vendors = analyzeVendors(tally(s.snap.Entries, vendorName), s.pairs, workers, nil)
+		s.pairs = tally(s.snap.Entries, namedPair, comparePairs)
+		s.vendors = analyzeVendors(tally(s.snap.Entries, vendorName, strings.Compare), s.pairs, workers, nil)
 		return s.vendors
 	}
-	counts, _ := recount(p.vendors.CVECount, s.before, s.after, vendorName)
+	counts, _, countsMoved := recount(p.vendors.CVECount, s.before, s.after, vendorName, strings.Compare)
 	var moved [][2]string
-	s.pairs, moved = recount(p.pairs, s.before, s.after, namedPair)
-	if len(moved) == 0 {
-		s.vendors = &VendorAnalysis{Pairs: p.vendors.Pairs, CVECount: counts, Products: p.vendors.Products}
-	} else {
+	s.pairs, moved, _ = recount(p.pairs, s.before, s.after, namedPair, comparePairs)
+	switch {
+	case len(moved) > 0:
 		s.vendors = analyzeVendors(counts, s.pairs, workers, p.vendors)
+	case countsMoved:
+		s.vendors = &VendorAnalysis{Pairs: p.vendors.Pairs, CVECount: counts, Products: p.vendors.Products}
+	default:
+		s.vendors = p.vendors
 	}
 	return s.vendors
 }
@@ -82,30 +90,35 @@ func (s *Survey) AnalyzeVendors(workers int) *VendorAnalysis {
 // snapshot with its vendor names rewritten by vm, equal to
 // AnalyzeProductsN's of the rewritten snapshot, and completes the
 // survey. Under the previous survey's vendor map a derived survey
-// counts only the delta's entries; under a new one it recounts the
+// counts only the delta's entries, and returns the previous analysis
+// itself when no tally moves; under a new one it recounts the
 // snapshot. Either way only vendors whose catalog gained or lost a
 // product are surveyed again, and every other vendor keeps its pairs.
 func (s *Survey) AnalyzeProducts(vm *Map, workers int) *ProductAnalysis {
 	p := s.prev
 	if p == nil {
-		s.products = analyzeProducts(tally(s.snap.Entries, vm.pair), workers, nil, nil)
+		s.products = analyzeProducts(tally(s.snap.Entries, vm.pair, comparePairs), workers, nil, nil)
 	} else {
 		var counts map[[2]string]int
 		var moved [][2]string
-		if maps.Equal(p.vendorMap.forward, vm.forward) {
-			counts, moved = recount(p.products.CVECount, s.before, s.after, vm.pair)
+		countsMoved := true
+		if p.vendorMap == vm || maps.Equal(p.vendorMap.forward, vm.forward) {
+			counts, moved, countsMoved = recount(p.products.CVECount, s.before, s.after, vm.pair, comparePairs)
 		} else {
-			counts = tally(s.snap.Entries, vm.pair)
+			counts = tally(s.snap.Entries, vm.pair, comparePairs)
 			moved = keysMoved(p.products.CVECount, counts)
 		}
-		if len(moved) == 0 {
-			s.products = &ProductAnalysis{Pairs: p.products.Pairs, CVECount: counts}
-		} else {
+		switch {
+		case len(moved) > 0:
 			changed := make(map[string]bool)
 			for _, k := range moved {
 				changed[k[0]] = true
 			}
 			s.products = analyzeProducts(counts, workers, p.products.Pairs, changed)
+		case countsMoved:
+			s.products = &ProductAnalysis{Pairs: p.products.Pairs, CVECount: counts}
+		default:
+			s.products = p.products
 		}
 	}
 	s.vendorMap = vm
@@ -114,41 +127,54 @@ func (s *Survey) AnalyzeProducts(vm *Map, workers int) *ProductAnalysis {
 	return s.products
 }
 
+// VendorAnalysis returns the analysis AnalyzeVendors last returned,
+// nil before it runs.
+func (s *Survey) VendorAnalysis() *VendorAnalysis { return s.vendors }
+
+// ProductAnalysis returns the analysis AnalyzeProducts last returned,
+// nil before it runs.
+func (s *Survey) ProductAnalysis() *ProductAnalysis { return s.products }
+
 func vendorName(n cpe.Name) string   { return n.Vendor }
 func namedPair(n cpe.Name) [2]string { return [2]string{n.Vendor, n.Product} }
 
 // pair is a name's (vendor, product) under the vendor consolidation.
 func (m *Map) pair(n cpe.Name) [2]string { return [2]string{m.Canonical(n.Vendor), n.Product} }
 
+func comparePairs(a, b [2]string) int {
+	return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
+}
+
 // tally counts, per key, the entries with a CPE name yielding it. An
-// entry counts once per key however many of its names yield it.
-func tally[K comparable](entries []*cve.Entry, key func(cpe.Name) K) map[K]int {
-	// last is one past the index of the entry a key was last counted
-	// for, which dedupes within an entry without a per-entry set.
-	type cell struct{ n, last int }
-	cells := make(map[K]cell)
-	for i, e := range entries {
+// entry counts once per key however many of its names yield it: its
+// keys are sorted with compare and each distinct one counted, so an
+// entry of k names costs O(k log k).
+func tally[K comparable](entries []*cve.Entry, key func(cpe.Name) K, compare func(a, b K) int) map[K]int {
+	counts := make(map[K]int)
+	var keys []K
+	for _, e := range entries {
+		keys = keys[:0]
 		for _, n := range e.CPEs {
-			k := key(n)
-			if c := cells[k]; c.last != i+1 {
-				cells[k] = cell{c.n + 1, i + 1}
-			}
+			keys = append(keys, key(n))
 		}
-	}
-	counts := make(map[K]int, len(cells))
-	for k, c := range cells {
-		counts[k] = c.n
+		if len(keys) > 1 {
+			slices.SortFunc(keys, compare)
+			keys = slices.Compact(keys)
+		}
+		for _, k := range keys {
+			counts[k]++
+		}
 	}
 	return counts
 }
 
 // recount returns counts with the entries before replaced by the
-// entries after, and the keys that appeared or disappeared. It returns
-// counts itself when no count moves and a copy otherwise, so counts is
-// never modified.
-func recount[K comparable](counts map[K]int, before, after []*cve.Entry, key func(cpe.Name) K) (map[K]int, []K) {
-	net := tally(after, key)
-	for k, n := range tally(before, key) {
+// entries after, the keys that appeared or disappeared, and whether
+// any count moved. It returns counts itself when none did and a copy
+// otherwise, so counts is never modified.
+func recount[K comparable](counts map[K]int, before, after []*cve.Entry, key func(cpe.Name) K, compare func(a, b K) int) (map[K]int, []K, bool) {
+	net := tally(after, key, compare)
+	for k, n := range tally(before, key, compare) {
 		net[k] -= n
 	}
 	out, copied := counts, false
@@ -170,7 +196,7 @@ func recount[K comparable](counts map[K]int, before, after []*cve.Entry, key fun
 			moved = append(moved, k)
 		}
 	}
-	return out, moved
+	return out, moved, copied
 }
 
 // keysMoved returns the keys present in exactly one of a and b.

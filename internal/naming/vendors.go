@@ -83,7 +83,7 @@ type VendorAnalysis struct {
 // workers (zero means GOMAXPROCS). It tallies the snapshot's names,
 // then analyzes the tallies.
 func AnalyzeVendorsN(snap *cve.Snapshot, workers int) *VendorAnalysis {
-	return analyzeVendors(tally(snap.Entries, vendorName), tally(snap.Entries, namedPair), workers, nil)
+	return analyzeVendors(tally(snap.Entries, vendorName, strings.Compare), tally(snap.Entries, namedPair, comparePairs), workers, nil)
 }
 
 // analyzeVendors surveys the vendor names vendorCVEs counts CVEs for,
@@ -327,6 +327,33 @@ func (m *Map) Len() int { return len(m.forward) }
 func (m *Map) Mapped(name string) bool {
 	_, ok := m.forward[name]
 	return ok
+}
+
+// Changed returns the names o resolves to another canonical name than
+// m does, nil when the two maps are equal.
+func (m *Map) Changed(o *Map) map[string]bool { return changedKeys(m.forward, o.forward) }
+
+// changedKeys returns the keys a and b map differently, a key absent
+// from one map counting as mapped to itself; nil when there are none.
+func changedKeys[K comparable](a, b map[K]string) map[K]bool {
+	var out map[K]bool
+	note := func(k K) {
+		if out == nil {
+			out = make(map[K]bool)
+		}
+		out[k] = true
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
+			note(k)
+		}
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			note(k)
+		}
+	}
+	return out
 }
 
 // Entries returns a copy of the alias→canonical mapping.

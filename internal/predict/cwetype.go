@@ -110,20 +110,26 @@ func CorrectEntryCWEs(e *cve.Entry, registry *cwe.Registry) EntryCorrection {
 }
 
 // Record folds one entry's outcome into the summary counters.
-func (c *CWECorrection) Record(ec EntryCorrection) {
+func (c *CWECorrection) Record(ec EntryCorrection) { c.add(ec, 1) }
+
+// Unrecord takes back an outcome Record folded in, so a summary can be
+// patched for an entry whose outcome changed.
+func (c *CWECorrection) Unrecord(ec EntryCorrection) { c.add(ec, -1) }
+
+func (c *CWECorrection) add(ec EntryCorrection, n int) {
 	if !ec.Changed {
 		return
 	}
-	c.Corrected++
+	c.Corrected += n
 	switch ec.Kind {
 	case CorrectionFromOther:
-		c.FromOther++
+		c.FromOther += n
 	case CorrectionFromNoInfo:
-		c.FromNoInfo++
+		c.FromNoInfo += n
 	case CorrectionFromUnassigned:
-		c.FromUnassigned++
+		c.FromUnassigned += n
 	case CorrectionFromTyped:
-		c.FromTyped++
+		c.FromTyped += n
 	}
 }
 

@@ -119,9 +119,16 @@ type Result struct {
 	// CWE fields, and each backported score in its entry's PV3 (nil on
 	// every other entry, whatever PV3 the input carried). Its entries
 	// are distinct from Original's but share every slice and vector the
-	// pipeline did not rewrite with them, so both snapshots are
-	// read-only: edit a Clone of an entry instead.
+	// pipeline did not rewrite with them. A Result from CleanDelta also
+	// shares with the previous Result's Cleaned every entry the delta
+	// left as it was, pointer for pointer. So every snapshot of every
+	// generation is read-only: edit a Clone of an entry instead.
 	Cleaned *Snapshot
+
+	// The maps and summaries below are read-only too: CleanDelta shares
+	// VendorMap, ProductMap, VendorChanged, ProductChanged,
+	// CWECorrection and Backport with the previous Result while the
+	// delta changes none of their values.
 
 	// EstimatedDisclosure maps CVE ID to the §4.1 estimated disclosure
 	// date (empty when no Transport was given).
@@ -158,9 +165,10 @@ type Result struct {
 // snapshot and all intermediate artifacts. snap must be in ID order
 // (Snapshot.CheckOrder), as LoadFeed and GenerateSnapshot return it;
 // Snapshot.Sort orders a hand-built one. snap itself is not modified:
-// Result.Cleaned copies each entry struct but shares the descriptions,
-// references, CVSS vectors and every other slice or vector no stage
-// rewrites with snap, so the caller must treat both as read-only.
+// Result.Cleaned copies each entry struct, all in one block, but shares
+// the descriptions, references, CVSS vectors and every other slice or
+// vector no stage rewrites with snap, so the caller must treat both as
+// read-only.
 //
 // Internally Clean runs a fixed stage graph: the §4.1 reference crawl
 // reads only the original snapshot while the §4.2 naming consolidation

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -46,7 +47,8 @@ func trainingOf(opts Options) store.Training {
 // accounting), so unchanged entries of a feed delta replay their
 // artifacts without touching the network. Nothing writes to the
 // state's maps once their run has built them, so checkpoints share
-// them. A run leaves Backport unset: the scores live in
+// them, and so does the next run while it changes none of their
+// values. A run leaves Backport unset: the scores live in
 // Result.Backport, and StoreCheckpoint takes them from there.
 type incState struct {
 	store.State
@@ -58,16 +60,18 @@ type incState struct {
 }
 
 // reuseState tells a run which recorded outputs still apply: those of
-// a previous Result, whose per-entry artifacts, naming survey, engine
-// and scores it reuses, and the set of entry IDs the feed delta names,
-// empty for a restore. Every lookup asks about an entry of the
-// snapshot the run cleans, so an ID absent from changed is one the
-// delta left untouched. before and after hold the entries with a
-// changed ID in the previous and the merged snapshot.
+// a previous Result, whose cleaned view, per-entry artifacts, naming
+// survey, engine and scores it reuses, and the set of entry IDs the
+// feed delta names, empty for a restore. Every lookup asks about an
+// entry of the snapshot the run cleans, so an ID absent from changed is
+// one the delta left untouched. before and after hold the entries with
+// a changed ID in the previous and the merged snapshot, after in ID
+// order, and removed the changed IDs the merged snapshot lacks.
 type reuseState struct {
 	prev          *Result
 	changed       map[string]bool
 	before, after []*Entry
+	removed       []string
 }
 
 // runClean executes the stage graph on snap: the §4.1 crawl (given a
@@ -76,10 +80,14 @@ type reuseState struct {
 // they have joined. With ru == nil every stage computes from scratch
 // (a full Clean); with a reuse state each stage replays what it
 // recorded for unchanged entries, recomputes what opts changes, and
-// processes only the delta. Clean runs this one graph without a reuse
-// state and CleanDelta with one, RestoreResult being CleanDelta of an
-// empty delta, and all give bit-identical Results for the same
-// snapshot and options — the invariant the equivalence tests enforce.
+// processes only the delta. Given the previous cleaned view too, the
+// run carries every entry the delta does not name (see view) and
+// patches the previous run's per-ID results for the entries it
+// derives. Clean runs this one graph without a reuse state and
+// CleanDelta with one, RestoreResult being CleanDelta of an empty delta
+// with no cleaned view to carry, and all give bit-identical Results for
+// the same snapshot and options — the invariant the equivalence tests
+// enforce.
 func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState) (*Result, error) {
 	if snap == nil || snap.Len() == 0 {
 		return nil, fmt.Errorf("nvdclean: empty snapshot")
@@ -94,15 +102,26 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// base is the Result whose cleaned view the run carries and whose
+	// per-ID results it patches: the previous one when it has a view,
+	// nil when the run derives every entry and builds them from nothing.
+	var base *Result
+	var prevSurvey *naming.Survey
+	var after []*Entry
+	if ru != nil {
+		prevSurvey = ru.prev.inc.survey
+		if ru.prev.Cleaned != nil {
+			base, after = ru.prev, ru.after
+		}
+	}
+	v := newView(snap, base, after)
 	res := &Result{
 		Original:            snap,
-		Cleaned:             shareEntries(snap),
+		Cleaned:             v.Snapshot,
 		EstimatedDisclosure: make(map[string]time.Time),
 		LagDays:             make(map[string]int),
-		VendorChanged:       make(map[string]bool),
-		ProductChanged:      make(map[string]bool),
 	}
-	st := &incState{State: store.State{CWEFix: make(map[string]predict.EntryCorrection)}}
+	st := &incState{}
 	res.inc = st
 
 	// §4.1: disclosure dates via reference crawling. Reads only the
@@ -150,94 +169,141 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		return nil
 	}
 
-	// §4.2, vendors first: consolidation rewrites only the cleaned
-	// view, as the paper does before surveying products. The survey
-	// reads the names as snap gives them.
+	// §4.2, vendors first. The survey reads the names as snap gives
+	// them. Its vendor analysis is the previous survey's when no tally
+	// moved, and then so is the vendor map; a map consolidated anew that
+	// equals the previous one is replaced by it too, so the next run
+	// sees the same pointer.
 	var survey *naming.Survey
+	var movedVendors map[string]bool
 	vendors := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if ru != nil && ru.prev.inc.survey != nil {
-			survey = ru.prev.inc.survey.Next(snap, ru.before, ru.after)
+		if prevSurvey != nil {
+			survey = prevSurvey.Next(snap, ru.before, ru.after)
 		} else {
 			survey = naming.NewSurvey(snap)
 		}
-		res.VendorMap = survey.AnalyzeVendors(w).Consolidate(naming.HeuristicJudge{})
-		if err := ctx.Err(); err != nil {
-			return err
+		va := survey.AnalyzeVendors(w)
+		if base != nil && va == prevSurvey.VendorAnalysis() {
+			res.VendorMap = base.VendorMap
+			return nil
 		}
-		// A rewritten entry gets a private CPE list first, so Apply
-		// never writes through a list the original shares.
-		for _, e := range res.Cleaned.Entries {
-			for _, n := range e.CPEs {
-				if res.VendorMap.Mapped(n.Vendor) {
-					res.VendorChanged[e.ID] = true
-					e.CPEs = slices.Clone(e.CPEs)
-					break
-				}
+		res.VendorMap = va.Consolidate(naming.HeuristicJudge{})
+		if base != nil {
+			if movedVendors = base.VendorMap.Changed(res.VendorMap); movedVendors == nil {
+				res.VendorMap = base.VendorMap
 			}
 		}
-		res.VendorMap.Apply(res.Cleaned)
 		return nil
 	}
 
-	// §4.2, products under the consolidated vendors.
+	// §4.2, products under the consolidated vendors, and then the
+	// rewrite of the names: every entry the run derived, and every
+	// carried entry with a name whose mapping changed, re-derived first.
 	products := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res.ProductMap = survey.AnalyzeProducts(res.VendorMap, w).Consolidate(naming.HeuristicProductJudge{})
+		pa := survey.AnalyzeProducts(res.VendorMap, w)
 		st.survey = survey
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// An entry the vendor map left sharing its CPE list gets a
-		// private one first.
-		for _, e := range res.Cleaned.Entries {
-			for _, n := range e.CPEs {
-				if res.ProductMap.Canonical(n.Vendor, n.Product) != n.Product {
-					res.ProductChanged[e.ID] = true
-					if !res.VendorChanged[e.ID] {
-						e.CPEs = slices.Clone(e.CPEs)
-					}
-					break
+		var movedProducts map[[2]string]bool
+		if base != nil && pa == prevSurvey.ProductAnalysis() {
+			res.ProductMap = base.ProductMap
+		} else {
+			res.ProductMap = pa.Consolidate(naming.HeuristicProductJudge{})
+			if base != nil {
+				if movedProducts = base.ProductMap.Changed(res.ProductMap); movedProducts == nil {
+					res.ProductMap = base.ProductMap
 				}
 			}
 		}
-		res.ProductMap.Apply(res.Cleaned)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var renamed []int
+		if movedVendors != nil || movedProducts != nil {
+			for i, e := range snap.Entries {
+				if !v.owned[i] && namesMoved(e, res.VendorMap, movedVendors, movedProducts) {
+					renamed = append(renamed, i)
+				}
+			}
+		}
+		copies := v.rederive(renamed)
+		vendorChanged := newPatch(base, func(r *Result) map[string]bool { return r.VendorChanged }, same[bool], 0)
+		productChanged := newPatch(base, func(r *Result) map[string]bool { return r.ProductChanged }, same[bool], 0)
+		name := func(e *Entry) {
+			vendor, product := rename(e, res.VendorMap, res.ProductMap)
+			vendorChanged.put(e.ID, true, vendor)
+			productChanged.put(e.ID, true, product)
+		}
+		for _, e := range v.derived {
+			name(e)
+		}
+		for k, e := range copies {
+			e.CPEs = snap.Entries[renamed[k]].CPEs
+			name(e)
+		}
+		if base != nil {
+			for _, id := range ru.removed {
+				vendorChanged.put(id, false, false)
+				productChanged.put(id, false, false)
+			}
+		}
+		res.VendorChanged, res.ProductChanged = vendorChanged.m, productChanged.m
 		return nil
 	}
 
-	// §4.4: CWE field correction. Replaces only the CWE field with a
-	// fresh slice, so it overlaps the naming stages on the same entries.
+	// §4.4: CWE field correction of the entries the run derived (a
+	// carried entry's outcome is its previous one). Replaces only the
+	// CWE field with a fresh slice, so it overlaps the naming stages on
+	// the same entries.
 	fixCWE := func() error {
 		reg := cwe.NewRegistry()
-		cor := &predict.CWECorrection{}
-		for i, e := range res.Cleaned.Entries {
+		fix := newPatch(base, func(r *Result) map[string]predict.EntryCorrection { return r.inc.CWEFix }, sameCorrection, 0)
+		var cor predict.CWECorrection
+		if base != nil {
+			cor = *base.CWECorrection
+		}
+		for i, e := range v.derived {
 			if i%1024 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			var ec predict.EntryCorrection
-			if cached, ok := cachedCorrection(ru, e.ID); ok {
-				ec = cached
-			} else {
+			if base != nil {
+				cor.Unrecord(base.inc.CWEFix[e.ID])
+			}
+			ec, ok := cachedCorrection(ru, e.ID)
+			if !ok {
 				ec = predict.CorrectEntryCWEs(e, reg)
 			}
 			if ec.Changed {
-				st.CWEFix[e.ID] = ec
 				e.CWEs = append([]cwe.ID(nil), ec.CWEs...)
 			}
+			fix.put(e.ID, ec, ec.Changed)
 			cor.Record(ec)
 		}
-		res.CWECorrection = cor
+		if base != nil {
+			for _, id := range ru.removed {
+				cor.Unrecord(base.inc.CWEFix[id])
+				fix.put(id, predict.EntryCorrection{}, false)
+			}
+		}
+		st.CWEFix = fix.m
+		res.CWECorrection = &cor
+		if base != nil && cor == *base.CWECorrection {
+			res.CWECorrection = base.CWECorrection
+		}
 		return nil
 	}
 
 	// §4.3: CVSS v3 severity backporting, which needs the corrected
-	// entries (consolidated names and fixed CWE types).
+	// entries (consolidated names and fixed CWE types). warm reports
+	// that the previous engine, and so every score of an entry the run
+	// did not derive, carried over.
+	warm := false
 	severity := func(w int) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -250,8 +316,9 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			// config reproduce the engine bit for bit, so the
 			// previous one carries over and only entries the
 			// delta touched are re-scored.
+			warm = true
 			res.Engine = ru.prev.Engine
-			if err := backportDelta(res, ru, w); err != nil {
+			if err := backportDelta(res, ru, v, base, w); err != nil {
 				return err
 			}
 		} else {
@@ -273,7 +340,6 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			}
 		}
 		st.Trained = true
-		ApplyBackport(res.Cleaned, res.Backport)
 		return nil
 	}
 
@@ -311,28 +377,208 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			return nil, err
 		}
 	}
+	// Under a carried engine the entries the run did not derive keep
+	// their scores; otherwise any of them may need another.
+	v.settleScores(res.Backport, !warm || base == nil)
 	return res, nil
 }
 
-// shareEntries returns the snapshot the stages clean: a copy of every
-// entry struct, sharing each slice and vector with snap. A stage
-// replaces a field it rewrites — the naming stages a CPE list, the CWE
-// fix a CWE list, ApplyBackport a PV3 pointer — and never writes
-// through a shared one, so snap (and every generation that shares its
-// entries) stays untouched. The copies drop snap's PV3: a backported
-// score in the input (a feed's backportedV3 key) is not the engine's,
-// so only the severity stage's ApplyBackport sets one. The copies live
-// in one block, a single allocation, since they live and die with
-// their generation anyway.
-func shareEntries(snap *Snapshot) *Snapshot {
-	block := make([]Entry, len(snap.Entries))
-	out := &Snapshot{CapturedAt: snap.CapturedAt, Entries: make([]*Entry, len(snap.Entries))}
-	for i, e := range snap.Entries {
-		block[i] = *e
-		block[i].PV3 = nil
-		out.Entries[i] = &block[i]
+// view is the cleaned snapshot a run builds. Without a previous cleaned
+// view every entry is derived: a copy of its original entry struct
+// that shares each slice and vector with it, all copies in one block.
+// With one, an entry the delta does not name is carried instead: the
+// previous view's *Entry, PV3 included, shared read-only with the
+// generation still serving it. The run owns its derived entries; a
+// stage replaces a field it rewrites — the naming stages a CPE list,
+// the CWE fix a CWE list, settleScores a PV3 pointer — and never writes
+// through a shared slice or vector, so the original stays untouched. A
+// stage that must change a carried entry, because one of its names
+// maps anew or its score moved, re-derives it first into a fresh copy,
+// so no generation's view is ever written. What a carried entry pins
+// is the block it was allocated in, the Clean's block of every entry or
+// a later run's block of the few it derived: a block is freed once no
+// view holds any of its entries.
+type view struct {
+	*Snapshot
+	// derived lists the entries the run derived when it began: every
+	// entry without a previous view, else those the delta names.
+	derived []*Entry
+	// owned marks the entries the run owns; nil when it owns them all.
+	owned []bool
+}
+
+// newView starts the cleaned view of snap: every entry derived when
+// base is nil, else the entries of after derived and every other entry
+// carried from base's view. A derived entry drops its original's PV3:
+// a backported score in the input (a feed's backportedV3 key) is not
+// the engine's, so only settleScores sets one.
+func newView(snap *Snapshot, base *Result, after []*Entry) *view {
+	v := &view{Snapshot: &Snapshot{CapturedAt: snap.CapturedAt, Entries: make([]*Entry, len(snap.Entries))}}
+	if base == nil {
+		block := make([]Entry, len(snap.Entries))
+		for i, e := range snap.Entries {
+			block[i] = *e
+			block[i].PV3 = nil
+			v.Entries[i] = &block[i]
+		}
+		v.derived = v.Entries
+		return v
 	}
-	return out
+	// snap is base's original with the delta applied, which leaves
+	// every other entry pointer in place and in order, and after is in
+	// snap's order: walk the three in one merge. An entry found in
+	// neither after nor base's original is derived too.
+	prevOrig, prevView := base.Original.Entries, base.Cleaned.Entries
+	block := make([]Entry, 0, len(after))
+	v.owned = make([]bool, len(snap.Entries))
+	v.derived = make([]*Entry, 0, len(after))
+	j, k := 0, 0
+	for i, e := range snap.Entries {
+		if k < len(after) && after[k] == e {
+			k++
+		} else {
+			for j < len(prevOrig) && prevOrig[j] != e {
+				j++
+			}
+			if j < len(prevOrig) {
+				v.Entries[i] = prevView[j]
+				j++
+				continue
+			}
+		}
+		block = append(block, *e)
+		c := &block[len(block)-1]
+		c.PV3 = nil
+		v.Entries[i], v.owned[i] = c, true
+		v.derived = append(v.derived, c)
+	}
+	return v
+}
+
+// rederive replaces each carried entry at the indices idx with a fresh
+// copy the run owns, all copies in one block, and returns the copies.
+func (v *view) rederive(idx []int) []*Entry {
+	if len(idx) == 0 {
+		return nil
+	}
+	block := make([]Entry, len(idx))
+	copies := make([]*Entry, len(idx))
+	for k, i := range idx {
+		block[k] = *v.Entries[i]
+		v.Entries[i], v.owned[i] = &block[k], true
+		copies[k] = &block[k]
+	}
+	return copies
+}
+
+// settleScores makes each entry's PV3 its score in b, and nil on an
+// entry b does not score, every entry when b is nil; an entry with a
+// real v3 vector has none, matching the paper's pv3 scoring. It visits
+// every entry when all is set and the derived ones otherwise,
+// re-deriving first a carried entry whose PV3 must change, and writes
+// the scores with ApplyBackport.
+func (v *view) settleScores(b *predict.Backport, all bool) {
+	var scores map[string]float64
+	if b != nil {
+		scores = b.Scores
+	}
+	scored := func(e *Entry) (float64, bool) {
+		s, ok := scores[e.ID]
+		return s, ok && e.V3 == nil
+	}
+	entries := v.derived
+	if all {
+		if v.owned != nil {
+			var stale []int
+			for i, e := range v.Entries {
+				if s, ok := scored(e); !v.owned[i] && (ok != (e.PV3 != nil) || ok && *e.PV3 != s) {
+					stale = append(stale, i)
+				}
+			}
+			v.rederive(stale)
+		}
+		entries = v.Entries
+	}
+	for _, e := range entries {
+		if _, ok := scored(e); !ok && e.PV3 != nil {
+			e.PV3 = nil
+		}
+	}
+	ApplyBackport(&Snapshot{Entries: entries}, b)
+}
+
+// namesMoved reports whether a CPE name of e, an original entry, has a
+// vendor in movedVendors or, under vm, a (vendor, product) in
+// movedProducts: whether its cleaned names may differ from the
+// previous run's.
+func namesMoved(e *Entry, vm *naming.Map, movedVendors map[string]bool, movedProducts map[[2]string]bool) bool {
+	for _, n := range e.CPEs {
+		if movedVendors[n.Vendor] || movedProducts[[2]string{vm.Canonical(n.Vendor), n.Product}] {
+			return true
+		}
+	}
+	return false
+}
+
+// rename rewrites the CPE names of e, whose list is its original's,
+// through vm and then, under the consolidated vendor, pm, giving e a
+// private list before the first rewrite so the original's list is never
+// written. It reports whether a vendor and whether a product changed.
+func rename(e *Entry, vm *naming.Map, pm *naming.ProductMap) (vendor, product bool) {
+	private := false
+	for i, n := range e.CPEs {
+		v := vm.Canonical(n.Vendor)
+		p := pm.Canonical(v, n.Product)
+		if v == n.Vendor && p == n.Product {
+			continue
+		}
+		if !private {
+			e.CPEs = slices.Clone(e.CPEs)
+			private = true
+		}
+		e.CPEs[i].Vendor, e.CPEs[i].Product = v, p
+		vendor = vendor || v != n.Vendor
+		product = product || p != n.Product
+	}
+	return vendor, product
+}
+
+// patch is a per-ID result a run derives from the previous run's by
+// patching the IDs it derives or removes: it shares the previous map,
+// read-only, until a value changes, and copies it then. A run with no
+// base Result starts from an empty map of its own, sized for size IDs.
+type patch[V any] struct {
+	m     map[string]V
+	owned bool
+	equal func(a, b V) bool
+}
+
+func newPatch[V any](base *Result, of func(*Result) map[string]V, equal func(a, b V) bool, size int) patch[V] {
+	if base == nil {
+		return patch[V]{m: make(map[string]V, size), owned: true, equal: equal}
+	}
+	return patch[V]{m: of(base), equal: equal}
+}
+
+// put maps id to val when ok, and to nothing otherwise.
+func (p *patch[V]) put(id string, val V, ok bool) {
+	if old, had := p.m[id]; had == ok && (!ok || p.equal(old, val)) {
+		return
+	}
+	if !p.owned {
+		p.m, p.owned = maps.Clone(p.m), true
+	}
+	if ok {
+		p.m[id] = val
+	} else {
+		delete(p.m, id)
+	}
+}
+
+func same[V comparable](a, b V) bool { return a == b }
+
+func sameCorrection(a, b predict.EntryCorrection) bool {
+	return a.Changed == b.Changed && a.Kind == b.Kind && slices.Equal(a.CWEs, b.CWEs)
 }
 
 // cachedCorrection looks up the previous §4.4 outcome of an entry the
@@ -350,33 +596,45 @@ func cachedCorrection(ru *reuseState, id string) (predict.EntryCorrection, bool)
 // unchanged v2-only entries keep their previous scores (per-entry pure
 // function of v2 vector + corrected CWE under a fixed model), changed
 // ones are scored as one batch. The previous Result's severity stage
-// ran, so it has scores.
-func backportDelta(res *Result, ru *reuseState, workers int) error {
+// ran, so it has scores. With a base Result the run patches its map for
+// the entries it derived and the IDs the delta removed, sharing it, and
+// the Backport, while no score moves.
+func backportDelta(res *Result, ru *reuseState, v *view, base *Result, workers int) error {
 	prev := ru.prev.Backport.Scores
-	scores := make(map[string]float64, len(prev))
+	scores := newPatch(base, func(r *Result) map[string]float64 { return r.Backport.Scores }, same[float64], len(prev))
 	var pending []*cve.Entry
-	for _, e := range res.Cleaned.Entries {
+	for _, e := range v.derived {
 		if e.V2 == nil || e.V3 != nil {
+			scores.put(e.ID, 0, false)
 			continue
 		}
 		if !ru.changed[e.ID] {
-			if v, ok := prev[e.ID]; ok {
-				scores[e.ID] = v
+			if s, ok := prev[e.ID]; ok {
+				scores.put(e.ID, s, true)
 				continue
 			}
 		}
 		pending = append(pending, e)
+	}
+	if base != nil {
+		for _, id := range ru.removed {
+			scores.put(id, 0, false)
+		}
 	}
 	if len(pending) > 0 {
 		b, err := res.Engine.BackportAllN(&cve.Snapshot{Entries: pending}, workers)
 		if err != nil {
 			return fmt.Errorf("nvdclean: backporting delta: %w", err)
 		}
-		for id, v := range b.Scores {
-			scores[id] = v
+		for id, s := range b.Scores {
+			scores.put(id, s, true)
 		}
 	}
-	res.Backport = &predict.Backport{Scores: scores}
+	if !scores.owned {
+		res.Backport = base.Backport
+		return nil
+	}
+	res.Backport = &predict.Backport{Scores: scores.m}
 	return nil
 }
 
@@ -406,7 +664,16 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //   - when the delta leaves the dual-labeled training split untouched
 //     (the common case — new CVEs are v2-only, which is why backporting
 //     exists) the trained engine carries over and only changed entries
-//     are re-scored.
+//     are re-scored;
+//   - the cleaned view carries over: an entry the delta does not name
+//     keeps prev's cleaned *Entry unless a consolidation map now
+//     resolves one of its names differently or a retrain moves its
+//     score, and the per-ID results (VendorChanged, ProductChanged, the
+//     §4.4 records and counts, the backported scores) are prev's,
+//     patched for the entries the run derives and shared while none of
+//     their values changes. An edit that moves no name tally reuses
+//     both consolidation maps, so a one-entry edit allocates alike at
+//     any snapshot size.
 //
 // The delta's lists must be in ID order (Delta.Sort). An added entry
 // out of that order, with a malformed ID, or naming a CVE prev.Original
@@ -438,19 +705,20 @@ func CleanDelta(ctx context.Context, prev *Result, delta *Delta, opts Options) (
 		return nil, fmt.Errorf("%w: it removes every entry", ErrBadDelta)
 	}
 	changed := make(map[string]bool, delta.Size())
-	for _, id := range delta.ChangedIDs() {
-		changed[id] = true
-	}
-	for _, id := range delta.Removed {
-		changed[id] = true
-	}
 	ru := &reuseState{prev: prev, changed: changed}
-	for id := range changed {
+	// ChangedIDs comes in ID order, so after does too.
+	for _, id := range append(delta.ChangedIDs(), delta.Removed...) {
+		if changed[id] {
+			continue
+		}
+		changed[id] = true
 		if e := prev.Original.ByID(id); e != nil {
 			ru.before = append(ru.before, e)
 		}
 		if e := merged.ByID(id); e != nil {
 			ru.after = append(ru.after, e)
+		} else {
+			ru.removed = append(ru.removed, id)
 		}
 	}
 	res, err := runClean(ctx, merged, opts, ru)
@@ -544,13 +812,14 @@ func RestoreResult(cp *store.Checkpoint, opts Options) (*Result, error) {
 // ApplyBackport materializes backported severity scores into the
 // snapshot's PV3 extension field, returning the number of entries
 // annotated. Entries with a real v3 vector are left alone, matching the
-// paper's pv3 scoring (real v3 when present, predicted otherwise). The
-// severity stage ends with it, so every Result's cleaned view, restored
-// ones included, already carries its scores: readers take them from
-// Entry.PV3 (Entry.SeverityPV3 for the band), and WriteFeed exports
-// them under the backportedV3 key. A score already materialized is not
-// rewritten, so applying again writes nothing and allocates nothing;
-// the scores it does write share one block.
+// paper's pv3 scoring (real v3 when present, predicted otherwise).
+// Every Result's cleaned view, restored ones included, already carries
+// its scores, as the run settles them after the severity stage:
+// readers take them from Entry.PV3 (Entry.SeverityPV3 for the band),
+// and WriteFeed exports them under the backportedV3 key. A score
+// already materialized is not rewritten, so applying a Result's own
+// scores to its view again writes nothing and allocates nothing; the
+// scores it does write share one block.
 func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 	if snap == nil || b == nil {
 		return 0
@@ -564,7 +833,7 @@ func ApplyBackport(snap *Snapshot, b *predict.Backport) int {
 		if s, ok := b.Scores[e.ID]; ok {
 			if e.PV3 == nil || *e.PV3 != s {
 				if block == nil {
-					block = make([]float64, 0, len(b.Scores))
+					block = make([]float64, 0, min(len(b.Scores), len(snap.Entries)))
 				}
 				// Appending past the capacity (IDs repeated in snap)
 				// moves on to a new block; earlier pointers keep the
