@@ -220,10 +220,15 @@ func run(cfg serveConfig) error {
 		if !st.warmStart {
 			engine = "retrained"
 		}
-		ixs := st.idx.Stats()
-		indexMode := fmt.Sprintf("%d/%d shards lazy", ixs.Shards-ixs.LoadedShards, ixs.Shards)
-		if cp.Index == nil {
-			indexMode = "rebuilt (checkpoint carried no index segments)"
+		// Only shards parsed from the checkpoint's segments report disk
+		// bytes, so none does when the restore re-scored severities and
+		// the index was built anew.
+		indexMode := "restored"
+		switch {
+		case cp.Index == nil:
+			indexMode = "rebuilt (checkpoint carried no usable index segments)"
+		case st.idx.Stats().DiskBytes == 0:
+			indexMode = "rebuilt (no shard kept from the checkpoint)"
 		}
 		fmt.Printf("nvdserve: warm start: restored store generation %d (%d entries, %d logged deltas) in %dms; engine %s, index %s\n",
 			srv.persist.Generation(), st.res.Cleaned.Len(), len(logged), st.cleanDur.Milliseconds(), engine, indexMode)

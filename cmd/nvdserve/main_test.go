@@ -228,17 +228,13 @@ func TestServerEndpoints(t *testing.T) {
 	if int(stats["entries"].(float64)) != snap.Len() || stats["engine"] == nil {
 		t.Fatalf("stats = %v", stats)
 	}
-	// The index block reports shard residency; a freshly built index
-	// is fully resident (no segments to stay lazy in).
+	// The index block reports the shards' keys and posting bytes.
 	ix, ok := stats["index"].(map[string]any)
 	if !ok {
 		t.Fatalf("stats carries no index block: %v", stats)
 	}
 	if int(ix["entries"].(float64)) != snap.Len() {
 		t.Errorf("index entries = %v, want %d", ix["entries"], snap.Len())
-	}
-	if int(ix["shards"].(float64)) != int(ix["loadedShards"].(float64))+int(ix["lazyShards"].(float64)) {
-		t.Errorf("index shard accounting inconsistent: %v", ix)
 	}
 	if ix["keys"].(float64) == 0 || ix["postingBytesResident"].(float64) == 0 {
 		t.Errorf("built index reports empty postings: %v", ix)

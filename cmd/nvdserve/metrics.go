@@ -94,31 +94,24 @@ func newServerMetrics(s *server) *serverMetrics {
 	})
 
 	// Index residency, from the serving generation's shard stats.
-	indexStat := func(pick func(s *server) float64) func() float64 { return func() float64 { return pick(s) } }
-	r.GaugeFunc("nvdserve_index_shards", "Query-index shards in the serving generation.", indexStat(func(s *server) float64 {
+	r.GaugeFunc("nvdserve_index_shards", "Query-index shards in the serving generation.", func() float64 {
 		if st := s.cur.Load(); st != nil && st.idx != nil {
 			return float64(st.idx.Stats().Shards)
 		}
 		return 0
-	}))
-	r.GaugeFunc("nvdserve_index_shards_loaded", "Index shards parsed into posting maps (the rest are raw checkpoint segments awaiting first query).", indexStat(func(s *server) float64 {
-		if st := s.cur.Load(); st != nil && st.idx != nil {
-			return float64(st.idx.Stats().LoadedShards)
-		}
-		return 0
-	}))
-	r.GaugeFunc("nvdserve_index_posting_bytes_resident", "Posting-block bytes held in memory by loaded index shards.", indexStat(func(s *server) float64 {
+	})
+	r.GaugeFunc("nvdserve_index_posting_bytes_resident", "Posting-block bytes held in memory by the index shards.", func() float64 {
 		if st := s.cur.Load(); st != nil && st.idx != nil {
 			return float64(st.idx.Stats().ResidentBytes)
 		}
 		return 0
-	}))
-	r.GaugeFunc("nvdserve_index_posting_bytes_on_disk", "Index segment bytes as persisted in the current checkpoint (0 for in-memory indexes).", indexStat(func(s *server) float64 {
+	})
+	r.GaugeFunc("nvdserve_index_posting_bytes_on_disk", "Index segment bytes as persisted in the current checkpoint (0 for in-memory indexes).", func() float64 {
 		if st := s.cur.Load(); st != nil && st.idx != nil {
 			return float64(st.idx.Stats().DiskBytes)
 		}
 		return 0
-	}))
+	})
 
 	// Store and commit-queue families (zero without -data-dir).
 	r.GaugeFunc("nvdserve_store_generation", "Committed checkpoint generation of the persistent store.", func() float64 {

@@ -346,7 +346,6 @@ func TestMetricsScrapeFormat(t *testing.T) {
 		"nvdserve_boot_epoch_seconds",
 		"nvdserve_ready",
 		"nvdserve_index_shards",
-		"nvdserve_index_shards_loaded",
 		"nvdserve_index_posting_bytes_resident",
 		"nvdserve_store_generation",
 		"nvdserve_store_commit_queue_depth",

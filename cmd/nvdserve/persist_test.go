@@ -5,8 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,7 +76,7 @@ func marshalResponse(t *testing.T, resp queryResponse) []byte {
 // reference linear scan — under an index built at any worker count,
 // after an incremental ordinal-level update, after a post whose
 // entries carry backportedV3 scores the engine never predicted, and
-// after a persist→load round-trip through lazy checkpoint segments.
+// after a persist→load round-trip through checkpoint segments.
 func TestQueryIndexEquivalence(t *testing.T) {
 	srv, snap := demoServer(t)
 	ts := httptest.NewServer(srv.handler())
@@ -164,8 +168,7 @@ func TestQueryIndexEquivalence(t *testing.T) {
 	check(st3, &rebuilt, "posted backported scores")
 
 	// Persist→load round-trip: the committed index segments reload as
-	// a lazy index answering byte-identically, shards parsing only on
-	// first touch.
+	// an index answering byte-identically.
 	dir := t.TempDir()
 	str, _, _, _, err := store.Open(dir)
 	if err != nil {
@@ -187,19 +190,12 @@ func TestQueryIndexEquivalence(t *testing.T) {
 	if cp2.Index == nil {
 		t.Fatalf("reloaded checkpoint has no index (note %q)", cp2.IndexNote)
 	}
-	ixs := cp2.Index.Stats()
-	if ixs.LoadedShards != 0 {
-		t.Fatalf("freshly loaded index already parsed %d shards", ixs.LoadedShards)
-	}
-	if ixs.DiskBytes == 0 {
+	if ixs := cp2.Index.Stats(); ixs.DiskBytes == 0 {
 		t.Fatal("loaded index reports no on-disk bytes")
 	}
 	restored := *st3
 	restored.idx = cp2.Index
 	check(st3, &restored, "persist/load round-trip")
-	if after := cp2.Index.Stats(); after.LoadedShards == 0 {
-		t.Fatal("queries never touched a lazy shard")
-	}
 }
 
 // TestUnorderedFeedQueryEquivalence is the regression test for a feed
@@ -398,7 +394,7 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	if cp.Index == nil {
 		t.Fatalf("restored checkpoint carried no index segments (note %q)", cp.IndexNote)
 	}
-	// The production warm boot: the checkpoint's restored lazy index
+	// The production warm boot: the checkpoint's restored index
 	// anchors the base generation, and the logged deltas advance it
 	// incrementally.
 	srvWarm := newServer(warmOpts)
@@ -452,6 +448,77 @@ func TestWarmRestartEquivalence(t *testing.T) {
 	srvSeededCold := newServer(seeded)
 	coldBoot(t, srvSeededCold, snap)
 	assertServesAlike(t, srvSeeded, srvSeededCold)
+}
+
+// TestWarmBootRebuildsMalformedIndexSegment: an index segment that is
+// malformed under a valid manifest sum is caught when the checkpoint
+// loads, so the checkpoint opens without an index, and a daemon
+// booting from it serves a rebuilt index that answers like a cold boot.
+func TestWarmBootRebuildsMalformedIndexSegment(t *testing.T) {
+	ctx := context.Background()
+	snap, opts := world(t, gen.TinyConfig())
+	dir := t.TempDir()
+	srvBoot := newServer(opts)
+	openTestStore(t, srvBoot, dir, fsio.OS{})
+	coldBoot(t, srvBoot, snap)
+	if err := srvBoot.closeStore(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One byte after the last posting: the segment's header and its sum
+	// check out, and only a full parse rejects it.
+	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genDir := filepath.Join(dir, strings.TrimSpace(string(cur)))
+	seg := filepath.Join(genDir, "index-03.seg")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, 0)
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mPath := filepath.Join(genDir, "MANIFEST.json")
+	mb, err := os.ReadFile(mPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(mb, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["files"].(map[string]any)["index-03.seg"] = map[string]any{
+		"size": len(data), "crc32c": crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)),
+	}
+	if mb, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mPath, mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	str, cp, logged, notes, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil || cp.Index != nil || cp.IndexNote == "" {
+		t.Fatalf("malformed segment: checkpoint=%v index=%v note=%q notes=%v", cp != nil, cp != nil && cp.Index != nil, cp.IndexNote, notes)
+	}
+	srvWarm := newServer(opts)
+	srvWarm.attachStore(str)
+	defer srvWarm.closeStore()
+	if _, err := srvWarm.advance(ctx, transition{cp: cp, delta: mergeDeltas(cp.Original, logged)}); err != nil {
+		t.Fatal(err)
+	}
+	if ixs := srvWarm.cur.Load().idx.Stats(); ixs.DiskBytes != 0 {
+		t.Fatalf("the daemon serves %d bytes of the checkpoint's segments", ixs.DiskBytes)
+	}
+	srvCold := newServer(opts)
+	coldBoot(t, srvCold, snap)
+	assertServesAlike(t, srvWarm, srvCold)
 }
 
 // assertServesAlike requires a restored server to serve what a cold

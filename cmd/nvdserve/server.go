@@ -212,7 +212,7 @@ func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
 	if t.delta != nil && !t.delta.Empty() {
 		if base == nil {
 			// The restored checkpoint's own view anchors the delta, so
-			// the replay re-ordinates only the lazy index shards it touches.
+			// the replay re-ordinates only the index shards it touches.
 			base, restored = s.newState(res, nil, nil, restored), nil
 		}
 		if res, err = nvdclean.CleanDelta(ctx, base.res, t.delta, s.opts); err != nil {
@@ -313,17 +313,17 @@ func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvd
 	}
 	switch {
 	case restored != nil:
-		// A checkpoint-restored index: shards stay raw segment bytes
-		// until queries touch them, so the warm boot never pays a
-		// BuildIndex over the feed.
+		// A checkpoint-restored index, parsed from its segments when the
+		// checkpoint loaded: the warm boot never pays a BuildIndex over
+		// the feed.
 		st.idx = restored
 	case prev != nil && prev.idx != nil:
 		cleanedDelta := nvdclean.Diff(prev.res.Cleaned, res.Cleaned)
 		idx, err := prev.idx.Update(cleanedDelta, prev.res.Cleaned.ByID, res.Cleaned, s.opts.Concurrency)
 		if err != nil {
-			// A corrupt lazily-loaded shard surfaces on the first
-			// update that touches it; a full rebuild restores a clean
-			// in-memory index.
+			// A corrupt posting block surfaces on the first update that
+			// decodes it; a full rebuild restores a clean in-memory
+			// index.
 			idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
 		}
 		st.idx = idx
@@ -765,8 +765,8 @@ func (st *serveState) queryIndexed(p queryParams) queryResponse {
 	}
 	ords, filtered, err := st.idx.Match(q)
 	if err != nil {
-		// A corrupt lazily-loaded index shard cannot change response
-		// bytes: the linear scan answers instead.
+		// A corrupt posting block cannot change response bytes: the
+		// linear scan answers instead.
 		return st.queryScan(p)
 	}
 	var matched []*nvdclean.Entry
@@ -868,8 +868,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ixs := st.idx.Stats()
 		stats["index"] = map[string]any{
 			"shards":               ixs.Shards,
-			"loadedShards":         ixs.LoadedShards,
-			"lazyShards":           ixs.Shards - ixs.LoadedShards,
 			"keys":                 ixs.Keys,
 			"entries":              ixs.Entries,
 			"postingBytesResident": ixs.ResidentBytes,

@@ -244,24 +244,21 @@ func (c *Crawler) EstimateEntries(ctx context.Context, entries []*cve.Entry) ([]
 	return results, perEntry, nil
 }
 
-// FoldStats reduces per-entry stats to the aggregate in entry order.
-func FoldStats(workers int, perEntry []Stats) Stats {
-	return parallel.OrderedReduce(workers, len(perEntry), 1024, Stats{},
-		func(start, end int) Stats {
-			var s Stats
-			for i := start; i < end; i++ {
-				s.add(perEntry[i])
-			}
-			return s
-		},
-		func(acc, part Stats) Stats { acc.add(part); return acc })
+// FoldStats sums per-entry stats into the aggregate. The counters are
+// integers, so the sum is the same in any order.
+func FoldStats(perEntry []Stats) Stats {
+	var s Stats
+	for _, o := range perEntry {
+		s.add(o)
+	}
+	return s
 }
 
 // EstimateAll crawls every entry of the snapshot and returns per-CVE
 // results (in snapshot order) plus aggregate stats.
 func (c *Crawler) EstimateAll(ctx context.Context, snap *cve.Snapshot) ([]Result, Stats, error) {
 	results, perEntry, err := c.EstimateEntries(ctx, snap.Entries)
-	agg := FoldStats(c.cfg.Concurrency, perEntry)
+	agg := FoldStats(perEntry)
 	if err != nil {
 		return nil, agg, err
 	}

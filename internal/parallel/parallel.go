@@ -1,18 +1,20 @@
 // Package parallel is the concurrency substrate of the cleaning
 // pipeline: a bounded worker pool exposed as chunked parallel-for
-// loops, order-stable reductions, and an errgroup-style join, all with
-// a per-call concurrency override.
+// loops and an errgroup-style join, all with a per-call concurrency
+// override.
 //
 // Every helper obeys one contract: the result is byte-identical no
 // matter how many workers run. Disjoint-write loops (For, ForWith,
 // ForRange) get this for free because every index writes only its own
-// output slot. Reductions (OrderedReduce) get it by fixing the chunk
-// decomposition as a function of the input size alone — never of the
-// worker count — and folding the per-chunk partial results in chunk
-// order on a single goroutine. Floating-point reductions therefore
-// produce the same bits at concurrency 1 and concurrency N, which is
-// what lets the pipeline promise "same output, any core count" and
-// what the determinism tests across the repository enforce.
+// output slot. A caller that reduces across chunks (nn.Train's
+// gradient sums, KNN's per-chunk nearest neighbours) gets it by fixing
+// the chunk decomposition as a function of the input size alone
+// (NumChunks) — never of the worker count — and folding the per-chunk
+// partial results in chunk order on a single goroutine. Floating-point
+// reductions therefore produce the same bits at concurrency 1 and
+// concurrency N, which is what lets the pipeline promise "same output,
+// any core count" and what the determinism tests across the repository
+// enforce.
 package parallel
 
 import (
@@ -226,38 +228,6 @@ func ForErr(workers, n int, fn func(i int) error) error {
 		}
 	})
 	return first
-}
-
-// OrderedReduce maps grain-sized chunks of [0, n) in parallel and folds
-// the partial results in ascending chunk order on one goroutine:
-//
-//	acc = reduce(...reduce(reduce(zero, part₀), part₁)..., partₖ)
-//
-// Because the chunk layout is worker-independent and the fold is
-// sequential, floating-point reductions are bit-identical at any
-// concurrency level.
-func OrderedReduce[T any](workers, n, grain int, zero T, mapf func(start, end int) T, reduce func(acc, part T) T) T {
-	if n <= 0 {
-		return zero
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	chunks := NumChunks(n, grain)
-	parts := make([]T, chunks)
-	run(Workers(workers), chunks, func(c int) {
-		start := c * grain
-		end := start + grain
-		if end > n {
-			end = n
-		}
-		parts[c] = mapf(start, end)
-	})
-	acc := zero
-	for _, p := range parts {
-		acc = reduce(acc, p)
-	}
-	return acc
 }
 
 // Group is an errgroup-style join for heterogeneous pipeline stages:

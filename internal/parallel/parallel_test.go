@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"errors"
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -110,33 +109,6 @@ func TestForErrReturnsLowestIndexError(t *testing.T) {
 	}
 	if err := ForErr(4, 50, func(int) error { return nil }); err != nil {
 		t.Errorf("clean run err = %v", err)
-	}
-}
-
-// TestOrderedReduceDeterministic is the core contract: a floating-point
-// reduction gives bit-identical results at every concurrency level.
-func TestOrderedReduceDeterministic(t *testing.T) {
-	n := 10007
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Sin(float64(i)) * math.Exp(float64(i%97)/13)
-	}
-	sum := func(workers int) float64 {
-		return OrderedReduce(workers, n, 64, 0.0,
-			func(start, end int) float64 {
-				var s float64
-				for i := start; i < end; i++ {
-					s += vals[i]
-				}
-				return s
-			},
-			func(acc, part float64) float64 { return acc + part })
-	}
-	base := sum(1)
-	for _, w := range []int{2, 3, 8, 16} {
-		if got := sum(w); got != base {
-			t.Errorf("workers=%d: sum %v != serial %v (diff %g)", w, got, base, got-base)
-		}
 	}
 }
 

@@ -31,9 +31,10 @@ import (
 //   - torn-write-at-op: a write landed partially before failing, then
 //     the machine died.
 //
-// The fsio.Injector serializes mutating ops, so each snapshot is a
-// consistent between-ops image even while CommitSealed writes
-// checkpoint files concurrently.
+// Passes 2 and 3 rerun the mutation and fail its op by number, which
+// names the same op only because every store mutation performs its
+// filesystem ops in one fixed order; each rerun checks that the op it
+// failed is the one pass 1 recorded at that number.
 
 // dirImage is a point-in-time copy of a store directory. Keys are
 // slash-separated relative paths; a nil value marks a directory.
@@ -192,18 +193,40 @@ func exploreCrashPath(t *testing.T, setup func(t *testing.T, dir string), run fu
 		check("crash-after", ops[k], snaps[k])
 	}
 
+	// rerun performs the mutation again on a fresh copy of the
+	// pre-image with the fault decide injects, and requires the op it
+	// failed to be pass 1's op k: the same kind on the same path
+	// relative to each run's own directory.
+	rerun := func(pass string, k int, decide func(fsio.Op) fsio.Decision) {
+		t.Helper()
+		s, inj, dir := openInjected(preSnap)
+		if got := inj.Ops(); got != bootOps {
+			t.Fatalf("boot performed %d mutating ops, first run %d — op numbering drifted", got, bootOps)
+		}
+		var failed fsio.Op
+		inj.SetDecide(func(op fsio.Op) fsio.Decision {
+			d := decide(op)
+			if d.Err != nil {
+				failed = op
+			}
+			return d
+		})
+		_ = run(t, s) // an error is expected but not required: some failures are absorbed (e.g. retirement)
+		inj.SetDecide(nil)
+		s.Close()
+		switch want := relOp(work, ops[k]); {
+		case failed.N == 0:
+			t.Errorf("%s at op %d (%s): the rerun failed no op", pass, ops[k].N, want)
+		case relOp(dir, failed) != want:
+			t.Errorf("%s at op %d: the rerun failed %s, pass 1 recorded %s there", pass, ops[k].N, relOp(dir, failed), want)
+		}
+		check(pass, ops[k], snapshotDir(t, dir))
+	}
+
 	// Pass 2: the op fails with ENOSPC, the caller observes the error,
 	// then the machine dies.
 	for k := 0; k < len(ops); k += stride {
-		s2, inj2, dir2 := openInjected(preSnap)
-		if got := inj2.Ops(); got != bootOps {
-			t.Fatalf("boot performed %d mutating ops, first run %d — op numbering drifted", got, bootOps)
-		}
-		inj2.SetDecide(fsio.FailOp(ops[k].N, syscall.ENOSPC))
-		_ = run(t, s2) // an error is expected but not required: some failures are absorbed (e.g. retirement)
-		inj2.SetDecide(nil)
-		s2.Close()
-		check("enospc-at", ops[k], snapshotDir(t, dir2))
+		rerun("enospc-at", k, fsio.FailOp(ops[k].N, syscall.ENOSPC))
 	}
 
 	// Pass 3: writes land one byte and then fail — a torn write.
@@ -211,18 +234,23 @@ func exploreCrashPath(t *testing.T, setup func(t *testing.T, dir string), run fu
 		if ops[k].Kind != fsio.OpWrite && ops[k].Kind != fsio.OpWriteFile {
 			continue
 		}
-		s3, inj3, dir3 := openInjected(preSnap)
-		inj3.SetDecide(fsio.TornWriteOp(ops[k].N, 1, syscall.EIO))
-		_ = run(t, s3)
-		inj3.SetDecide(nil)
-		s3.Close()
-		check("torn-write-at", ops[k], snapshotDir(t, dir3))
+		rerun("torn-write-at", k, fsio.TornWriteOp(ops[k].N, 1, syscall.EIO))
 	}
 	if explored == 0 {
 		t.Fatal("explored 0 crash points")
 	}
 	t.Logf("explored %d crash points across %d mutating ops (stride %d)", explored, len(ops), stride)
 	return explored
+}
+
+// relOp names an op by kind and by its path relative to the run's
+// directory, so ops of two runs in different directories compare.
+func relOp(dir string, op fsio.Op) string {
+	rel, err := filepath.Rel(dir, op.Path)
+	if err != nil {
+		rel = op.Path
+	}
+	return op.Kind.String() + " " + filepath.ToSlash(rel)
 }
 
 // setupCommitted commits one checkpoint and appends one delta — the

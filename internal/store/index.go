@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"nvdclean/internal/cve"
 	"nvdclean/internal/cvss"
@@ -24,9 +22,9 @@ import (
 // order, identical to a linear scan, at any worker count. Ordinals
 // translate back to entries only at the /query materialization edge.
 //
-// Shards loaded from a persisted checkpoint stay raw segment bytes
-// until a query first touches them (shard.load), so boot cost and
-// resident memory track the hot key set rather than the feed.
+// A checkpoint restores an index by parsing every persisted segment
+// when it loads (indexFromSegments): each shard is an immutable posting
+// map from construction, so lookups take no lock.
 //
 // Severity postings read the entry's pv3 band (Entry.SeverityPV3: the
 // real v3 severity when present, the backported PV3 score's band
@@ -89,62 +87,30 @@ func shardOf(k key) int {
 	return int(h % numShards)
 }
 
-// shard is one immutable posting map, possibly still in its raw
-// persisted form. The first load parses the raw segment under mu and
-// publishes via loaded (release/acquire), so concurrent lookups never
-// block once a shard is hot.
+// shard is one immutable posting map.
 type shard struct {
-	mu     sync.Mutex
-	loaded atomic.Bool
+	post      map[key]*posting
+	dataBytes int // Σ posting block bytes
 
 	// raw is the shard's segment payload when it came from a persisted
 	// checkpoint; parsed postings alias it, so it stays reachable for
 	// the shard's lifetime. nil for shards built in memory.
 	raw        []byte
 	rawEntries int // entry count in raw's header
-	diskBytes  int // len(raw) as persisted; 0 for in-memory shards
-
-	post      map[key]*posting
-	dataBytes int   // Σ posting block bytes, once loaded
-	err       error // sticky parse failure
 }
 
-// newShard wraps an in-memory posting map.
+// newShard wraps a posting map.
 func newShard(post map[key]*posting) *shard {
 	sh := &shard{post: post}
 	for _, p := range post {
 		sh.dataBytes += len(p.data)
 	}
-	sh.loaded.Store(true)
 	return sh
 }
 
-// load returns the shard's posting map, parsing the raw segment on
-// first touch.
-func (sh *shard) load() (map[key]*posting, error) {
-	if sh.loaded.Load() {
-		return sh.post, sh.err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.loaded.Load() {
-		post, _, err := parseShardWire(sh.raw)
-		if err != nil {
-			sh.err = err
-		} else {
-			sh.post = post
-			for _, p := range post {
-				sh.dataBytes += len(p.data)
-			}
-		}
-		sh.loaded.Store(true)
-	}
-	return sh.post, sh.err
-}
-
 // Index is an immutable set of sharded inverted indexes over one
-// cleaned generation. Lookups are lock-free on loaded shards; updates
-// produce a new Index sharing every untouched shard with the old one.
+// cleaned generation. Lookups take no lock; updates produce a new
+// Index sharing every untouched shard with the old one.
 type Index struct {
 	// ids holds the indexed snapshot's entry IDs in ordinal order —
 	// ids[o] is the ID of ordinal o. It pins the ordinal space an
@@ -365,11 +331,7 @@ func (ix *Index) Update(d *cve.Delta, prev func(id string) *cve.Entry, next *cve
 			out.shards[s] = sh
 			return
 		}
-		post, err := sh.load()
-		if err != nil {
-			errs[s] = err
-			return
-		}
+		post := sh.post
 		if len(ops) == 0 && !postingsReach(post, uint32(shift)) {
 			out.shards[s] = sh
 			return
@@ -408,6 +370,7 @@ func (ix *Index) Update(d *cve.Delta, prev func(id string) *cve.Entry, next *cve
 				npost[k] = p
 				continue
 			}
+			var err error
 			scratch, err = p.decode(scratch[:0])
 			if err != nil {
 				errs[s] = err
@@ -478,8 +441,8 @@ func (q Query) Filtered() bool {
 // Match intersects the posting lists of every active filter and returns
 // the matching entry ordinals in snapshot order. The second result is
 // false when the query has no active filters (every entry matches, no
-// lists to intersect). The error is a corrupt lazily-loaded segment —
-// callers fall back to the linear scan.
+// lists to intersect). The error is a corrupt posting block — callers
+// fall back to the linear scan.
 func (ix *Index) Match(q Query) ([]uint32, bool, error) {
 	if !q.Filtered() {
 		return nil, false, nil
@@ -504,11 +467,7 @@ func (ix *Index) Match(q Query) ([]uint32, bool, error) {
 	}
 	ps := make([]*posting, 0, len(ks))
 	for _, k := range ks {
-		post, err := ix.shards[shardOf(k)].load()
-		if err != nil {
-			return nil, true, err
-		}
-		p := post[k]
+		p := ix.shards[shardOf(k)].post[k]
 		if p == nil || p.count == 0 {
 			return nil, true, nil
 		}
@@ -544,62 +503,56 @@ func (ix *Index) Match(q Query) ([]uint32, bool, error) {
 // IndexStats is the /stats view of one generation's index.
 type IndexStats struct {
 	Shards        int   // total shards
-	LoadedShards  int   // shards parsed into posting maps
-	Keys          int   // distinct keys across loaded shards
+	Keys          int   // distinct keys across every shard
 	Entries       int   // indexed snapshot length
-	ResidentBytes int64 // posting block bytes held by loaded shards
-	DiskBytes     int64 // segment bytes as persisted (0 if in-memory)
+	ResidentBytes int64 // posting block bytes held in memory
+	DiskBytes     int64 // bytes of the persisted segments shards came from (0 if in-memory)
 	Format        int   // segment encode version
 }
 
-// Stats reports the index's load state and memory footprint.
+// Stats reports the index's size and memory footprint.
 func (ix *Index) Stats() IndexStats {
 	st := IndexStats{Shards: numShards, Entries: len(ix.ids), Format: indexFormatVersion}
 	for _, sh := range ix.shards {
-		st.DiskBytes += int64(sh.diskBytes)
-		if sh.loaded.Load() {
-			st.LoadedShards++
-			st.Keys += len(sh.post)
-			st.ResidentBytes += int64(sh.dataBytes)
-		}
+		st.Keys += len(sh.post)
+		st.ResidentBytes += int64(sh.dataBytes)
+		st.DiskBytes += int64(len(sh.raw))
 	}
 	return st
 }
 
 // shardWire returns shard s's persisted form. A shard still carrying
 // its raw segment for the same snapshot length passes through verbatim
-// — persisting an untouched lazy shard decodes nothing; anything else
-// re-encodes canonically.
-func (ix *Index) shardWire(s int) ([]byte, error) {
+// — persisting an untouched restored shard encodes nothing; anything
+// else re-encodes canonically.
+func (ix *Index) shardWire(s int) []byte {
 	sh := ix.shards[s]
 	if sh.raw != nil && sh.rawEntries == len(ix.ids) {
-		return sh.raw, nil
-	}
-	post, err := sh.load()
-	if err != nil {
-		return nil, err
+		return sh.raw
 	}
 	size := len(indexMagic) + 16
-	for k, p := range post {
+	for k, p := range sh.post {
 		size += len(k.a) + len(k.b) + len(p.data) + 8 + 15*len(p.skips)
 	}
-	return appendShardWire(make([]byte, 0, size), len(ix.ids), post), nil
+	return appendShardWire(make([]byte, 0, size), len(ix.ids), sh.post)
 }
 
-// indexFromSegments assembles a lazy Index from per-shard segment
-// payloads. Shards stay raw until first touched; only each segment's
-// header is read here, to pin every shard to the given snapshot length.
+// indexFromSegments assembles an Index from per-shard segment payloads,
+// parsing every segment in shard order. Each must index the given
+// snapshot's length; a malformed segment fails the whole index.
 func indexFromSegments(raws [numShards][]byte, snap *cve.Snapshot) (*Index, error) {
 	ix := &Index{ids: idsOf(snap)}
 	for s, raw := range raws {
-		entries, err := peekShardEntries(raw)
+		post, entries, err := parseShardWire(raw)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("index segment %d: %w", s, err)
 		}
 		if entries != len(ix.ids) {
 			return nil, fmt.Errorf("index segment %d indexes %d entries, snapshot has %d", s, entries, len(ix.ids))
 		}
-		ix.shards[s] = &shard{raw: raw, rawEntries: entries, diskBytes: len(raw)}
+		sh := newShard(post)
+		sh.raw, sh.rawEntries = raw, entries
+		ix.shards[s] = sh
 	}
 	return ix, nil
 }

@@ -46,11 +46,10 @@ func heapBytes(b *testing.B, build func() any) (any, uint64) {
 }
 
 // BenchmarkIndexMemory compares resident index bytes per entry for the
-// ordinal delta-varint representation (fully loaded — the worst case;
-// lazy shards cost less) against the legacy map[key][]string layout,
-// at 10x (30K) and 100x (300K) synthetic feed scale. The headline
-// metrics are ordinal-B/entry, legacy-B/entry and reduction-x; time
-// per op is meaningless here.
+// ordinal delta-varint representation against the legacy
+// map[key][]string layout, at 10x (30K) and 100x (300K) synthetic feed
+// scale. The headline metrics are ordinal-B/entry, legacy-B/entry and
+// reduction-x; time per op is meaningless here.
 func BenchmarkIndexMemory(b *testing.B) {
 	for _, sc := range []struct {
 		name string
@@ -59,16 +58,10 @@ func BenchmarkIndexMemory(b *testing.B) {
 		b.Run(sc.name, func(b *testing.B) {
 			snap := indexSnapshot(sc.n)
 			keepIx, ordBytes := heapBytes(b, func() any {
-				ix := BuildIndex(snap, runtime.GOMAXPROCS(0))
-				for s := 0; s < numShards; s++ {
-					if _, err := ix.shards[s].load(); err != nil {
-						b.Fatal(err)
-					}
-				}
 				// The ordinal→ID table is shared with the snapshot in
 				// production; it still counts here, keeping the
 				// comparison conservative.
-				return ix
+				return BuildIndex(snap, runtime.GOMAXPROCS(0))
 			})
 			keepLegacy, legacyBytes := heapBytes(b, func() any {
 				return legacyIndex(snap)
@@ -92,9 +85,9 @@ func BenchmarkIndexMemory(b *testing.B) {
 }
 
 // BenchmarkBootIndex compares what a warm restart pays for its index:
-// "lazy" parses segment headers and answers one vendor query (the
-// O(hot-set) path); "rebuild" is the old boot cost, a full BuildIndex
-// over the snapshot plus the same query.
+// "parse" parses every persisted segment, as a checkpoint load does,
+// and answers one vendor query; "rebuild" is the boot cost without
+// segments, a full BuildIndex over the snapshot plus the same query.
 func BenchmarkBootIndex(b *testing.B) {
 	for _, sc := range []struct {
 		name string
@@ -103,15 +96,11 @@ func BenchmarkBootIndex(b *testing.B) {
 		snap := indexSnapshot(sc.n)
 		built := BuildIndex(snap, runtime.GOMAXPROCS(0))
 		var raws [numShards][]byte
-		for s := 0; s < numShards; s++ {
-			wire, err := built.shardWire(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			raws[s] = wire
+		for s := range raws {
+			raws[s] = built.shardWire(s)
 		}
 		q := Query{Vendor: "redhat"}
-		b.Run(fmt.Sprintf("lazy/%s", sc.name), func(b *testing.B) {
+		b.Run(fmt.Sprintf("parse/%s", sc.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ix, err := indexFromSegments(raws, snap)
 				if err != nil {

@@ -24,10 +24,10 @@ func commitWithIndex(t *testing.T, s *Store) *Index {
 	return cp.Index
 }
 
-// TestCheckpointIndexRoundTrip proves a committed index reloads as a
-// lazy index answering identically: no shard parses at load, segments
-// report their on-disk size, and every posting decodes to the bytes
-// the in-memory index held.
+// TestCheckpointIndexRoundTrip proves a committed index reloads
+// parsed and answering identically: every shard holds its keys and
+// posting bytes at load, segments report their on-disk size, and every
+// posting decodes to the ordinals the in-memory index held.
 func TestCheckpointIndexRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _, _, _ := mustOpen(t, dir)
@@ -41,12 +41,13 @@ func TestCheckpointIndexRoundTrip(t *testing.T) {
 	if cp.Index == nil {
 		t.Fatalf("reloaded checkpoint has no index (note %q, notes %v)", cp.IndexNote, notes)
 	}
-	st := cp.Index.Stats()
-	if st.LoadedShards != 0 {
-		t.Fatalf("lazy index parsed %d shards at load", st.LoadedShards)
+	st, built := cp.Index.Stats(), want.Stats()
+	if st.Keys == 0 || st.Keys != built.Keys || st.ResidentBytes != built.ResidentBytes {
+		t.Fatalf("loaded index holds %d keys in %d bytes, built index %d in %d",
+			st.Keys, st.ResidentBytes, built.Keys, built.ResidentBytes)
 	}
 	if st.DiskBytes == 0 {
-		t.Fatal("lazy index reports zero on-disk bytes")
+		t.Fatal("loaded index reports zero on-disk bytes")
 	}
 	if st.Entries != len(cp.Original.Entries) {
 		t.Fatalf("index entries %d != snapshot %d", st.Entries, len(cp.Original.Entries))
@@ -55,13 +56,6 @@ func TestCheckpointIndexRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(decodedShard(t, cp.Index.shards[s2]), decodedShard(t, want.shards[s2])) {
 			t.Fatalf("shard %d diverged across persist/load", s2)
 		}
-	}
-	after := cp.Index.Stats()
-	if after.LoadedShards != numShards {
-		t.Fatalf("decoding every shard loaded %d/%d", after.LoadedShards, numShards)
-	}
-	if after.Keys == 0 || after.ResidentBytes == 0 {
-		t.Fatalf("loaded index stats empty: %+v", after)
 	}
 }
 
@@ -154,20 +148,31 @@ func TestPartialIndexSegmentsFallBack(t *testing.T) {
 // Index == nil with a note naming the rebuild, while the snapshots and
 // the rest of recovery proceed untouched. Contrast with snapshot files
 // (TestRecoveryCorruptCheckpoint), where the same bit flip rightly
-// rejects the whole generation.
+// rejects the whole generation. The resum row rewrites the segment's
+// manifest sum too, so only the parse at load can catch it.
 func TestDamagedIndexSegmentsDowngrade(t *testing.T) {
 	type damage struct {
 		name  string
 		apply func(data []byte) []byte
+		resum bool
 	}
 	cases := []damage{
-		{"truncate-to-zero", func(b []byte) []byte { return nil }},
-		{"truncate-to-one-byte", func(b []byte) []byte { return b[:1] }},
-		{"truncate-at-half", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"truncate-last-byte", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"flip-first-byte", func(b []byte) []byte { b[0] ^= 0x01; return b }},
-		{"flip-middle-byte", func(b []byte) []byte { b[len(b)/2] ^= 0x80; return b }},
-		{"flip-last-byte", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }},
+		{"truncate-to-zero", func(b []byte) []byte { return nil }, false},
+		{"truncate-to-one-byte", func(b []byte) []byte { return b[:1] }, false},
+		{"truncate-at-half", func(b []byte) []byte { return b[:len(b)/2] }, false},
+		{"truncate-last-byte", func(b []byte) []byte { return b[:len(b)-1] }, false},
+		{"flip-first-byte", func(b []byte) []byte { b[0] ^= 0x01; return b }, false},
+		{"flip-middle-byte", func(b []byte) []byte { b[len(b)/2] ^= 0x80; return b }, false},
+		{"flip-last-byte", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }, false},
+		// A valid magic, version and entry count over a key table whose
+		// one posting's skip entry names an ordinal past the snapshot.
+		{name: "skip-past-snapshot-resum", resum: true, apply: func(b []byte) []byte {
+			entries, err := parseShardHeader(&wireReader{buf: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return appendShardWire(nil, entries, map[key]*posting{{kind: keyVendor, a: "acme"}: encodePosting([]uint32{uint32(entries)})})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,8 +190,12 @@ func TestDamagedIndexSegmentsDowngrade(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, tc.apply(data), 0o644); err != nil {
+			data = tc.apply(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
+			}
+			if tc.resum {
+				resumManifest(t, genDir, map[string][]byte{indexSegName(3): data})
 			}
 
 			s2, cp, deltas, _ := mustOpen(t, dir)
@@ -197,7 +206,11 @@ func TestDamagedIndexSegmentsDowngrade(t *testing.T) {
 			if cp.Index != nil {
 				t.Fatal("damaged index segment still produced an index")
 			}
-			if !strings.Contains(cp.IndexNote, "damaged") || !strings.Contains(cp.IndexNote, indexSegName(3)) {
+			named := strings.Contains(cp.IndexNote, "damaged") && strings.Contains(cp.IndexNote, indexSegName(3))
+			if tc.resum {
+				named = strings.Contains(cp.IndexNote, "unusable") && strings.Contains(cp.IndexNote, "index segment 3:")
+			}
+			if !named || !strings.Contains(cp.IndexNote, "rebuilt") {
 				t.Fatalf("index note does not name the damage: %q", cp.IndexNote)
 			}
 			// Everything else recovered: snapshots, generation, the
@@ -238,15 +251,7 @@ func TestVersion1IndexSegmentsRebuild(t *testing.T) {
 	genDir := filepath.Join(dir, genName(s.Generation()))
 	s.Close()
 
-	mPath := filepath.Join(genDir, manifestFile)
-	mb, err := os.ReadFile(mPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if err := json.Unmarshal(mb, &m); err != nil {
-		t.Fatal(err)
-	}
+	rewritten := make(map[string][]byte, numShards)
 	for seg := range numShards {
 		name := indexSegName(seg)
 		data, err := os.ReadFile(filepath.Join(genDir, name))
@@ -257,14 +262,9 @@ func TestVersion1IndexSegmentsRebuild(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(genDir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m.Files[name] = fileSum{Size: int64(len(data)), CRC32C: crc32.Checksum(data, walTable)}
+		rewritten[name] = data
 	}
-	if mb, err = json.Marshal(&m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mPath, mb, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	resumManifest(t, genDir, rewritten)
 
 	s2, cp2, _, notes := mustOpen(t, dir)
 	if cp2 == nil {
@@ -302,6 +302,30 @@ func TestVersion1IndexSegmentsRebuild(t *testing.T) {
 	}
 	if err := s2.AppendDelta(testDelta(1)); err != nil {
 		t.Fatalf("append after index rebuild note: %v", err)
+	}
+}
+
+// resumManifest records the size and CRC-32C of each rewritten file in
+// the checkpoint's MANIFEST.json, so the checkpoint's sums hold again.
+func resumManifest(t *testing.T, genDir string, files map[string][]byte) {
+	t.Helper()
+	mPath := filepath.Join(genDir, manifestFile)
+	mb, err := os.ReadFile(mPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(mb, &m); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range files {
+		m.Files[name] = fileSum{Size: int64(len(data)), CRC32C: crc32.Checksum(data, walTable)}
+	}
+	if mb, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mPath, mb, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -349,11 +373,7 @@ func TestIndexSegmentSizeGuard(t *testing.T) {
 	ix := BuildIndex(snap, 4)
 	total := 0
 	for s := 0; s < numShards; s++ {
-		wire, err := ix.shardWire(s)
-		if err != nil {
-			t.Fatalf("shardWire(%d): %v", s, err)
-		}
-		total += len(wire)
+		total += len(ix.shardWire(s))
 	}
 	perEntry := float64(total) / float64(len(snap.Entries))
 	t.Logf("index segments: %d bytes over %d entries = %.2f bytes/entry", total, len(snap.Entries), perEntry)

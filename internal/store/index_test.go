@@ -124,12 +124,8 @@ func matchIDs(t *testing.T, ix *Index, snap *cve.Snapshot, q Query) ([]string, b
 // slices for comparison.
 func decodedShard(t *testing.T, sh *shard) map[key][]uint32 {
 	t.Helper()
-	post, err := sh.load()
-	if err != nil {
-		t.Fatalf("shard load: %v", err)
-	}
-	out := make(map[key][]uint32, len(post))
-	for k, p := range post {
+	out := make(map[key][]uint32, len(sh.post))
+	for k, p := range sh.post {
 		ords, err := p.decode(nil)
 		if err != nil {
 			t.Fatalf("decode posting %+v: %v", k, err)

@@ -20,12 +20,12 @@ import (
 //	  concatenated delta-varint block data
 //
 // Everything before the block data is the shard's key table; parsing it
-// builds the posting map while each posting's blocks stay raw bytes
-// slices into the segment, so a lazily-loaded shard costs its key table
-// plus only the blocks queries actually decode. The entry count pins
-// the segment to one cleaned snapshot length — a mismatch at load time
-// downgrades the whole index to an in-memory rebuild rather than serve
-// ordinals against the wrong snapshot.
+// builds the posting map while each posting's blocks stay raw byte
+// slices into the segment, decoded only when a query or update reads
+// them. The entry count pins the segment to one cleaned snapshot
+// length — a mismatch at load time downgrades the whole index to an
+// in-memory rebuild rather than serve ordinals against the wrong
+// snapshot.
 
 // indexFormatVersion is the segment encode version. Version 1
 // segments may index a snapshot in its feed's order, which cve.ReadFeed
@@ -145,12 +145,6 @@ func parseShardHeader(r *wireReader) (int, error) {
 		return 0, errors.New("bad index segment entry count")
 	}
 	return int(entries), nil
-}
-
-// peekShardEntries reads only the segment header, leaving every posting
-// untouched — the boot-time cost of a lazy shard.
-func peekShardEntries(raw []byte) (int, error) {
-	return parseShardHeader(&wireReader{buf: raw})
 }
 
 // parseShardWire parses one shard segment into its posting map. Block

@@ -33,11 +33,6 @@ import (
 	"nvdclean/internal/cve"
 )
 
-// installFanout bounds the concurrent file fetches of one
-// InstallCheckpoint. The work is I/O-bound (network + fsync), so the
-// bound is a transfer-parallelism knob, not a CPU one.
-const installFanout = 8
-
 // ErrSegmentRetired reports a read of a segment at or below the
 // source's watermark: its records are folded into the committed
 // checkpoint and the file is (or may be) gone. A follower that hits it
@@ -192,17 +187,17 @@ func (s *Store) ReadSegment(seq uint64, off int64) (data []byte, sealed bool, er
 
 // InstallCheckpoint makes a shipped checkpoint the store's next
 // committed generation through the same publish protocol as a local
-// commit. Files are streamed through fetch (invoked concurrently, up to
-// installFanout calls in flight), and each must match its shipped size
-// and CRC-32C. The local manifest carries the primary's walSeq
-// watermark: the generation number is local bookkeeping — replicas
-// compact at their own pace — but the watermark is the shared stream
-// cursor. The staged checkpoint must fully load before it may win
-// CURRENT. On success the old generation and every segment at or below
-// the watermark are retired, the active segment is watermark+1, the
-// stream position is that segment's start, and the loaded Checkpoint is
-// returned for the caller to restore a serving view from. On error the
-// store is unchanged.
+// commit. Files are streamed through fetch, one at a time in rm.Files
+// order, and each must match its shipped size and CRC-32C. The local
+// manifest carries the primary's walSeq watermark: the generation
+// number is local bookkeeping — replicas compact at their own pace —
+// but the watermark is the shared stream cursor. The staged checkpoint
+// must fully load before it may win CURRENT. On success the old
+// generation and every segment at or below the watermark are retired,
+// the active segment is watermark+1, the stream position is that
+// segment's start, and the loaded Checkpoint is returned for the
+// caller to restore a serving view from. On error the store is
+// unchanged.
 //
 // The local log must not be ahead of the shipped watermark: records
 // past it would be silently discarded. Followers only install when
@@ -245,7 +240,7 @@ func (s *Store) InstallCheckpoint(rm *ReplicationManifest, fetch func(ManifestFi
 		return nil, fmt.Errorf("store: local log at segment %d is ahead of shipped checkpoint watermark %d", active.seq, seq)
 	}
 	var cp *Checkpoint
-	err := s.publish(seq, files, installFanout, true, func(dir string, sums map[string]fileSum) error {
+	err := s.publish(seq, files, true, func(dir string, sums map[string]fileSum) error {
 		for name, want := range shipped {
 			if got := sums[name]; got != want {
 				return fmt.Errorf("store: shipped %s does not match its manifest sum (%d bytes, crc %08x; want %d, %08x)",

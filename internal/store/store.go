@@ -137,10 +137,9 @@ type Checkpoint struct {
 	Engine *predict.Engine
 	State  *State
 	// Index is the generation's query index. On commit, a non-nil
-	// Index persists as per-shard segment files; on load, it is
-	// assembled lazily from them (shards stay raw bytes until first
-	// queried). Nil on checkpoints committed without an index —
-	// callers fall back to one in-memory BuildIndex.
+	// Index persists as per-shard segment files; on load, every
+	// segment is parsed into its shard. Nil on checkpoints committed
+	// without an index — callers fall back to one in-memory BuildIndex.
 	Index *Index
 	// IndexNote is filled on load when index segments were present but
 	// unusable (and Index is therefore nil): the checkpoint itself is
@@ -551,11 +550,7 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 	}
 	for shard := 0; cp.Index != nil && shard < numShards; shard++ {
 		files = append(files, stagedFile{indexSegName(shard), func(w io.Writer) error {
-			wire, err := cp.Index.shardWire(shard)
-			if err != nil {
-				return fmt.Errorf("encoding index shard %d: %w", shard, err)
-			}
-			_, err = w.Write(wire)
+			_, err := w.Write(cp.Index.shardWire(shard))
 			return err
 		}})
 	}
@@ -573,8 +568,7 @@ func (s *Store) commitSealed(cp *Checkpoint, seq uint64) error {
 	if err != nil {
 		return err
 	}
-	// Every document encodes concurrently.
-	return s.publish(seq, files, len(files), false, nil)
+	return s.publish(seq, files, false, nil)
 }
 
 // stagedFile is one file of a checkpoint being staged: its name and
@@ -587,8 +581,10 @@ type stagedFile struct {
 // publish is the one commit protocol behind CommitSealed and
 // InstallCheckpoint; the caller holds commitMu. It stages the next
 // generation, with seq as its walSeq watermark, in gen-NNNNNN.tmp:
-// every file through writeFile, up to workers at once, then the
-// manifest of their sums last, since its presence certifies the rest.
+// each file through writeFile, one at a time in the order given, then
+// the manifest of their sums last, since its presence certifies the
+// rest. Nothing runs concurrently, so every commit performs its
+// filesystem operations in one fixed order.
 // verify, when set, vets the staged directory and those sums. Then it
 // publishes:
 //
@@ -603,7 +599,7 @@ type stagedFile struct {
 // install); otherwise only an empty store's first commit sets it there.
 // On error the committed generation and every segment are untouched,
 // so the caller can simply retry.
-func (s *Store) publish(seq uint64, files []stagedFile, workers int, reset bool, verify func(dir string, sums map[string]fileSum) error) error {
+func (s *Store) publish(seq uint64, files []stagedFile, reset bool, verify func(dir string, sums map[string]fileSum) error) error {
 	s.mu.Lock()
 	gen := s.gen + 1
 	s.mu.Unlock()
@@ -616,15 +612,12 @@ func (s *Store) publish(seq uint64, files []stagedFile, workers int, reset bool,
 		return err
 	}
 	m := &manifest{Kind: manifestKind, Generation: gen, Seq: seq, Files: make(map[string]fileSum, len(files))}
-	var mMu sync.Mutex
-	if err := parallel.ForErr(workers, len(files), func(i int) error {
-		sum, err := writeFile(s.fs, filepath.Join(tmp, files[i].name), files[i].write)
-		mMu.Lock()
-		m.Files[files[i].name] = sum
-		mMu.Unlock()
-		return err
-	}); err != nil {
-		return err
+	for _, f := range files {
+		sum, err := writeFile(s.fs, filepath.Join(tmp, f.name), f.write)
+		if err != nil {
+			return err
+		}
+		m.Files[f.name] = sum
 	}
 	if _, err := writeFile(s.fs, filepath.Join(tmp, manifestFile), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -906,10 +899,10 @@ func isIndexSegName(name string) bool {
 	return strings.HasPrefix(name, "index-") && strings.HasSuffix(name, ".seg")
 }
 
-// loadIndexSegments assembles the checkpoint's lazy index from its
-// segment files (already CRC-verified against the manifest). Index
-// trouble never fails the checkpoint: a checkpoint committed without an
-// index returns a silent nil, and a partial or mismatched segment
+// loadIndexSegments parses the checkpoint's index from its segment
+// files (already CRC-verified against the manifest). Index trouble
+// never fails the checkpoint: a checkpoint committed without an index
+// returns a silent nil, and a partial, mismatched or malformed segment
 // set returns nil with a note — either way the caller rebuilds in
 // memory.
 func loadIndexSegments(files map[string][]byte, snap *cve.Snapshot) (*Index, string) {

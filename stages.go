@@ -156,8 +156,8 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		for i, r := range results {
 			st.Crawl[r.ID] = store.CrawlArtifact{Estimated: r.Estimated, LagDays: r.LagDays, Stats: perStats[i]}
 		}
-		// Fold in snapshot order, so the stats match a from-scratch
-		// crawl of the whole snapshot.
+		// Fold every entry's stats, reused or crawled, so they match a
+		// full crawl of the whole snapshot.
 		perEntry := make([]crawler.Stats, len(snap.Entries))
 		for i, e := range snap.Entries {
 			a := st.Crawl[e.ID]
@@ -165,7 +165,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 			res.LagDays[e.ID] = a.LagDays
 			perEntry[i] = a.Stats
 		}
-		res.CrawlStats = crawler.FoldStats(w, perEntry)
+		res.CrawlStats = crawler.FoldStats(perEntry)
 		return nil
 	}
 
