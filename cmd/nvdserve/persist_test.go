@@ -282,14 +282,21 @@ func TestUnorderedFeedQueryEquivalence(t *testing.T) {
 	}
 }
 
-// postFeed writes update as an NVD feed body and POSTs it.
+// postFeed writes update as an NVD feed body and POSTs it as an upsert.
 func postFeed(t *testing.T, ts *httptest.Server, update *nvdclean.Snapshot) map[string]any {
+	t.Helper()
+	return postFeedMode(t, ts, update, "upsert")
+}
+
+// postFeedMode writes update as an NVD feed body and POSTs it under
+// mode ("upsert" or "replace"), requiring a 200.
+func postFeedMode(t *testing.T, ts *httptest.Server, update *nvdclean.Snapshot, mode string) map[string]any {
 	t.Helper()
 	var body bytes.Buffer
 	if err := nvdclean.WriteFeed(&body, update); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/feed", "application/json", &body)
+	resp, err := ts.Client().Post(ts.URL+"/feed?mode="+mode, "application/json", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +306,7 @@ func postFeed(t *testing.T, ts *httptest.Server, update *nvdclean.Snapshot) map[
 		t.Fatal(err)
 	}
 	if resp.StatusCode != 200 {
-		t.Fatalf("POST /feed = %d: %v", resp.StatusCode, summary)
+		t.Fatalf("POST /feed?mode=%s = %d: %v", mode, resp.StatusCode, summary)
 	}
 	return summary
 }

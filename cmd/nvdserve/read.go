@@ -10,6 +10,8 @@ import (
 	"strings"
 
 	"nvdclean"
+	"nvdclean/internal/cvss"
+	"nvdclean/internal/cwe"
 )
 
 // The read hot path. Every read response is a pure function of
@@ -54,16 +56,33 @@ func parsePretty(values url.Values) (bool, error) {
 	}
 }
 
-// etagFor returns the strong ETag of this generation's representation
-// of any read resource: the validator readValidator captured at the
-// swap — "w<seq>-<off>", the store's stream position, with a store, or
-// "<bootEpoch>-<gen>" without one. The pretty and compact
-// representations of one URL carry distinct tags.
-func (st *serveState) etagFor(pretty bool) string {
+// Header values every read response shares. net/http clones a
+// handler's header map when the handler writes its header and never
+// writes into a value slice, so serving assigns these slices instead
+// of building one per response. The map keys are in the canonical
+// form Header.Set writes, so the wire bytes are the same.
+var (
+	jsonContentType   = []string{"application/json"}
+	readCacheControls = []string{readCacheControl}
+)
+
+// setETag makes etag the generation's validator, the one readValidator
+// captured at the swap — "w<seq>-<off>", the store's stream position,
+// with a store, or "<bootEpoch>-<gen>" without one — and builds the
+// header values etagHeader hands out.
+func (st *serveState) setETag(etag string) {
+	st.etagHeaders = [2][]string{{etag}, {etag[:len(etag)-1] + `-p"`}}
+}
+
+// etagHeader returns the strong ETag of this generation's
+// representation of any read resource as a header value shared by every
+// response of the generation, which must not be modified. The pretty
+// and compact representations of one URL carry distinct tags.
+func (st *serveState) etagHeader(pretty bool) []string {
 	if pretty {
-		return st.etag[:len(st.etag)-1] + `-p"`
+		return st.etagHeaders[1]
 	}
-	return st.etag
+	return st.etagHeaders[0]
 }
 
 // etagMatch reports whether an If-None-Match header matches etag. The
@@ -71,9 +90,10 @@ func (st *serveState) etagFor(pretty bool) string {
 // validator prefixes compare as their opaque tag (our tags are strong
 // and byte-exact per generation, so a weak match is still exact).
 func etagMatch(header, etag string) bool {
-	for _, tok := range strings.Split(header, ",") {
-		tok = strings.TrimSpace(tok)
-		tok = strings.TrimPrefix(tok, "W/")
+	for more := true; more; {
+		var tok string
+		tok, header, more = strings.Cut(header, ",")
+		tok = strings.TrimPrefix(strings.TrimSpace(tok), "W/")
 		if tok == "*" || tok == etag {
 			return true
 		}
@@ -86,25 +106,35 @@ func etagMatch(header, etag string) bool {
 // is the representation that was not resent, when cheaply known (nil
 // is fine) — it feeds the bytes-saved counter only; the whole point of
 // the 304 path is never rendering the body.
-func (s *server) serveNotModified(w http.ResponseWriter, etag string, cached []byte) {
+func (s *server) serveNotModified(w http.ResponseWriter, etag []string, cached []byte) {
 	s.metrics.NotModified.Add(1)
 	s.metrics.NotModifiedBytes.Add(int64(len(cached)))
 	h := w.Header()
-	h.Set("ETag", etag)
-	h.Set("Cache-Control", readCacheControl)
+	h["Etag"] = etag
+	h["Cache-Control"] = readCacheControls
 	w.WriteHeader(http.StatusNotModified)
 }
 
 // serveRead writes a 200 read response with its validator and cache
 // policy. body is shared cache memory and is never modified.
-func serveRead(w http.ResponseWriter, etag string, body []byte) {
+func serveRead(w http.ResponseWriter, etag []string, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("ETag", etag)
-	h.Set("Cache-Control", readCacheControl)
+	h["Content-Type"] = jsonContentType
+	h["Etag"] = etag
+	h["Cache-Control"] = readCacheControls
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
+}
+
+// queryValues returns the request's query parameters, or nil without
+// parsing when the URL has none: most /cve/{id} and probe requests
+// carry no query, and a nil url.Values reads as empty.
+func queryValues(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	return r.URL.Query()
 }
 
 // cveBody returns the encoded /cve/{id} response for e, from the
@@ -136,29 +166,80 @@ func (st *serveState) queryBody(p queryParams) []byte {
 	return b
 }
 
+// keySep ends each decimal field of a /query cache key.
+const keySep = "\x1f"
+
 // cacheKey canonicalizes the parsed parameter set: two URLs that parse
 // to the same filters share one cache slot regardless of parameter
-// order or defaulted values. Fields are joined with a separator byte
-// that cannot occur in any value, so concatenations never collide.
+// order or defaulted values, and two that parse to different filters
+// never do. The key is six decimal fields, each ended by keySep (the
+// CWE and severity fields empty when unset, the last one the vendor's
+// length), then the vendor and the product verbatim: any byte may occur
+// in those two, so the length, not a separator, tells them apart. It is
+// built in one allocation; parseCacheKey is its exact inverse.
 func (p queryParams) cacheKey() string {
-	var b strings.Builder
-	const sep = '\x1f'
-	b.WriteString(p.vendor)
-	b.WriteByte(sep)
-	b.WriteString(p.product)
-	b.WriteByte(sep)
+	var buf [6 * 21]byte // six int64s in decimal, each with its keySep
+	head := buf[:0]
 	if p.hasCWE {
-		b.WriteString(p.cweID.String())
+		head = strconv.AppendInt(head, int64(p.cweID), 10)
 	}
-	b.WriteByte(sep)
+	head = append(head, keySep...)
 	if p.hasSev {
-		b.WriteString(p.sev.String())
+		head = strconv.AppendInt(head, int64(p.sev), 10)
 	}
-	b.WriteByte(sep)
-	b.WriteString(strconv.Itoa(p.year))
-	b.WriteByte(sep)
-	b.WriteString(strconv.Itoa(p.limit))
-	b.WriteByte(sep)
-	b.WriteString(strconv.Itoa(p.offset))
+	head = append(head, keySep...)
+	for _, n := range [...]int{p.year, p.limit, p.offset, len(p.vendor)} {
+		head = append(strconv.AppendInt(head, int64(n), 10), keySep...)
+	}
+	var b strings.Builder
+	b.Grow(len(head) + len(p.vendor) + len(p.product))
+	b.Write(head)
+	b.WriteString(p.vendor)
+	b.WriteString(p.product)
 	return b.String()
+}
+
+// parseCacheKey reads a cache key back into the parameter set it was
+// built from, or reports false for a string cacheKey cannot produce:
+// cacheKey(p) parses to p, and a string that parses is cacheKey of
+// what it parses to.
+func parseCacheKey(key string) (queryParams, bool) {
+	var p queryParams
+	var f [6]string
+	rest := key
+	for i := range f {
+		var ok bool
+		if f[i], rest, ok = strings.Cut(rest, keySep); !ok {
+			return p, false
+		}
+	}
+	var n [6]int
+	for i, s := range f {
+		if i < 2 && s == "" {
+			continue // no CWE or severity filter
+		}
+		if !canonicalInt(s, &n[i]) {
+			return p, false
+		}
+	}
+	p.cweID, p.hasCWE = cwe.ID(n[0]), f[0] != ""
+	p.sev, p.hasSev = cvss.Severity(n[1]), f[1] != ""
+	p.year, p.limit, p.offset = n[2], n[3], n[4]
+	if n[5] < 0 || n[5] > len(rest) {
+		return p, false
+	}
+	p.vendor, p.product = rest[:n[5]], rest[n[5]:]
+	return p, true
+}
+
+// canonicalInt parses s into *n when s is the decimal cacheKey writes:
+// no sign but a leading minus, no leading zero.
+func canonicalInt(s string, n *int) bool {
+	v, err := strconv.Atoi(s)
+	var buf [20]byte
+	if err != nil || string(strconv.AppendInt(buf[:0], int64(v), 10)) != s {
+		return false
+	}
+	*n = v
+	return true
 }

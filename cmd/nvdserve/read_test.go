@@ -39,6 +39,12 @@ func getRaw(t *testing.T, ts *httptest.Server, path, ifNoneMatch string) (int, h
 	return resp.StatusCode, resp.Header, body
 }
 
+// etagFor returns the validator of the compact or pretty
+// representation as the string a response's ETag header holds.
+func (st *serveState) etagFor(pretty bool) string {
+	return st.etagHeader(pretty)[0]
+}
+
 // queryURL renders a parsed parameter set back into a /query URL.
 func queryURL(p queryParams) string {
 	v := url.Values{}
@@ -366,5 +372,61 @@ func TestReadCacheStats(t *testing.T) {
 	}
 	if rc.Conditional.NotModified < 1 || rc.Conditional.BytesSaved < 1 {
 		t.Errorf("conditional counters: %+v", rc.Conditional)
+	}
+}
+
+// stubWriter is a ResponseWriter that keeps one header map across
+// requests and discards the body, so an allocation count sees only
+// what the serving path allocates.
+type stubWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *stubWriter) Header() http.Header         { return w.h }
+func (w *stubWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *stubWriter) WriteHeader(code int)        { w.status = code }
+
+// TestCachedReadAllocGuard pins the heap objects one cached read costs
+// through the daemon's full handler, middleware included: the header
+// values are shared per generation and per process, a /cve/{id} without
+// a query string parses none, and If-None-Match is matched in place.
+// What is left is the mux's path match, Content-Length and, on /query,
+// the parsed parameters and the one-allocation cache key.
+func TestCachedReadAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts skipped in -short mode: race builds count allocations differently")
+	}
+	srv, snap := demoServer(t)
+	h := srv.handler()
+	e := snap.Entries[0]
+	get := func(path, inm string) *http.Request {
+		r := httptest.NewRequest("GET", path, nil)
+		if inm != "" {
+			r.Header.Set("If-None-Match", inm)
+		}
+		return r
+	}
+	etag := srv.cur.Load().etagFor(false)
+	for _, tc := range []struct {
+		req    *http.Request
+		status int
+		allocs float64
+	}{
+		{get("/cve/"+e.ID, ""), http.StatusOK, 3},
+		{get("/cve/"+e.ID, `"other", `+etag), http.StatusNotModified, 1},
+		{get("/query?limit=5", ""), http.StatusOK, 6},
+		{get("/query?vendor="+url.QueryEscape(e.CPEs[0].Vendor)+"&limit=50", ""), http.StatusOK, 7},
+		{get("/query?severity=High&limit=200", ""), http.StatusOK, 7},
+	} {
+		w := &stubWriter{h: http.Header{}}
+		h.ServeHTTP(w, tc.req) // fills the response caches
+		if w.status != tc.status {
+			t.Fatalf("%s = %d, want %d", tc.req.URL, w.status, tc.status)
+		}
+		if n := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, tc.req) }); n > tc.allocs {
+			t.Errorf("%s (If-None-Match %q) allocates %.0f objects, want at most %.0f",
+				tc.req.URL, tc.req.Header.Get("If-None-Match"), n, tc.allocs)
+		}
 	}
 }

@@ -316,7 +316,7 @@ func TestFollowerEquivalence(t *testing.T) {
 	if pSeq != fSeq || pOff != fOff {
 		t.Fatalf("positions diverge: primary (%d,%d) follower (%d,%d)", pSeq, pOff, fSeq, fOff)
 	}
-	if pe, fe := primary.cur.Load().etag, fsrv.cur.Load().etag; pe != fe {
+	if pe, fe := primary.cur.Load().etagFor(false), fsrv.cur.Load().etagFor(false); pe != fe {
 		t.Fatalf("ETag validators diverge at the same position: primary %s follower %s", pe, fe)
 	}
 	// The follower sealed its copies in lockstep and checkpointed them

@@ -43,13 +43,14 @@ type serveState struct {
 	// restored marks the boot generation of a warm restart from the
 	// persistent store (the stages replay the checkpoint).
 	restored bool
-	// etag is the strong validator every read response of this
-	// generation carries (see etagFor); entries and queries are the
-	// generation's pre-encoded response caches, coherent by
-	// construction because the generation they belong to is immutable.
-	etag    string
-	entries *respcache.EntryCache
-	queries *respcache.QueryCache
+	// etagHeaders holds the strong validator every read response of
+	// this generation carries, as the header values of its compact and
+	// pretty representations (see setETag); entries and queries are the
+	// generation's pre-encoded response caches, coherent by construction
+	// because the generation they belong to is immutable.
+	etagHeaders [2][]string
+	entries     *respcache.EntryCache
+	queries     *respcache.QueryCache
 }
 
 // server is the nvdserve daemon: it owns the current snapshot
@@ -250,7 +251,7 @@ func (s *server) advance(ctx context.Context, t transition) (outcome, error) {
 	}
 	out := outcome{st: next}
 	out.sealedSeq, out.compactErr = s.compact(t, next)
-	next.etag = s.readValidator(next.generation)
+	next.setETag(s.readValidator(next.generation))
 	s.cur.Store(next)
 	if t.snap == nil && t.cp == nil {
 		s.obs.ingestDeltaEntries.Observe(float64(t.delta.Size()))
@@ -296,15 +297,18 @@ func mergeDeltas(base *nvdclean.Snapshot, deltas []*nvdclean.Delta) *nvdclean.De
 // restored from a checkpoint, built in full, or, given the previous
 // generation, advanced incrementally from the cleaned-view delta — the
 // Diff of the two cleaned snapshots, which also captures consolidation
-// flips on entries the feed delta never named. Untouched index shards
-// are shared between generations, and so are the previous generation's
-// pre-encoded /cve responses: an entry neither delta names serves the
-// exact bytes it served last generation, copied forward by reference.
-// The invalidation set is the union of both deltas because the /cve
-// view is wider than the cleaned entry — a feed update can flip a
-// Result-level annotation (say, a consolidation mark) while leaving
-// the cleaned entry bytes equal, so the feed delta's IDs are stale
-// even when the cleaned diff never names them.
+// flips and retrained scores on entries the feed delta never named.
+// Untouched index shards are shared between generations, and so are
+// the previous generation's pre-encoded /cve responses: an entry
+// neither delta names serves the exact bytes it served last
+// generation, copied forward by reference. The invalidation set is the
+// union of both deltas because the /cve view is wider than the cleaned
+// entry — a feed update can flip a Result-level annotation (say, a
+// consolidation mark) while leaving the cleaned entry bytes equal, so
+// the feed delta's IDs are stale even when the cleaned diff never
+// names them. The previous /query pages carry over by the cleaned
+// delta alone (see pageKeeper), since a page reads cleaned entries
+// only. A restored or fully built generation starts with empty caches.
 func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvdclean.Delta, restored *store.Index) *serveState {
 	st := &serveState{
 		res: res, loadedAt: time.Now(),
@@ -331,6 +335,9 @@ func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvd
 		// Removed, so stale covers it.
 		stale := staleIDs(cleanedDelta, feedDelta)
 		st.entries.Seed(prev.entries, func(id string) bool { return !stale[id] })
+		if keep := pageKeeper(cleanedDelta, prev.res.Cleaned, prev.queries.Len()); keep != nil {
+			st.queries.Seed(prev.queries, keep)
+		}
 	default:
 		st.idx = store.BuildIndex(res.Cleaned, s.opts.Concurrency)
 	}
@@ -355,6 +362,48 @@ func (s *server) readValidator(gen int) string {
 		return fmt.Sprintf(`"w%d-%d"`, seq, off)
 	}
 	return fmt.Sprintf(`"%x-%d"`, s.bootEpoch, gen)
+}
+
+// maxCarryChecks bounds the filter checks one swap spends deciding
+// which /query pages carry over, so a bulk replace pays no more than a
+// generation with an empty /query cache does.
+const maxCarryChecks = 1 << 16
+
+// pageKeeper returns the keep function that seeds a generation's
+// /query cache from the previous one's pages: a page carries over when
+// no entry of the cleaned-view delta d passes its filters, neither in
+// its version in old, the previous cleaned view, nor in its new one. A
+// page depends only on which cleaned entries pass its filters and on
+// those entries' own fields, and an entry outside d is equal in both
+// views, so such a page's bytes cannot have changed. A key that does
+// not parse is dropped. pageKeeper returns nil — carry nothing — when
+// there are no pages, or when checking each of them against every
+// changed entry would take more than maxCarryChecks filter checks.
+func pageKeeper(d *nvdclean.Delta, old *nvdclean.Snapshot, pages int) func(key string) bool {
+	n := len(d.Added) + 2*len(d.Modified) + len(d.Removed)
+	if pages == 0 || n*pages > maxCarryChecks {
+		return nil
+	}
+	touched := make([]*nvdclean.Entry, 0, n)
+	touched = append(touched, d.Added...)
+	for _, e := range d.Modified {
+		touched = append(touched, e, old.ByID(e.ID))
+	}
+	for _, id := range d.Removed {
+		touched = append(touched, old.ByID(id))
+	}
+	return func(key string) bool {
+		p, ok := parseCacheKey(key)
+		if !ok {
+			return false
+		}
+		for _, e := range touched {
+			if p.matches(e) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // staleIDs collects every CVE ID either delta names — the entries
@@ -488,13 +537,13 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.cur.Load()
-	pretty, err := parsePretty(r.URL.Query())
+	pretty, err := parsePretty(queryValues(r))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	etag := st.etagFor(pretty)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
+	etag := st.etagHeader(pretty)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag[0]) {
 		s.serveNotModified(w, etag, nil)
 		return
 	}
@@ -591,13 +640,13 @@ func (s *server) handleCVE(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no entry %s", id)
 		return
 	}
-	pretty, err := parsePretty(r.URL.Query())
+	pretty, err := parsePretty(queryValues(r))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	etag := st.etagFor(pretty)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
+	etag := st.etagHeader(pretty)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag[0]) {
 		// Only the compact representation is cached, so only there is
 		// the unsent body length known without an encode.
 		var cached []byte
@@ -788,24 +837,32 @@ func (st *serveState) queryIndexed(p queryParams) queryResponse {
 func (st *serveState) queryScan(p queryParams) queryResponse {
 	var matched []*nvdclean.Entry
 	for _, e := range st.res.Cleaned.Entries {
-		if p.year != 0 && e.Year() != p.year {
-			continue
+		if p.matches(e) {
+			matched = append(matched, e)
 		}
-		if (p.vendor != "" || p.product != "") && matchVendor(e, p.vendor, p.product) == "" {
-			continue
-		}
-		if p.hasCWE && !e.HasCWE(p.cweID) {
-			continue
-		}
-		if p.hasSev {
-			sev, ok := e.SeverityPV3()
-			if !ok || sev != p.sev {
-				continue
-			}
-		}
-		matched = append(matched, e)
 	}
 	return st.window(matched, p)
+}
+
+// matches reports whether e passes every filter of p. It is the
+// reference scan's predicate and the rule that decides which cached
+// pages outlive a generation swap, so the two cannot drift apart.
+func (p queryParams) matches(e *nvdclean.Entry) bool {
+	if p.year != 0 && e.Year() != p.year {
+		return false
+	}
+	if (p.vendor != "" || p.product != "") && matchVendor(e, p.vendor, p.product) == "" {
+		return false
+	}
+	if p.hasCWE && !e.HasCWE(p.cweID) {
+		return false
+	}
+	if p.hasSev {
+		if sev, ok := e.SeverityPV3(); !ok || sev != p.sev {
+			return false
+		}
+	}
+	return true
 }
 
 // handleQuery filters the cleaned snapshot by consolidated vendor,
@@ -820,13 +877,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	p, err := parseQueryParams(r.URL.Query())
+	p, err := parseQueryParams(queryValues(r))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	etag := st.etagFor(p.pretty)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
+	etag := st.etagHeader(p.pretty)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag[0]) {
 		var cached []byte
 		if !p.pretty {
 			cached = st.queries.Peek(p.cacheKey())
@@ -930,7 +987,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// /stats carries live counters (the cache numbers above change on
 	// every read), so it gets no ETag — a validator that rotates per
 	// request validates nothing. It still honors ?pretty.
-	pretty, err := parsePretty(r.URL.Query())
+	pretty, err := parsePretty(queryValues(r))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -6,7 +6,10 @@
 // (request, generation), so a cache owned by the generation can never
 // serve stale bytes — the swap that changes the answer also retires
 // the cache. Nothing in this package watches for invalidation; it
-// relies entirely on that ownership.
+// relies entirely on that ownership. What carries into the next
+// generation is the caller's decision: both Seed methods copy forward
+// only the responses a caller-supplied keep function accepts, because
+// only the caller knows which responses the swap left unchanged.
 //
 // Two shapes are provided:
 //
@@ -23,6 +26,9 @@
 //     the canonicalized parameter set. Query results are larger and
 //     the key space is open-ended (attacker-sized, even), so this
 //     cache is capped and evicting where the entry cache is not.
+//     Incremental generations seed it with the previous generation's
+//     pages whose filters no changed entry passes, in their recency
+//     order and within the cap.
 //
 // Both report into a shared Metrics struct that outlives generations,
 // so /stats counters are cumulative across swaps.
@@ -189,6 +195,33 @@ func NewQueryCache(maxBytes int, m *Metrics) *QueryCache {
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
+	}
+}
+
+// Seed copies prev's stored responses into c for every key keep
+// accepts, sharing the immutable byte slices. It takes prev's entries
+// from the most to the least recently used under prev's lock, releases
+// it, and appends each kept one at c's old end, so c starts in prev's
+// recency order; a response that would take c past its cap is left
+// out, so a smaller cap keeps the most recent pages. Seeding moves no
+// counter: a carried response counts as a hit only when it is next
+// requested. A disabled c seeds nothing. Seed must run before c serves
+// requests.
+func (c *QueryCache) Seed(prev *QueryCache, keep func(key string) bool) {
+	if prev == nil || c.maxBytes <= 0 {
+		return
+	}
+	prev.mu.Lock()
+	recent := make([]*qentry, 0, prev.ll.Len())
+	for el := prev.ll.Front(); el != nil; el = el.Next() {
+		recent = append(recent, el.Value.(*qentry))
+	}
+	prev.mu.Unlock()
+	for _, q := range recent {
+		if c.bytes+len(q.b) <= c.maxBytes && keep(q.key) {
+			c.byKey[q.key] = c.ll.PushBack(q)
+			c.bytes += len(q.b)
+		}
 	}
 }
 

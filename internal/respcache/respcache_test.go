@@ -162,3 +162,74 @@ func TestQueryCacheConcurrent(t *testing.T) {
 		t.Fatalf("cache exceeded cap: %d bytes", c.Bytes())
 	}
 }
+
+// TestQueryCacheSeed proves seeding carries the kept responses in their
+// recency order, by reference, within the new cache's cap, and moves
+// no counter.
+func TestQueryCacheSeed(t *testing.T) {
+	m := &Metrics{}
+	prev := NewQueryCache(1<<10, m)
+	stored := map[string][]byte{}
+	for _, k := range []string{"a", "b", "x", "c", "d"} {
+		stored[k] = []byte("response " + k) // 10 bytes each
+		prev.Put(k, stored[k])
+	}
+	// Touch "a" so recency, most recent first, is a d c x b.
+	if _, ok := prev.Get("a"); !ok {
+		t.Fatal("a missing")
+	}
+	hits, misses := m.QueryHits.Load(), m.QueryMisses.Load()
+
+	next := NewQueryCache(40, m) // room for four of the 10-byte responses
+	var asked []string
+	next.Seed(prev, func(key string) bool {
+		asked = append(asked, key)
+		return key != "x"
+	})
+	if got := fmt.Sprint(asked); got != "[a d c x b]" {
+		t.Errorf("keep asked about %s, want the most recent first", got)
+	}
+	if next.Len() != 4 || next.Bytes() != 40 {
+		t.Fatalf("seeded len=%d bytes=%d, want 4/40", next.Len(), next.Bytes())
+	}
+	if next.Peek("x") != nil {
+		t.Error("a page keep rejected was seeded")
+	}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if b := next.Peek(k); b == nil || &b[0] != &stored[k][0] {
+			t.Errorf("%s: seeded bytes are not the stored slice", k)
+		}
+	}
+	if m.QueryHits.Load() != hits || m.QueryMisses.Load() != misses || m.QueryEvictions.Load() != 0 {
+		t.Errorf("seeding moved counters: hits %d→%d misses %d→%d evictions %d",
+			hits, m.QueryHits.Load(), misses, m.QueryMisses.Load(), m.QueryEvictions.Load())
+	}
+	if prev.Len() != 5 || prev.Peek("x") == nil {
+		t.Errorf("seeding changed its source: len %d", prev.Len())
+	}
+
+	// The carried order is prev's: the least recent page, b, is the
+	// first a new response evicts, then c.
+	next.Put("e", []byte("0123456789"))
+	if next.Peek("b") != nil || next.Peek("c") == nil {
+		t.Error("the first eviction after seeding was not the least recent carried page")
+	}
+	next.Put("f", []byte("0123456789"))
+	if next.Peek("c") != nil || next.Peek("d") == nil {
+		t.Error("the second eviction after seeding was not the next least recent page")
+	}
+
+	// A cap smaller than prev's keeps the most recent pages that fit.
+	small := NewQueryCache(25, m)
+	small.Seed(prev, func(string) bool { return true })
+	if small.Len() != 2 || small.Peek("a") == nil || small.Peek("d") == nil {
+		t.Errorf("a 25-byte cap seeded %d pages, want the two most recent", small.Len())
+	}
+
+	// A disabled cache seeds nothing.
+	off := NewQueryCache(0, m)
+	off.Seed(prev, func(string) bool { return true })
+	if off.Len() != 0 || off.Bytes() != 0 {
+		t.Errorf("a disabled cache seeded len=%d bytes=%d", off.Len(), off.Bytes())
+	}
+}
