@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"nvdclean/internal/gen"
+	"nvdclean/internal/respcache"
 )
 
 // The read-path benchmarks measure what a client waits on GET under
@@ -23,6 +25,15 @@ import (
 //	CVEConditional    /cve/{id} with If-None-Match matching the current
 //	                  generation — a 304, no body at all.
 //	QueryCached       a broad /query from the canonical-key LRU.
+//
+// The Miss variants serve, from one client, requests no earlier
+// request of the generation filled, through the full handler with a
+// stub writer: each pays its render, the cache fill and, on /query, the
+// index match. They report objects per miss beside ns/op.
+//
+//	CVEMiss           /cve/{id} of each entry in turn.
+//	QueryMiss         /query of each vendor+product pair in turn,
+//	                  limit 25.
 //
 // Besides ns/op, each reports p50/p99 of per-request wall time
 // (BENCH_5.json and BENCH_7.json; BENCH_5 also records the uncached
@@ -183,4 +194,63 @@ func BenchmarkReadQueryCachedBare(b *testing.B) {
 	benchServe(b, benchBareHandler(srv), func(i int) *http.Request {
 		return httptest.NewRequest("GET", readQueryPath, nil)
 	}, http.StatusOK)
+}
+
+// benchMiss serves reqs in turn through handler with a stub writer.
+// Before each round of len(reqs) requests it installs, off the timer, a
+// copy of the generation with empty response caches, so every request
+// misses.
+func benchMiss(b *testing.B, srv *server, handler http.Handler, reqs []*http.Request) {
+	st := srv.cur.Load()
+	w := &stubWriter{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(reqs) == 0 {
+			b.StopTimer()
+			fresh := *st
+			fresh.entries = respcache.NewEntryCache(srv.metrics)
+			fresh.queries = respcache.NewQueryCache(srv.queryCacheBytes, srv.metrics)
+			srv.cur.Store(&fresh)
+			b.StartTimer()
+		}
+		req := reqs[i%len(reqs)]
+		handler.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("%s = %d", req.URL, w.status)
+		}
+	}
+}
+
+// missRequests returns a /cve/{id} request for each entry of st and a
+// /query request, limit 25, for each distinct vendor+product pair.
+func missRequests(st *serveState) (cves, pairs []*http.Request) {
+	seen := map[string]bool{}
+	for _, e := range st.res.Cleaned.Entries {
+		cves = append(cves, httptest.NewRequest("GET", "/cve/"+e.ID, nil))
+		for _, n := range e.CPEs {
+			u := "/query?vendor=" + url.QueryEscape(n.Vendor) + "&product=" + url.QueryEscape(n.Product) + "&limit=25"
+			if !seen[u] {
+				seen[u] = true
+				pairs = append(pairs, httptest.NewRequest("GET", u, nil))
+			}
+		}
+	}
+	return cves, pairs
+}
+
+// BenchmarkReadCVEMiss renders /cve/{id} bodies that miss the entry
+// cache.
+func BenchmarkReadCVEMiss(b *testing.B) {
+	srv, handler := benchReadServer(b)
+	cves, _ := missRequests(srv.cur.Load())
+	benchMiss(b, srv, handler, cves)
+}
+
+// BenchmarkReadQueryMiss matches and renders vendor+product /query
+// pages that miss the query cache.
+func BenchmarkReadQueryMiss(b *testing.B) {
+	srv, handler := benchReadServer(b)
+	_, pairs := missRequests(srv.cur.Load())
+	benchMiss(b, srv, handler, pairs)
 }

@@ -61,28 +61,32 @@ func benchState(b *testing.B) *serveState {
 	return benchWorld.st
 }
 
-// BenchmarkQueryIndexed measures /query answered by index
-// intersection over the sharded inverted indexes.
+// BenchmarkQueryIndexed measures a /query body rendered as the daemon
+// renders a miss: index intersection over the sharded inverted
+// indexes, then the page's window appended.
 func BenchmarkQueryIndexed(b *testing.B) {
 	st := benchState(b)
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := benchWorld.mix[i%len(benchWorld.mix)]
-		if resp := st.queryIndexed(p); resp.Total < 0 {
-			b.Fatal("impossible")
+		var ok bool
+		if buf, ok = st.appendQuery(buf[:0], p); !ok {
+			b.Fatal("render failed")
 		}
 	}
 }
 
 // BenchmarkQueryScan measures the same query mix answered by the
-// reference O(entries) linear scan — the pre-index serving path.
+// reference O(entries) linear scan and encoded by reflection — the
+// pre-index serving path.
 func BenchmarkQueryScan(b *testing.B) {
 	st := benchState(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := benchWorld.mix[i%len(benchWorld.mix)]
-		if resp := st.queryScan(p); resp.Total < 0 {
-			b.Fatal("impossible")
+		if body := encodeJSON(st.queryScan(p), false); len(body) == 0 {
+			b.Fatal("render failed")
 		}
 	}
 }

@@ -474,38 +474,7 @@ func TestWarmBootRebuildsMalformedIndexSegment(t *testing.T) {
 
 	// One byte after the last posting: the segment's header and its sum
 	// check out, and only a full parse rejects it.
-	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	genDir := filepath.Join(dir, strings.TrimSpace(string(cur)))
-	seg := filepath.Join(genDir, "index-03.seg")
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, 0)
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mPath := filepath.Join(genDir, "MANIFEST.json")
-	mb, err := os.ReadFile(mPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(mb, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["files"].(map[string]any)["index-03.seg"] = map[string]any{
-		"size": len(data), "crc32c": crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)),
-	}
-	if mb, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mPath, mb, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageSegment(t, dir, "index-03.seg", func(data []byte) []byte { return append(data, 0) })
 
 	str, cp, logged, notes, err := store.Open(dir)
 	if err != nil {
@@ -526,6 +495,104 @@ func TestWarmBootRebuildsMalformedIndexSegment(t *testing.T) {
 	srvCold := newServer(opts)
 	coldBoot(t, srvCold, snap)
 	assertServesAlike(t, srvWarm, srvCold)
+}
+
+// damageSegment rewrites the index segment name of dir's current
+// checkpoint through damage and records the damaged bytes' size and
+// sum in the manifest, so only parsing or decoding the segment can
+// find the damage.
+func damageSegment(t *testing.T, dir, name string, damage func([]byte) []byte) {
+	t.Helper()
+	cur, err := os.ReadFile(filepath.Join(dir, "CURRENT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genDir := filepath.Join(dir, strings.TrimSpace(string(cur)))
+	seg := filepath.Join(genDir, name)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = damage(data)
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mPath := filepath.Join(genDir, "MANIFEST.json")
+	mb, err := os.ReadFile(mPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(mb, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["files"].(map[string]any)[name] = map[string]any{
+		"size": len(data), "crc32c": crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)),
+	}
+	if mb, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mPath, mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueryScanFallbackOnCorruptBlock: a restored index whose segment
+// parses but holds a posting block that does not decode answers every
+// query that reads the block by the linear scan, in the bytes a cold
+// boot serves.
+func TestQueryScanFallbackOnCorruptBlock(t *testing.T) {
+	snap, opts := world(t, gen.TinyConfig())
+	dir := t.TempDir()
+	srvBoot := newServer(opts)
+	openTestStore(t, srvBoot, dir, fsio.OS{})
+	coldBoot(t, srvBoot, snap)
+	if err := srvBoot.closeStore(); err != nil {
+		t.Fatal(err)
+	}
+	// The continuation bit on the segment's last byte runs the last
+	// block's final varint off its end.
+	damageSegment(t, dir, "index-03.seg", func(data []byte) []byte {
+		data[len(data)-1] |= 0x80
+		return data
+	})
+	str, cp, logged, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil || cp.Index == nil {
+		t.Fatal("fixture: the damaged segment did not load")
+	}
+	srvWarm := newServer(opts)
+	srvWarm.attachStore(str)
+	defer srvWarm.closeStore()
+	if _, err := srvWarm.advance(context.Background(), transition{cp: cp, delta: mergeDeltas(cp.Original, logged)}); err != nil {
+		t.Fatal(err)
+	}
+	srvCold := newServer(opts)
+	coldBoot(t, srvCold, snap)
+	stWarm, stCold := srvWarm.cur.Load(), srvCold.cur.Load()
+
+	pages := paramGrid(stCold)
+	for _, e := range stCold.res.Cleaned.Entries {
+		pages = append(pages, pagesAbout(e)...)
+	}
+	fellBack := 0
+	for _, p := range pages {
+		if _, _, err := stWarm.idx.Match(store.Query{
+			Vendor: p.vendor, Product: p.product, CWE: p.cweID, HasCWE: p.hasCWE,
+			Severity: p.sev, HasSeverity: p.hasSev, Year: p.year,
+		}); err != nil {
+			fellBack++
+		}
+		if warm, cold := stWarm.queryBody(p), stCold.queryBody(p); !bytes.Equal(warm, cold) {
+			t.Fatalf("%s:\nwarm %s\ncold %s", queryURL(p), warm, cold)
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("fixture: no page read the corrupt block")
+	}
+	t.Logf("%d of %d pages fell back to the scan", fellBack, len(pages))
 }
 
 // assertServesAlike requires a restored server to serve what a cold

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"slices"
 	"testing"
 	"time"
@@ -22,8 +21,7 @@ import (
 // split "a\x1fb" and "c" differently — a CPE name may hold that byte,
 // and so may a URL, as %1F — and queries each pair in turn: each query
 // must serve its own page, not the one cached for the other pair. The
-// same holds for an unfiltered query and one filtering on the CWE
-// whose name is empty.
+// unfiltered query serves its own page, and a blank cwe value is a 400.
 func TestQueryCacheKeyInjective(t *testing.T) {
 	srv, snap := demoServer(t)
 	ts := httptest.NewServer(srv.handler())
@@ -55,18 +53,19 @@ func TestQueryCacheKeyInjective(t *testing.T) {
 			t.Errorf("%s served\n%s\nwant its own page\n%s", queryURL(tc.p), body, fresh)
 		}
 	}
-	// A blank cwe value parses to a filter on cwe.Unassigned, whose
-	// name is empty, as an unset filter's is.
-	for _, u := range []string{"/query?limit=2", "/query?cwe=%20&limit=2"} {
-		values, _ := url.ParseQuery(u[len("/query?"):])
-		p, err := parseQueryParams(values)
-		if err != nil {
-			t.Fatalf("%s: %v", u, err)
-		}
-		fresh := encodeJSON(st.queryIndexed(p), false)
-		if _, _, body := getRaw(t, ts, u, ""); !bytes.Equal(body, fresh) {
-			t.Errorf("%s served\n%s\nwant its own page\n%s", u, body, fresh)
-		}
+	// A blank cwe value is a bad filter, not one on cwe.Unassigned,
+	// whose name is empty, as an unset filter's is: it must not be
+	// served the unfiltered page, nor any page.
+	p, err := parseQueryParams("limit=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := encodeJSON(st.queryIndexed(p), false)
+	if _, _, body := getRaw(t, ts, "/query?limit=2", ""); !bytes.Equal(body, fresh) {
+		t.Errorf("/query?limit=2 served\n%s\nwant its own page\n%s", body, fresh)
+	}
+	if code, _, body := getRaw(t, ts, "/query?cwe=%20&limit=2", ""); code != http.StatusBadRequest || !bytes.Contains(body, []byte("bad cwe")) {
+		t.Errorf("/query?cwe=%%20&limit=2 = %d %s, want 400 bad cwe", code, body)
 	}
 }
 
@@ -158,8 +157,7 @@ func TestQueryCacheCarryOver(t *testing.T) {
 		prev = srv.cur.Load()
 		for _, p := range append(paramGrid(prev), aimed...) {
 			u := queryURL(p)
-			parsed, _ := url.ParseQuery(u[len("/query?"):])
-			if q, err := parseQueryParams(parsed); err != nil || q != p {
+			if q, err := parseQueryParams(u[len("/query?"):]); err != nil || q != p {
 				continue // a meta CWE the URL cannot name
 			}
 			known[p.cacheKey()] = p

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"nvdclean"
 	"nvdclean/internal/cvss"
@@ -18,8 +19,9 @@ import (
 // (request URL, serving generation): the generation is immutable and
 // swaps atomically, so its sequence number is a correct HTTP validator
 // and anything cached per generation is trivially coherent. This file
-// holds the pieces the handlers share — encoding, the ETag scheme, and
-// conditional (If-None-Match / 304) serving.
+// holds the pieces the handlers share — body rendering, query-string
+// scanning, the ETag scheme, and conditional (If-None-Match / 304)
+// serving.
 
 // readCacheControl is sent on every cacheable read response: clients
 // and intermediaries may store responses but must revalidate, because
@@ -27,12 +29,12 @@ import (
 // is nearly free — a matching ETag costs a 304 with no body.
 const readCacheControl = "no-cache"
 
-// encodeJSON renders v the way every response body is encoded: compact
-// by default, indented only when a client opts in with ?pretty=1, and
-// always newline-terminated (the json.Encoder convention the wire
-// format has used since the first release). Encode errors are
-// impossible for the server's own view types and are ignored, matching
-// the previous writeJSON behavior.
+// encodeJSON renders the bodies the read renderers do not: errors,
+// probes and /stats. It encodes compactly by default, indented only
+// when a client opts in with ?pretty=1, and always newline-terminated
+// (the json.Encoder convention the wire format has used since the
+// first release). Encode errors are impossible for the maps the server
+// encodes and are ignored, matching the previous writeJSON behavior.
 func encodeJSON(v any, pretty bool) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -43,10 +45,81 @@ func encodeJSON(v any, pretty bool) []byte {
 	return buf.Bytes()
 }
 
-// parsePretty reads the ?pretty flag: absent or "0"/"false" means
-// compact, "1"/"true" means indented, anything else is an error.
-func parsePretty(values url.Values) (bool, error) {
-	switch v := values.Get("pretty"); v {
+// bodyBufs holds the scratch buffers read bodies are rendered in.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// renderBody renders one /cve or /query body: appendTo appends the
+// compact JSON document and reports false where encoding/json fails to
+// encode it. The document is appended in a pooled scratch buffer and
+// copied, newline-terminated as json.Encoder writes it, into a body
+// allocated at its own length, so a cached body holds no spare
+// capacity. With pretty the body is json.Indent of those bytes with
+// two-space indentation, which is what json.Encoder writes after
+// SetIndent("", "  "). A failed render is a nil body: json.Encoder
+// writes nothing for a value it cannot encode.
+func renderBody(pretty bool, appendTo func([]byte) ([]byte, bool)) []byte {
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	b, ok := appendTo((*buf)[:0])
+	if !ok {
+		return nil
+	}
+	b = append(b, '\n')
+	*buf = b
+	if pretty {
+		var out bytes.Buffer
+		if err := json.Indent(&out, b, "", "  "); err != nil {
+			return nil
+		}
+		return out.Bytes()
+	}
+	body := make([]byte, len(b))
+	copy(body, b)
+	return body
+}
+
+// nextQueryPair returns the first pair of the raw query string raw
+// that url.ParseQuery keeps, its key and value unescaped, and the rest
+// of raw after it; it reports false when none is left. Pairs split on
+// '&', and a key from its value on the first '='. ParseQuery drops an
+// empty pair, a pair holding ';', and a pair whose key or value holds
+// a malformed %XX escape. A key or value holding neither '%' nor '+'
+// is a substring of raw, so scanning it allocates nothing.
+func nextQueryPair(raw string) (key, value, rest string, ok bool) {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		var kerr, verr error
+		key, kerr = url.QueryUnescape(k)
+		value, verr = url.QueryUnescape(v)
+		if kerr == nil && verr == nil {
+			return key, value, raw, true
+		}
+	}
+	return "", "", "", false
+}
+
+// queryValue returns the first value of the parameter name in the raw
+// query string, or "" when it has none: what r.URL.Query().Get(name)
+// returns, without the map.
+func queryValue(raw, name string) string {
+	for {
+		k, v, rest, ok := nextQueryPair(raw)
+		if !ok || k == name {
+			return v
+		}
+		raw = rest
+	}
+}
+
+// parsePretty reads a ?pretty value: absent, "0" or "false" means
+// compact, "1" or "true" means indented, anything else is an error.
+func parsePretty(v string) (bool, error) {
+	switch v {
 	case "", "0", "false":
 		return false, nil
 	case "1", "true":
@@ -127,41 +200,31 @@ func serveRead(w http.ResponseWriter, etag []string, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// queryValues returns the request's query parameters, or nil without
-// parsing when the URL has none: most /cve/{id} and probe requests
-// carry no query, and a nil url.Values reads as empty.
-func queryValues(r *http.Request) url.Values {
-	if r.URL.RawQuery == "" {
-		return nil
-	}
-	return r.URL.Query()
-}
-
 // cveBody returns the encoded /cve/{id} response for e, from the
 // generation's pre-encoded cache on the compact path. Pretty rendering
 // bypasses the cache: it is a debugging convenience, not the hot path,
 // and caching both representations would double the cache for no
 // reader benefit.
 func (st *serveState) cveBody(e *nvdclean.Entry, pretty bool) []byte {
+	render := func(b []byte) ([]byte, bool) { return st.appendCVE(b, e) }
 	if pretty {
-		return encodeJSON(st.view(e), true)
+		return renderBody(true, render)
 	}
-	return st.entries.Get(e.ID, func() []byte {
-		return encodeJSON(st.view(e), false)
-	})
+	return st.entries.Get(e.ID, func() []byte { return renderBody(false, render) })
 }
 
 // queryBody returns the encoded /query response for p, consulting the
 // generation's canonical-key response cache on the compact path.
 func (st *serveState) queryBody(p queryParams) []byte {
+	render := func(b []byte) ([]byte, bool) { return st.appendQuery(b, p) }
 	if p.pretty {
-		return encodeJSON(st.queryIndexed(p), true)
+		return renderBody(true, render)
 	}
 	key := p.cacheKey()
 	if b, ok := st.queries.Get(key); ok {
 		return b
 	}
-	b := encodeJSON(st.queryIndexed(p), false)
+	b := renderBody(false, render)
 	st.queries.Put(key, b)
 	return b
 }

@@ -85,9 +85,10 @@ func (s *server) handleReplicateLog(w http.ResponseWriter, r *http.Request) {
 	if src == nil {
 		return
 	}
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+	fromArg := queryValue(r.URL.RawQuery, "from")
+	from, err := strconv.ParseUint(fromArg, 10, 64)
 	if err != nil || from == 0 {
-		writeError(w, http.StatusBadRequest, "bad or missing from=%q (want a segment seq)", r.URL.Query().Get("from"))
+		writeError(w, http.StatusBadRequest, "bad or missing from=%q (want a segment seq)", fromArg)
 		return
 	}
 	var off int64

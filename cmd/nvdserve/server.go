@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +17,7 @@ import (
 	"nvdclean"
 	"nvdclean/internal/cvss"
 	"nvdclean/internal/cwe"
+	"nvdclean/internal/jsontext"
 	"nvdclean/internal/predict"
 	"nvdclean/internal/replica"
 	"nvdclean/internal/respcache"
@@ -537,7 +538,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.cur.Load()
-	pretty, err := parsePretty(queryValues(r))
+	pretty, err := parsePretty(queryValue(r.URL.RawQuery, "pretty"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -554,75 +555,133 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}, pretty))
 }
 
-// affectedView is one (vendor, product) pair of a CVE.
-type affectedView struct {
-	Vendor  string `json:"vendor"`
-	Product string `json:"product"`
-}
-
-// cveView is the JSON shape of one served CVE: the cleaned entry plus
-// every pipeline artifact attached to it.
-type cveView struct {
-	ID           string         `json:"id"`
-	Published    time.Time      `json:"published"`
-	Descriptions []string       `json:"descriptions,omitempty"`
-	CWEs         []string       `json:"cwes,omitempty"`
-	Affected     []affectedView `json:"affected,omitempty"`
-	References   []string       `json:"references,omitempty"`
-
-	V2Score    *float64 `json:"v2Score,omitempty"`
-	V2Severity string   `json:"v2Severity,omitempty"`
-	V3Score    *float64 `json:"v3Score,omitempty"`
-	V3Severity string   `json:"v3Severity,omitempty"`
-	// Backported marks entries whose v3 score is the §4.3 prediction.
-	Backported  bool     `json:"backported,omitempty"`
-	PV3Score    *float64 `json:"pv3Score,omitempty"`
-	PV3Severity string   `json:"pv3Severity,omitempty"`
-
-	EstimatedDisclosure *time.Time `json:"estimatedDisclosure,omitempty"`
-	LagDays             *int       `json:"lagDays,omitempty"`
-
-	VendorConsolidated  bool `json:"vendorConsolidated,omitempty"`
-	ProductConsolidated bool `json:"productConsolidated,omitempty"`
-}
-
-func (st *serveState) view(e *nvdclean.Entry) cveView {
-	v := cveView{ID: e.ID, Published: e.Published}
-	for _, d := range e.Descriptions {
-		v.Descriptions = append(v.Descriptions, d.Value)
+// appendCVE appends the JSON shape of one served CVE, the cleaned
+// entry plus every pipeline artifact attached to it, in the bytes
+// encoding/json writes for it. Its members, in order:
+//
+//	id, published                      always
+//	descriptions, cwes, affected,      each when the entry has any;
+//	references                         affected as {"vendor","product"}
+//	v2Score, v2Severity                when the entry has a v2 vector
+//	v3Score, v3Severity                when it has a v3 vector
+//	backported, pv3Score, pv3Severity  when its v3 score is the §4.3
+//	                                   prediction
+//	estimatedDisclosure, lagDays       when the crawl estimated its
+//	                                   disclosure date
+//	vendorConsolidated,                each when §4.2 renamed the
+//	productConsolidated                entry's vendor or product
+//
+// It reports false where encoding/json fails: a score that is NaN or
+// infinite, or a time RFC 3339 cannot write.
+func (st *serveState) appendCVE(b []byte, e *nvdclean.Entry) ([]byte, bool) {
+	b = append(b, `{"id":`...)
+	b = jsontext.AppendString(b, e.ID)
+	b = append(b, `,"published":`...)
+	b, ok := appendTime(b, e.Published)
+	if !ok {
+		return b, false
 	}
-	for _, c := range e.CWEs {
-		v.CWEs = append(v.CWEs, c.String())
+	if len(e.Descriptions) > 0 {
+		b = append(b, `,"descriptions":`...)
+		for i, d := range e.Descriptions {
+			b = appendListSep(b, i)
+			b = jsontext.AppendString(b, d.Value)
+		}
+		b = append(b, ']')
 	}
-	for _, n := range e.CPEs {
-		v.Affected = append(v.Affected, affectedView{Vendor: n.Vendor, Product: n.Product})
+	if len(e.CWEs) > 0 {
+		b = append(b, `,"cwes":`...)
+		for i, c := range e.CWEs {
+			b = appendListSep(b, i)
+			b = jsontext.AppendQuoted(b, c.Append)
+		}
+		b = append(b, ']')
 	}
-	for _, r := range e.References {
-		v.References = append(v.References, r.URL)
+	if len(e.CPEs) > 0 {
+		b = append(b, `,"affected":`...)
+		for i, n := range e.CPEs {
+			b = appendListSep(b, i)
+			b = append(b, `{"vendor":`...)
+			b = jsontext.AppendString(b, n.Vendor)
+			b = append(b, `,"product":`...)
+			b = jsontext.AppendString(b, n.Product)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if len(e.References) > 0 {
+		b = append(b, `,"references":`...)
+		for i, r := range e.References {
+			b = appendListSep(b, i)
+			b = jsontext.AppendString(b, r.URL)
+		}
+		b = append(b, ']')
 	}
 	if e.V2 != nil {
-		score := e.V2.BaseScore()
-		v.V2Score = &score
-		v.V2Severity = e.V2.Severity().String()
+		if b, ok = appendScore(b, `,"v2Score":`, e.V2.BaseScore(), `,"v2Severity":`, e.V2.Severity()); !ok {
+			return b, false
+		}
 	}
 	if e.V3 != nil {
-		score := e.V3.BaseScore()
-		v.V3Score = &score
-		v.V3Severity = e.V3.Severity().String()
+		if b, ok = appendScore(b, `,"v3Score":`, e.V3.BaseScore(), `,"v3Severity":`, e.V3.Severity()); !ok {
+			return b, false
+		}
 	}
 	if e.PV3 != nil {
-		v.Backported = true
-		v.PV3Score = e.PV3
-		v.PV3Severity = cvss.SeverityV3(*e.PV3).String()
+		b = append(b, `,"backported":true`...)
+		if b, ok = appendScore(b, `,"pv3Score":`, *e.PV3, `,"pv3Severity":`, cvss.SeverityV3(*e.PV3)); !ok {
+			return b, false
+		}
 	}
-	if d, ok := st.res.EstimatedDisclosure[e.ID]; ok {
-		v.EstimatedDisclosure = &d
-		lag := st.res.LagDays[e.ID]
-		v.LagDays = &lag
+	if d, found := st.res.EstimatedDisclosure[e.ID]; found {
+		b = append(b, `,"estimatedDisclosure":`...)
+		if b, ok = appendTime(b, d); !ok {
+			return b, false
+		}
+		b = append(b, `,"lagDays":`...)
+		b = strconv.AppendInt(b, int64(st.res.LagDays[e.ID]), 10)
 	}
-	v.VendorConsolidated = st.res.VendorChanged[e.ID]
-	v.ProductConsolidated = st.res.ProductChanged[e.ID]
-	return v
+	if st.res.VendorChanged[e.ID] {
+		b = append(b, `,"vendorConsolidated":true`...)
+	}
+	if st.res.ProductChanged[e.ID] {
+		b = append(b, `,"productConsolidated":true`...)
+	}
+	return append(b, '}'), true
+}
+
+// appendListSep opens a JSON list before its first element and
+// separates the later ones.
+func appendListSep(b []byte, i int) []byte {
+	if i == 0 {
+		return append(b, '[')
+	}
+	return append(b, ',')
+}
+
+// appendScore appends a score member and its severity band member,
+// each behind its ,"name": prefix. It reports false, as encoding/json
+// fails, for a NaN or infinite score.
+func appendScore(b []byte, scoreName string, score float64, sevName string, sev cvss.Severity) ([]byte, bool) {
+	b = append(b, scoreName...)
+	b, ok := jsontext.AppendFloat(b, score)
+	if !ok {
+		return b, false
+	}
+	b = append(b, sevName...)
+	return jsontext.AppendString(b, sev.String()), true
+}
+
+// appendTime appends t as a JSON string, as time.Time's MarshalJSON
+// writes it. RFC 3339 needs no escaping in a JSON string. It reports
+// false where MarshalJSON fails: a year outside [0, 9999] or a zone
+// offset of a day or more.
+func appendTime(b []byte, t time.Time) ([]byte, bool) {
+	text, err := t.AppendText(append(b, '"'))
+	if err != nil {
+		return b, false
+	}
+	return append(text, '"'), true
 }
 
 // handleCVE serves one pre-encoded entry: a conditional request whose
@@ -640,7 +699,7 @@ func (s *server) handleCVE(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no entry %s", id)
 		return
 	}
-	pretty, err := parsePretty(queryValues(r))
+	pretty, err := parsePretty(queryValue(r.URL.RawQuery, "pretty"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -676,47 +735,64 @@ type queryParams struct {
 // renders) from attacker input.
 const maxQueryLimit = 1000
 
-// parseQueryParams validates a /query parameter set strictly: unknown
+// queryParamNames are the parameters /query accepts, in the order of
+// parseQueryParams' value slots.
+var queryParamNames = [...]string{"vendor", "product", "cwe", "severity", "year", "limit", "offset", "pretty"}
+
+// parseQueryParams validates a raw /query string strictly: unknown
 // parameters are an error (a typoed filter silently matching
-// everything is worse than a 400), and every value must parse.
-func parseQueryParams(values url.Values) (queryParams, error) {
+// everything is worse than a 400), the first one in URL order named in
+// it, and every value must parse. A repeated parameter's first value
+// counts. Keys and values are read as url.ParseQuery reads them (see
+// nextQueryPair).
+func parseQueryParams(raw string) (queryParams, error) {
 	p := queryParams{limit: 50}
-	for k := range values {
-		switch k {
-		case "vendor", "product", "cwe", "severity", "year", "limit", "offset", "pretty":
-		default:
+	var vals [len(queryParamNames)]string
+	var seen uint
+	for {
+		k, v, rest, ok := nextQueryPair(raw)
+		if !ok {
+			break
+		}
+		raw = rest
+		i := slices.Index(queryParamNames[:], k)
+		if i < 0 {
 			return p, fmt.Errorf("unknown query parameter %q (want vendor, product, cwe, severity, year, limit, offset or pretty)", k)
 		}
+		if seen&(1<<i) == 0 {
+			seen |= 1 << i
+			vals[i] = v
+		}
 	}
+	vendor, product, c, sev, y, l, o, pretty := vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], vals[6], vals[7]
 	var err error
-	if p.pretty, err = parsePretty(values); err != nil {
+	if p.pretty, err = parsePretty(pretty); err != nil {
 		return p, err
 	}
-	p.vendor = values.Get("vendor")
-	p.product = values.Get("product")
-	if c := values.Get("cwe"); c != "" {
+	p.vendor, p.product = vendor, product
+	if c != "" {
+		// cwe.Parse reads a blank value as cwe.Unassigned, the ID of no
+		// CWE at all, which no client means to filter on.
 		id, err := cwe.Parse(c)
-		if err != nil {
+		if err != nil || id == cwe.Unassigned {
 			return p, fmt.Errorf("bad cwe %q", c)
 		}
 		p.cweID, p.hasCWE = id, true
 	}
-	if sev := values.Get("severity"); sev != "" {
+	if sev != "" {
 		var ok bool
 		if p.sev, ok = cvss.ParseSeverity(sev); !ok {
 			return p, fmt.Errorf("bad severity %q", sev)
 		}
 		p.hasSev = true
 	}
-	if y := values.Get("year"); y != "" {
+	if y != "" {
 		// Year 0 would mean "no year filter" downstream.
-		var err error
 		if p.year, err = strconv.Atoi(y); err != nil || p.year < 1 {
 			return p, fmt.Errorf("bad year %q", y)
 		}
 	}
-	if l := values.Get("limit"); l != "" {
-		var err error
+	if l != "" {
 		if p.limit, err = strconv.Atoi(l); err != nil || p.limit < 1 {
 			return p, fmt.Errorf("bad limit %q", l)
 		}
@@ -724,28 +800,12 @@ func parseQueryParams(values url.Values) (queryParams, error) {
 			return p, fmt.Errorf("limit %d exceeds the maximum %d", p.limit, maxQueryLimit)
 		}
 	}
-	if o := values.Get("offset"); o != "" {
-		var err error
+	if o != "" {
 		if p.offset, err = strconv.Atoi(o); err != nil || p.offset < 0 {
 			return p, fmt.Errorf("bad offset %q", o)
 		}
 	}
 	return p, nil
-}
-
-type hit struct {
-	ID          string   `json:"id"`
-	Severity    string   `json:"severity,omitempty"`
-	Score       *float64 `json:"score,omitempty"`
-	Backported  bool     `json:"backported,omitempty"`
-	VendorMatch string   `json:"vendor,omitempty"`
-}
-
-type queryResponse struct {
-	Total   int   `json:"total"`
-	Limit   int   `json:"limit"`
-	Offset  int   `json:"offset"`
-	Results []hit `json:"results"`
 }
 
 // matchVendor returns the vendor of the first CPE name satisfying the
@@ -767,45 +827,79 @@ func matchVendor(e *nvdclean.Entry, vendor, product string) string {
 	return ""
 }
 
-// hitOf renders one matched entry.
-func (st *serveState) hitOf(e *nvdclean.Entry, p queryParams) hit {
-	h := hit{ID: e.ID, VendorMatch: matchVendor(e, p.vendor, p.product)}
+// appendHit appends one matched entry as a /query result: its id, its
+// pv3 severity band and score when it has one (backported when the
+// score is the §4.3 prediction), and the matched vendor when p filters
+// on a vendor or product. It reports false, as encoding/json fails,
+// for a NaN or infinite score.
+func appendHit(b []byte, e *nvdclean.Entry, p queryParams) ([]byte, bool) {
+	b = append(b, `{"id":`...)
+	b = jsontext.AppendString(b, e.ID)
 	if sev, ok := e.SeverityPV3(); ok {
-		h.Severity = sev.String()
+		b = append(b, `,"severity":`...)
+		b = jsontext.AppendString(b, sev.String())
 	}
-	if e.V3 != nil {
-		score := e.V3.BaseScore()
-		h.Score = &score
-	} else if e.PV3 != nil {
-		h.Score = e.PV3
-		h.Backported = true
+	ok := true
+	switch {
+	case e.V3 != nil:
+		b = append(b, `,"score":`...)
+		b, ok = jsontext.AppendFloat(b, e.V3.BaseScore())
+	case e.PV3 != nil:
+		b = append(b, `,"score":`...)
+		b, ok = jsontext.AppendFloat(b, *e.PV3)
+		b = append(b, `,"backported":true`...)
 	}
-	return h
+	if !ok {
+		return b, false
+	}
+	if v := matchVendor(e, p.vendor, p.product); v != "" {
+		b = append(b, `,"vendor":`...)
+		b = jsontext.AppendString(b, v)
+	}
+	return append(b, '}'), true
 }
 
-// window applies offset/limit pagination to the matched entries and
-// renders the response.
-func (st *serveState) window(matched []*nvdclean.Entry, p queryParams) queryResponse {
-	resp := queryResponse{Total: len(matched), Limit: p.limit, Offset: p.offset, Results: []hit{}}
-	lo := p.offset
-	if lo > len(matched) {
-		lo = len(matched)
+// appendQuery appends the /query response for p: the match count, the
+// page bounds, and the results in the page's window of the match set,
+// in snapshot order. Only the window's entries are read.
+func (st *serveState) appendQuery(b []byte, p queryParams) ([]byte, bool) {
+	ords, filtered := st.match(p)
+	entries := st.res.Cleaned.Entries
+	total := len(entries)
+	if filtered {
+		total = len(ords)
 	}
-	hi := lo + p.limit
-	if hi > len(matched) {
-		hi = len(matched)
+	lo := min(p.offset, total)
+	hi := min(lo+p.limit, total)
+	b = append(b, `{"total":`...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	b = append(b, `,"limit":`...)
+	b = strconv.AppendInt(b, int64(p.limit), 10)
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(p.offset), 10)
+	b = append(b, `,"results":[`...)
+	for i := lo; i < hi; i++ {
+		e := entries[i]
+		if filtered {
+			e = entries[ords[i]]
+		}
+		if i > lo {
+			b = append(b, ',')
+		}
+		var ok bool
+		if b, ok = appendHit(b, e, p); !ok {
+			return b, false
+		}
 	}
-	for _, e := range matched[lo:hi] {
-		resp.Results = append(resp.Results, st.hitOf(e, p))
-	}
-	return resp
+	return append(b, "]}"...), true
 }
 
-// queryIndexed answers a /query via index intersection: each active
-// filter contributes one ordinal posting list, the block-skipping
-// ordered merge of which is the match set in snapshot order. Ordinals
-// translate to entries only here, at the materialization edge.
-func (st *serveState) queryIndexed(p queryParams) queryResponse {
+// match returns the ordinals of the cleaned entries that pass p's
+// filters, in snapshot order, by index intersection: each active
+// filter contributes one ordinal posting list, and the block-skipping
+// ordered merge of them is the match set. It reports filtered false,
+// with no ordinals, when p has no filter and so every entry passes.
+func (st *serveState) match(p queryParams) ([]uint32, bool) {
 	q := store.Query{
 		Vendor: p.vendor, Product: p.product,
 		CWE: p.cweID, HasCWE: p.hasCWE,
@@ -813,40 +907,24 @@ func (st *serveState) queryIndexed(p queryParams) queryResponse {
 		Year: p.year,
 	}
 	ords, filtered, err := st.idx.Match(q)
-	if err != nil {
-		// A corrupt posting block cannot change response bytes: the
-		// linear scan answers instead.
-		return st.queryScan(p)
+	if err == nil {
+		return ords, filtered
 	}
-	var matched []*nvdclean.Entry
-	if !filtered {
-		matched = st.res.Cleaned.Entries
-	} else {
-		entries := st.res.Cleaned.Entries
-		matched = make([]*nvdclean.Entry, 0, len(ords))
-		for _, o := range ords {
-			matched = append(matched, entries[o])
-		}
-	}
-	return st.window(matched, p)
-}
-
-// queryScan is the reference linear scan over the cleaned snapshot.
-// The handler serves queryIndexed; this path exists so the invariant
-// test can prove the indexes change latency, never bytes.
-func (st *serveState) queryScan(p queryParams) queryResponse {
-	var matched []*nvdclean.Entry
-	for _, e := range st.res.Cleaned.Entries {
+	// A corrupt posting block cannot change response bytes: a linear
+	// scan with the reference predicate answers instead.
+	ords = nil
+	for o, e := range st.res.Cleaned.Entries {
 		if p.matches(e) {
-			matched = append(matched, e)
+			ords = append(ords, uint32(o))
 		}
 	}
-	return st.window(matched, p)
+	return ords, true
 }
 
 // matches reports whether e passes every filter of p. It is the
-// reference scan's predicate and the rule that decides which cached
-// pages outlive a generation swap, so the two cannot drift apart.
+// predicate of the scan match falls back on and the rule that decides
+// which cached pages outlive a generation swap, so the two cannot
+// drift apart.
 func (p queryParams) matches(e *nvdclean.Entry) bool {
 	if p.year != 0 && e.Year() != p.year {
 		return false
@@ -877,7 +955,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	p, err := parseQueryParams(queryValues(r))
+	p, err := parseQueryParams(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -987,7 +1065,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// /stats carries live counters (the cache numbers above change on
 	// every read), so it gets no ETag — a validator that rotates per
 	// request validates nothing. It still honors ?pretty.
-	pretty, err := parsePretty(queryValues(r))
+	pretty, err := parsePretty(queryValue(r.URL.RawQuery, "pretty"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1066,7 +1144,7 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var delta *nvdclean.Delta
-	switch mode := r.URL.Query().Get("mode"); mode {
+	switch mode := queryValue(r.URL.RawQuery, "mode"); mode {
 	case "", "upsert":
 		delta = upsertDelta(st.res.Original, snap)
 	case "replace":

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"nvdclean/internal/gen"
 )
 
 // commitWithIndex commits a testCheckpoint carrying a built index over
@@ -379,5 +381,37 @@ func TestIndexSegmentSizeGuard(t *testing.T) {
 	t.Logf("index segments: %d bytes over %d entries = %.2f bytes/entry", total, len(snap.Entries), perEntry)
 	if perEntry > maxBytesPerEntry {
 		t.Fatalf("index segments cost %.2f bytes/entry, budget %.1f", perEntry, maxBytesPerEntry)
+	}
+}
+
+// TestParseSegmentsAllocGuard pins what parsing a 3K-CVE checkpoint's
+// index segments costs: a constant number of heap objects per shard,
+// its map and one allocation each of key bytes, skip entries and
+// postings, not objects per key.
+func TestParseSegmentsAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts skipped in -short mode: race builds count allocations differently")
+	}
+	snap, _, _, err := gen.Generate(gen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := BuildIndex(snap, 1)
+	var raws [numShards][]byte
+	keys := 0
+	for s := range raws {
+		raws[s] = ix.shardWire(s)
+		keys += len(ix.shards[s].post)
+	}
+	n := testing.AllocsPerRun(5, func() {
+		for _, raw := range raws {
+			if _, _, err := parseShardWire(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%d segments holding %d keys parse in %.0f objects", numShards, keys, n)
+	if max := float64(8 * numShards); n > max {
+		t.Errorf("parsing %d segments holding %d keys allocates %.0f objects, want at most %.0f", numShards, keys, n, max)
 	}
 }

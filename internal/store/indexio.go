@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 )
 
 // On-disk index segments: each checkpoint generation persists one
@@ -112,18 +113,14 @@ func (r *wireReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// str reads a length-prefixed string, copying out of the segment so
-// parsed keys never pin the raw buffer.
-func (r *wireReader) str() (string, error) {
+// bytesField reads a length-prefixed byte string, aliasing the
+// segment.
+func (r *wireReader) bytesField() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return r.take(int(n))
 }
 
 // parseShardHeader validates the magic and version and returns the
@@ -152,89 +149,136 @@ func parseShardHeader(r *wireReader) (int, error) {
 // first decode. Structural corruption — truncation, out-of-order or
 // duplicate keys, skip entries out of order or out of snapshot range —
 // is rejected here.
+//
+// The segment is read twice. The first pass validates it and sizes the
+// shard; the second builds it from one allocation each of key bytes,
+// skip entries and postings, so a shard costs a constant number of
+// objects besides its map, however many keys it holds. The key
+// strings are copied out of the segment, so they never pin it.
 func parseShardWire(raw []byte) (map[key]*posting, int, error) {
-	r := &wireReader{buf: raw}
-	entries, err := parseShardHeader(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	nKeysU, err := r.uvarint()
-	if err != nil || nKeysU > uint64(len(raw)) {
-		return nil, 0, errors.New("bad index segment key count")
-	}
-	nKeys := int(nKeysU)
-	post := make(map[key]*posting, nKeys)
-	var prevKey key
-	for i := 0; i < nKeys; i++ {
-		kindB, err := r.byteVal()
+	var keyBytes, blocks int
+	var post map[key]*posting
+	var strs strings.Builder
+	var skipsArena []skipEntry
+	var postings []posting
+	for fill := false; ; fill = true {
+		r := &wireReader{buf: raw}
+		entries, err := parseShardHeader(r)
 		if err != nil {
 			return nil, 0, err
 		}
-		kind := keyKind(kindB)
-		if kind < keyVendor || kind > keyYear {
-			return nil, 0, fmt.Errorf("bad index key kind %d", kindB)
+		nKeysU, err := r.uvarint()
+		if err != nil || nKeysU > uint64(len(raw)) {
+			return nil, 0, errors.New("bad index segment key count")
 		}
-		a, err := r.str()
-		if err != nil {
-			return nil, 0, err
+		nKeys := int(nKeysU)
+		if fill {
+			post = make(map[key]*posting, nKeys)
+			strs.Grow(keyBytes)
+			skipsArena = make([]skipEntry, blocks)
+			postings = make([]posting, nKeys)
 		}
-		b, err := r.str()
-		if err != nil {
-			return nil, 0, err
-		}
-		k := key{kind: kind, a: a, b: b}
-		if i > 0 && !keyLess(prevKey, k) {
-			return nil, 0, errors.New("index keys out of order")
-		}
-		prevKey = k
-		countU, err := r.uvarint()
-		if err != nil || countU == 0 || countU > uint64(entries) {
-			return nil, 0, errors.New("bad posting count")
-		}
-		count := int(countU)
-		nBlocks := (count + postingBlockSize - 1) / postingBlockSize
-		skips := make([]skipEntry, nBlocks)
-		var off uint64
-		prevLast := int64(-1)
-		for bi := range skips {
-			first, err := r.uvarint()
+		var prevKind keyKind
+		var prevA, prevB []byte
+		for i := 0; i < nKeys; i++ {
+			kindB, err := r.byteVal()
 			if err != nil {
 				return nil, 0, err
 			}
-			last, err := r.uvarint()
+			kind := keyKind(kindB)
+			if kind < keyVendor || kind > keyYear {
+				return nil, 0, fmt.Errorf("bad index key kind %d", kindB)
+			}
+			a, err := r.bytesField()
 			if err != nil {
 				return nil, 0, err
 			}
-			blen, err := r.uvarint()
+			b, err := r.bytesField()
 			if err != nil {
 				return nil, 0, err
 			}
-			if first > last || last >= uint64(entries) {
-				return nil, 0, errors.New("posting skip entry out of range")
+			if i > 0 && !wireKeyLess(prevKind, prevA, prevB, kind, a, b) {
+				return nil, 0, errors.New("index keys out of order")
 			}
-			if int64(first) <= prevLast {
-				return nil, 0, errors.New("posting skip entries out of order")
+			prevKind, prevA, prevB = kind, a, b
+			countU, err := r.uvarint()
+			if err != nil || countU == 0 || countU > uint64(entries) {
+				return nil, 0, errors.New("bad posting count")
 			}
-			if off+blen > uint64(len(raw)) {
-				return nil, 0, errors.New("posting block extent out of range")
+			count := int(countU)
+			nBlocks := (count + postingBlockSize - 1) / postingBlockSize
+			var skips []skipEntry
+			if fill {
+				skips, skipsArena = skipsArena[:nBlocks:nBlocks], skipsArena[nBlocks:]
 			}
-			skips[bi] = skipEntry{
-				first: uint32(first),
-				last:  uint32(last),
-				off:   uint32(off),
-				bytes: uint32(blen),
+			var off uint64
+			prevLast := int64(-1)
+			for bi := 0; bi < nBlocks; bi++ {
+				first, err := r.uvarint()
+				if err != nil {
+					return nil, 0, err
+				}
+				last, err := r.uvarint()
+				if err != nil {
+					return nil, 0, err
+				}
+				blen, err := r.uvarint()
+				if err != nil {
+					return nil, 0, err
+				}
+				if first > last || last >= uint64(entries) {
+					return nil, 0, errors.New("posting skip entry out of range")
+				}
+				if int64(first) <= prevLast {
+					return nil, 0, errors.New("posting skip entries out of order")
+				}
+				if off+blen > uint64(len(raw)) {
+					return nil, 0, errors.New("posting block extent out of range")
+				}
+				if fill {
+					skips[bi] = skipEntry{
+						first: uint32(first),
+						last:  uint32(last),
+						off:   uint32(off),
+						bytes: uint32(blen),
+					}
+				}
+				off += blen
+				prevLast = int64(last)
 			}
-			off += blen
-			prevLast = int64(last)
+			data, err := r.take(int(off))
+			if err != nil {
+				return nil, 0, err
+			}
+			if !fill {
+				keyBytes += len(a) + len(b)
+				blocks += nBlocks
+				continue
+			}
+			start := strs.Len()
+			strs.Write(a)
+			strs.Write(b)
+			ab := strs.String()[start:]
+			p := &postings[i]
+			*p = posting{count: count, skips: skips, data: data}
+			post[key{kind: kind, a: ab[:len(a)], b: ab[len(a):]}] = p
 		}
-		data, err := r.take(int(off))
-		if err != nil {
-			return nil, 0, err
+		if r.off != len(raw) {
+			return nil, 0, errors.New("trailing bytes after index segment")
 		}
-		post[k] = &posting{count: count, skips: skips, data: data}
+		if fill {
+			return post, entries, nil
+		}
 	}
-	if r.off != len(raw) {
-		return nil, 0, errors.New("trailing bytes after index segment")
+}
+
+// wireKeyLess is keyLess over two keys still in segment bytes.
+func wireKeyLess(ak keyKind, aa, ab []byte, bk keyKind, ba, bb []byte) bool {
+	if ak != bk {
+		return ak < bk
 	}
-	return post, entries, nil
+	if c := bytes.Compare(aa, ba); c != 0 {
+		return c < 0
+	}
+	return bytes.Compare(ab, bb) < 0
 }
