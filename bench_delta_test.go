@@ -1,15 +1,17 @@
 // Incremental-cleaning benchmarks: full Clean of a merged snapshot vs
 // CleanDelta of the 5% feed delta that produced it, per the
-// PERFORMANCE.md recipe (recorded in BENCH_2.json), plus the
-// allocation bound on a one-entry CleanDelta, the size and allocation
-// bounds on a committed checkpoint, the allocation bounds on reading
-// and restoring one and on writing the reuse state, and the checkpoint
-// feed codec's and state encoder's benchmarks.
+// PERFORMANCE.md recipe (recorded in BENCH_2.json), and the in-process
+// steps of a one-entry post, plus the allocation bound on a one-entry
+// CleanDelta, the size and allocation bounds on a committed checkpoint,
+// the allocation bounds on reading and restoring one and on writing the
+// reuse state, and the checkpoint feed codec's and state encoder's
+// benchmarks.
 package nvdclean_test
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"testing"
 
@@ -113,7 +115,7 @@ func allocGuardOpts() nvdclean.Options {
 
 // editTarget returns the first v2-only entry of snap that names a CPE:
 // the shape of a new NVD entry, which the engine backports.
-func editTarget(t *testing.T, snap *nvdclean.Snapshot) *nvdclean.Entry {
+func editTarget(t testing.TB, snap *nvdclean.Snapshot) *nvdclean.Entry {
 	t.Helper()
 	for _, e := range snap.Entries {
 		if e.V2 != nil && e.V3 == nil && len(e.CPEs) > 0 {
@@ -234,6 +236,43 @@ func TestCleanDeltaAllocSizeGuard(t *testing.T) {
 	}
 	if allocs[1] > maxRatio*allocs[0] {
 		t.Errorf("CleanDelta of a description edit allocates %.0f objects at %d entries, over %.2fx the %.0f at %d", allocs[1], sizes[1], maxRatio, allocs[0], sizes[0])
+	}
+}
+
+// BenchmarkOneEntryPost times the in-process steps of a one-entry post
+// on a 20K-CVE generation (vendors at 16% of the CVE count, the LR model
+// alone, no transport): CleanDelta of a description edit, taking the
+// cleaned-view delta it records, and Index.Update with that delta. Each
+// iteration edits the Result and index of the one before, as a daemon's
+// posts chain.
+func BenchmarkOneEntryPost(b *testing.B) {
+	ctx := context.Background()
+	cfg := nvdclean.PaperScale()
+	cfg.NumCVEs, cfg.NumVendors = 20000, 3200
+	snap, _, err := nvdclean.GenerateSnapshot(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := allocGuardOpts()
+	prev, err := nvdclean.Clean(ctx, snap, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := store.BuildIndex(prev.Cleaned, opts.Concurrency)
+	target := editTarget(b, snap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mod := target.Clone()
+		mod.Descriptions[0].Value += fmt.Sprintf(" Edit %d.", i)
+		res, err := nvdclean.CleanDelta(ctx, prev, &nvdclean.Delta{Modified: []*nvdclean.Entry{mod}}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ix, err = ix.Update(res.CleanedDelta, prev.Cleaned.ByID, res.Cleaned, opts.Concurrency); err != nil {
+			b.Fatal(err)
+		}
+		prev = res
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,28 +223,34 @@ func benchMiss(b *testing.B, srv *server, handler http.Handler, reqs []*http.Req
 	}
 }
 
-// missRequests returns a /cve/{id} request for each entry of st and a
-// /query request, limit 25, for each distinct vendor+product pair.
-func missRequests(st *serveState) (cves, pairs []*http.Request) {
+// missRequests returns a /cve/{id} request for each entry of st, and a
+// /query request, limit 25, for each distinct vendor+product pair and
+// for each distinct year+severity pair.
+func missRequests(st *serveState) (cves, pairs, yearSevs []*http.Request) {
 	seen := map[string]bool{}
+	add := func(list *[]*http.Request, u string) {
+		if !seen[u] {
+			seen[u] = true
+			*list = append(*list, httptest.NewRequest("GET", u, nil))
+		}
+	}
 	for _, e := range st.res.Cleaned.Entries {
 		cves = append(cves, httptest.NewRequest("GET", "/cve/"+e.ID, nil))
 		for _, n := range e.CPEs {
-			u := "/query?vendor=" + url.QueryEscape(n.Vendor) + "&product=" + url.QueryEscape(n.Product) + "&limit=25"
-			if !seen[u] {
-				seen[u] = true
-				pairs = append(pairs, httptest.NewRequest("GET", u, nil))
-			}
+			add(&pairs, "/query?vendor="+url.QueryEscape(n.Vendor)+"&product="+url.QueryEscape(n.Product)+"&limit=25")
+		}
+		if sev, ok := e.SeverityPV3(); ok {
+			add(&yearSevs, "/query?year="+strconv.Itoa(e.Year())+"&severity="+sev.String()+"&limit=25")
 		}
 	}
-	return cves, pairs
+	return cves, pairs, yearSevs
 }
 
 // BenchmarkReadCVEMiss renders /cve/{id} bodies that miss the entry
 // cache.
 func BenchmarkReadCVEMiss(b *testing.B) {
 	srv, handler := benchReadServer(b)
-	cves, _ := missRequests(srv.cur.Load())
+	cves, _, _ := missRequests(srv.cur.Load())
 	benchMiss(b, srv, handler, cves)
 }
 
@@ -251,6 +258,6 @@ func BenchmarkReadCVEMiss(b *testing.B) {
 // pages that miss the query cache.
 func BenchmarkReadQueryMiss(b *testing.B) {
 	srv, handler := benchReadServer(b)
-	_, pairs := missRequests(srv.cur.Load())
+	_, pairs, _ := missRequests(srv.cur.Load())
 	benchMiss(b, srv, handler, pairs)
 }

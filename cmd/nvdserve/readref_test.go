@@ -497,8 +497,9 @@ func TestQueryUnknownParamDeterministic(t *testing.T) {
 
 // TestReadMissAllocGuard pins the heap objects one read that misses
 // the response caches costs through the daemon's full handler,
-// middleware included, with a stub writer: each request names an entry
-// or a vendor+product page no earlier request filled. Beyond what a
+// middleware included, with a stub writer: each request names an
+// entry, a vendor+product page or a year+severity page no earlier
+// request filled. Beyond what a
 // cached read costs, a /cve miss pays its body and the entry cache's
 // fill (its in-flight record and channel); a /query miss pays the
 // index match, its body and the LRU slot.
@@ -508,14 +509,15 @@ func TestReadMissAllocGuard(t *testing.T) {
 	}
 	srv, _ := demoServer(t)
 	h := srv.handler()
-	cves, pairs := missRequests(srv.cur.Load())
+	cves, pairs, yearSevs := missRequests(srv.cur.Load())
 	for _, tc := range []struct {
 		name   string
 		reqs   []*http.Request
 		allocs float64
 	}{
 		{"/cve miss", cves, 6},
-		{"vendor+product /query miss", pairs, 10},
+		{"vendor+product /query miss", pairs, 8},
+		{"year+severity /query miss", yearSevs, 9},
 	} {
 		runs := min(len(tc.reqs)-1, 200)
 		if runs < 50 {

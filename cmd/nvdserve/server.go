@@ -296,18 +296,20 @@ func mergeDeltas(base *nvdclean.Snapshot, deltas []*nvdclean.Delta) *nvdclean.De
 
 // newState builds the serving state for res: the query indexes are
 // restored from a checkpoint, built in full, or, given the previous
-// generation, advanced incrementally from the cleaned-view delta — the
-// Diff of the two cleaned snapshots, which also captures consolidation
-// flips and retrained scores on entries the feed delta never named.
-// Untouched index shards are shared between generations, and so are
-// the previous generation's pre-encoded /cve responses: an entry
-// neither delta names serves the exact bytes it served last
-// generation, copied forward by reference. The invalidation set is the
-// union of both deltas because the /cve view is wider than the cleaned
-// entry — a feed update can flip a Result-level annotation (say, a
-// consolidation mark) while leaving the cleaned entry bytes equal, so
-// the feed delta's IDs are stale even when the cleaned diff never
-// names them. The previous /query pages carry over by the cleaned
+// generation, advanced incrementally from the cleaned-view delta
+// res.CleanedDelta — the Diff of the two cleaned snapshots, which
+// CleanDelta records in O(delta) and which also captures consolidation
+// flips and retrained scores on entries the feed delta never named. So
+// prev must be the generation res was cleaned from; a Result recording
+// no delta gets a full build. Untouched index shards are shared between
+// generations, and so are the previous generation's pre-encoded /cve
+// responses: an entry neither delta names serves the exact bytes it
+// served last generation, copied forward by reference. The invalidation
+// set is the union of both deltas because the /cve view is wider than
+// the cleaned entry — a feed update can flip a Result-level annotation
+// (say, a consolidation mark) while leaving the cleaned entry bytes
+// equal, so the feed delta's IDs are stale even when the cleaned diff
+// never names them. The previous /query pages carry over by the cleaned
 // delta alone (see pageKeeper), since a page reads cleaned entries
 // only. A restored or fully built generation starts with empty caches.
 func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvdclean.Delta, restored *store.Index) *serveState {
@@ -322,8 +324,8 @@ func (s *server) newState(res *nvdclean.Result, prev *serveState, feedDelta *nvd
 		// checkpoint loaded: the warm boot never pays a BuildIndex over
 		// the feed.
 		st.idx = restored
-	case prev != nil && prev.idx != nil:
-		cleanedDelta := nvdclean.Diff(prev.res.Cleaned, res.Cleaned)
+	case prev != nil && prev.idx != nil && res.CleanedDelta != nil:
+		cleanedDelta := res.CleanedDelta
 		idx, err := prev.idx.Update(cleanedDelta, prev.res.Cleaned.ByID, res.Cleaned, s.opts.Concurrency)
 		if err != nil {
 			// A corrupt posting block surfaces on the first update that

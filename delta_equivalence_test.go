@@ -260,7 +260,8 @@ func consolidate(snap *nvdclean.Snapshot) (*naming.Map, *naming.ProductMap) {
 // assertResultsEqual requires two Clean results to be bit-identical in
 // every artifact the paper's pipeline produces, and each to be complete
 // as returned: a cleaned entry's PV3 is its backported score when the
-// engine scored it and nil otherwise.
+// engine scored it and nil otherwise, and the dataset fingerprint its
+// state records is that of its cleaned view.
 func assertResultsEqual(t *testing.T, label string, got, want *nvdclean.Result) {
 	t.Helper()
 	if got.Original.Len() != want.Original.Len() {
@@ -276,6 +277,7 @@ func assertResultsEqual(t *testing.T, label string, got, want *nvdclean.Result) 
 		name string
 		res  *nvdclean.Result
 	}{{"got", got}, {"want", want}} {
+		assertFingerprint(t, label+": "+side.name, side.res)
 		for _, e := range side.res.Cleaned.Entries {
 			score, scored := 0.0, false
 			if side.res.Backport != nil {

@@ -191,11 +191,16 @@ func Diff(old, new *Snapshot) *Delta {
 	return d
 }
 
-// ApplyDelta merges the delta into s in one walk: removed entries are
-// dropped, modified ones replaced and added ones inserted. s and the
-// delta's lists must be in ID order, and added IDs new to s; IDs the
-// delta modifies or removes that s lacks are ignored. The receiver is
-// not modified; the result shares entry pointers with s and the delta.
+// ApplyDelta merges the delta into s: removed entries are dropped,
+// modified ones replaced and added ones inserted, each before the first
+// entry of s ordered after it. s and each of the delta's lists must be
+// in strict ID order, and added IDs new to s; IDs the delta modifies or
+// removes that s lacks are ignored, and an ID both modified and removed
+// is removed. Each delta ID is found by binary search onward from the
+// previous edit, and the runs of entries between edits are copied
+// whole, so the work beyond that one copy of s is O(delta · log s). The
+// receiver is not modified; the result shares entry pointers with s and
+// the delta.
 func (s *Snapshot) ApplyDelta(d *Delta) *Snapshot {
 	out := &Snapshot{CapturedAt: s.CapturedAt}
 	if d == nil {
@@ -204,27 +209,42 @@ func (s *Snapshot) ApplyDelta(d *Delta) *Snapshot {
 	if !d.CapturedAt.IsZero() {
 		out.CapturedAt = d.CapturedAt
 	}
-	out.Entries = make([]*Entry, 0, len(s.Entries)+len(d.Added))
+	es := s.Entries
+	entries := make([]*Entry, 0, len(es)+len(d.Added))
 	added, modified, removed := d.Added, d.Modified, d.Removed
-	for _, e := range s.Entries {
-		for len(added) > 0 && idLess(added[0].ID, e.ID) {
-			out.Entries = append(out.Entries, added[0])
-			added = added[1:]
+	i := 0 // es[:i] is merged
+	// insertBefore merges es up to j, inserting every added entry that
+	// is ordered before es[j] (every one left when j is len(es)).
+	insertBefore := func(j int) {
+		for len(added) > 0 && (j == len(es) || idLess(added[0].ID, es[j].ID)) {
+			k := i + sort.Search(j-i, func(k int) bool { return idLess(added[0].ID, es[i+k].ID) })
+			entries = append(append(entries, es[i:k]...), added[0])
+			i, added = k, added[1:]
 		}
-		for len(modified) > 0 && idLess(modified[0].ID, e.ID) {
-			modified = modified[1:]
-		}
-		for len(removed) > 0 && idLess(removed[0], e.ID) {
-			removed = removed[1:]
-		}
-		switch {
-		case len(removed) > 0 && removed[0] == e.ID:
-		case len(modified) > 0 && modified[0].ID == e.ID:
-			out.Entries = append(out.Entries, modified[0])
-		default:
-			out.Entries = append(out.Entries, e)
-		}
+		entries = append(entries, es[i:j]...)
+		i = j
 	}
-	out.Entries = append(out.Entries, added...)
+	for len(modified) > 0 || len(removed) > 0 {
+		// The next ID to replace or drop; on a tie the removal goes
+		// first, and the modification then finds no entry.
+		var id string
+		var repl *Entry
+		if len(removed) == 0 || len(modified) > 0 && idLess(modified[0].ID, removed[0]) {
+			id, repl, modified = modified[0].ID, modified[0], modified[1:]
+		} else {
+			id, removed = removed[0], removed[1:]
+		}
+		j := i + sort.Search(len(es)-i, func(k int) bool { return !idLess(es[i+k].ID, id) })
+		if j == len(es) || es[j].ID != id {
+			continue
+		}
+		insertBefore(j)
+		if repl != nil {
+			entries = append(entries, repl)
+		}
+		i = j + 1
+	}
+	insertBefore(len(es))
+	out.Entries = entries
 	return out
 }

@@ -341,7 +341,7 @@ func TestMergesMatchReferences(t *testing.T) {
 		}
 
 		// A hand-built delta: new IDs added, and IDs old holds or
-		// lacks modified and removed.
+		// lacks modified, removed, or both.
 		hand := &Delta{}
 		for _, id := range pool[40:] {
 			switch rng.Intn(3) {
@@ -354,10 +354,13 @@ func TestMergesMatchReferences(t *testing.T) {
 			}
 		}
 		for _, e := range old.Entries {
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				hand.Modified = append(hand.Modified, testEntry(e.ID, 3))
 			case 1:
+				hand.Removed = append(hand.Removed, e.ID)
+			case 2: // both: the removal wins
+				hand.Modified = append(hand.Modified, testEntry(e.ID, 4))
 				hand.Removed = append(hand.Removed, e.ID)
 			}
 		}

@@ -14,3 +14,8 @@ func DecodingCases() []string {
 	}
 	return docs
 }
+
+// RefApplyDelta lets FuzzApplyDelta, which builds its inputs with
+// internal/gen, hold ApplyDelta to the reference merge of
+// delta_test.go.
+func RefApplyDelta(s *Snapshot, d *Delta) *Snapshot { return refApplyDelta(s, d) }

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -130,27 +131,45 @@ func firstConcrete(ids []cwe.ID) cwe.ID {
 // (the common case: backporting exists because new entries lack v3)
 // leaves the fingerprint unchanged.
 //
-// Each entry's fields are hashed as one record assembled in a reused
-// buffer, so the fingerprint allocates nothing; the bytes, and so the
-// value persisted in checkpoints, are those of hashing the fields one
-// by one.
+// Each entry's fields are hashed as one record (appendSample)
+// assembled in a reused buffer, so the fingerprint allocates nothing;
+// the bytes, and so the value persisted in checkpoints, are those of
+// hashing the fields one by one.
 func DatasetFingerprint(snap *cve.Snapshot, seed int64) uint64 {
 	h := fnv.New64a()
 	var buf [64]byte
 	h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(seed)))
 	for _, e := range snap.Entries {
-		if e.V2 == nil || e.V3 == nil {
-			continue
+		if rec := appendSample(buf[:0], e); len(rec) > 0 {
+			h.Write(rec)
 		}
-		b := append(buf[:0], e.ID...)
-		b = append(b, 0)
-		b = e.V2.Append(b)
-		b = append(b, 0)
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(firstConcrete(e.CWEs))))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.V3.BaseScore()))
-		h.Write(b)
 	}
 	return h.Sum64()
+}
+
+// appendSample appends to b the training record of e that
+// DatasetFingerprint hashes: its ID, v2 vector, first concrete CWE and
+// v3 base score, the fields BuildDataset turns into a sample. An entry
+// that is not dual-labeled, or nil, has none, and b comes back as it
+// was.
+func appendSample(b []byte, e *cve.Entry) []byte {
+	if e == nil || e.V2 == nil || e.V3 == nil {
+		return b
+	}
+	b = append(b, e.ID...)
+	b = append(b, 0)
+	b = e.V2.Append(b)
+	b = append(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(firstConcrete(e.CWEs))))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(e.V3.BaseScore()))
+}
+
+// SameSample reports whether a and b, either of which may be nil,
+// contribute alike to DatasetFingerprint and BuildDataset: their
+// training records (appendSample) are equal, or neither has one.
+func SameSample(a, b *cve.Entry) bool {
+	var bufA, bufB [64]byte
+	return bytes.Equal(appendSample(bufA[:0], a), appendSample(bufB[:0], b))
 }
 
 // Evaluation holds the Table 5 and Table 7 metrics for one model.

@@ -140,56 +140,52 @@ func ordIn(ids []string, id string) (uint32, bool) {
 // Entries returns the indexed snapshot length.
 func (ix *Index) Entries() int { return len(ix.ids) }
 
-// entryKeys returns every posting key of one cleaned entry. The seen
-// maps are filled first so the keys slice is allocated once at its
-// exact final length (sizing by 3*len(CPEs) over-allocates on
-// duplicate-heavy CPE lists); the second pass emits keys in
-// first-appearance order, flipping each seen mark as it goes.
+// entryKeys returns every posting key of one cleaned entry, each once
+// and in compareKeys order, in a slice of exactly their number: the
+// keys, duplicates included, are gathered in a stack buffer, sorted and
+// compacted there, and copied out. Neither BuildIndex nor Update
+// depends on the order; Update's key diff merges two such lists.
 func entryKeys(e *cve.Entry) []key {
-	seenV := make(map[string]bool, len(e.CPEs))
-	seenP := make(map[string]bool, len(e.CPEs))
-	seenVP := make(map[[2]string]bool, len(e.CPEs))
+	var buf [32]key
+	keys := buf[:0]
 	for _, n := range e.CPEs {
-		seenV[n.Vendor] = true
-		seenP[n.Product] = true
-		seenVP[[2]string{n.Vendor, n.Product}] = true
-	}
-	seenC := make(map[cwe.ID]bool, len(e.CWEs))
-	for _, c := range e.CWEs {
-		seenC[c] = true
-	}
-	sev, hasSev := e.SeverityPV3()
-	total := len(seenV) + len(seenP) + len(seenVP) + len(seenC) + 1 // + year
-	if hasSev {
-		total++
-	}
-	keys := make([]key, 0, total)
-	for _, n := range e.CPEs {
-		if seenV[n.Vendor] {
-			seenV[n.Vendor] = false
-			keys = append(keys, key{kind: keyVendor, a: n.Vendor})
-		}
-		if seenP[n.Product] {
-			seenP[n.Product] = false
-			keys = append(keys, key{kind: keyProduct, a: n.Product})
-		}
-		vp := [2]string{n.Vendor, n.Product}
-		if seenVP[vp] {
-			seenVP[vp] = false
-			keys = append(keys, key{kind: keyPair, a: n.Vendor, b: n.Product})
-		}
+		keys = append(keys,
+			key{kind: keyVendor, a: n.Vendor},
+			key{kind: keyProduct, a: n.Product},
+			key{kind: keyPair, a: n.Vendor, b: n.Product})
 	}
 	for _, c := range e.CWEs {
-		if seenC[c] {
-			seenC[c] = false
-			keys = append(keys, key{kind: keyCWE, a: c.String()})
-		}
+		keys = append(keys, key{kind: keyCWE, a: c.String()})
 	}
-	if hasSev {
+	if sev, ok := e.SeverityPV3(); ok {
 		keys = append(keys, key{kind: keySeverity, a: sev.String()})
 	}
 	keys = append(keys, key{kind: keyYear, a: strconv.Itoa(e.Year())})
-	return keys
+	slices.SortFunc(keys, compareKeys)
+	keys = slices.Compact(keys)
+	out := make([]key, len(keys))
+	copy(out, keys)
+	return out
+}
+
+// keyDiff drops the keys a and b share from both, in place; both must
+// be in compareKeys order without duplicates, as entryKeys returns
+// them. What is left of a is what only a holds, and likewise b.
+func keyDiff(a, b []key) (onlyA, onlyB []key) {
+	i, j, na, nb := 0, 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := compareKeys(a[i], b[j]); {
+		case c < 0:
+			a[na], na, i = a[i], na+1, i+1
+		case c > 0:
+			b[nb], nb, j = b[j], nb+1, j+1
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	na += copy(a[na:], a[i:])
+	nb += copy(b[nb:], b[j:])
+	return a[:na], b[:nb]
 }
 
 // BuildIndex builds the full index over a cleaned snapshot (entries
@@ -241,23 +237,203 @@ const ordGone = ^uint32(0)
 // cleaned entry, providing the keys removed and modified entries held;
 // next is the new cleaned snapshot, fixing the new ordinal space.
 //
-// Re-ordination is bounded by the first insertion or removal point:
-// ordinals below the shift are identical in both spaces, so a shard
-// whose postings never reach the shift — and that the delta's key ops
-// don't touch — is shared byte-for-byte with the receiver. For the
-// common CVE feed shape (new entries append at the top of the ID
-// order) the shift is at the end and every untouched shard is shared.
-// The receiver itself is never modified, so the old generation keeps
+// Its work follows the delta, not the snapshot:
+//   - A modified entry stages only the keys it gains or loses. A key it
+//     keeps already lists it, at the ordinal the re-ordination maps to
+//     its new one.
+//   - A delta that adds and removes nothing keeps the ordinal space, and
+//     the new Index shares the receiver's ID table.
+//   - Any other delta maps old ordinals to new ones in one walk of the
+//     two tables. Ordinals below the first insertion or removal point
+//     are the same in both spaces.
+//
+// A posting that no staged key op touches and that holds no ordinal at
+// or above that point is shared with the receiver, and so is a shard
+// all of whose postings are. For the common CVE feed shape (new entries
+// append at the top of the ID order) that is every shard the new
+// entries' keys miss, and a description edit shares them all. The
+// receiver itself is never modified, so the old generation keeps
 // serving its index.
 func (ix *Index) Update(d *cve.Delta, prev func(id string) *cve.Entry, next *cve.Snapshot, workers int) (*Index, error) {
 	if d.Empty() {
 		return ix, nil
 	}
 	oldIDs := ix.ids
-	newIDs := idsOf(next)
+	newIDs := oldIDs
+	var remap []uint32 // old ordinal → new ordinal, ordGone for removals; nil for the identity
+	shift := len(oldIDs)
+	if len(d.Added) > 0 || len(d.Removed) > 0 {
+		newIDs = idsOf(next)
+		remap, shift = reordinate(oldIDs, newIDs)
+	}
 
-	// Old ordinal → new ordinal (ordGone for removals), plus the first
-	// old ordinal whose mapping is not the identity.
+	var ops shardOps
+	for _, id := range d.Removed {
+		if e := prev(id); e != nil {
+			if o, ok := ordIn(oldIDs, id); ok {
+				ops.stage(entryKeys(e), o, false)
+			}
+		}
+	}
+	for _, e := range d.Modified {
+		keys := entryKeys(e)
+		if old := prev(e.ID); old != nil {
+			if o, ok := ordIn(oldIDs, e.ID); ok {
+				var lost []key
+				lost, keys = keyDiff(entryKeys(old), keys)
+				ops.stage(lost, o, false)
+			}
+		}
+		if o, ok := ordIn(newIDs, e.ID); ok {
+			ops.stage(keys, o, true)
+		}
+	}
+	for _, e := range d.Added {
+		if o, ok := ordIn(newIDs, e.ID); ok {
+			ops.stage(entryKeys(e), o, true)
+		}
+	}
+
+	out := &Index{ids: newIDs, shards: ix.shards}
+	if remap == nil && ops.empty() {
+		return out, nil
+	}
+	if err := out.rebuild(&ops, remap, shift, workers); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// keyOp is one staged posting change: a removal of ord, in old-ordinal
+// space (applied before re-ordination), or an addition, in new-ordinal
+// space.
+type keyOp struct {
+	k   key
+	ord uint32
+	add bool
+}
+
+// shardOps holds the key ops an Update stages, per shard.
+type shardOps [numShards][]keyOp
+
+// stage files an op on ord for each key.
+func (so *shardOps) stage(keys []key, ord uint32, add bool) {
+	for _, k := range keys {
+		s := shardOf(k)
+		so[s] = append(so[s], keyOp{k: k, ord: ord, add: add})
+	}
+}
+
+// empty reports whether no op is staged.
+func (so *shardOps) empty() bool {
+	for _, ops := range so {
+		if len(ops) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rebuild replaces, in parallel, each shard of ix (still the previous
+// Index's) that a staged op touches, or whose postings reach shift
+// under a remap, with rebuildShard of it; every other shard stays
+// shared. An Update that stages nothing and keeps the ordinal space
+// never calls it, so it captures nothing for the parallel step.
+func (ix *Index) rebuild(ops *shardOps, remap []uint32, shift, workers int) error {
+	perShard := *ops
+	var errs [numShards]error
+	parallel.For(workers, numShards, func(s int) {
+		post := ix.shards[s].post
+		if len(perShard[s]) == 0 && (remap == nil || !postingsReach(post, uint32(shift))) {
+			return
+		}
+		ix.shards[s], errs[s] = rebuildShard(post, perShard[s], remap, shift)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rebuildShard applies one shard's staged ops to its posting map and
+// re-ordinates every posting that reaches shift through remap (nil for
+// the identity). A posting neither touches is shared; the rest are
+// decoded, edited and re-encoded.
+func rebuildShard(post map[key]*posting, ops []keyOp, remap []uint32, shift int) (*shard, error) {
+	var rem map[key]map[uint32]bool
+	var add map[key][]uint32
+	for _, o := range ops {
+		if o.add {
+			if add == nil {
+				add = make(map[key][]uint32)
+			}
+			add[o.k] = append(add[o.k], o.ord)
+		} else {
+			if rem == nil {
+				rem = make(map[key]map[uint32]bool)
+			}
+			m := rem[o.k]
+			if m == nil {
+				m = make(map[uint32]bool)
+				rem[o.k] = m
+			}
+			m[o.ord] = true
+		}
+	}
+	for k := range add {
+		slices.Sort(add[k])
+		add[k] = slices.Compact(add[k])
+	}
+	npost := make(map[key]*posting, len(post))
+	var scratch []uint32
+	for k, p := range post {
+		kr, ka := rem[k], add[k]
+		untouched := kr == nil && ka == nil &&
+			(p.count == 0 || int64(p.skips[len(p.skips)-1].last) < int64(shift))
+		if untouched {
+			npost[k] = p
+			continue
+		}
+		var err error
+		scratch, err = p.decode(scratch[:0])
+		if err != nil {
+			return nil, err
+		}
+		ords := make([]uint32, 0, len(scratch)+len(ka))
+		for _, o := range scratch {
+			if kr[o] {
+				continue
+			}
+			no := o
+			if remap != nil {
+				no = remap[o]
+				if no == ordGone {
+					continue
+				}
+			}
+			ords = append(ords, no)
+		}
+		ords = mergeOrds(ords, ka)
+		if len(ords) == 0 {
+			continue
+		}
+		npost[k] = encodePosting(ords)
+	}
+	for k, ka := range add {
+		if _, exists := post[k]; !exists {
+			npost[k] = encodePosting(ka)
+		}
+	}
+	return newShard(npost), nil
+}
+
+// reordinate maps every old ordinal to its new one, ordGone for an ID
+// newIDs lacks, in one merge walk of the two ID tables, and returns
+// with it the first old ordinal whose mapping is not the identity
+// (len(oldIDs) when there is none, and the map then nil).
+func reordinate(oldIDs, newIDs []string) ([]uint32, int) {
 	remap := make([]uint32, len(oldIDs))
 	shift := len(oldIDs)
 	i, j := 0, 0
@@ -280,135 +456,10 @@ func (ix *Index) Update(d *cve.Delta, prev func(id string) *cve.Entry, next *cve
 			i++
 		}
 	}
-	identity := shift == len(oldIDs)
-	if identity {
-		remap = nil
+	if shift == len(oldIDs) {
+		return nil, shift
 	}
-
-	// Stage per-shard key ops: removals in old-ordinal space (applied
-	// before re-ordination), additions in new-ordinal space.
-	type op struct {
-		k   key
-		ord uint32
-		add bool
-	}
-	var perShard [numShards][]op
-	stage := func(e *cve.Entry, ord uint32, add bool) {
-		for _, k := range entryKeys(e) {
-			s := shardOf(k)
-			perShard[s] = append(perShard[s], op{k: k, ord: ord, add: add})
-		}
-	}
-	for _, id := range d.Removed {
-		if e := prev(id); e != nil {
-			if o, ok := ordIn(oldIDs, id); ok {
-				stage(e, o, false)
-			}
-		}
-	}
-	for _, e := range d.Modified {
-		if old := prev(e.ID); old != nil {
-			if o, ok := ordIn(oldIDs, e.ID); ok {
-				stage(old, o, false)
-			}
-		}
-		if o, ok := ordIn(newIDs, e.ID); ok {
-			stage(e, o, true)
-		}
-	}
-	for _, e := range d.Added {
-		if o, ok := ordIn(newIDs, e.ID); ok {
-			stage(e, o, true)
-		}
-	}
-
-	out := &Index{ids: newIDs}
-	var errs [numShards]error
-	parallel.For(workers, numShards, func(s int) {
-		sh := ix.shards[s]
-		ops := perShard[s]
-		if len(ops) == 0 && identity {
-			out.shards[s] = sh
-			return
-		}
-		post := sh.post
-		if len(ops) == 0 && !postingsReach(post, uint32(shift)) {
-			out.shards[s] = sh
-			return
-		}
-		var rem map[key]map[uint32]bool
-		var add map[key][]uint32
-		for _, o := range ops {
-			if o.add {
-				if add == nil {
-					add = make(map[key][]uint32)
-				}
-				add[o.k] = append(add[o.k], o.ord)
-			} else {
-				if rem == nil {
-					rem = make(map[key]map[uint32]bool)
-				}
-				m := rem[o.k]
-				if m == nil {
-					m = make(map[uint32]bool)
-					rem[o.k] = m
-				}
-				m[o.ord] = true
-			}
-		}
-		for k := range add {
-			slices.Sort(add[k])
-			add[k] = slices.Compact(add[k])
-		}
-		npost := make(map[key]*posting, len(post))
-		var scratch []uint32
-		for k, p := range post {
-			kr, ka := rem[k], add[k]
-			untouched := kr == nil && ka == nil &&
-				(p.count == 0 || int64(p.skips[len(p.skips)-1].last) < int64(shift))
-			if untouched {
-				npost[k] = p
-				continue
-			}
-			var err error
-			scratch, err = p.decode(scratch[:0])
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			ords := make([]uint32, 0, len(scratch)+len(ka))
-			for _, o := range scratch {
-				if kr[o] {
-					continue
-				}
-				no := o
-				if remap != nil {
-					no = remap[o]
-					if no == ordGone {
-						continue
-					}
-				}
-				ords = append(ords, no)
-			}
-			ords = mergeOrds(ords, ka)
-			if len(ords) == 0 {
-				continue
-			}
-			npost[k] = encodePosting(ords)
-		}
-		for k, ka := range add {
-			if _, exists := post[k]; !exists {
-				npost[k] = encodePosting(ka)
-			}
-		}
-		out.shards[s] = newShard(npost)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return remap, shift
 }
 
 // postingsReach reports whether any posting holds an ordinal at or
@@ -447,7 +498,11 @@ func (ix *Index) Match(q Query) ([]uint32, bool, error) {
 	if !q.Filtered() {
 		return nil, false, nil
 	}
-	var ks []key
+	// A query names at most four keys: a name, a CWE, a severity and a
+	// year.
+	var ksBuf [4]key
+	var psBuf [4]*posting
+	ks := ksBuf[:0]
 	switch {
 	case q.Vendor != "" && q.Product != "":
 		ks = append(ks, key{kind: keyPair, a: q.Vendor, b: q.Product})
@@ -465,7 +520,7 @@ func (ix *Index) Match(q Query) ([]uint32, bool, error) {
 	if q.Year != 0 {
 		ks = append(ks, key{kind: keyYear, a: strconv.Itoa(q.Year)})
 	}
-	ps := make([]*posting, 0, len(ks))
+	ps := psBuf[:0]
 	for _, k := range ks {
 		p := ix.shards[shardOf(k)].post[k]
 		if p == nil || p.count == 0 {

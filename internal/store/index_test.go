@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -360,8 +361,8 @@ func TestShardDistribution(t *testing.T) {
 
 // TestEntryKeysExactCapacity is the regression test for the entryKeys
 // pre-sizing fix: duplicate-heavy CPE lists must not over-allocate, and
-// the emitted key set must be exactly the distinct keys in
-// first-appearance order.
+// the emitted key set must be exactly the distinct keys, in
+// compareKeys order.
 func TestEntryKeysExactCapacity(t *testing.T) {
 	e := testEntry(2017, 1, "redhat", "kernel", []int{79, 79, 89}, v2High, v3Crit)
 	// Duplicate the same CPE name many times: 3*len(CPEs) would
@@ -379,6 +380,9 @@ func TestEntryKeysExactCapacity(t *testing.T) {
 			t.Errorf("duplicate key %+v", k)
 		}
 		seen[k] = true
+	}
+	if !slices.IsSortedFunc(keys, compareKeys) {
+		t.Errorf("keys out of compareKeys order: %+v", keys)
 	}
 	// vendor + product + pair + 2 CWEs + severity + year.
 	if len(keys) != 7 {

@@ -2,11 +2,12 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -39,15 +40,16 @@ var indexMagic = []byte("NVIX")
 // indexSegName is the checkpoint file name of shard s's segment.
 func indexSegName(s int) string { return fmt.Sprintf("index-%02d.seg", s) }
 
-// keyLess is the canonical key order of the wire format.
-func keyLess(a, b key) bool {
-	if a.kind != b.kind {
-		return a.kind < b.kind
+// compareKeys is the canonical key order of the wire format: by kind,
+// then the a field, then the b field.
+func compareKeys(x, y key) int {
+	if x.kind != y.kind {
+		return cmp.Compare(x.kind, y.kind)
 	}
-	if a.a != b.a {
-		return a.a < b.a
+	if c := strings.Compare(x.a, y.a); c != 0 {
+		return c
 	}
-	return a.b < b.b
+	return strings.Compare(x.b, y.b)
 }
 
 // appendShardWire serializes one shard's posting map over a snapshot of
@@ -61,7 +63,7 @@ func appendShardWire(buf []byte, entries int, post map[key]*posting) []byte {
 	for k := range post {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, compareKeys)
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
 		p := post[k]
@@ -272,7 +274,8 @@ func parseShardWire(raw []byte) (map[key]*posting, int, error) {
 	}
 }
 
-// wireKeyLess is keyLess over two keys still in segment bytes.
+// wireKeyLess is compareKeys(...) < 0 over two keys still in segment
+// bytes.
 func wireKeyLess(ak keyKind, aa, ab []byte, bk keyKind, ba, bb []byte) bool {
 	if ak != bk {
 		return ak < bk

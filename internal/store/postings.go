@@ -123,12 +123,15 @@ func (p *posting) decode(dst []uint32) ([]uint32, error) {
 
 // postingIter iterates one posting in increasing-ordinal order with
 // block-skipping seeks: a seek that lands past a block consults only
-// its skip entry and never decodes it.
+// its skip entry and never decodes it. Blocks decode into the
+// iterator's own buffer, which holds a whole block, so an iterator on
+// the stack allocates nothing.
 type postingIter struct {
 	p   *posting
-	b   int      // decoded block index; -1 before the first decode
-	buf []uint32 // decoded ordinals of block b
-	i   int      // cursor within buf
+	b   int // decoded block index; -1 before the first decode
+	n   int // ordinals of block b in buf
+	i   int // cursor within buf[:n]
+	buf [postingBlockSize]uint32
 }
 
 func newPostingIter(p *posting) postingIter { return postingIter{p: p, b: -1} }
@@ -145,16 +148,18 @@ func (it *postingIter) seek(v uint32) (uint32, bool, error) {
 		return 0, false, nil
 	}
 	if b != it.b {
-		buf, err := it.p.decodeBlock(b, it.buf[:0])
+		// A block holds at most postingBlockSize ordinals, so it
+		// decodes in place.
+		blk, err := it.p.decodeBlock(b, it.buf[:0])
 		if err != nil {
 			return 0, false, err
 		}
-		it.b, it.buf, it.i = b, buf, 0
+		it.b, it.n, it.i = b, len(blk), 0
 	}
-	for it.i < len(it.buf) && it.buf[it.i] < v {
+	for it.i < it.n && it.buf[it.i] < v {
 		it.i++
 	}
-	if it.i >= len(it.buf) {
+	if it.i >= it.n {
 		// Unreachable for well-formed blocks: sk[b].last >= v.
 		return 0, false, fmt.Errorf("posting cursor overran block %d", b)
 	}

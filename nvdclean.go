@@ -156,6 +156,15 @@ type Result struct {
 	// CWECorrection summarizes the §4.4 regex fix.
 	CWECorrection *predict.CWECorrection
 
+	// CleanedDelta is the delta from the previous Result's Cleaned to
+	// this one's, equal to Diff(prev.Cleaned, Cleaned), on a Result
+	// CleanDelta made from a previous one with a cleaned view; nil on one
+	// from Clean or RestoreResult. It is built from the entries the run
+	// derived and the IDs it removed alone, in O(delta), and holds
+	// Cleaned's entries and the removed IDs, so it keeps no earlier
+	// Result alive. Read-only, like every list of a Result.
+	CleanedDelta *Delta
+
 	// inc carries the per-entry artifacts and warm caches CleanDelta
 	// needs to reprocess only a feed delta.
 	inc *incState

@@ -308,7 +308,7 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		st.Fingerprint = predict.DatasetFingerprint(res.Cleaned, opts.Seed)
+		st.Fingerprint = v.fingerprint(base, ru, opts.Seed)
 		st.Training = trainingOf(opts)
 		if ru != nil && ru.prev.inc.Trained && ru.prev.Engine != nil &&
 			ru.prev.inc.Fingerprint == st.Fingerprint && ru.prev.inc.Training == st.Training {
@@ -380,6 +380,9 @@ func runClean(ctx context.Context, snap *Snapshot, opts Options, ru *reuseState)
 	// Under a carried engine the entries the run did not derive keep
 	// their scores; otherwise any of them may need another.
 	v.settleScores(res.Backport, !warm || base == nil)
+	if base != nil {
+		res.CleanedDelta = v.delta(base.Cleaned, ru.removed)
+	}
 	return res, nil
 }
 
@@ -403,8 +406,11 @@ type view struct {
 	// derived lists the entries the run derived when it began: every
 	// entry without a previous view, else those the delta names.
 	derived []*Entry
-	// owned marks the entries the run owns; nil when it owns them all.
-	owned []bool
+	// owned marks the entries the run owns, and ownedAt lists their
+	// indices in the order the run took them; both nil when it owns them
+	// all.
+	owned   []bool
+	ownedAt []int
 }
 
 // newView starts the cleaned view of snap: every entry derived when
@@ -450,6 +456,7 @@ func newView(snap *Snapshot, base *Result, after []*Entry) *view {
 		c := &block[len(block)-1]
 		c.PV3 = nil
 		v.Entries[i], v.owned[i] = c, true
+		v.ownedAt = append(v.ownedAt, i)
 		v.derived = append(v.derived, c)
 	}
 	return v
@@ -468,7 +475,72 @@ func (v *view) rederive(idx []int) []*Entry {
 		v.Entries[i], v.owned[i] = &block[k], true
 		copies[k] = &block[k]
 	}
+	v.ownedAt = append(v.ownedAt, idx...)
 	return copies
+}
+
+// fingerprint returns predict.DatasetFingerprint of the view under
+// seed. A run carrying base's view whose severity stage ran under the
+// same seed keeps base's fingerprint while every entry it owns holds
+// the training sample its previous version held, or none on both
+// sides, and no ID it removes held one (predict.SameSample): the view's
+// dual-labeled entries are then base's, sample for sample and in the
+// same ID order, which is all the fingerprint hashes. Otherwise it
+// hashes the view.
+func (v *view) fingerprint(base *Result, ru *reuseState, seed int64) uint64 {
+	if base == nil || !base.inc.Trained || base.inc.Training.Seed != seed {
+		return predict.DatasetFingerprint(v.Snapshot, seed)
+	}
+	for _, i := range v.ownedAt {
+		e := v.Entries[i]
+		if !predict.SameSample(base.Cleaned.ByID(e.ID), e) {
+			return predict.DatasetFingerprint(v.Snapshot, seed)
+		}
+	}
+	for _, id := range ru.removed {
+		if !predict.SameSample(base.Cleaned.ByID(id), nil) {
+			return predict.DatasetFingerprint(v.Snapshot, seed)
+		}
+	}
+	return base.inc.Fingerprint
+}
+
+// delta returns the cleaned-view delta from prev, the view the run
+// carried, to v: Diff(prev, v) built from the entries the run owns and
+// the IDs it removed alone. Every other entry of v is prev's *Entry, so
+// Diff finds it equal; an owned entry is Added when prev lacks its ID
+// and Modified when it differs from its previous version, and a removed
+// ID prev held is Removed. The lists hold v's entries and the removed
+// ID strings only, so the delta keeps no earlier view alive.
+func (v *view) delta(prev *Snapshot, removed []string) *Delta {
+	slices.Sort(v.ownedAt)
+	d := &Delta{CapturedAt: v.CapturedAt}
+	for _, i := range v.ownedAt {
+		e := v.Entries[i]
+		switch old := prev.ByID(e.ID); {
+		case old == nil:
+			d.Added = append(d.Added, e)
+		case !old.Equal(e):
+			d.Modified = append(d.Modified, e)
+		}
+	}
+	for _, id := range removed {
+		if prev.ByID(id) != nil {
+			d.Removed = append(d.Removed, id)
+		}
+	}
+	// An ID the feed delta both modifies and removes comes first in
+	// removed, ahead of the IDs it only removes.
+	slices.SortFunc(d.Removed, func(a, b string) int {
+		switch {
+		case cve.IDLess(a, b):
+			return -1
+		case cve.IDLess(b, a):
+			return 1
+		}
+		return 0
+	})
+	return d
 }
 
 // settleScores makes each entry's PV3 its score in b, and nil on an
@@ -664,7 +736,9 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //   - when the delta leaves the dual-labeled training split untouched
 //     (the common case — new CVEs are v2-only, which is why backporting
 //     exists) the trained engine carries over and only changed entries
-//     are re-scored;
+//     are re-scored; the dataset fingerprint that decides it carries
+//     over too, unhashed, while no entry the run derives or removes
+//     changes its training sample;
 //   - the cleaned view carries over: an entry the delta does not name
 //     keeps prev's cleaned *Entry unless a consolidation map now
 //     resolves one of its names differently or a retrain moves its
@@ -673,7 +747,15 @@ func Diff(old, new *Snapshot) *Delta { return cve.Diff(old, new) }
 //     patched for the entries the run derives and shared while none of
 //     their values changes. An edit that moves no name tally reuses
 //     both consolidation maps, so a one-entry edit allocates alike at
-//     any snapshot size.
+//     any snapshot size;
+//   - the Result records the cleaned-view delta, Diff(prev.Cleaned,
+//     Cleaned), built from the entries the run derived and the IDs it
+//     removed (Result.CleanedDelta), so a server maintaining indexes
+//     and caches over the cleaned view never diffs the two views.
+//
+// With the merge of the delta into prev.Original, a binary search per
+// delta ID, a one-entry edit then costs no pass over the snapshot but
+// the few pointer walks that build the merged original and the view.
 //
 // The delta's lists must be in ID order (Delta.Sort). An added entry
 // out of that order, with a malformed ID, or naming a CVE prev.Original
