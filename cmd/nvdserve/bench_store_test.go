@@ -49,10 +49,10 @@ func benchState(b *testing.B) *serveState {
 		benchWorld.st = srv.cur.Load()
 		e := benchWorld.st.res.Cleaned.Entries[0]
 		benchWorld.mix = []queryParams{
-			{vendor: e.CPEs[0].Vendor, limit: 50},
-			{vendor: e.CPEs[0].Vendor, product: e.CPEs[0].Product, limit: 50},
-			{sev: cvss.SeverityHigh, hasSev: true, year: e.Year(), limit: 50},
-			{year: 2017, sev: cvss.SeverityCritical, hasSev: true, limit: 50},
+			{Query: store.Query{Vendor: e.CPEs[0].Vendor}, limit: 50},
+			{Query: store.Query{Vendor: e.CPEs[0].Vendor, Product: e.CPEs[0].Product}, limit: 50},
+			{Query: store.Query{Severity: cvss.SeverityHigh, HasSeverity: true, Year: e.Year()}, limit: 50},
+			{Query: store.Query{Year: 2017, Severity: cvss.SeverityCritical, HasSeverity: true}, limit: 50},
 		}
 	})
 	if benchWorld.err != nil {

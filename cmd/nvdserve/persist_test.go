@@ -46,16 +46,16 @@ func paramGrid(st *serveState) []queryParams {
 		for _, offset := range []int{0, 3, 100000} {
 			ps = append(ps,
 				queryParams{limit: limit, offset: offset},
-				queryParams{vendor: vendor, limit: limit, offset: offset},
-				queryParams{product: product, limit: limit, offset: offset},
-				queryParams{vendor: vendor, product: product, limit: limit, offset: offset},
-				queryParams{vendor: "no-such-vendor", limit: limit, offset: offset},
-				queryParams{sev: cvss.SeverityHigh, hasSev: true, limit: limit, offset: offset},
-				queryParams{sev: cvss.SeverityCritical, hasSev: true, year: year, limit: limit, offset: offset},
-				queryParams{cweID: cweID, hasCWE: true, limit: limit, offset: offset},
-				queryParams{cweID: cweID, hasCWE: true, vendor: vendor, sev: cvss.SeverityMedium, hasSev: true, limit: limit, offset: offset},
-				queryParams{year: year, limit: limit, offset: offset},
-				queryParams{year: 1901, limit: limit, offset: offset},
+				queryParams{Query: store.Query{Vendor: vendor}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{Product: product}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{Vendor: vendor, Product: product}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{Vendor: "no-such-vendor"}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{Severity: cvss.SeverityHigh, HasSeverity: true}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{Severity: cvss.SeverityCritical, HasSeverity: true, Year: year}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{CWE: cweID, HasCWE: true}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{CWE: cweID, HasCWE: true, Vendor: vendor, Severity: cvss.SeverityMedium, HasSeverity: true}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{Year: year}, limit: limit, offset: offset},
+				queryParams{Query: store.Query{Year: 1901}, limit: limit, offset: offset},
 			)
 		}
 	}
@@ -579,10 +579,7 @@ func TestQueryScanFallbackOnCorruptBlock(t *testing.T) {
 	}
 	fellBack := 0
 	for _, p := range pages {
-		if _, _, err := stWarm.idx.Match(store.Query{
-			Vendor: p.vendor, Product: p.product, CWE: p.cweID, HasCWE: p.hasCWE,
-			Severity: p.sev, HasSeverity: p.hasSev, Year: p.year,
-		}); err != nil {
+		if _, _, err := stWarm.idx.Match(p.Query); err != nil {
 			fellBack++
 		}
 		if warm, cold := stWarm.queryBody(p), stCold.queryBody(p); !bytes.Equal(warm, cold) {

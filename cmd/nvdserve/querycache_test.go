@@ -15,6 +15,7 @@ import (
 	"nvdclean/internal/cvss"
 	"nvdclean/internal/cwe"
 	"nvdclean/internal/gen"
+	"nvdclean/internal/store"
 )
 
 // TestQueryCacheKeyInjective posts two CVEs whose vendor and product
@@ -41,8 +42,8 @@ func TestQueryCacheKeyInjective(t *testing.T) {
 		p  queryParams
 		id string
 	}{
-		{queryParams{vendor: "a\x1fb", product: "c", limit: 50}, "CVE-2018-99001"},
-		{queryParams{vendor: "a", product: "b\x1fc", limit: 50}, "CVE-2018-99002"},
+		{queryParams{Query: store.Query{Vendor: "a\x1fb", Product: "c"}, limit: 50}, "CVE-2018-99001"},
+		{queryParams{Query: store.Query{Vendor: "a", Product: "b\x1fc"}, limit: 50}, "CVE-2018-99002"},
 	} {
 		resp := st.queryIndexed(tc.p)
 		if len(resp.Results) != 1 || resp.Results[0].ID != tc.id {
@@ -69,39 +70,48 @@ func TestQueryCacheKeyInjective(t *testing.T) {
 	}
 }
 
-// FuzzQueryCacheKey checks that parseCacheKey inverts cacheKey both
-// ways: every parameter set reads back from its key, and every string
-// parseCacheKey accepts is the key of what it reads as. The first
-// property makes the key injective, so no two parameter sets share a
-// cache slot; the second makes the reading exact, so the carry rule
-// judges the page the key really names.
+// FuzzQueryCacheKey checks that the /query cache key of every
+// parameter set a URL can name is what url.Values.Encode writes for it
+// and reads back as it through parseQueryParams: no two such sets share
+// a cache slot, and the carry rule judges the page the key really
+// names. FuzzQueryParams reaches these sets through raw queries; this
+// target mutates the fields themselves, so a vendor or product may
+// hold any byte.
 func FuzzQueryCacheKey(f *testing.F) {
 	snap, _, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
 	if err != nil {
 		f.Fatal(err)
 	}
 	seeds := append(paramGrid(&serveState{res: &nvdclean.Result{Cleaned: snap}}),
-		queryParams{vendor: "a\x1fb", product: "c", limit: 50},
-		queryParams{vendor: "a", product: "b\x1fc", limit: 50},
-		queryParams{cweID: 0, hasCWE: true, limit: 50},
-		queryParams{sev: cvss.SeverityNone, hasSev: true, limit: 50})
+		queryParams{Query: store.Query{Vendor: "a\x1fb", Product: "c"}, limit: 50},
+		queryParams{Query: store.Query{Vendor: "a", Product: "b\x1fc"}, limit: 50},
+		queryParams{Query: store.Query{CWE: 0, HasCWE: true}, limit: 50},
+		queryParams{Query: store.Query{Severity: cvss.SeverityNone, HasSeverity: true}, limit: 50},
+		queryParams{Query: store.Query{Vendor: "a&b=c", Product: "100% +;", CWE: 79, HasCWE: true,
+			Severity: cvss.SeverityHigh, HasSeverity: true, Year: 2017}, limit: 20, offset: 5})
 	for _, p := range seeds {
-		f.Add(p.vendor, p.product, int(p.cweID), p.hasCWE, int(p.sev), p.hasSev, p.year, p.limit, p.offset, p.cacheKey())
+		f.Add(p.Vendor, p.Product, int(p.CWE), p.HasCWE, int(p.Severity), p.HasSeverity, p.Year, p.limit, p.offset)
 	}
-	f.Add("", "", 0, false, 0, false, 0, 0, 0, "01\x1f\x1f0\x1f50\x1f0\x1f0\x1f")
-	f.Fuzz(func(t *testing.T, vendor, product string, cweID int, hasCWE bool, sev int, hasSev bool, year, limit, offset int, raw string) {
-		p := queryParams{vendor: vendor, product: product, year: year, limit: limit, offset: offset}
+	f.Fuzz(func(t *testing.T, vendor, product string, cweID int, hasCWE bool, sev int, hasSev bool, year, limit, offset int) {
+		p := queryParams{Query: store.Query{Vendor: vendor, Product: product, Year: year}, limit: limit, offset: offset}
 		if hasCWE {
-			p.cweID, p.hasCWE = cwe.ID(cweID), true
+			p.CWE, p.HasCWE = cwe.ID(cweID), true
 		}
 		if hasSev {
-			p.sev, p.hasSev = cvss.Severity(sev), true
+			p.Severity, p.HasSeverity = cvss.Severity(sev), true
 		}
-		if q, ok := parseCacheKey(p.cacheKey()); !ok || q != p {
-			t.Errorf("cacheKey(%+v) = %q reads back as %+v, %v", p, p.cacheKey(), q, ok)
+		// A set no URL names (a blank CWE, an unknown severity band, a
+		// window out of range) never reaches the cache.
+		encoded := queryURL(p)[len("/query?"):]
+		if q, err := parseQueryParams(encoded); err != nil || q != p {
+			return
 		}
-		if q, ok := parseCacheKey(raw); ok && q.cacheKey() != raw {
-			t.Errorf("%q reads as %+v, whose key is %q", raw, q, q.cacheKey())
+		key := p.cacheKey()
+		if key != encoded {
+			t.Errorf("cacheKey(%+v) = %q, url.Values.Encode %q", p, key, encoded)
+		}
+		if q, err := parseQueryParams(key); err != nil || q != p {
+			t.Errorf("cacheKey(%+v) = %q reads back as %+v, %v", p, key, q, err)
 		}
 	})
 }
@@ -110,18 +120,18 @@ func FuzzQueryCacheKey(f *testing.F) {
 // severity band, each of its CWEs, vendors, products and pairs. Year
 // pages take the largest window, so an edit inside one shows in it.
 func pagesAbout(e *nvdclean.Entry) []queryParams {
-	ps := []queryParams{{year: e.Year(), limit: maxQueryLimit}}
+	ps := []queryParams{{Query: store.Query{Year: e.Year()}, limit: maxQueryLimit}}
 	if sev, ok := e.SeverityPV3(); ok {
-		ps = append(ps, queryParams{sev: sev, hasSev: true, limit: 50})
+		ps = append(ps, queryParams{Query: store.Query{Severity: sev, HasSeverity: true}, limit: 50})
 	}
 	for _, c := range e.CWEs {
-		ps = append(ps, queryParams{cweID: c, hasCWE: true, limit: 50})
+		ps = append(ps, queryParams{Query: store.Query{CWE: c, HasCWE: true}, limit: 50})
 	}
 	for _, n := range e.CPEs {
 		ps = append(ps,
-			queryParams{vendor: n.Vendor, limit: 50},
-			queryParams{product: n.Product, limit: 50},
-			queryParams{vendor: n.Vendor, product: n.Product, limit: 50})
+			queryParams{Query: store.Query{Vendor: n.Vendor}, limit: 50},
+			queryParams{Query: store.Query{Product: n.Product}, limit: 50},
+			queryParams{Query: store.Query{Vendor: n.Vendor, Product: n.Product}, limit: 50})
 	}
 	return ps
 }
@@ -187,7 +197,7 @@ func TestQueryCacheCarryOver(t *testing.T) {
 			feedNamed = append(feedNamed, prev.res.Cleaned.ByID(id))
 		}
 		passes := func(p queryParams, es []*nvdclean.Entry) bool {
-			return slices.ContainsFunc(es, p.matches)
+			return slices.ContainsFunc(es, p.Matches)
 		}
 		held := 0
 		var keep, drop []string
@@ -301,7 +311,7 @@ func TestQueryCacheCarryOver(t *testing.T) {
 		e.CPEs = []cpe.Name{cpe.NewName(cpe.PartApplication, alias, product, "1.0")}
 		overtaking = append(overtaking, e)
 	}
-	aimed := []queryParams{{vendor: canonical, limit: maxQueryLimit}, {vendor: alias, limit: maxQueryLimit}}
+	aimed := []queryParams{{Query: store.Query{Vendor: canonical}, limit: maxQueryLimit}, {Query: store.Query{Vendor: alias}, limit: maxQueryLimit}}
 	for _, e := range st.res.Cleaned.Entries {
 		if slices.ContainsFunc(e.CPEs, func(n cpe.Name) bool { return n.Vendor == canonical }) {
 			aimed = append(aimed, pagesAbout(e)...)
@@ -321,11 +331,11 @@ func TestQueryCacheCarryOver(t *testing.T) {
 	for _, e := range st.res.Cleaned.Entries {
 		if !years[e.Year()] {
 			years[e.Year()] = true
-			aimed = append(aimed, queryParams{year: e.Year(), limit: maxQueryLimit})
+			aimed = append(aimed, queryParams{Query: store.Query{Year: e.Year()}, limit: maxQueryLimit})
 		}
 	}
 	for _, s := range []cvss.Severity{cvss.SeverityLow, cvss.SeverityMedium, cvss.SeverityHigh, cvss.SeverityCritical} {
-		aimed = append(aimed, queryParams{sev: s, hasSev: true, limit: maxQueryLimit})
+		aimed = append(aimed, queryParams{Query: store.Query{Severity: s, HasSeverity: true}, limit: maxQueryLimit})
 	}
 	for _, e := range st.res.Original.Entries {
 		if e.V2 != nil && e.V3 != nil && len(dual) < 8 {

@@ -11,8 +11,6 @@ import (
 	"sync"
 
 	"nvdclean"
-	"nvdclean/internal/cvss"
-	"nvdclean/internal/cwe"
 )
 
 // The read hot path. Every read response is a pure function of
@@ -229,80 +227,33 @@ func (st *serveState) queryBody(p queryParams) []byte {
 	return b
 }
 
-// keySep ends each decimal field of a /query cache key.
-const keySep = "\x1f"
-
-// cacheKey canonicalizes the parsed parameter set: two URLs that parse
-// to the same filters share one cache slot regardless of parameter
-// order or defaulted values, and two that parse to different filters
-// never do. The key is six decimal fields, each ended by keySep (the
-// CWE and severity fields empty when unset, the last one the vendor's
-// length), then the vendor and the product verbatim: any byte may occur
-// in those two, so the length, not a separator, tells them apart. It is
-// built in one allocation; parseCacheKey is its exact inverse.
+// cacheKey returns p's canonical query string, the key of its page in
+// the /query cache: what url.Values.Encode writes for p's filters and
+// window — keys in byte order, unset filters left out, values escaped
+// by url.QueryEscape. Two URLs that parse to the same parameters share
+// one key, whatever their order or spelling, and parseQueryParams reads
+// a key back to the parameters it was built from, so two that parse
+// differently never do. A key of up to 256 bytes whose vendor and
+// product need no escaping is built in one allocation.
 func (p queryParams) cacheKey() string {
-	var buf [6 * 21]byte // six int64s in decimal, each with its keySep
-	head := buf[:0]
-	if p.hasCWE {
-		head = strconv.AppendInt(head, int64(p.cweID), 10)
+	var buf [256]byte
+	b := buf[:0]
+	if p.HasCWE {
+		b = append(p.CWE.Append(append(b, "cwe="...)), '&')
 	}
-	head = append(head, keySep...)
-	if p.hasSev {
-		head = strconv.AppendInt(head, int64(p.sev), 10)
+	b = strconv.AppendInt(append(b, "limit="...), int64(p.limit), 10)
+	b = strconv.AppendInt(append(b, "&offset="...), int64(p.offset), 10)
+	if p.Product != "" {
+		b = append(append(b, "&product="...), url.QueryEscape(p.Product)...)
 	}
-	head = append(head, keySep...)
-	for _, n := range [...]int{p.year, p.limit, p.offset, len(p.vendor)} {
-		head = append(strconv.AppendInt(head, int64(n), 10), keySep...)
+	if p.HasSeverity {
+		b = append(append(b, "&severity="...), p.Severity.String()...)
 	}
-	var b strings.Builder
-	b.Grow(len(head) + len(p.vendor) + len(p.product))
-	b.Write(head)
-	b.WriteString(p.vendor)
-	b.WriteString(p.product)
-	return b.String()
-}
-
-// parseCacheKey reads a cache key back into the parameter set it was
-// built from, or reports false for a string cacheKey cannot produce:
-// cacheKey(p) parses to p, and a string that parses is cacheKey of
-// what it parses to.
-func parseCacheKey(key string) (queryParams, bool) {
-	var p queryParams
-	var f [6]string
-	rest := key
-	for i := range f {
-		var ok bool
-		if f[i], rest, ok = strings.Cut(rest, keySep); !ok {
-			return p, false
-		}
+	if p.Vendor != "" {
+		b = append(append(b, "&vendor="...), url.QueryEscape(p.Vendor)...)
 	}
-	var n [6]int
-	for i, s := range f {
-		if i < 2 && s == "" {
-			continue // no CWE or severity filter
-		}
-		if !canonicalInt(s, &n[i]) {
-			return p, false
-		}
+	if p.Year != 0 {
+		b = strconv.AppendInt(append(b, "&year="...), int64(p.Year), 10)
 	}
-	p.cweID, p.hasCWE = cwe.ID(n[0]), f[0] != ""
-	p.sev, p.hasSev = cvss.Severity(n[1]), f[1] != ""
-	p.year, p.limit, p.offset = n[2], n[3], n[4]
-	if n[5] < 0 || n[5] > len(rest) {
-		return p, false
-	}
-	p.vendor, p.product = rest[:n[5]], rest[n[5]:]
-	return p, true
-}
-
-// canonicalInt parses s into *n when s is the decimal cacheKey writes:
-// no sign but a leading minus, no leading zero.
-func canonicalInt(s string, n *int) bool {
-	v, err := strconv.Atoi(s)
-	var buf [20]byte
-	if err != nil || string(strconv.AppendInt(buf[:0], int64(v), 10)) != s {
-		return false
-	}
-	*n = v
-	return true
+	return string(b)
 }

@@ -48,20 +48,20 @@ func (st *serveState) etagFor(pretty bool) string {
 // queryURL renders a parsed parameter set back into a /query URL.
 func queryURL(p queryParams) string {
 	v := url.Values{}
-	if p.vendor != "" {
-		v.Set("vendor", p.vendor)
+	if p.Vendor != "" {
+		v.Set("vendor", p.Vendor)
 	}
-	if p.product != "" {
-		v.Set("product", p.product)
+	if p.Product != "" {
+		v.Set("product", p.Product)
 	}
-	if p.hasCWE {
-		v.Set("cwe", p.cweID.String())
+	if p.HasCWE {
+		v.Set("cwe", p.CWE.String())
 	}
-	if p.hasSev {
-		v.Set("severity", p.sev.String())
+	if p.HasSeverity {
+		v.Set("severity", p.Severity.String())
 	}
-	if p.year != 0 {
-		v.Set("year", strconv.Itoa(p.year))
+	if p.Year != 0 {
+		v.Set("year", strconv.Itoa(p.Year))
 	}
 	v.Set("limit", strconv.Itoa(p.limit))
 	v.Set("offset", strconv.Itoa(p.offset))
@@ -100,7 +100,7 @@ func TestReadCacheEquivalence(t *testing.T) {
 			}
 		}
 		for _, p := range paramGrid(st) {
-			if p.hasCWE && p.cweID == 0 {
+			if p.HasCWE && p.CWE == 0 {
 				continue // grid found no concrete CWE in this snapshot
 			}
 			fresh := encodeJSON(st.queryIndexed(p), false)

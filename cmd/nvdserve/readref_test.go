@@ -112,7 +112,7 @@ type queryResponse struct {
 
 // hitOf renders one matched entry.
 func (st *serveState) hitOf(e *nvdclean.Entry, p queryParams) hit {
-	h := hit{ID: e.ID, VendorMatch: matchVendor(e, p.vendor, p.product)}
+	h := hit{ID: e.ID, VendorMatch: p.MatchedVendor(e)}
 	if sev, ok := e.SeverityPV3(); ok {
 		h.Severity = sev.String()
 	}
@@ -148,12 +148,7 @@ func (st *serveState) window(matched []*nvdclean.Entry, p queryParams) queryResp
 // every matched entry before the window; a corrupt posting block makes
 // the linear scan answer instead.
 func (st *serveState) queryIndexed(p queryParams) queryResponse {
-	ords, filtered, err := st.idx.Match(store.Query{
-		Vendor: p.vendor, Product: p.product,
-		CWE: p.cweID, HasCWE: p.hasCWE,
-		Severity: p.sev, HasSeverity: p.hasSev,
-		Year: p.year,
-	})
+	ords, filtered, err := st.idx.Match(p.Query)
 	if err != nil {
 		return st.queryScan(p)
 	}
@@ -172,7 +167,7 @@ func (st *serveState) queryIndexed(p queryParams) queryResponse {
 func (st *serveState) queryScan(p queryParams) queryResponse {
 	var matched []*nvdclean.Entry
 	for _, e := range st.res.Cleaned.Entries {
-		if p.matches(e) {
+		if p.Matches(e) {
 			matched = append(matched, e)
 		}
 	}
@@ -196,25 +191,25 @@ func parseQueryValues(values url.Values) (queryParams, error) {
 	if p.pretty, err = parsePretty(values.Get("pretty")); err != nil {
 		return p, err
 	}
-	p.vendor = values.Get("vendor")
-	p.product = values.Get("product")
+	p.Vendor = values.Get("vendor")
+	p.Product = values.Get("product")
 	if c := values.Get("cwe"); c != "" {
 		id, err := cwe.Parse(c)
 		if err != nil || id == cwe.Unassigned {
 			return p, fmt.Errorf("bad cwe %q", c)
 		}
-		p.cweID, p.hasCWE = id, true
+		p.CWE, p.HasCWE = id, true
 	}
 	if sev := values.Get("severity"); sev != "" {
 		var ok bool
-		if p.sev, ok = cvss.ParseSeverity(sev); !ok {
+		if p.Severity, ok = cvss.ParseSeverity(sev); !ok {
 			return p, fmt.Errorf("bad severity %q", sev)
 		}
-		p.hasSev = true
+		p.HasSeverity = true
 	}
 	if y := values.Get("year"); y != "" {
 		var err error
-		if p.year, err = strconv.Atoi(y); err != nil || p.year < 1 {
+		if p.Year, err = strconv.Atoi(y); err != nil || p.Year < 1 {
 			return p, fmt.Errorf("bad year %q", y)
 		}
 	}
@@ -427,7 +422,11 @@ func TestReadEncodingMatchesReference(t *testing.T) {
 // and the reference parse: for any raw query both give the same
 // parameters, or both refuse it. When both refuse it they name the
 // same fault, except that the reference names a random unknown
-// parameter where the scanner names the first in URL order.
+// parameter where the scanner names the first in URL order. The
+// parameters a query parses to must read back from their /query cache
+// key, which must be what url.Values.Encode writes for them: the first
+// makes the key injective, so no two parameter sets share a cached
+// page, and exact, so the carry rule judges the page the key names.
 func FuzzQueryParams(f *testing.F) {
 	snap, _, err := nvdclean.GenerateSnapshot(gen.TinyConfig())
 	if err != nil {
@@ -444,6 +443,24 @@ func FuzzQueryParams(f *testing.F) {
 		"severity=high&year=2017&cwe=CWE-79", "cwe=NVD-CWE-Other", "limit=1001", "offset=-1", "year=0",
 	} {
 		f.Add(raw)
+	}
+	// Keys that must still read back: names split differently around
+	// 0x1f, the lowest severity band, and names a query string must
+	// escape, since the key separates its pairs with '&' and '=' and a
+	// CPE name may hold any byte.
+	seeds := []queryParams{
+		{Query: store.Query{Vendor: "a\x1fb", Product: "c"}, limit: 50},
+		{Query: store.Query{Vendor: "a", Product: "b\x1fc"}, limit: 50},
+		{Query: store.Query{Severity: cvss.SeverityNone, HasSeverity: true}, limit: 50},
+	}
+	for _, name := range []string{"a b", "a+b", "a&b", "a=b", "100%", "a;b", "caf\xc3\xa9", "\xff"} {
+		seeds = append(seeds,
+			queryParams{Query: store.Query{Vendor: name}, limit: 50},
+			queryParams{Query: store.Query{Vendor: "a", Product: name}, limit: 50})
+	}
+	for _, p := range seeds {
+		u := queryURL(p)
+		f.Add(u[len("/query?"):])
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		got, gotErr := parseQueryParams(raw)
@@ -467,6 +484,17 @@ func FuzzQueryParams(f *testing.F) {
 			if v := queryValue(raw, name); v != values.Get(name) {
 				t.Fatalf("%q: queryValue(%q) = %q, url.Values.Get %q", raw, name, v, values.Get(name))
 			}
+		}
+		if gotErr != nil {
+			return
+		}
+		got.pretty = false // a representation, not a page: the key leaves it out
+		key := got.cacheKey()
+		if q, err := parseQueryParams(key); err != nil || q != got {
+			t.Fatalf("%q parses to %+v, whose key %q reads back as %+v, %v", raw, got, key, q, err)
+		}
+		if u := queryURL(got); key != u[len("/query?"):] {
+			t.Fatalf("%q parses to %+v, whose key is %q, not %q", raw, got, key, u[len("/query?"):])
 		}
 	})
 }
@@ -500,9 +528,9 @@ func TestQueryUnknownParamDeterministic(t *testing.T) {
 // middleware included, with a stub writer: each request names an
 // entry, a vendor+product page or a year+severity page no earlier
 // request filled. Beyond what a
-// cached read costs, a /cve miss pays its body and the entry cache's
-// fill (its in-flight record and channel); a /query miss pays the
-// index match, its body and the LRU slot.
+// cached read costs, a /cve miss pays its body (the entry cache's fill
+// is a map insert); a /query miss pays the index match, its body and
+// the LRU slot.
 func TestReadMissAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counts skipped in -short mode: race builds count allocations differently")
@@ -515,7 +543,7 @@ func TestReadMissAllocGuard(t *testing.T) {
 		reqs   []*http.Request
 		allocs float64
 	}{
-		{"/cve miss", cves, 6},
+		{"/cve miss", cves, 4},
 		{"vendor+product /query miss", pairs, 8},
 		{"year+severity /query miss", yearSevs, 9},
 	} {

@@ -396,12 +396,12 @@ func pageKeeper(d *nvdclean.Delta, old *nvdclean.Snapshot, pages int) func(key s
 		touched = append(touched, old.ByID(id))
 	}
 	return func(key string) bool {
-		p, ok := parseCacheKey(key)
-		if !ok {
+		p, err := parseQueryParams(key)
+		if err != nil {
 			return false
 		}
 		for _, e := range touched {
-			if p.matches(e) {
+			if p.Matches(e) {
 				return false
 			}
 		}
@@ -720,16 +720,12 @@ func (s *server) handleCVE(w http.ResponseWriter, r *http.Request) {
 	serveRead(w, etag, st.cveBody(e, pretty))
 }
 
-// queryParams is one parsed /query request.
+// queryParams is one parsed /query request: its filter set and the
+// page window and representation it asks for.
 type queryParams struct {
-	vendor, product string
-	cweID           cwe.ID
-	hasCWE          bool
-	sev             cvss.Severity
-	hasSev          bool
-	year            int
-	limit, offset   int
-	pretty          bool
+	store.Query
+	limit, offset int
+	pretty        bool
 }
 
 // maxQueryLimit caps the /query page size: an arbitrary client-chosen
@@ -771,7 +767,7 @@ func parseQueryParams(raw string) (queryParams, error) {
 	if p.pretty, err = parsePretty(pretty); err != nil {
 		return p, err
 	}
-	p.vendor, p.product = vendor, product
+	p.Vendor, p.Product = vendor, product
 	if c != "" {
 		// cwe.Parse reads a blank value as cwe.Unassigned, the ID of no
 		// CWE at all, which no client means to filter on.
@@ -779,18 +775,18 @@ func parseQueryParams(raw string) (queryParams, error) {
 		if err != nil || id == cwe.Unassigned {
 			return p, fmt.Errorf("bad cwe %q", c)
 		}
-		p.cweID, p.hasCWE = id, true
+		p.CWE, p.HasCWE = id, true
 	}
 	if sev != "" {
 		var ok bool
-		if p.sev, ok = cvss.ParseSeverity(sev); !ok {
+		if p.Severity, ok = cvss.ParseSeverity(sev); !ok {
 			return p, fmt.Errorf("bad severity %q", sev)
 		}
-		p.hasSev = true
+		p.HasSeverity = true
 	}
 	if y != "" {
 		// Year 0 would mean "no year filter" downstream.
-		if p.year, err = strconv.Atoi(y); err != nil || p.year < 1 {
+		if p.Year, err = strconv.Atoi(y); err != nil || p.Year < 1 {
 			return p, fmt.Errorf("bad year %q", y)
 		}
 	}
@@ -808,25 +804,6 @@ func parseQueryParams(raw string) (queryParams, error) {
 		}
 	}
 	return p, nil
-}
-
-// matchVendor returns the vendor of the first CPE name satisfying the
-// vendor/product constraints, or "" when neither constraint is set —
-// the "vendor" field of a query hit.
-func matchVendor(e *nvdclean.Entry, vendor, product string) string {
-	if vendor == "" && product == "" {
-		return ""
-	}
-	for _, n := range e.CPEs {
-		if vendor != "" && n.Vendor != vendor {
-			continue
-		}
-		if product != "" && n.Product != product {
-			continue
-		}
-		return n.Vendor
-	}
-	return ""
 }
 
 // appendHit appends one matched entry as a /query result: its id, its
@@ -854,7 +831,7 @@ func appendHit(b []byte, e *nvdclean.Entry, p queryParams) ([]byte, bool) {
 	if !ok {
 		return b, false
 	}
-	if v := matchVendor(e, p.vendor, p.product); v != "" {
+	if v := p.MatchedVendor(e); v != "" {
 		b = append(b, `,"vendor":`...)
 		b = jsontext.AppendString(b, v)
 	}
@@ -865,7 +842,7 @@ func appendHit(b []byte, e *nvdclean.Entry, p queryParams) ([]byte, bool) {
 // page bounds, and the results in the page's window of the match set,
 // in snapshot order. Only the window's entries are read.
 func (st *serveState) appendQuery(b []byte, p queryParams) ([]byte, bool) {
-	ords, filtered := st.match(p)
+	ords, filtered := st.match(p.Query)
 	entries := st.res.Cleaned.Entries
 	total := len(entries)
 	if filtered {
@@ -896,18 +873,12 @@ func (st *serveState) appendQuery(b []byte, p queryParams) ([]byte, bool) {
 	return append(b, "]}"...), true
 }
 
-// match returns the ordinals of the cleaned entries that pass p's
+// match returns the ordinals of the cleaned entries that pass q's
 // filters, in snapshot order, by index intersection: each active
 // filter contributes one ordinal posting list, and the block-skipping
 // ordered merge of them is the match set. It reports filtered false,
-// with no ordinals, when p has no filter and so every entry passes.
-func (st *serveState) match(p queryParams) ([]uint32, bool) {
-	q := store.Query{
-		Vendor: p.vendor, Product: p.product,
-		CWE: p.cweID, HasCWE: p.hasCWE,
-		Severity: p.sev, HasSeverity: p.hasSev,
-		Year: p.year,
-	}
+// with no ordinals, when q has no filter and so every entry passes.
+func (st *serveState) match(q store.Query) ([]uint32, bool) {
 	ords, filtered, err := st.idx.Match(q)
 	if err == nil {
 		return ords, filtered
@@ -916,33 +887,11 @@ func (st *serveState) match(p queryParams) ([]uint32, bool) {
 	// scan with the reference predicate answers instead.
 	ords = nil
 	for o, e := range st.res.Cleaned.Entries {
-		if p.matches(e) {
+		if q.Matches(e) {
 			ords = append(ords, uint32(o))
 		}
 	}
 	return ords, true
-}
-
-// matches reports whether e passes every filter of p. It is the
-// predicate of the scan match falls back on and the rule that decides
-// which cached pages outlive a generation swap, so the two cannot
-// drift apart.
-func (p queryParams) matches(e *nvdclean.Entry) bool {
-	if p.year != 0 && e.Year() != p.year {
-		return false
-	}
-	if (p.vendor != "" || p.product != "") && matchVendor(e, p.vendor, p.product) == "" {
-		return false
-	}
-	if p.hasCWE && !e.HasCWE(p.cweID) {
-		return false
-	}
-	if p.hasSev {
-		if sev, ok := e.SeverityPV3(); !ok || sev != p.sev {
-			return false
-		}
-	}
-	return true
 }
 
 // handleQuery filters the cleaned snapshot by consolidated vendor,

@@ -28,8 +28,9 @@ import (
 //     marker — no stale cached bytes survive a swap that touched the
 //     entry.
 //
-// Run under -race this also proves the cache fill (singleflight
-// encode, seeded map) and the LRU are sound against the swap.
+// Run under -race this also proves the cache fill (an encode outside
+// the lock, first bytes stored kept; a seeded map) and the LRU are
+// sound against the swap.
 func TestRaceReadDuringFeedSwap(t *testing.T) {
 	snap, opts := raceWorld(t)
 	srv := newServer(opts)

@@ -246,14 +246,6 @@ type CounterVec struct {
 // a map lookup, the child itself is one atomic.
 func (v *CounterVec) With(values ...string) *Counter { return v.with(values...) }
 
-// GaugeVec is a gauge family parameterized by labels.
-type GaugeVec struct {
-	*vec[Gauge]
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values...) }
-
 // HistogramVec is a histogram family parameterized by labels; every
 // child shares the family's bucket bounds.
 type HistogramVec struct {

@@ -140,8 +140,8 @@ func TestFamiliesSortedSingleHeader(t *testing.T) {
 
 func TestEscaping(t *testing.T) {
 	r := NewRegistry()
-	v := r.GaugeVec("test_weird", "Help with \\ and\nnewline.", "l")
-	v.With("quote\" back\\slash\nnl").Set(1)
+	v := r.CounterVec("test_weird", "Help with \\ and\nnewline.", "l")
+	v.With("quote\" back\\slash\nnl").Inc()
 	out := render(t, r)
 	if !strings.Contains(out, `# HELP test_weird Help with \\ and\nnewline.`) {
 		t.Errorf("help not escaped:\n%s", out)

@@ -126,13 +126,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return v
 }
 
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{newVec(labels, func() *Gauge { return &Gauge{} })}
-	r.register(&family{name: name, help: help, typ: typeGauge, labels: labels, childSnap: snapVec(v.vec)})
-	return v
-}
-
 // HistogramVec registers a labeled histogram family; children share
 // the bucket bounds.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {

@@ -13,22 +13,24 @@
 //
 // Two shapes are provided:
 //
-//   - EntryCache: an unbounded lazily-filled map for /cve/{id}. The
-//     first hit on an ID encodes the response once (a singleflight
-//     collapses concurrent encoders of a hot ID) and every later hit
-//     is a map lookup. Incremental generations seed their cache with
-//     the previous generation's bytes for entries the swap did not
-//     touch — the same copy-on-write sharing the query-index shards
-//     use — so a swap does not re-pay the encode for the unchanged
-//     99% of a daily delta.
+//   - EntryCache: an unbounded lazily-filled map for /cve/{id}. A
+//     miss encodes the response outside the lock and stores it unless
+//     a concurrent miss on the same ID stored first, in which case
+//     both callers serve the first bytes; every later hit is a map
+//     lookup. Incremental generations seed their cache with the
+//     previous generation's bytes for entries the swap did not touch —
+//     the same copy-on-write sharing the query-index shards use — so
+//     a swap does not re-pay the encode for the unchanged 99% of a
+//     daily delta.
 //
 //   - QueryCache: a byte-bounded LRU for /query responses keyed by
-//     the canonicalized parameter set. Query results are larger and
-//     the key space is open-ended (attacker-sized, even), so this
-//     cache is capped and evicting where the entry cache is not.
-//     Incremental generations seed it with the previous generation's
-//     pages whose filters no changed entry passes, in their recency
-//     order and within the cap.
+//     the canonical query string of the parsed parameter set. Query
+//     results are larger and the key space is open-ended
+//     (attacker-sized, even), so this cache is capped and evicting
+//     where the entry cache is not. Incremental generations seed it
+//     with the previous generation's pages whose filters no changed
+//     entry passes, in their recency order and within the cap: the
+//     caller reads each key back into its filters to decide.
 //
 // Both report into a shared Metrics struct that outlives generations,
 // so /stats counters are cumulative across swaps.
@@ -67,30 +69,19 @@ type Metrics struct {
 	NotModifiedBytes atomic.Int64
 }
 
-// call is one in-flight singleflight encode.
-type call struct {
-	done chan struct{}
-	b    []byte
-}
-
 // EntryCache memoizes encoded /cve/{id} responses for one generation.
 // Entries are immutable once stored; the cache only grows (bounded by
 // the number of CVEs in the generation, each response a few KB).
 type EntryCache struct {
 	m *Metrics
 
-	mu       sync.RWMutex
-	done     map[string][]byte
-	inflight map[string]*call
+	mu   sync.RWMutex
+	done map[string][]byte
 }
 
 // NewEntryCache returns an empty cache reporting into m.
 func NewEntryCache(m *Metrics) *EntryCache {
-	return &EntryCache{
-		m:        m,
-		done:     make(map[string][]byte),
-		inflight: make(map[string]*call),
-	}
+	return &EntryCache{m: m, done: make(map[string][]byte)}
 }
 
 // Seed copies prev's already-encoded bytes into c for every ID keep
@@ -112,9 +103,11 @@ func (c *EntryCache) Seed(prev *EntryCache, keep func(id string) bool) {
 }
 
 // Get returns the cached response bytes for id, calling encode to
-// produce them on the first request. Concurrent first requests for the
-// same id share one encode: a hot ID never encodes twice. The returned
-// slice is shared and must not be modified.
+// produce them on a miss. encode runs outside the lock, so concurrent
+// first requests for one id may each encode it; the first bytes stored
+// are kept and every caller gets them (the encodes are byte-identical
+// by construction). The returned slice is shared and must not be
+// modified.
 func (c *EntryCache) Get(id string, encode func() []byte) []byte {
 	c.mu.RLock()
 	b, ok := c.done[id]
@@ -123,31 +116,16 @@ func (c *EntryCache) Get(id string, encode func() []byte) []byte {
 		c.m.EntryHits.Add(1)
 		return b
 	}
-
+	b = encode()
 	c.mu.Lock()
-	if b, ok := c.done[id]; ok {
-		c.mu.Unlock()
-		c.m.EntryHits.Add(1)
-		return b
+	if first, ok := c.done[id]; ok {
+		b = first
+	} else {
+		c.done[id] = b
 	}
-	if fl, ok := c.inflight[id]; ok {
-		c.mu.Unlock()
-		<-fl.done
-		c.m.EntryHits.Add(1)
-		return fl.b
-	}
-	fl := &call{done: make(chan struct{})}
-	c.inflight[id] = fl
 	c.mu.Unlock()
-
-	fl.b = encode()
-	c.mu.Lock()
-	c.done[id] = fl.b
-	delete(c.inflight, id)
-	c.mu.Unlock()
-	close(fl.done)
 	c.m.EntryMisses.Add(1)
-	return fl.b
+	return b
 }
 
 // Peek returns the cached bytes for id without filling, or nil. Used

@@ -489,6 +489,44 @@ func (q Query) Filtered() bool {
 	return q.Vendor != "" || q.Product != "" || q.HasCWE || q.HasSeverity || q.Year != 0
 }
 
+// Matches reports whether e passes every filter of q: the set Match
+// intersects out of the postings, written as a scan. It is the
+// predicate of the scan a reader falls back on when a posting block
+// does not decode, and the rule that decides which cached pages
+// outlive a generation swap, so the two cannot drift apart.
+func (q Query) Matches(e *cve.Entry) bool {
+	if q.Year != 0 && e.Year() != q.Year {
+		return false
+	}
+	if (q.Vendor != "" || q.Product != "") && q.MatchedVendor(e) == "" {
+		return false
+	}
+	if q.HasCWE && !e.HasCWE(q.CWE) {
+		return false
+	}
+	if q.HasSeverity {
+		if sev, ok := e.SeverityPV3(); !ok || sev != q.Severity {
+			return false
+		}
+	}
+	return true
+}
+
+// MatchedVendor returns the vendor of e's first CPE name that passes
+// both the vendor and the product filter, or "" when there is none or
+// q filters on neither: the "vendor" field of a /query hit.
+func (q Query) MatchedVendor(e *cve.Entry) string {
+	if q.Vendor == "" && q.Product == "" {
+		return ""
+	}
+	for _, n := range e.CPEs {
+		if (q.Vendor == "" || n.Vendor == q.Vendor) && (q.Product == "" || n.Product == q.Product) {
+			return n.Vendor
+		}
+	}
+	return ""
+}
+
 // Match intersects the posting lists of every active filter and returns
 // the matching entry ordinals in snapshot order. The second result is
 // false when the query has no active filters (every entry matches, no

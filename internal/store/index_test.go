@@ -136,10 +136,29 @@ func decodedShard(t *testing.T, sh *shard) map[key][]uint32 {
 	return out
 }
 
+// TestIndexMatchesLinearScan holds Match and the scan predicate
+// Query.Matches to bruteMatch for every grid query, and MatchedVendor
+// to name a vendor exactly when the query filters on a vendor or a
+// product and the entry passes those filters.
 func TestIndexMatchesLinearScan(t *testing.T) {
 	snap := indexSnapshot(300)
 	ix := BuildIndex(snap, 4)
 	for _, q := range queryGrid() {
+		want := bruteMatch(snap, q)
+		names := Query{Vendor: q.Vendor, Product: q.Product}
+		var scanned []string
+		for _, e := range snap.Entries {
+			if q.Matches(e) {
+				scanned = append(scanned, e.ID)
+			}
+			v := q.MatchedVendor(e)
+			if (v != "") != (names.Filtered() && names.Matches(e)) || q.Vendor != "" && v != "" && v != q.Vendor {
+				t.Errorf("query %+v: MatchedVendor(%s) = %q", q, e.ID, v)
+			}
+		}
+		if !slices.Equal(scanned, want) {
+			t.Errorf("query %+v: Matches selects %v, want %v", q, scanned, want)
+		}
 		got, filtered := matchIDs(t, ix, snap, q)
 		if !q.Filtered() {
 			if filtered {
@@ -147,7 +166,6 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			}
 			continue
 		}
-		want := bruteMatch(snap, q)
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}
